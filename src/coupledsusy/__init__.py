@@ -13,7 +13,9 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
+    IDENTITY,
     LOWERING_WORD,
+    Operator,
     RAISING_WORD,
     apply_generator,
     apply_word,
@@ -46,11 +48,10 @@ from .spectral import (
 )
 from .systems import (
     CoupledSusySystem,
-    KOperators,
-    RuleTerm,
     VerificationReport,
     all_reports_pass,
     default_window,
+    k_operators,
     make_xn_system,
     mutation_slots,
     verify_coupled_susy,

@@ -15,6 +15,14 @@ coefficient arithmetic stays in Q: a state represents
 
 with w canonicalised into {0, 1} (even parts are folded into the c_k).
 
+Operators live in the same exact world.  An Operator sends each monomial
+x^k to sum_s p_s(k) x^(k+s), where every p_s is a polynomial in k with
+rational coefficients, again times a sqrt(2) half power.  The generators
+are Operators whose p_s have degree <= 1; words, the su(1,1) triples,
+the defining identities and the observables are built from them by
+composition, so an operator identity holds for every integer exponent
+exactly when its residual Operator is zero.
+
 Inner products over the real line reduce, via
 
     int_0^inf x^j exp(-b x^(2n)) dx = Gamma((j+1)/(2n)) / (2n b^((j+1)/(2n)))
@@ -67,11 +75,15 @@ RAISING_WORD = (Generator.ADAG, Generator.B)
 LOWERING_WORD = (Generator.BDAG, Generator.A)
 
 
+def _fold_half_power(half_power: int):
+    """Split 2^(-w/2) into a rational factor and a residual half power in {0, 1}."""
+    fold = half_power >> 1  # floor division, works for negatives
+    return Fraction(1, 2) ** fold, half_power - 2 * fold
+
+
 def _canonical_terms(terms: Mapping[int, object], half_power: int):
     """Fold even half powers of 2 into the coefficients; drop zeros."""
-    fold = half_power >> 1  # floor division, works for negatives
-    residue = half_power - 2 * fold
-    factor = Fraction(1, 2) ** fold
+    factor, residue = _fold_half_power(half_power)
     out = {}
     for k, c in terms.items():
         c = Fraction(c)
@@ -221,25 +233,173 @@ def zero_state(n: int) -> GaussPolyState:
     return GaussPolyState(n, {})
 
 
-def apply_generator(system: "CoupledSusySystem", gen: Generator, state: GaussPolyState) -> GaussPolyState:
-    """Apply one generator to a state via the system's per-monomial rules.
+# ---------------------------------------------------------------------------
+# Operators: {shift -> polynomial in k} with a sqrt(2) half power
+# ---------------------------------------------------------------------------
 
-    Each rule term sends x^k to (alpha + beta*k) x^(k+shift); the implicit
-    1/sqrt(2) becomes one extra half power on the result.
+
+def _poly_add(p, q) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return [c + q[i] if i < len(q) else c for i, c in enumerate(p)]
+
+
+def _poly_mul(p, q) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _poly_shift(p, s: int) -> list:
+    """Coefficients of k -> p(k + s), by Horner's rule in (k + s)."""
+    out = [Fraction(0)]
+    for c in reversed(p):
+        out = _poly_add(_poly_mul(out, (s, 1)), (c,))
+    return out
+
+
+def _poly_eval(p, k: int) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * k + c
+    return value
+
+
+class Operator:
+    """An exact linear map x^k -> 2^(-w/2) * sum_s p_s(k) x^(k+s).
+
+    `terms` maps each shift s to the coefficients (c0, c1, ...) of the
+    polynomial p_s(k) = c0 + c1 k + ... with rational c_i.  The canonical
+    form matches GaussPolyState: even half powers w are folded into the
+    coefficients, trailing zero coefficients and zero polynomials are
+    dropped, and shifts are kept in ascending order.  Two operators are
+    therefore equal iff they act identically on x^k for every integer k.
+
+    Immutable; the hash is computed once, because the systems that hold
+    generator operators key the tower-state cache.
+    """
+
+    __slots__ = ("terms", "half_power", "_hash")
+
+    def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
+        factor, residue = _fold_half_power(half_power)
+        canon = {}
+        for s in sorted(terms):
+            poly = [Fraction(c) * factor for c in terms[s]]
+            while poly and poly[-1] == 0:
+                poly.pop()
+            if poly:
+                canon[int(s)] = tuple(poly)
+        if not canon:
+            residue = 0  # the zero operator has one canonical form
+        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "half_power", residue)
+        object.__setattr__(self, "_hash", hash((residue, tuple(canon.items()))))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Operator is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def apply(self, state: GaussPolyState) -> GaussPolyState:
+        """The image of a state, built shift by shift in ascending order."""
+        out: dict = {}
+        items = state.terms.items()
+        for shift, poly in self.terms.items():
+            # generators are linear in k: keep their path as tight as alpha + beta*k
+            linear = len(poly) <= 2
+            alpha, beta = poly[0], (poly[1] if len(poly) > 1 else 0)
+            for k, c in items:
+                coeff = c * (alpha + beta * k if linear else _poly_eval(poly, k))
+                if coeff == 0:
+                    continue
+                kk = k + shift
+                out[kk] = out.get(kk, Fraction(0)) + coeff
+        return GaussPolyState(state.n, out, state.half_power + self.half_power)
+
+    def __matmul__(self, other: "Operator") -> "Operator":
+        """The product self . other (other acts first).
+
+        x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2), summed over the
+        shifts s1 of self and s2 of other.
+        """
+        out: dict = {}
+        for s2, p2 in other.terms.items():
+            for s1, p1 in self.terms.items():
+                s = s1 + s2
+                out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
+        return Operator(out, self.half_power + other.half_power)
+
+    def scale(self, r) -> "Operator":
+        r = Fraction(r)
+        return Operator(
+            {s: [c * r for c in p] for s, p in self.terms.items()}, self.half_power
+        )
+
+    def scale_sqrt2(self, j: int) -> "Operator":
+        """Multiply the operator by 2^(j/2) exactly."""
+        return Operator(self.terms, self.half_power - j)
+
+    def __add__(self, other: "Operator") -> "Operator":
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.half_power != other.half_power:
+            raise ValueError(
+                "cannot add operators of mismatched sqrt(2) parity exactly; "
+                "rescale one side with scale_sqrt2 first"
+            )
+        out = dict(self.terms)
+        for s, p in other.terms.items():
+            out[s] = _poly_add(out.get(s, ()), p)
+        return Operator(out, self.half_power)
+
+    def __neg__(self) -> "Operator":
+        return self.scale(-1)
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return self.half_power == other.half_power and self.terms == other.terms
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Operator({self.serialize()!r})"
+
+    def serialize(self) -> str:
+        """Canonical text `w; s1:[c0 c1 ...], s2:[...]` (c_i multiply k^i)."""
+        body = ", ".join(
+            f"{s}:[{' '.join(f'{c.numerator}/{c.denominator}' for c in p)}]"
+            for s, p in self.terms.items()
+        )
+        return f"{self.half_power}; {body}"
+
+
+#: The identity map x^k -> x^k.
+IDENTITY = Operator({0: (1,)})
+
+
+def apply_generator(system: "CoupledSusySystem", gen: Generator, state: GaussPolyState) -> GaussPolyState:
+    """Apply one generator to a state.
+
+    Each generator is an Operator linear in k, x^k -> (alpha + beta*k)
+    x^(k+shift) per shift, whose half power 1 carries the 1/sqrt(2).
     """
     if state.n != system.n:
         raise FamilyMismatchError(
             f"state has n={state.n} but system has n={system.n}"
         )
-    out: dict = {}
-    for term in system.rule_terms(gen):
-        for k, c in state.terms.items():
-            coeff = c * (term.alpha + term.beta * k)
-            if coeff == 0:
-                continue
-            kk = k + term.shift
-            out[kk] = out.get(kk, Fraction(0)) + coeff
-    return GaussPolyState(system.n, out, state.half_power + 1)
+    return system.generator(gen).apply(state)
 
 
 def apply_word(system: "CoupledSusySystem", word: Iterable[Generator], state: GaussPolyState) -> GaussPolyState:

@@ -135,8 +135,6 @@ def coherent_state(
     max_terms: int = 100000,
 ) -> CoherentState:
     """Construct the displacement coherent state truncated to tail mass < tol."""
-    if system.broken:
-        raise ValueError("coherent towers require an unbroken system")
     z = complex(z)
     if abs(z) >= 1:
         raise ValueError("|z| must be < 1 (disk of convergence)")

@@ -28,8 +28,6 @@ def _emit(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, bool):
-        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -65,10 +63,6 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def write_json(path: str, payload):
-    atomic_write_text(path, dumps(payload))
-
-
 def csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -80,7 +74,3 @@ def csv_text(header, rows) -> str:
                 cells.append(str(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header, rows):
-    atomic_write_text(path, csv_text(header, rows))

@@ -1,4 +1,4 @@
-"""Coupled SUSY systems and exact verification of their algebra.
+"""Coupled SUSY systems and exact proofs of their algebra.
 
 A coupled SUSY system is a quadruple {a, b, gamma, delta} with
 
@@ -6,16 +6,14 @@ A coupled SUSY system is a quadruple {a, b, gamma, delta} with
 
 The x^n family realises this with a = (x^(1-n) d/dx + x^n)/sqrt(2) and
 b = (-x^(1-n) d/dx + x^n)/sqrt(2), giving gamma = -1 and delta = 2n - 1.
-Differentiating x^k exp(-x^(2n)/(2n)) turns each generator into a one- or
-two-term rule "x^k -> (alpha + beta k) x^(k+shift)", which is what the
-verifiers below exercise monomial by monomial.
+Differentiating x^k exp(-x^(2n)/(2n)) turns each generator into an
+Operator with one or two shifts, x^k -> (alpha + beta k) x^(k+shift).
 
 The quadratic products a+b and b+a ladder the spectrum of a+a, and after
 rescaling by 1/(delta-gamma) they close into the su(1,1) commutation
-relations; both facts are checked exactly (rational zero residuals) over a
-finite exponent window.  Because every per-monomial coefficient is a
-polynomial of degree <= 2 in the exponent, agreement on the default window
-implies the identities for every integer exponent.
+relations.  Each identity is proved by composing its residual Operator
+lhs - rhs, a map {shift -> polynomial in k}, and checking that it is
+identically zero; that settles the identity for every integer exponent k.
 """
 
 from __future__ import annotations
@@ -23,45 +21,30 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .calculus import (
-    GaussPolyState,
-    Generator,
-    apply_word,
-    monomial_state,
+from .calculus import IDENTITY, Generator, Operator, monomial_state
+
+_GENERATOR_INDEX = {gen: i for i, gen in enumerate(Generator)}
+
+_PROOF_NOTE = (
+    "proof for every integer k: pass iff the residual operator {shift -> "
+    "polynomial in k} is zero; first_failure.k is the first k >= range[0] "
+    "where it is not"
 )
-
-_DEGREE_NOTE = (
-    "each side acts per monomial with coefficients polynomial in the exponent "
-    "of degree <= 2; exact agreement on more than three consecutive integer "
-    "exponents per shift channel extends the identity to all exponents"
-)
-
-
-@dataclass(frozen=True)
-class RuleTerm:
-    """One summand of a generator rule: x^k -> (alpha + beta*k) x^(k+shift)."""
-
-    alpha: Fraction
-    beta: Fraction
-    shift: int
 
 
 @dataclass(frozen=True)
 class CoupledSusySystem:
-    """The quadruple (a, b, gamma, delta) plus the concrete generator rules.
+    """The quadruple (a, b, gamma, delta) with its four generator Operators.
 
-    `rules` maps each generator to its rule terms (stored as a tuple of
-    pairs so systems are hashable).  `broken` marks systems in which neither
-    a nor b+ annihilates a state; no constructor for those is provided here.
+    `generators` holds the Operators of a, a+, b, b+ in Generator order.
     """
 
     n: int
     gamma: Fraction
     delta: Fraction
-    rules: tuple
-    broken: bool = False
+    generators: tuple
     mutation: str | None = None
 
     def __post_init__(self):
@@ -70,11 +53,8 @@ class CoupledSusySystem:
         if not self.gamma < self.delta:
             raise ValueError("a coupled SUSY system needs gamma < delta")
 
-    def rule_terms(self, gen: Generator) -> tuple:
-        for key, terms in self.rules:
-            if key is gen:
-                return terms
-        raise KeyError(gen)
+    def generator(self, gen: Generator) -> Operator:
+        return self.generators[_GENERATOR_INDEX[gen]]
 
     @property
     def spacing(self) -> Fraction:
@@ -82,19 +62,13 @@ class CoupledSusySystem:
         return self.delta - self.gamma
 
 
-def _xn_rules(n: int):
-    one = Fraction(1)
+def _xn_generators(n: int) -> tuple:
+    """a, a+, b, b+ of the x^n family; half power 1 is the 1/sqrt(2)."""
     return (
-        (Generator.A, (RuleTerm(Fraction(0), one, -n),)),
-        (
-            Generator.ADAG,
-            (RuleTerm(Fraction(n - 1), -one, -n), RuleTerm(Fraction(2), Fraction(0), n)),
-        ),
-        (
-            Generator.B,
-            (RuleTerm(Fraction(0), -one, -n), RuleTerm(Fraction(2), Fraction(0), n)),
-        ),
-        (Generator.BDAG, (RuleTerm(Fraction(1 - n), one, -n),)),
+        Operator({-n: (0, 1)}, 1),
+        Operator({-n: (n - 1, -1), n: (2,)}, 1),
+        Operator({-n: (0, -1), n: (2,)}, 1),
+        Operator({-n: (1 - n, 1)}, 1),
     )
 
 
@@ -106,12 +80,19 @@ _NAMED_MUTATIONS = {
     "bdag-coeff": (Generator.BDAG, 0, "alpha", Fraction(1)),
 }
 
+#: Coefficient position of each mutation field: p(k) = alpha + beta k.
+_FIELDS = {"alpha": 0, "beta": 1}
+
 
 def mutation_slots(system: CoupledSusySystem):
-    """All (generator, term index, field) coefficient slots of the rules."""
+    """All (generator, term index, field) coefficient slots of the generators.
+
+    Term index 0 is the shift -n term and index 1 the shift +n term.
+    """
     slots = []
-    for gen, terms in system.rules:
-        for idx in range(len(terms)):
+    for gen, op in zip(Generator, system.generators):
+        for shift in op.terms:
+            idx = 0 if shift < 0 else 1
             slots.append((gen, idx, "alpha"))
             slots.append((gen, idx, "beta"))
     return slots
@@ -120,14 +101,16 @@ def mutation_slots(system: CoupledSusySystem):
 def make_xn_system(n: int, mutate=None) -> CoupledSusySystem:
     """Build the x^n family member: gamma = -1, delta = 2n - 1.
 
-    `mutate` optionally perturbs a single rule coefficient, either by one of
-    the named tags in _NAMED_MUTATIONS or as a (generator, term_index,
-    "alpha"|"beta", delta) tuple.  Mutated systems exist so the verifiers
-    can prove they are not vacuous.
+    `mutate` optionally perturbs a single generator coefficient, either by
+    one of the named tags in _NAMED_MUTATIONS or as a (generator,
+    term_index, "alpha"|"beta", delta) tuple; term index 0 is the shift -n
+    term, 1 the shift +n term, alpha the constant and beta the k
+    coefficient.  Mutated systems exist so the verifiers can prove they are
+    not vacuous.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("family index n must be a positive integer")
-    rules = _xn_rules(n)
+    generators = _xn_generators(n)
     note = None
     if mutate is not None:
         if isinstance(mutate, str):
@@ -136,38 +119,42 @@ def make_xn_system(n: int, mutate=None) -> CoupledSusySystem:
             except KeyError:
                 raise ValueError(f"unknown mutation tag {mutate!r}") from None
         gen, idx, which, delta = mutate
-        new_rules = []
-        for key, terms in rules:
-            if key is gen:
-                terms = list(terms)
-                term = terms[idx]
-                if which == "alpha":
-                    terms[idx] = RuleTerm(term.alpha + Fraction(delta), term.beta, term.shift)
-                elif which == "beta":
-                    terms[idx] = RuleTerm(term.alpha, term.beta + Fraction(delta), term.shift)
-                else:
-                    raise ValueError("mutation field must be 'alpha' or 'beta'")
-                terms = tuple(terms)
-            new_rules.append((key, terms))
-        rules = tuple(new_rules)
+        if which not in _FIELDS:
+            raise ValueError("mutation field must be 'alpha' or 'beta'")
+        op = generators[_GENERATOR_INDEX[gen]]
+        shift = (-n, n)[idx]
+        if shift not in op.terms:
+            raise ValueError(f"generator {gen.value} has no term {idx}")
+        poly = list(op.terms[shift]) + [0] * (2 - len(op.terms[shift]))
+        poly[_FIELDS[which]] += Fraction(delta)
+        mutated = Operator({**op.terms, shift: poly}, op.half_power)
+        generators = tuple(mutated if g is gen else o for g, o in zip(Generator, generators))
         note = f"{gen.value}[{idx}].{which} += {delta}"
     return CoupledSusySystem(
         n=n,
         gamma=Fraction(-1),
         delta=Fraction(2 * n - 1),
-        rules=rules,
+        generators=generators,
         mutation=note,
     )
 
 
 def default_window(n: int) -> tuple:
-    """Default exponent window for the per-monomial verifiers."""
+    """Default exponent window in which a failing identity's first_failure is located."""
     return (-2 * n - 10, 4 * n + 30)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one operator identity monomial by monomial."""
+    """Outcome of proving one operator identity.
+
+    `passed` is exact for every exponent.  `k_range` and `checked` describe
+    the window where a failure is located: first_failure.k is the first
+    k >= k_range[0] whose monomial image under the residual is nonzero,
+    searched past k_range[1] when the residual vanishes on the window.
+    first_failure also carries that image (`residual`) and the serialized
+    residual Operator (`residual_operator`).
+    """
 
     identity: str
     n: int
@@ -193,236 +180,110 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _check_identity(
-    system: CoupledSusySystem,
-    name: str,
-    lhs: Callable[[GaussPolyState], GaussPolyState],
-    rhs: Callable[[GaussPolyState], GaussPolyState],
-    exponent_range: Iterable[int],
-    note: str = "",
-) -> VerificationReport:
-    ks = list(exponent_range)
-    if not ks:
-        raise ValueError("exponent range must be nonempty")
+def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -> VerificationReport:
     first_failure = None
-    for k in ks:
-        mono = monomial_state(system.n, k)
-        residual = lhs(mono) - rhs(mono)
-        if not residual.is_zero:
-            first_failure = {"k": k, "residual": residual.serialize()}
-            break
+    if not residual.is_zero:
+        # a nonzero residual has a nonzero polynomial, which has finitely many roots
+        k = min(ks)
+        while (image := residual.apply(monomial_state(system.n, k))).is_zero:
+            k += 1
+        first_failure = {
+            "k": k,
+            "residual": image.serialize(),
+            "residual_operator": residual.serialize(),
+        }
     return VerificationReport(
         identity=name,
         n=system.n,
         k_range=(min(ks), max(ks)),
-        passed=first_failure is None,
+        passed=residual.is_zero,
         first_failure=first_failure,
         checked=len(ks),
-        note=note,
+        note=_PROOF_NOTE,
     )
 
 
-def _word(system, *gens):
-    def act(state):
-        return apply_word(system, gens, state)
-
-    return act
+def _window(system, exponent_range) -> list:
+    if exponent_range is None:
+        lo, hi = default_window(system.n)
+        exponent_range = range(lo, hi + 1)
+    ks = list(exponent_range)
+    if not ks:
+        raise ValueError("exponent range must be nonempty")
+    return ks
 
 
 def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
-    """Check the two defining identities exactly on each monomial in the window.
+    """Prove the two defining identities for every exponent.
 
     Returns one VerificationReport per identity; both must pass for the
-    system to satisfy the coupled SUSY definition on the polynomial towers.
+    system to satisfy the coupled SUSY definition.
     """
-    if exponent_range is None:
-        exponent_range = range(*_window_bounds(system))
-    A, AD, B, BD = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
-    reports = [
-        _check_identity(
-            system,
-            "a+a = b+b + gamma",
-            lambda s: apply_word(system, (AD, A), s) - apply_word(system, (BD, B), s),
-            lambda s: s.scale(system.gamma),
-            exponent_range,
-            note=_DEGREE_NOTE,
-        ),
-        _check_identity(
-            system,
-            "aa+ = bb+ + delta",
-            lambda s: apply_word(system, (A, AD), s) - apply_word(system, (B, BD), s),
-            lambda s: s.scale(system.delta),
-            exponent_range,
-            note=_DEGREE_NOTE,
-        ),
+    ks = _window(system, exponent_range)
+    a, ad, b, bd = system.generators
+    return [
+        _prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
+        _prove(system, "aa+ = bb+ + delta", a @ ad - b @ bd - IDENTITY.scale(system.delta), ks),
     ]
-    return reports
 
 
-def _window_bounds(system):
-    lo, hi = default_window(system.n)
-    return lo, hi + 1
+def k_operators(system: CoupledSusySystem) -> dict:
+    """The su(1,1) triple K+ = a+b/(d-g), K- = b+a/(d-g), K0 = (a+a - g/2)/(d-g).
+
+    "k0~" = (aa+ - d/2)/(d-g) is the second-sector K0, whose value on the
+    lowest state of a tilde tower is that tower's Bargmann index.
+    """
+    a, ad, b, bd = system.generators
+    pref = 1 / system.spacing
+    return {
+        "k+": (ad @ b).scale(pref),
+        "k-": (bd @ a).scale(pref),
+        "k0": (ad @ a - IDENTITY.scale(system.gamma / 2)).scale(pref),
+        "k0~": (a @ ad - IDENTITY.scale(system.delta / 2)).scale(pref),
+    }
+
+
+def _commutator(x: Operator, y: Operator) -> Operator:
+    return x @ y - y @ x
 
 
 def verify_su11(system: CoupledSusySystem, exponent_range=None) -> list:
-    """Check the su(1,1) ladder commutators exactly, sector by sector.
+    """Prove the su(1,1) ladder commutators for every exponent, sector by sector.
 
-    The raw-word identities are verified together with their rescaled forms
+    The raw-word identities are proved together with their rescaled forms
     [K0, K+-] = +-K+- and [K+, K-] = -2 K0, where K+- and K0 carry the
     1/(delta-gamma) normalisation.  The second-sector commutator
     [ba+, ab+] is compared against 2(gamma-delta)(aa+ - delta/2), which it
-    must equal given bb+ = aa+ - delta; the check below computes it rather
-    than assuming it.
+    must equal given bb+ = aa+ - delta; the proof composes it rather than
+    assuming it.
     """
-    if exponent_range is None:
-        exponent_range = range(*_window_bounds(system))
-    ks = list(exponent_range)
-    A, AD, B, BD = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
+    ks = _window(system, exponent_range)
+    a, ad, b, bd = system.generators
     dg = system.spacing
-
-    def commutator(w1, w2):
-        def act(state):
-            return apply_word(system, w1 + w2, state) - apply_word(system, w2 + w1, state)
-
-        return act
-
-    reports = []
-    # First sector: ladder action of a+b and b+a on a+a.
-    reports.append(
-        _check_identity(
-            system,
-            "[a+a, a+b] = (delta-gamma) a+b",
-            commutator((AD, A), (AD, B)),
-            lambda s: apply_word(system, (AD, B), s).scale(dg),
-            ks,
-            note=_DEGREE_NOTE,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
-            "[a+a, b+a] = -(delta-gamma) b+a",
-            commutator((AD, A), (BD, A)),
-            lambda s: apply_word(system, (BD, A), s).scale(-dg),
-            ks,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
+    kops = k_operators(system)
+    identities = [
+        # First sector: ladder action of a+b and b+a on a+a.
+        ("[a+a, a+b] = (delta-gamma) a+b", _commutator(ad @ a, ad @ b) - (ad @ b).scale(dg)),
+        ("[a+a, b+a] = -(delta-gamma) b+a", _commutator(ad @ a, bd @ a) + (bd @ a).scale(dg)),
+        (
             "[a+b, b+a] = 2(gamma-delta)(a+a - gamma/2)",
-            commutator((AD, B), (BD, A)),
-            lambda s: (
-                apply_word(system, (AD, A), s) - s.scale(system.gamma / 2)
-            ).scale(-2 * dg),
-            ks,
-        )
-    )
-    # Second sector: ba+ and ab+ ladder aa+.
-    reports.append(
-        _check_identity(
-            system,
-            "[aa+, ba+] = (delta-gamma) ba+",
-            commutator((A, AD), (B, AD)),
-            lambda s: apply_word(system, (B, AD), s).scale(dg),
-            ks,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
-            "[aa+, ab+] = -(delta-gamma) ab+",
-            commutator((A, AD), (A, BD)),
-            lambda s: apply_word(system, (A, BD), s).scale(-dg),
-            ks,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
+            _commutator(ad @ b, bd @ a)
+            + (ad @ a - IDENTITY.scale(system.gamma / 2)).scale(2 * dg),
+        ),
+        # Second sector: ba+ and ab+ ladder aa+.
+        ("[aa+, ba+] = (delta-gamma) ba+", _commutator(a @ ad, b @ ad) - (b @ ad).scale(dg)),
+        ("[aa+, ab+] = -(delta-gamma) ab+", _commutator(a @ ad, a @ bd) + (a @ bd).scale(dg)),
+        (
             "[ba+, ab+] = 2(gamma-delta)(aa+ - delta/2)",
-            commutator((B, AD), (A, BD)),
-            lambda s: (
-                apply_word(system, (A, AD), s) - s.scale(system.delta / 2)
-            ).scale(-2 * dg),
-            ks,
-        )
-    )
-    # Normalised forms: K0, K+, K- with the 1/(delta-gamma) prefactors.
-    k0 = _k_operator(system, "k0")
-    kplus = _k_operator(system, "k+")
-    kminus = _k_operator(system, "k-")
-
-    def lin_comm(f, g):
-        def act(state):
-            return f(g(state)) - g(f(state))
-
-        return act
-
-    reports.append(
-        _check_identity(
-            system,
-            "[K0, K+] = K+",
-            lin_comm(k0, kplus),
-            kplus,
-            ks,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
-            "[K0, K-] = -K-",
-            lin_comm(k0, kminus),
-            lambda s: kminus(s).scale(-1),
-            ks,
-        )
-    )
-    reports.append(
-        _check_identity(
-            system,
-            "[K+, K-] = -2 K0",
-            lin_comm(kplus, kminus),
-            lambda s: k0(s).scale(-2),
-            ks,
-        )
-    )
-    return reports
-
-
-@dataclass(frozen=True)
-class KOperators:
-    """The su(1,1) triple: K+ = a+b/(d-g), K- = b+a/(d-g), K0 = (a+a - g/2)/(d-g)."""
-
-    system: CoupledSusySystem
-
-    @property
-    def prefactor(self) -> Fraction:
-        return 1 / self.system.spacing
-
-    def apply(self, which: str, state: GaussPolyState) -> GaussPolyState:
-        return _k_operator(self.system, which)(state)
-
-
-def _k_operator(system, which):
-    A, AD, B, BD = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
-    pref = 1 / system.spacing
-    if which == "k+":
-        return lambda s: apply_word(system, (AD, B), s).scale(pref)
-    if which == "k-":
-        return lambda s: apply_word(system, (BD, A), s).scale(pref)
-    if which == "k0":
-        return lambda s: (
-            apply_word(system, (AD, A), s) - s.scale(system.gamma / 2)
-        ).scale(pref)
-    if which == "k0~":
-        return lambda s: (
-            apply_word(system, (A, AD), s) - s.scale(system.delta / 2)
-        ).scale(pref)
-    if which == "k+~":
-        return lambda s: apply_word(system, (B, AD), s).scale(pref)
-    if which == "k-~":
-        return lambda s: apply_word(system, (A, BD), s).scale(pref)
-    raise ValueError(f"unknown K operator {which!r}")
+            _commutator(b @ ad, a @ bd)
+            + (a @ ad - IDENTITY.scale(system.delta / 2)).scale(2 * dg),
+        ),
+        # Normalised forms with the 1/(delta-gamma) prefactors.
+        ("[K0, K+] = K+", _commutator(kops["k0"], kops["k+"]) - kops["k+"]),
+        ("[K0, K-] = -K-", _commutator(kops["k0"], kops["k-"]) + kops["k-"]),
+        ("[K+, K-] = -2 K0", _commutator(kops["k+"], kops["k-"]) + kops["k0"].scale(2)),
+    ]
+    return [_prove(system, name, residual, ks) for name, residual in identities]
 
 
 def all_reports_pass(reports: Iterable[VerificationReport]) -> bool:

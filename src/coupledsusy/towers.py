@@ -128,7 +128,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     hamiltonian = (Generator.A, Generator.ADAG) if sector.is_tilde else (Generator.ADAG, Generator.A)
     if apply_word(system, hamiltonian, state) != state.scale(value):
         raise RuntimeError(
-            f"eigenvalue equation failed for {sector} m={m}; system rules are inconsistent"
+            f"eigenvalue equation failed for {sector} m={m}; system generators are inconsistent"
         )
     return EigenstateRecord(
         sector=sector,
@@ -249,11 +249,7 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
             cases.append((SectorLabel.PHI_TILDE, Generator.BDAG, m))
         cases.append((SectorLabel.PHI, Generator.A, m))
         for sector, op, level in cases:
-            source = (
-                _tower_state(system, sector, level)
-                if not sector.is_tilde
-                else _tower_state(system, sector, level)
-            )
+            source = _tower_state(system, sector, level)
             image = apply_generator(system, op, source)
             lamsq = half_lowering_factor_squared(system, sector, level)
             lhs = inner_product(image, image)

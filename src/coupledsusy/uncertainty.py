@@ -22,12 +22,13 @@ sigma_F sigma_G >= |<[F, G]>| / 2 then yields
 with the per-state X-P Robertson bound equal to the exact convex
 combination (|gamma| ||psi1||^2 + delta ||psi2||^2) / 2.
 
-Observables are formal complex-rational combinations of generator words;
-every expectation is assembled exactly (GammaVectors bucketed by the parity
-of the accumulated sqrt(2) powers) and only evaluated numerically at the
-end.  Quantities that vanish identically on real-coefficient states, like
-<A>, are still routed through the full computation so that a wrong sign in
-any word would surface.
+Observables are pairs of exact Operators, the real and the imaginary
+part, composed from the system's generators; every expectation is
+assembled exactly (GammaVectors bucketed by the parity of the accumulated
+sqrt(2) powers) and only evaluated numerically at the end.  Quantities
+that vanish identically on real-coefficient states, like <A>, are still
+routed through the full computation so that a wrong sign in any word
+would surface.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import (
+    FamilyMismatchError,
     GammaVector,
     GaussPolyState,
-    Generator,
-    apply_word,
+    Operator,
     evaluate_gamma_vector,
     inner_product,
 )
@@ -52,46 +53,38 @@ class SectorDomainError(ValueError):
     """A sector observable was evaluated on a state outside its residue classes."""
 
 
-@dataclass(frozen=True)
-class WordTerm:
-    """(re + i im) * 2^(-sqrt2_pow/2) times a generator word."""
-
-    re: Fraction
-    im: Fraction
-    sqrt2_pow: int
-    word: tuple
+_ZERO = Operator({})
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class OperatorExpression:
-    """A formal complex-rational combination of generator words.
+    """The complex operator re + i im, with exact Operator parts.
 
     `sector` is 1 or 2 for within-sector observables (enforced on states),
     or None for the direct-sum blocks which transfer between sectors.
     """
 
     name: str
-    terms: tuple
+    re: Operator
+    im: Operator = _ZERO
     sector: int | None = None
 
     def compose(self, other: "OperatorExpression", name: str | None = None) -> "OperatorExpression":
         """Operator product self . other (other acts first)."""
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                re = t1.re * t2.re - t1.im * t2.im
-                im = t1.re * t2.im + t1.im * t2.re
-                out.append(
-                    WordTerm(re, im, t1.sqrt2_pow + t2.sqrt2_pow, t1.word + t2.word)
-                )
         return OperatorExpression(
-            name or f"{self.name}.{other.name}", tuple(out), self.sector
+            name or f"{self.name}.{other.name}",
+            self.re @ other.re - self.im @ other.im,
+            self.re @ other.im + self.im @ other.re,
+            self.sector,
         )
 
     def minus(self, other: "OperatorExpression", name: str | None = None) -> "OperatorExpression":
-        negated = tuple(WordTerm(-t.re, -t.im, t.sqrt2_pow, t.word) for t in other.terms)
         return OperatorExpression(
-            name or f"{self.name}-{other.name}", self.terms + negated, self.sector
+            name or f"{self.name}-{other.name}",
+            self.re - other.re,
+            self.im - other.im,
+            self.sector,
         )
 
     def commutator_with(self, other: "OperatorExpression", name: str | None = None):
@@ -100,78 +93,48 @@ class OperatorExpression:
         )
 
 
-_A, _AD, _B, _BD = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
-
-_HALF = Fraction(1, 2)
-_ZERO = Fraction(0)
-
-
-def observable_L() -> OperatorExpression:
-    return OperatorExpression(
-        "L",
-        (
-            WordTerm(-_HALF, _ZERO, 0, (_AD, _B)),
-            WordTerm(-_HALF, _ZERO, 0, (_BD, _A)),
-        ),
-        sector=1,
-    )
+def observable_L(system: CoupledSusySystem) -> OperatorExpression:
+    a, ad, b, bd = system.generators
+    return OperatorExpression("L", (ad @ b + bd @ a).scale(-_HALF), sector=1)
 
 
-def observable_A() -> OperatorExpression:
-    return OperatorExpression(
-        "A",
-        (
-            WordTerm(_ZERO, _HALF, 0, (_AD, _B)),
-            WordTerm(_ZERO, -_HALF, 0, (_BD, _A)),
-        ),
-        sector=1,
-    )
+def observable_A(system: CoupledSusySystem) -> OperatorExpression:
+    a, ad, b, bd = system.generators
+    return OperatorExpression("A", _ZERO, (ad @ b - bd @ a).scale(_HALF), sector=1)
 
 
-def observable_L_tilde() -> OperatorExpression:
-    return OperatorExpression(
-        "L~",
-        (
-            WordTerm(-_HALF, _ZERO, 0, (_B, _AD)),
-            WordTerm(-_HALF, _ZERO, 0, (_A, _BD)),
-        ),
-        sector=2,
-    )
+def observable_L_tilde(system: CoupledSusySystem) -> OperatorExpression:
+    a, ad, b, bd = system.generators
+    return OperatorExpression("L~", (b @ ad + a @ bd).scale(-_HALF), sector=2)
 
 
-def observable_A_tilde() -> OperatorExpression:
-    return OperatorExpression(
-        "A~",
-        (
-            WordTerm(_ZERO, _HALF, 0, (_B, _AD)),
-            WordTerm(_ZERO, -_HALF, 0, (_A, _BD)),
-        ),
-        sector=2,
-    )
+def observable_A_tilde(system: CoupledSusySystem) -> OperatorExpression:
+    a, ad, b, bd = system.generators
+    return OperatorExpression("A~", _ZERO, (b @ ad - a @ bd).scale(_HALF), sector=2)
 
 
-def x_block(which: str) -> OperatorExpression:
+def x_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
     """Off-diagonal blocks of X: "12" = (a+ + b+)/sqrt(2), "21" = (a + b)/sqrt(2)."""
-    one = Fraction(1)
+    a, ad, b, bd = system.generators
     if which == "12":
-        terms = (WordTerm(one, _ZERO, 1, (_AD,)), WordTerm(one, _ZERO, 1, (_BD,)))
+        re = ad + bd
     elif which == "21":
-        terms = (WordTerm(one, _ZERO, 1, (_A,)), WordTerm(one, _ZERO, 1, (_B,)))
+        re = a + b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"X{which}", terms)
+    return OperatorExpression(f"X{which}", re.scale_sqrt2(-1))
 
 
-def p_block(which: str) -> OperatorExpression:
+def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
     """Off-diagonal blocks of P: "12" = -i(a+ - b+)/sqrt(2), "21" = -i(-a + b)/sqrt(2)."""
-    one = Fraction(1)
+    a, ad, b, bd = system.generators
     if which == "12":
-        terms = (WordTerm(_ZERO, -one, 1, (_AD,)), WordTerm(_ZERO, one, 1, (_BD,)))
+        im = bd - ad
     elif which == "21":
-        terms = (WordTerm(_ZERO, one, 1, (_A,)), WordTerm(_ZERO, -one, 1, (_B,)))
+        im = a - b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"P{which}", terms)
+    return OperatorExpression(f"P{which}", _ZERO, im.scale_sqrt2(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +179,21 @@ def matrix_element(
     f: GaussPolyState,
     g: GaussPolyState,
 ) -> ExactMatrixElement:
-    """Assemble <f | expr | g> exactly, word by word."""
-    n = f.n
-    buckets = {
-        ("re", 0): GammaVector(n, {}),
-        ("re", 1): GammaVector(n, {}),
-        ("im", 0): GammaVector(n, {}),
-        ("im", 1): GammaVector(n, {}),
-    }
-    for term in expr.terms:
-        image = apply_word(system, term.word, g)
-        s = term.sqrt2_pow
-        if (f.half_power + image.half_power) % 2 != 0:
-            image = image.scale_sqrt2(1)  # multiply by sqrt(2) ...
-            s += 1  # ... and divide it back out here
-        gv = inner_product(f, image)
-        if gv.is_zero:
-            continue
-        gv = gv.scale(_HALF ** (s // 2))
-        parity = s % 2
-        if term.re:
-            buckets[("re", parity)] = buckets[("re", parity)] + gv.scale(term.re)
-        if term.im:
-            buckets[("im", parity)] = buckets[("im", parity)] + gv.scale(term.im)
-    return ExactMatrixElement(
-        re_even=buckets[("re", 0)],
-        re_odd=buckets[("re", 1)],
-        im_even=buckets[("im", 0)],
-        im_odd=buckets[("im", 1)],
-    )
+    """Assemble <f | expr | g> exactly: one apply and one inner product per part."""
+    if f.n != system.n or g.n != system.n:
+        raise FamilyMismatchError("states and system belong to different families")
+    buckets = []
+    for part in (expr.re, expr.im):
+        even = odd = GammaVector(f.n, {})
+        if not part.is_zero:
+            image = part.apply(g)
+            if (f.half_power + image.half_power) % 2 != 0:
+                # multiply the image by sqrt(2) and divide it back out in the odd bucket
+                odd = inner_product(f, image.scale_sqrt2(1))
+            else:
+                even = inner_product(f, image)
+        buckets += [even, odd]
+    return ExactMatrixElement(*buckets)
 
 
 def _as_state(state) -> GaussPolyState:
@@ -332,22 +281,29 @@ class UncertaintyResult:
         }
 
 
-def uncertainty_product_LA(system, state, tolerance: float = 1e-12) -> UncertaintyResult:
-    """sigma_L sigma_A against the Robertson bound (d-g)|2<a+a> - gamma|/4."""
+def _sector_product(system, state, sector: int, tolerance: float) -> UncertaintyResult:
+    """sigma_L sigma_A of one sector against its Robertson bound.
+
+    The closed form is (d-g)|2<N> - c|/4 with N = a+a, c = gamma in the
+    first sector and N = aa+, c = delta in the second.
+    """
     state = _as_state(state)
-    L, A = observable_L(), observable_A()
-    s_l = sigma(system, L, state)
-    s_a = sigma(system, A, state)
-    commutator = L.commutator_with(A)
-    comm_value = expectation(system, commutator, state)
+    a, ad = system.generators[:2]
+    if sector == 1:
+        pair, obs_l, obs_a = "L,A", observable_L(system), observable_A(system)
+        number_op, offset = OperatorExpression("a+a", ad @ a, sector=1), system.gamma
+    else:
+        pair, obs_l, obs_a = "L~,A~", observable_L_tilde(system), observable_A_tilde(system)
+        number_op, offset = OperatorExpression("aa+", a @ ad, sector=2), system.delta
+    s_l = sigma(system, obs_l, state)
+    s_a = sigma(system, obs_a, state)
+    comm_value = expectation(system, obs_l.commutator_with(obs_a), state)
     bound = 0.5 * abs(comm_value)
-    number = expectation(
-        system, OperatorExpression("a+a", (WordTerm(Fraction(1), _ZERO, 0, (_AD, _A)),), 1), state
-    ).real
-    closed_form = float(system.spacing) / 4 * abs(2 * number - float(system.gamma))
+    number = expectation(system, number_op, state).real
+    closed_form = float(system.spacing) / 4 * abs(2 * number - float(offset))
     product = s_l * s_a
     return UncertaintyResult(
-        pair="L,A",
+        pair=pair,
         sigma1=s_l,
         sigma2=s_a,
         product=product,
@@ -355,30 +311,16 @@ def uncertainty_product_LA(system, state, tolerance: float = 1e-12) -> Uncertain
         passed=product >= bound - tolerance,
         details={"mean_number": number, "bound_closed_form": closed_form},
     )
+
+
+def uncertainty_product_LA(system, state, tolerance: float = 1e-12) -> UncertaintyResult:
+    """sigma_L sigma_A against the Robertson bound (d-g)|2<a+a> - gamma|/4."""
+    return _sector_product(system, state, 1, tolerance)
 
 
 def uncertainty_product_tilde(system, state, tolerance: float = 1e-12) -> UncertaintyResult:
     """sigma_L~ sigma_A~ against (d-g)|2<aa+> - delta|/4 (minimised by phi~ level 0)."""
-    state = _as_state(state)
-    Lt, At = observable_L_tilde(), observable_A_tilde()
-    s_l = sigma(system, Lt, state)
-    s_a = sigma(system, At, state)
-    comm_value = expectation(system, Lt.commutator_with(At), state)
-    bound = 0.5 * abs(comm_value)
-    number = expectation(
-        system, OperatorExpression("aa+", (WordTerm(Fraction(1), _ZERO, 0, (_A, _AD)),), 2), state
-    ).real
-    closed_form = float(system.spacing) / 4 * abs(2 * number - float(system.delta))
-    product = s_l * s_a
-    return UncertaintyResult(
-        pair="L~,A~",
-        sigma1=s_l,
-        sigma2=s_a,
-        product=product,
-        bound=bound,
-        passed=product >= bound - tolerance,
-        details={"mean_number": number, "bound_closed_form": closed_form},
-    )
+    return _sector_product(system, state, 2, tolerance)
 
 
 @dataclass(frozen=True)
@@ -455,8 +397,8 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     min(|gamma|, delta)/2.
     """
     _xp_guard(system, dstate)
-    x12, x21 = x_block("12"), x_block("21")
-    p12, p21 = p_block("12"), p_block("21")
+    x12, x21 = x_block(system, "12"), x_block(system, "21")
+    p12, p21 = p_block(system, "12"), p_block(system, "21")
     mean_x, second_x = _block_expectations(system, x12, x21, dstate, precision)
     mean_p, second_p = _block_expectations(system, p12, p21, dstate, precision)
     var_x = max(second_x - abs(mean_x) ** 2, 0.0)

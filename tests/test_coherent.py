@@ -15,7 +15,7 @@ from coupledsusy.coherent import (
     verify_half_lowering,
 )
 from coupledsusy.calculus import Generator, apply_word, proportionality_ratio
-from coupledsusy.systems import KOperators, make_xn_system
+from coupledsusy.systems import k_operators, make_xn_system
 from coupledsusy.towers import SectorLabel, eigenstate
 
 PSI, PHI = SectorLabel.PSI, SectorLabel.PHI
@@ -54,11 +54,11 @@ def test_psi_index_positive(n):
 def test_bargmann_index_matches_k0_action(n, sector):
     # K0 (or its tilde partner) on the lowest tower state must read off k
     sysn = make_xn_system(n)
-    kops = KOperators(sysn)
+    kops = k_operators(sysn)
     m0 = 1 if sector is PSI_T else 0
     state = eigenstate(sysn, sector, m0).state
     which = "k0~" if sector.is_tilde else "k0"
-    image = kops.apply(which, state)
+    image = kops[which].apply(state)
     ratio = proportionality_ratio(image, state)
     assert ratio is not None
     q, j = ratio
@@ -191,15 +191,6 @@ def test_half_lowering_complex_displacement():
     check = verify_half_lowering(make_xn_system(2), PSI, z, tol=1e-12)
     assert check.scalar == pytest.approx(z / math.sqrt(1 - abs(z) ** 2), rel=1e-13)
     assert check.residual < 1e-10
-
-
-def test_broken_system_rejected():
-    import dataclasses
-
-    broken = dataclasses.replace(make_xn_system(2), broken=True)
-    assert broken.broken  # representable, just not constructible here
-    with pytest.raises(ValueError):
-        coherent_state(broken, PSI, 0.5)
 
 
 def test_half_lowering_n1_scalars():

@@ -50,24 +50,19 @@ def mp_state_value(state, t):
     )
 
 
-def quad_expectation(system, expr, state, dps=25):
-    """Numeric <expr> by quadrature of each word image against the state."""
-    from coupledsusy.calculus import apply_word as _apply
-
+def quad_expectation(expr, state, dps=25):
+    """Numeric <expr> by quadrature of each part's image against the state."""
     with mp.workdps(dps):
         total = mp.mpc(0)
-        for term in expr.terms:
-            image = _apply(system, term.word, state)
+        for part, pref in ((expr.re, mp.mpc(1)), (expr.im, mp.mpc(0, 1))):
+            image = part.apply(state)
             if image.is_zero:
                 continue
             ip = mp.quad(
                 lambda t: mp_state_value(state, t) * mp_state_value(image, t),
                 [-mp.inf, 0, mp.inf],
             )
-            pref = (mp.mpf(term.re.numerator) / term.re.denominator) + mp.mpc(0, 1) * (
-                mp.mpf(term.im.numerator) / term.im.denominator
-            )
-            total += pref * mp.power(2, mp.mpf(-term.sqrt2_pow) / 2) * ip
+            total += pref * ip
         norm = mp.quad(lambda t: mp_state_value(state, t) ** 2, [-mp.inf, 0, mp.inf])
         return complex(total / norm)
 
@@ -81,7 +76,7 @@ def quad_expectation(system, expr, state, dps=25):
 def test_mean_L_and_A_vanish_on_psi0(n):
     sysn = make_xn_system(n)
     psi0, _ = ground_states(sysn)
-    for expr in (observable_L(), observable_A()):
+    for expr in (observable_L(sysn), observable_A(sysn)):
         exact = expectation_exact(sysn, expr, psi0)
         assert exact.is_exactly_zero
     # the A computation must actually traverse nonzero word images
@@ -92,7 +87,7 @@ def test_mean_L_and_A_vanish_on_psi0(n):
 def test_second_moment_L_on_psi0_n2():
     sys2 = make_xn_system(2)
     psi0, _ = ground_states(sys2)
-    L = observable_L()
+    L = observable_L(sys2)
     value = expectation(sys2, L.compose(L), psi0)
     assert value.imag == pytest.approx(0.0, abs=1e-14)
     assert value.real == pytest.approx(1.0, rel=1e-12)  # (d-g)|g|/4 = 4/4
@@ -101,7 +96,7 @@ def test_second_moment_L_on_psi0_n2():
 def test_second_moments_match_between_L_and_A_on_psi0():
     sys2 = make_xn_system(2)
     psi0, _ = ground_states(sys2)
-    L, A = observable_L(), observable_A()
+    L, A = observable_L(sys2), observable_A(sys2)
     vL = expectation(sys2, L.compose(L), psi0).real
     vA = expectation(sys2, A.compose(A), psi0).real
     assert vL == pytest.approx(vA, rel=1e-13)
@@ -110,9 +105,9 @@ def test_second_moments_match_between_L_and_A_on_psi0():
 def test_expectations_match_quadrature_oracle():
     sys2 = make_xn_system(2)
     psi1 = eigenstate(sys2, PSI, 1)
-    L = observable_L()
+    L = observable_L(sys2)
     got = expectation(sys2, L.compose(L), psi1)
-    want = quad_expectation(sys2, L.compose(L), psi1.state)
+    want = quad_expectation(L.compose(L), psi1.state)
     assert got.real == pytest.approx(want.real, rel=1e-10)
     assert abs(got.imag) < 1e-12
 
@@ -121,7 +116,7 @@ def test_commutator_LA_is_scaled_number_operator():
     # [L, A] x^k == i (gamma - delta)(a+a - gamma/2) x^k exactly
     for n in (1, 2, 3):
         sysn = make_xn_system(n)
-        L, A = observable_L(), observable_A()
+        L, A = observable_L(sysn), observable_A(sysn)
         comm = L.commutator_with(A)
         for k in (0, 2 * n - 1, 2 * n, 4 * n):
             mono = monomial_state(n, k)
@@ -193,7 +188,7 @@ def test_sector_guard_rejects_tilde_states():
 def test_variance_nonnegative_and_imag_parts_cancel():
     sys3 = make_xn_system(3)
     rec = eigenstate(sys3, PHI, 2)
-    for expr in (observable_L(), observable_A()):
+    for expr in (observable_L(sys3), observable_A(sys3)):
         assert variance(sys3, expr, rec) >= 0
         exact = expectation_exact(sys3, expr, rec)
         assert exact.imag_exactly_zero or exact.im_even.is_zero
@@ -284,14 +279,16 @@ def test_xp_convexity_matches_exact_combination():
 def test_xp_commutator_blocks_act_as_scalars():
     # (X12 P21 - P12 X21) psi == i gamma psi exactly, per monomial
     sys2 = make_xn_system(2)
-    comm11 = x_block("12").compose(p_block("21")).minus(p_block("12").compose(x_block("21")))
+    x12, x21 = x_block(sys2, "12"), x_block(sys2, "21")
+    p12, p21 = p_block(sys2, "12"), p_block(sys2, "21")
+    comm11 = x12.compose(p21).minus(p12.compose(x21))
     for k in (0, 3, 4, 8):
         mono = monomial_state(2, k)
         exact = matrix_element(sys2, comm11, mono, mono)
         assert exact.re_even.is_zero and exact.re_odd.is_zero and exact.im_odd.is_zero
         assert exact.im_even == inner_product(mono, mono).scale(sys2.gamma)
     # the second diagonal block acts as -i delta (signs cancel in the bound)
-    comm22 = x_block("21").compose(p_block("12")).minus(p_block("21").compose(x_block("12")))
+    comm22 = x21.compose(p12).minus(p21.compose(x12))
     for k in (1, 2, 5):
         mono = monomial_state(2, k)
         exact = matrix_element(sys2, comm22, mono, mono)
