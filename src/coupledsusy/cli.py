@@ -15,7 +15,12 @@ from fractions import Fraction
 
 from . import reports
 from .coherent import coherent_state, full_lowering_misfit, verify_half_lowering
-from .spectral import fd_spectrum, galerkin_spectrum, merged_spectrum_from_index
+from .spectral import (
+    PrecisionLossError,
+    fd_spectrum,
+    galerkin_spectrum,
+    merged_spectrum_from_index,
+)
 from .systems import make_xn_system, verify_coupled_susy, verify_su11
 from .towers import SectorLabel, eigenstate, ground_states, normalized_samples
 from .uncertainty import (
@@ -201,10 +206,16 @@ def cmd_spectrum(args, config) -> int:
     size = _merge(args, config, "galerkin_size", int, max(4, (count + 1) // 2 + 2))
     system = make_xn_system(n)
     theory = merged_spectrum_from_index(n, count)
-    galerkin = [
-        galerkin_spectrum(system, residue, size, precision_bits=bits)
-        for residue in (0, 2 * n - 1)
-    ]
+    try:
+        galerkin = [
+            galerkin_spectrum(system, residue, size, precision_bits=bits)
+            for residue in (0, 2 * n - 1)
+        ]
+    except PrecisionLossError as exc:
+        raise ConfigError(
+            f"Galerkin basis size {size} is not resolved at {bits} bits: "
+            "raise --precision-bits, or lower --count or --galerkin-size"
+        ) from exc
     payload = {
         "n": n,
         "theory": [float(t) for t in theory],
@@ -254,23 +265,25 @@ def cmd_coherent(args, config) -> int:
     sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
     z = _parse_complex(_merge(args, config, "z", str, "0.5"))
     system = make_xn_system(n)
+    # RuntimeError: the truncation of the state, or of the state its
+    # half-lowering lands on, did not converge because |z| is too close to 1.
     try:
         state = coherent_state(system, sector, z, tol)
-    except ValueError as exc:
+        payload = state.to_json_dict()
+        payload["norm_sq"] = state.norm_sq()
+        if sector in (SectorLabel.PSI, SectorLabel.PHI_TILDE) and z != 0:
+            check = verify_half_lowering(system, sector, z, tol)
+            payload["half_lowering"] = {
+                "operator": check.operator,
+                "target_sector": check.target_sector.value,
+                "scalar": check.scalar,
+                "residual": check.residual,
+            }
+            if sector is SectorLabel.PSI:
+                _, misfit = full_lowering_misfit(system, z, tol)
+                payload["full_lowering_best_fit_residual"] = misfit
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc)) from exc
-    payload = state.to_json_dict()
-    payload["norm_sq"] = state.norm_sq()
-    if sector in (SectorLabel.PSI, SectorLabel.PHI_TILDE) and z != 0:
-        check = verify_half_lowering(system, sector, z, tol)
-        payload["half_lowering"] = {
-            "operator": check.operator,
-            "target_sector": check.target_sector.value,
-            "scalar": check.scalar,
-            "residual": check.residual,
-        }
-        if sector is SectorLabel.PSI:
-            _, misfit = full_lowering_misfit(system, z, tol)
-            payload["full_lowering_best_fit_residual"] = misfit
     rows = [
         (state.m_start + i, float(abs(c) ** 2)) for i, c in enumerate(state.coefficients)
     ]

@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath import mp
-from scipy.linalg import eigh_tridiagonal
 
 from .calculus import (
     Generator,
@@ -216,6 +214,8 @@ def galerkin_spectrum(
 
 def _assemble_fd(n: int, half_width: float, grid_count: int, potential_exponent=None):
     """Tridiagonal (diag, offdiag, nodes) for the conservative scheme."""
+    import numpy as np
+
     if grid_count % 2 != 0:
         raise ValueError(
             "grid count must be even: odd counts place a coefficient sample "
@@ -251,9 +251,13 @@ def fd_spectrum(
     grids stay available in the details.  Refinement needs N divisible by 4
     so that the half grid is still even.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     sysn_theory = merged_spectrum_from_index(n, count)
     diag, off, _ = _assemble_fd(n, half_width, grid_count, potential_exponent)
-    raw = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))[0]
+    raw = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
     details = {
         "half_width": half_width,
         "grid_count": grid_count,
@@ -266,7 +270,9 @@ def fd_spectrum(
     }
     if refine and grid_count % 4 == 0:
         diag2, off2, _ = _assemble_fd(n, half_width, grid_count // 2, potential_exponent)
-        coarse = eigh_tridiagonal(diag2, off2, select="i", select_range=(0, count - 1))[0]
+        coarse = eigh_tridiagonal(
+            diag2, off2, eigvals_only=True, select="i", select_range=(0, count - 1)
+        )
         computed = (4.0 * raw - coarse) / 3.0
         details["coarse"] = [float(v) for v in coarse]
         details["refined"] = True

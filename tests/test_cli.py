@@ -138,6 +138,34 @@ def test_coherent_rejects_unit_disk_boundary(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "sector,z",
+    [
+        ("psi", "0.999999"),
+        # the state itself truncates; the half-lowering target (psi~) does not
+        ("psi", "0.99988"),
+        ("phitilde", "0.99986"),
+    ],
+)
+def test_coherent_truncation_failure_is_config_error(sector, z, capsys):
+    code = main(["coherent", "--n", "2", "--sector", sector, "--z", z])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too close to 1" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_spectrum_precision_loss_is_config_error(capsys):
+    code = main(["spectrum", "--n", "2", "--count", "80"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--precision-bits" in captured.err and "--count" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_uncertainty_ground_product_half(capsys):
     code, out = run_cli(["uncertainty", "--n", "1", "--state", "ground"], capsys)
     assert code == 0
