@@ -23,14 +23,16 @@ the defining identities and the observables are built from them by
 composition, so an operator identity holds for every integer exponent
 exactly when its residual Operator is zero.
 
-Inner products over the real line reduce, via
+Inner products over the real line reduce, by the Gamma recurrence, to
+exact rational combinations of the base symbols G_r = Gamma(r/(2n)) *
+n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
 
-    int_0^inf x^j exp(-b x^(2n)) dx = Gamma((j+1)/(2n)) / (2n b^((j+1)/(2n)))
+    int_R x^j exp(-x^(2n)/n) dx = G_r * prod_{i<t} (r + 2ni) / (n 2^t).
 
-and the Gamma recurrence, to exact rational combinations of the base
-symbols G_r = Gamma(r/(2n)) * n^(r/(2n)) with odd r in 1..2n-1.  A
-GammaVector stores such a combination exactly; numeric values come out of
-an arbitrary-precision evaluator with a certified error bound.
+A GammaVector stores such a combination exactly; numeric values come out of
+an arbitrary-precision evaluator with a certified error bound.  Applying and
+composing operators and the inner product run on Python ints over one common
+denominator, with one Fraction built per output coefficient.
 
 Negative exponents are legal in intermediate states (some generators leave
 the polynomial towers); integrability is only enforced when an inner
@@ -48,8 +50,6 @@ from mpmath import mp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import CoupledSusySystem
-
-Rational = Fraction
 
 
 class FamilyMismatchError(ValueError):
@@ -81,23 +81,12 @@ def _fold_half_power(half_power: int):
     return Fraction(1, 2) ** fold, half_power - 2 * fold
 
 
-def _canonical_terms(terms: Mapping[int, object], half_power: int):
-    """Fold even half powers of 2 into the coefficients; drop zeros."""
-    factor, residue = _fold_half_power(half_power)
-    out = {}
-    for k, c in terms.items():
-        c = Fraction(c)
-        if c == 0:
-            continue
-        out[int(k)] = c * factor
-    return out, residue
-
-
 class GaussPolyState:
     """A sparse exact state q(x) * exp(-x^(2n)/(2n)) with a sqrt(2) half power.
 
     Immutable.  Two states are equal iff they have the same family index and
-    identical canonical (half_power, term map).
+    identical canonical (half_power, term map): even half powers of 2 are
+    folded into the coefficients, and zero coefficients are dropped.
     """
 
     __slots__ = ("n", "half_power", "terms")
@@ -105,12 +94,25 @@ class GaussPolyState:
     def __init__(self, n: int, terms: Mapping[int, object], half_power: int = 0):
         if n < 1:
             raise ValueError("family index n must be a positive integer")
-        canon, residue = _canonical_terms(terms, half_power)
-        if not canon:
-            residue = 0  # the zero state has one canonical form
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "half_power", residue)
+        factor, residue = _fold_half_power(half_power)
+        canon = {}
+        for k, c in terms.items():
+            c = Fraction(c)
+            if c != 0:
+                canon[int(k)] = c * factor
+        self._set(int(n), canon, residue)
+
+    def _set(self, n: int, terms: dict, half_power: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "half_power", half_power if terms else 0)  # one zero state
+
+    @classmethod
+    def _from_canonical(cls, n: int, terms: dict, half_power: int) -> "GaussPolyState":
+        """Wrap a term map that is already canonical: nonzero Fractions, half power in {0, 1}."""
+        state = object.__new__(cls)
+        state._set(n, terms, half_power)
+        return state
 
     def __setattr__(self, *_):
         raise AttributeError("GaussPolyState is immutable")
@@ -121,17 +123,8 @@ class GaussPolyState:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
-
-    def exponents(self):
-        return sorted(self.terms)
-
     def min_exponent(self):
         return min(self.terms) if self.terms else None
-
-    def max_exponent(self):
-        return max(self.terms) if self.terms else None
 
     def residues(self) -> set:
         """Residue classes mod 2n occupied by the exponents."""
@@ -142,8 +135,6 @@ class GaussPolyState:
 
     def scale(self, r) -> "GaussPolyState":
         r = Fraction(r)
-        if r == 0:
-            return GaussPolyState(self.n, {}, 0)
         return GaussPolyState(
             self.n, {k: c * r for k, c in self.terms.items()}, self.half_power
         )
@@ -245,7 +236,7 @@ def _poly_add(p, q) -> list:
 
 
 def _poly_mul(p, q) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, c in enumerate(p):
         for j, d in enumerate(q):
             out[i + j] += c * d
@@ -254,17 +245,22 @@ def _poly_mul(p, q) -> list:
 
 def _poly_shift(p, s: int) -> list:
     """Coefficients of k -> p(k + s), by Horner's rule in (k + s)."""
-    out = [Fraction(0)]
+    out = [0]
     for c in reversed(p):
         out = _poly_add(_poly_mul(out, (s, 1)), (c,))
     return out
 
 
-def _poly_eval(p, k: int) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(p):
-        value = value * k + c
-    return value
+def _numerators(terms: Mapping[int, Fraction]):
+    """A term map over the lcm of its denominators: (den, [(k, c * den), ...]) in map order."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+def _integer_polys(op: "Operator"):
+    """An operator's polynomials over the lcm of their denominators: (den, [(s, ints), ...])."""
+    den = math.lcm(*[c.denominator for p in op.terms.values() for c in p])
+    return den, [(s, [c.numerator * (den // c.denominator) for c in p]) for s, p in op.terms.items()]
 
 
 class Operator:
@@ -287,7 +283,9 @@ class Operator:
         factor, residue = _fold_half_power(half_power)
         canon = {}
         for s in sorted(terms):
-            poly = [Fraction(c) * factor for c in terms[s]]
+            poly = [Fraction(c) for c in terms[s]]
+            if factor != 1:
+                poly = [c * factor for c in poly]
             while poly and poly[-1] == 0:
                 poly.pop()
             if poly:
@@ -306,20 +304,24 @@ class Operator:
         return not self.terms
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
-        """The image of a state, built shift by shift in ascending order."""
+        """The image of a state, built shift by shift in ascending order, in ints."""
+        state_den, items = _numerators(state.terms)
+        op_den, polys = _integer_polys(self)
         out: dict = {}
-        items = state.terms.items()
-        for shift, poly in self.terms.items():
-            # generators are linear in k: keep their path as tight as alpha + beta*k
-            linear = len(poly) <= 2
-            alpha, beta = poly[0], (poly[1] if len(poly) > 1 else 0)
+        for shift, poly in polys:
+            top, rest = poly[-1], poly[-2::-1]
             for k, c in items:
-                coeff = c * (alpha + beta * k if linear else _poly_eval(poly, k))
-                if coeff == 0:
-                    continue
-                kk = k + shift
-                out[kk] = out.get(kk, Fraction(0)) + coeff
-        return GaussPolyState(state.n, out, state.half_power + self.half_power)
+                value = top
+                for a in rest:  # Horner's rule for p_s(k)
+                    value = value * k + a
+                coeff = c * value
+                if coeff:
+                    kk = k + shift
+                    out[kk] = out.get(kk, 0) + coeff
+        half = state.half_power + self.half_power
+        den = state_den * op_den << (half >> 1)
+        terms = {k: Fraction(c, den) for k, c in out.items() if c}
+        return GaussPolyState._from_canonical(state.n, terms, half & 1)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         """The product self . other (other acts first).
@@ -327,12 +329,16 @@ class Operator:
         x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2), summed over the
         shifts s1 of self and s2 of other.
         """
+        den1, polys1 = _integer_polys(self)
+        den2, polys2 = _integer_polys(other)
         out: dict = {}
-        for s2, p2 in other.terms.items():
-            for s1, p1 in self.terms.items():
+        for s2, p2 in polys2:
+            for s1, p1 in polys1:
                 s = s1 + s2
                 out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
-        return Operator(out, self.half_power + other.half_power)
+        half = self.half_power + other.half_power
+        den = den1 * den2 << (half >> 1)
+        return Operator({s: [Fraction(c, den) for c in p] for s, p in out.items()}, half & 1)
 
     def scale(self, r) -> "Operator":
         r = Fraction(r)
@@ -523,28 +529,13 @@ def zero_gamma_vector(n: int) -> GammaVector:
     return GammaVector(n, {})
 
 
-def _monomial_integral(n: int, j: int) -> dict:
-    """Exact value of int_R x^j exp(-x^(2n)/n) dx as {residue: rational}.
-
-    Odd j >= 1 vanishes by symmetry.  Even j reduces with s = j+1 = r + 2nt:
-    Gamma(s/(2n)) = Gamma(r/(2n)) * prod_{i<t} (r + 2ni)/(2n) and
-    n^(s/(2n)) = n^t * n^(r/(2n)).
-    """
-    if j <= -1:
-        raise DivergenceError(f"integrand term x^{j} is not integrable")
-    if j % 2 == 1:
-        return {}
-    s = j + 1
-    r = s % (2 * n)
-    t = s // (2 * n)
-    c = Fraction(1, n) * Fraction(n) ** t
-    for i in range(t):
-        c *= Fraction(r + 2 * n * i, 2 * n)
-    return {r: c}
-
-
 def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     """Exact <f, g> = int f g dx as a GammaVector.
+
+    The term pairs collect, in ints over one denominator, into
+    sum_j d_j x^j exp(-x^(2n)/n): j <= -1 diverges, odd j vanishes, and each
+    residue class r sums d_j prod_{i<t} (r + 2ni) / (n 2^t), j + 1 = r + 2nt,
+    with one running product over t into one Fraction.
 
     The combined sqrt(2) half power of the two states must be even (every
     pairing arising from the operator algebra is); an odd total would leave
@@ -560,19 +551,31 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
             "inner product of states with odd combined sqrt(2) parity is "
             "irrational; rescale one argument with scale_sqrt2 first"
         )
-    scale = Fraction(1, 2) ** (total_half // 2)
+    n, two_n = f.n, 2 * f.n
+    f_den, f_items = _numerators(f.terms)
+    g_den, g_items = _numerators(g.terms)
     collected: dict = {}
-    for k, c in f.terms.items():
-        for l, d in g.terms.items():
+    for k, c in f_items:
+        for l, d in g_items:
             j = k + l
-            collected[j] = collected.get(j, Fraction(0)) + c * d
-    coeffs: dict = {}
+            collected[j] = collected.get(j, 0) + c * d
+    by_residue: dict = {}  # r -> {t: d_j}
     for j, d in sorted(collected.items()):
         if d == 0:
             continue
-        for r, c in _monomial_integral(f.n, j).items():
-            coeffs[r] = coeffs.get(r, Fraction(0)) + d * c * scale
-    return GammaVector(f.n, coeffs)
+        if j <= -1:
+            raise DivergenceError(f"integrand term x^{j} is not integrable")
+        if j % 2 == 0:
+            t, r = divmod(j + 1, two_n)
+            by_residue.setdefault(r, {})[t] = d
+    coeffs: dict = {}
+    for r, ds in by_residue.items():
+        top, total, product = max(ds), 0, 1
+        for t in range(top + 1):
+            total += ds.get(t, 0) * product << (top - t)
+            product *= r + two_n * t
+        coeffs[r] = Fraction(total, n * f_den * g_den << (top + total_half // 2))
+    return GammaVector(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,11 @@ def cmd_eigenfunctions(args, config) -> int:
         raise ConfigError(str(exc)) from exc
     lo, hi, count = grid
     xs = np.linspace(lo, hi, count)
-    values = normalized_samples(record, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
+        values = normalized_samples(record, xs)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"samples of m={m} overflow floats on the grid {lo:g}:{hi:g}:{count}: "
+                          "lower --m or narrow --grid")
     payload = {
         "record": record.to_json_dict(),
         "grid": {"lo": lo, "hi": hi, "count": count},

@@ -27,7 +27,6 @@ Two routes, deliberately different from the exact tower construction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -39,8 +38,8 @@ from .calculus import (
     inner_product,
     monomial_state,
 )
-from .systems import CoupledSusySystem
-from .towers import SectorLabel, tower_eigenvalue
+from .systems import CoupledSusySystem, make_xn_system
+from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
 
 
 class PrecisionLossError(RuntimeError):
@@ -293,13 +292,7 @@ def fd_spectrum(
 
 def merged_spectrum_from_index(n: int, count: int):
     """Theory eigenvalues {2kn} union {2kn + 2n - 1}, ascending, as Fractions."""
-    values = []
-    k = 0
-    while len(values) < 2 * count:
-        values.append(Fraction(2 * k * n))
-        values.append(Fraction(2 * k * n + 2 * n - 1))
-        k += 1
-    return tuple(sorted(values)[:count])
+    return tuple(merged_spectrum(make_xn_system(n), count))
 
 
 def rayleigh_ritz_monotonic(system: CoupledSusySystem, residue: int, sizes, precision_bits=160):

@@ -3,8 +3,12 @@
 The oracles here are independent of the implementation: generator actions
 are cross-checked against sympy differentiation of x^k exp(-x^(2n)/(2n)),
 and inner products against adaptive mpmath quadrature over the real line.
+The integer hot loops (apply, composition, inner product) are also checked
+for exact equality, key order included, against straightforward Fraction
+reference implementations kept at the end of this file.
 """
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -14,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from coupledsusy.calculus import (
+    IDENTITY,
     DivergenceError,
     FamilyMismatchError,
     GammaVector,
     GaussPolyState,
     Generator,
+    Operator,
     apply_generator,
     apply_word,
     definitely_nonzero,
@@ -28,7 +34,8 @@ from coupledsusy.calculus import (
     proportionality_ratio,
     zero_gamma_vector,
 )
-from coupledsusy.systems import make_xn_system
+from coupledsusy.systems import make_xn_system, mutation_slots
+from coupledsusy.towers import SectorLabel, eigenstate
 
 A, ADAG, B, BDAG = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
 
@@ -384,3 +391,203 @@ def test_gamma_vector_roundtrip_and_validation():
         GammaVector(2, {2: 1})
     with pytest.raises(ValueError):
         GammaVector(2, {5: 1})
+
+
+# ---------------------------------------------------------------------------
+# exact oracles: the Fraction implementations the integer loops replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [c + q[i] if i < len(q) else c for i, c in enumerate(p)]
+
+
+def ref_poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def ref_poly_shift(p, s):
+    out = [Fraction(0)]
+    for c in reversed(p):
+        out = ref_poly_add(ref_poly_mul(out, (s, 1)), (c,))
+    return out
+
+
+def ref_poly_eval(p, k):
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * k + c
+    return value
+
+
+def ref_apply(op, state):
+    out = {}
+    items = state.terms.items()
+    for shift, poly in op.terms.items():
+        linear = len(poly) <= 2
+        alpha, beta = poly[0], (poly[1] if len(poly) > 1 else 0)
+        for k, c in items:
+            coeff = c * (alpha + beta * k if linear else ref_poly_eval(poly, k))
+            if coeff == 0:
+                continue
+            kk = k + shift
+            out[kk] = out.get(kk, Fraction(0)) + coeff
+    return GaussPolyState(state.n, out, state.half_power + op.half_power)
+
+
+def ref_compose(first, second):
+    out = {}
+    for s2, p2 in second.terms.items():
+        for s1, p1 in first.terms.items():
+            s = s1 + s2
+            out[s] = ref_poly_add(out.get(s, ()), ref_poly_mul(ref_poly_shift(p1, s2), p2))
+    return Operator(out, first.half_power + second.half_power)
+
+
+def ref_monomial_integral(n, j):
+    if j <= -1:
+        raise DivergenceError(f"integrand term x^{j} is not integrable")
+    if j % 2 == 1:
+        return {}
+    s = j + 1
+    r = s % (2 * n)
+    t = s // (2 * n)
+    c = Fraction(1, n) * Fraction(n) ** t
+    for i in range(t):
+        c *= Fraction(r + 2 * n * i, 2 * n)
+    return {r: c}
+
+
+def ref_inner_product(f, g):
+    if f.is_zero or g.is_zero:
+        return GammaVector(f.n, {})
+    total_half = f.half_power + g.half_power
+    if total_half % 2 != 0:
+        raise ValueError("odd combined sqrt(2) parity")
+    scale = Fraction(1, 2) ** (total_half // 2)
+    collected = {}
+    for k, c in f.terms.items():
+        for l, d in g.terms.items():
+            j = k + l
+            collected[j] = collected.get(j, Fraction(0)) + c * d
+    coeffs = {}
+    for j, d in sorted(collected.items()):
+        if d == 0:
+            continue
+        for r, c in ref_monomial_integral(f.n, j).items():
+            coeffs[r] = coeffs.get(r, Fraction(0)) + d * c * scale
+    return GammaVector(f.n, coeffs)
+
+
+NON_DYADIC = (Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(-11, 6))
+
+
+def oracle_coefficients():
+    return st.one_of(
+        st.sampled_from(NON_DYADIC),
+        st.fractions(min_value=-7, max_value=7, max_denominator=12),
+    )
+
+
+@st.composite
+def oracle_states(draw, n):
+    """States over several residues mod 2n, negative exponents and the zero state included."""
+    size = draw(st.integers(0, 6))
+    exps = draw(st.lists(st.integers(-4, 14), min_size=size, max_size=size, unique=True))
+    coeffs = draw(st.lists(oracle_coefficients(), min_size=size, max_size=size))
+    return GaussPolyState(n, dict(zip(exps, coeffs)), half_power=draw(st.integers(0, 1)))
+
+
+@st.composite
+def oracle_systems(draw):
+    """An x^n system, real or with one generator coefficient moved by 1/3 or -2."""
+    n = draw(st.integers(1, 3))
+    system = make_xn_system(n)
+    if draw(st.booleans()):
+        gen, idx, field = draw(st.sampled_from(mutation_slots(system)))
+        delta = draw(st.sampled_from([Fraction(1, 3), Fraction(-2)]))
+        system = make_xn_system(n, mutate=(gen, idx, field, delta))
+    return system
+
+
+@st.composite
+def word_operators(draw, system):
+    """A word of up to four generators (degree <= 4 in k), rescaled, with either half power."""
+    op = IDENTITY
+    for gen in draw(st.lists(st.sampled_from(list(Generator)), max_size=4)):
+        op = ref_compose(op, system.generator(gen))
+    op = op.scale(draw(st.sampled_from((Fraction(1),) + NON_DYADIC)))
+    return op.scale_sqrt2(draw(st.integers(-2, 2)))
+
+
+@st.composite
+def algebra_inputs(draw):
+    system = draw(oracle_systems())
+    ops = [draw(word_operators(system)) for _ in range(3)]
+    states = [draw(oracle_states(system.n)) for _ in range(2)]
+    return ops, states
+
+
+def assert_same_state(got, want):
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@given(algebra_inputs())
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_fraction_reference(inputs):
+    ops, states = inputs
+    for op in ops:
+        for state in states:
+            assert_same_state(op.apply(state), ref_apply(op, state))
+
+
+@given(algebra_inputs())
+@settings(max_examples=200, deadline=None)
+def test_composition_matches_fraction_reference(inputs):
+    (a, b, c), (state, _) = inputs
+    product = a @ b
+    want = ref_compose(a, b)
+    assert product == want
+    assert list(product.terms) == list(want.terms)
+    assert product.apply(state) == a.apply(b.apply(state))
+    assert (a @ b) @ c == a @ (b @ c)
+
+
+@given(algebra_inputs())
+@settings(max_examples=200, deadline=None)
+def test_inner_product_matches_fraction_reference(inputs):
+    ops, (f, g) = inputs
+    for left, right in ((f, g), (f, ops[0].apply(g)), (ops[1].apply(f), ops[2].apply(g))):
+        try:
+            want = ref_inner_product(left, right)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError, match=f"^{re.escape(str(exc))}$"):
+                inner_product(left, right)
+            continue
+        except ValueError:
+            with pytest.raises(ValueError, match="odd combined sqrt"):
+                inner_product(left, right)
+            continue
+        got = inner_product(left, right)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tower_states_match_fraction_reference(n):
+    system = make_xn_system(n)
+    for sector in SectorLabel:
+        for m in range(1, 13):
+            state = eigenstate(system, sector, m).state
+            want = ref_apply(system.generator(A), state)
+            assert_same_state(apply_generator(system, A, state), want)
+            got, want = inner_product(state, state), ref_inner_product(state, state)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)

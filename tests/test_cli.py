@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
 import json
+import warnings
 
 import pytest
 
@@ -117,6 +118,20 @@ def test_eigenfunctions_rejects_psitilde_zero(capsys):
         ["eigenfunctions", "--n", "2", "--sector", "psitilde", "--m", "0"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["--m", "120"], ["--m", "106", "--format", "csv"]])
+def test_eigenfunctions_non_finite_samples_are_config_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would add stderr lines
+        code = main(["eigenfunctions", "--n", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "m=" + argv[1] in captured.err and "-4:4:401" in captured.err
+    assert "--m" in captured.err and "--grid" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_coherent_norm_and_half_lowering(capsys):
