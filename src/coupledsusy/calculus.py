@@ -11,9 +11,12 @@ combination of shifted monomials, times a global 1/sqrt(2).  Those sqrt(2)
 factors are tracked separately as an integer "half power" so that all
 coefficient arithmetic stays in Q: a state represents
 
-    2^(-w/2) * sum_k c_k x^k * exp(-x^(2n)/(2n)),
+    2^(-w/2) * sum_k (c_k / d) x^k * exp(-x^(2n)/(2n)),
 
-with w canonicalised into {0, 1} (even parts are folded into the c_k).
+with w canonicalised into {0, 1} (even parts are folded into the
+coefficients) and int numerators c_k over one int denominator d > 0,
+reduced so that gcd(d, c_k...) = 1.  The {k: Fraction} map `terms` is
+derived from them on first read.
 
 Operators live in the same exact world.  An Operator sends each monomial
 x^k to sum_s p_s(k) x^(k+s), where every p_s is a polynomial in k with
@@ -30,9 +33,10 @@ n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
     int_R x^j exp(-x^(2n)/n) dx = G_r * prod_{i<t} (r + 2ni) / (n 2^t).
 
 A GammaVector stores such a combination exactly; numeric values come out of
-an arbitrary-precision evaluator with a certified error bound.  Applying and
-composing operators and the inner product run on Python ints over one common
-denominator, with one Fraction built per output coefficient.
+an arbitrary-precision evaluator with a certified error bound.  Applying
+operators and the inner product run on those ints with no Fraction in
+between; an Operator derives its polynomials over one int denominator once,
+and composition runs on them too.
 
 Negative exponents are legal in intermediate states (some generators leave
 the polynomial towers); integrability is only enforced when an inner
@@ -75,73 +79,87 @@ RAISING_WORD = (Generator.ADAG, Generator.B)
 LOWERING_WORD = (Generator.BDAG, Generator.A)
 
 
-def _fold_half_power(half_power: int):
-    """Split 2^(-w/2) into a rational factor and a residual half power in {0, 1}."""
-    fold = half_power >> 1  # floor division, works for negatives
-    return Fraction(1, 2) ** fold, half_power - 2 * fold
-
-
 class GaussPolyState:
     """A sparse exact state q(x) * exp(-x^(2n)/(2n)) with a sqrt(2) half power.
 
-    Immutable.  Two states are equal iff they have the same family index and
-    identical canonical (half_power, term map): even half powers of 2 are
-    folded into the coefficients, and zero coefficients are dropped.
+    Immutable.  The coefficients are nonzero int numerators `nums` {k: c_k}
+    over one int denominator `den` > 0 with gcd(den, *c_k) == 1, and even
+    half powers of 2 are folded into them, so two states are equal iff their
+    n, half_power, den and nums are.  `terms`, the same map as {k: Fraction}
+    in the same key order, is derived on first read.
     """
 
-    __slots__ = ("n", "half_power", "terms")
+    __slots__ = ("n", "half_power", "nums", "den", "_terms")
 
     def __init__(self, n: int, terms: Mapping[int, object], half_power: int = 0):
         if n < 1:
             raise ValueError("family index n must be a positive integer")
-        factor, residue = _fold_half_power(half_power)
-        canon = {}
-        for k, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                canon[int(k)] = c * factor
-        self._set(int(n), canon, residue)
+        fracs = {int(k): Fraction(c) for k, c in terms.items()}
+        fracs = {k: c for k, c in fracs.items() if c}
+        den = math.lcm(*[c.denominator for c in fracs.values()])
+        nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        self._set(int(n), nums, den, half_power)
 
-    def _set(self, n: int, terms: dict, half_power: int):
+    def _set(self, n: int, nums: dict, den: int, half_power: int):
+        """Store nonzero int numerators over den > 0, folding the half power and reducing."""
+        fold = half_power >> 1  # floor division, works for negatives
+        if fold > 0:
+            den <<= fold
+        elif fold < 0:
+            nums = {k: c << -fold for k, c in nums.items()}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "half_power", half_power if terms else 0)  # one zero state
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "half_power", half_power & 1 if nums else 0)  # one zero state
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _from_canonical(cls, n: int, terms: dict, half_power: int) -> "GaussPolyState":
-        """Wrap a term map that is already canonical: nonzero Fractions, half power in {0, 1}."""
+    def _from_ints(cls, n: int, nums: dict, den: int, half_power: int) -> "GaussPolyState":
+        """The state 2^(-half_power/2) * sum_k nums[k]/den x^k ...; nums nonzero, den > 0."""
         state = object.__new__(cls)
-        state._set(n, terms, half_power)
+        state._set(n, nums, den, half_power)
         return state
 
     def __setattr__(self, *_):
         raise AttributeError("GaussPolyState is immutable")
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as {k: Fraction}, in the key order of `nums`."""
+        if self._terms is None:
+            den = self.den
+            object.__setattr__(self, "_terms", {k: Fraction(c, den) for k, c in self.nums.items()})
+        return self._terms
+
     # -- basic queries ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def min_exponent(self):
-        return min(self.terms) if self.terms else None
+        return min(self.nums) if self.nums else None
 
     def residues(self) -> set:
         """Residue classes mod 2n occupied by the exponents."""
         mod = 2 * self.n
-        return {k % mod for k in self.terms}
+        return {k % mod for k in self.nums}
 
     # -- algebra -----------------------------------------------------------
 
     def scale(self, r) -> "GaussPolyState":
         r = Fraction(r)
-        return GaussPolyState(
-            self.n, {k: c * r for k, c in self.terms.items()}, self.half_power
-        )
+        p = r.numerator
+        nums = {k: c * p for k, c in self.nums.items()} if p else {}
+        return GaussPolyState._from_ints(self.n, nums, self.den * r.denominator, self.half_power)
 
     def scale_sqrt2(self, j: int) -> "GaussPolyState":
         """Multiply the state by 2^(j/2) exactly."""
-        return GaussPolyState(self.n, self.terms, self.half_power - j)
+        return GaussPolyState._from_ints(self.n, self.nums, self.den, self.half_power - j)
 
     def __add__(self, other: "GaussPolyState") -> "GaussPolyState":
         if self.n != other.n:
@@ -155,10 +173,13 @@ class GaussPolyState:
                 "cannot add states of mismatched sqrt(2) parity exactly; "
                 "rescale one side with scale_sqrt2 first"
             )
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GaussPolyState(self.n, out, self.half_power)
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        out = {k: c * mine for k, c in self.nums.items()}
+        for k, c in other.nums.items():
+            out[k] = out.get(k, 0) + c * theirs
+        nums = {k: c for k, c in out.items() if c}
+        return GaussPolyState._from_ints(self.n, nums, den, self.half_power)
 
     def __neg__(self) -> "GaussPolyState":
         return self.scale(-1)
@@ -172,11 +193,12 @@ class GaussPolyState:
         return (
             self.n == other.n
             and self.half_power == other.half_power
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.n, self.half_power, frozenset(self.terms.items())))
+        return hash((self.n, self.half_power, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         return f"GaussPolyState({self.serialize()!r})"
@@ -188,21 +210,24 @@ class GaussPolyState:
         import numpy as np
 
         x = np.asarray(x, dtype=float)
-        if self.terms and min(self.terms) < 0 and np.any(x == 0.0):
+        if self.nums and min(self.nums) < 0 and np.any(x == 0.0):
             raise ZeroDivisionError("state has negative exponents; x=0 is singular")
         acc = np.zeros_like(x)
-        for k, c in self.terms.items():
-            acc = acc + float(c) * x ** k
+        den = self.den
+        for k, c in self.nums.items():  # c / den rounds like float(Fraction(c, den))
+            acc = acc + c / den * x ** k
         weight = np.exp(-(x ** (2 * self.n)) / (2 * self.n))
         return 2.0 ** (-self.half_power / 2.0) * acc * weight
 
     # -- canonical text form ------------------------------------------------
 
     def serialize(self) -> str:
-        body = ", ".join(
-            f"{k}:{c.numerator}/{c.denominator}" for k, c in sorted(self.terms.items())
-        )
-        return f"{self.n}; {self.half_power}; {body}"
+        den = self.den
+        parts = []
+        for k, c in sorted(self.nums.items()):
+            g = math.gcd(c, den)
+            parts.append(f"{k}:{c // g}/{den // g}")
+        return f"{self.n}; {self.half_power}; {', '.join(parts)}"
 
     @classmethod
     def parse(cls, text: str) -> "GaussPolyState":
@@ -251,18 +276,6 @@ def _poly_shift(p, s: int) -> list:
     return out
 
 
-def _numerators(terms: Mapping[int, Fraction]):
-    """A term map over the lcm of its denominators: (den, [(k, c * den), ...]) in map order."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
-
-
-def _integer_polys(op: "Operator"):
-    """An operator's polynomials over the lcm of their denominators: (den, [(s, ints), ...])."""
-    den = math.lcm(*[c.denominator for p in op.terms.values() for c in p])
-    return den, [(s, [c.numerator * (den // c.denominator) for c in p]) for s, p in op.terms.items()]
-
-
 class Operator:
     """An exact linear map x^k -> 2^(-w/2) * sum_s p_s(k) x^(k+s).
 
@@ -274,13 +287,14 @@ class Operator:
     therefore equal iff they act identically on x^k for every integer k.
 
     Immutable; the hash is computed once, because the systems that hold
-    generator operators key the tower-state cache.
+    generator operators key the tower-state cache.  The int form of the
+    polynomials that `apply` and `@` run on is derived on first use.
     """
 
-    __slots__ = ("terms", "half_power", "_hash")
+    __slots__ = ("terms", "half_power", "_hash", "_ints")
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
-        factor, residue = _fold_half_power(half_power)
+        factor = Fraction(1, 2) ** (half_power >> 1)  # floor division, works for negatives
         canon = {}
         for s in sorted(terms):
             poly = [Fraction(c) for c in terms[s]]
@@ -290,14 +304,31 @@ class Operator:
                 poly.pop()
             if poly:
                 canon[int(s)] = tuple(poly)
-        if not canon:
-            residue = 0  # the zero operator has one canonical form
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "half_power", residue)
-        object.__setattr__(self, "_hash", hash((residue, tuple(canon.items()))))
+        self._set(canon, half_power & 1 if canon else 0)  # the zero operator has one canonical form
+
+    def _set(self, terms: dict, half_power: int):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "half_power", half_power)
+        object.__setattr__(self, "_hash", hash((half_power, tuple(terms.items()))))
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _from_canonical(cls, terms: dict, half_power: int) -> "Operator":
+        """Wrap a term map that is already canonical (see the class docstring)."""
+        op = object.__new__(cls)
+        op._set(terms, half_power)
+        return op
 
     def __setattr__(self, *_):
         raise AttributeError("Operator is immutable")
+
+    def _integer_polys(self):
+        """The polynomials over the lcm of their denominators: (den, [(s, ints), ...])."""
+        if self._ints is None:
+            den = math.lcm(*[c.denominator for p in self.terms.values() for c in p])
+            polys = [(s, [c.numerator * (den // c.denominator) for c in p]) for s, p in self.terms.items()]
+            object.__setattr__(self, "_ints", (den, polys))
+        return self._ints
 
     @property
     def is_zero(self) -> bool:
@@ -305,8 +336,8 @@ class Operator:
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
         """The image of a state, built shift by shift in ascending order, in ints."""
-        state_den, items = _numerators(state.terms)
-        op_den, polys = _integer_polys(self)
+        op_den, polys = self._integer_polys()
+        items = state.nums.items()
         out: dict = {}
         for shift, poly in polys:
             top, rest = poly[-1], poly[-2::-1]
@@ -318,10 +349,10 @@ class Operator:
                 if coeff:
                     kk = k + shift
                     out[kk] = out.get(kk, 0) + coeff
-        half = state.half_power + self.half_power
-        den = state_den * op_den << (half >> 1)
-        terms = {k: Fraction(c, den) for k, c in out.items() if c}
-        return GaussPolyState._from_canonical(state.n, terms, half & 1)
+        nums = {k: c for k, c in out.items() if c}
+        return GaussPolyState._from_ints(
+            state.n, nums, state.den * op_den, state.half_power + self.half_power
+        )
 
     def __matmul__(self, other: "Operator") -> "Operator":
         """The product self . other (other acts first).
@@ -329,8 +360,8 @@ class Operator:
         x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2), summed over the
         shifts s1 of self and s2 of other.
         """
-        den1, polys1 = _integer_polys(self)
-        den2, polys2 = _integer_polys(other)
+        den1, polys1 = self._integer_polys()
+        den2, polys2 = other._integer_polys()
         out: dict = {}
         for s2, p2 in polys2:
             for s1, p1 in polys1:
@@ -342,8 +373,11 @@ class Operator:
 
     def scale(self, r) -> "Operator":
         r = Fraction(r)
-        return Operator(
-            {s: [c * r for c in p] for s, p in self.terms.items()}, self.half_power
+        if not r:
+            return Operator({})
+        # a nonzero factor keeps every coefficient nonzero and the shifts in order
+        return Operator._from_canonical(
+            {s: tuple([c * r for c in p]) for s, p in self.terms.items()}, self.half_power
         )
 
     def scale_sqrt2(self, j: int) -> "Operator":
@@ -351,10 +385,17 @@ class Operator:
         return Operator(self.terms, self.half_power - j)
 
     def __add__(self, other: "Operator") -> "Operator":
-        if self.is_zero:
-            return other
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        return self._sum(other, -1)
+
+    def _sum(self, other: "Operator", sign: int) -> "Operator":
+        """self + sign * other, for sign in {1, -1}."""
         if other.is_zero:
             return self
+        if self.is_zero:
+            return other if sign == 1 else -other
         if self.half_power != other.half_power:
             raise ValueError(
                 "cannot add operators of mismatched sqrt(2) parity exactly; "
@@ -362,14 +403,11 @@ class Operator:
             )
         out = dict(self.terms)
         for s, p in other.terms.items():
-            out[s] = _poly_add(out.get(s, ()), p)
+            out[s] = _poly_add(out.get(s, ()), p if sign == 1 else [-c for c in p])
         return Operator(out, self.half_power)
 
     def __neg__(self) -> "Operator":
         return self.scale(-1)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
@@ -428,14 +466,15 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
         return (Fraction(0), 0) if f.is_zero else None
     if f.is_zero:
         return (Fraction(0), 0)
-    if set(f.terms) != set(g.terms):
+    fn, gn = f.nums, g.nums
+    if fn.keys() != gn.keys():
         return None
-    lead = max(g.terms)
-    q = f.terms[lead] / g.terms[lead]
-    for k, c in g.terms.items():
-        if f.terms[k] != q * c:
+    lead = max(gn)
+    p, q = fn[lead], gn[lead]  # f = (p/q) (g.den/f.den) g termwise
+    for k, c in gn.items():
+        if fn[k] * q != p * c:
             return None
-    return q, g.half_power - f.half_power
+    return Fraction(p * g.den, q * f.den), g.half_power - f.half_power
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +591,9 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
             "irrational; rescale one argument with scale_sqrt2 first"
         )
     n, two_n = f.n, 2 * f.n
-    f_den, f_items = _numerators(f.terms)
-    g_den, g_items = _numerators(g.terms)
+    g_items = g.nums.items()
     collected: dict = {}
-    for k, c in f_items:
+    for k, c in f.nums.items():
         for l, d in g_items:
             j = k + l
             collected[j] = collected.get(j, 0) + c * d
@@ -574,7 +612,7 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
         for t in range(top + 1):
             total += ds.get(t, 0) * product << (top - t)
             product *= r + two_n * t
-        coeffs[r] = Fraction(total, n * f_den * g_den << (top + total_half // 2))
+        coeffs[r] = Fraction(total, n * f.den * g.den << (top + total_half // 2))
     return GammaVector(n, coeffs)
 
 

@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -88,6 +89,8 @@ def _parse_grid(text):
         raise ConfigError(f"grid must be lo:hi:count, got {text!r}") from exc
     if count < 2 or not hi > lo:
         raise ConfigError("grid needs hi > lo and count >= 2")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"grid bounds and their span hi - lo must be finite, got {text!r}")
     return lo, hi, count
 
 
@@ -154,7 +157,10 @@ def _emit(args, config, payload, csv_header=None, csv_rows=None):
     else:
         text = reports.dumps(payload)
     if out_path:
-        reports.atomic_write_text(out_path, text)
+        try:
+            reports.atomic_write_text(out_path, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

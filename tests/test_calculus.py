@@ -5,13 +5,16 @@ are cross-checked against sympy differentiation of x^k exp(-x^(2n)/(2n)),
 and inner products against adaptive mpmath quadrature over the real line.
 The integer hot loops (apply, composition, inner product) are also checked
 for exact equality, key order included, against straightforward Fraction
-reference implementations kept at the end of this file.
+reference implementations kept at the end of this file, and the int
+numerator state against the Fraction-map state it replaced (RefState).
 """
 
+import math
 import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -588,6 +591,182 @@ def test_tower_states_match_fraction_reference(n):
             state = eigenstate(system, sector, m).state
             want = ref_apply(system.generator(A), state)
             assert_same_state(apply_generator(system, A, state), want)
+            ref = RefState(n, state.terms, state.half_power)
+            for gen in Generator:
+                op = system.generator(gen)
+                assert_matches_ref(op.apply(state), ref.apply(op))
             got, want = inner_product(state, state), ref_inner_product(state, state)
             assert got == want
             assert list(got.coeffs) == list(want.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the state representation: int numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+class RefState:
+    """The Fraction-map state the integer representation replaced, kept as an oracle."""
+
+    def __init__(self, n, terms, half_power=0):
+        fold = half_power >> 1
+        factor = Fraction(1, 2) ** fold
+        self.n, self.terms = n, {}
+        for k, c in terms.items():
+            c = Fraction(c)
+            if c != 0:
+                self.terms[int(k)] = c * factor
+        self.half_power = half_power - 2 * fold if self.terms else 0
+
+    def scale(self, r):
+        r = Fraction(r)
+        return RefState(self.n, {k: c * r for k, c in self.terms.items()}, self.half_power)
+
+    def scale_sqrt2(self, j):
+        return RefState(self.n, self.terms, self.half_power - j)
+
+    def add(self, other, sign=1):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other.scale(sign)
+        assert self.half_power == other.half_power
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + sign * c
+        return RefState(self.n, out, self.half_power)
+
+    def apply(self, op):
+        out = {}
+        for shift, poly in op.terms.items():
+            for k, c in self.terms.items():
+                coeff = c * ref_poly_eval(poly, k)
+                if coeff:
+                    out[k + shift] = out.get(k + shift, Fraction(0)) + coeff
+        return RefState(self.n, out, self.half_power + op.half_power)
+
+    def serialize(self):
+        body = ", ".join(
+            f"{k}:{c.numerator}/{c.denominator}" for k, c in sorted(self.terms.items())
+        )
+        return f"{self.n}; {self.half_power}; {body}"
+
+    def evaluate(self, x):
+        x = np.asarray(x, dtype=float)
+        acc = np.zeros_like(x)
+        for k, c in self.terms.items():
+            acc = acc + float(c) * x ** k
+        weight = np.exp(-(x ** (2 * self.n)) / (2 * self.n))
+        return 2.0 ** (-self.half_power / 2.0) * acc * weight
+
+
+#: Sample points away from 0, so states with negative exponents evaluate too.
+EVAL_POINTS = np.array([-2.5, -1.3, -0.4, 0.7, 1.9, 3.1])
+
+
+def assert_matches_ref(state, ref):
+    """Canonical ints, and the Fraction map, text and floats of the reference."""
+    nums = list(state.nums.values())
+    assert state.den > 0 and math.gcd(state.den, *nums) == 1
+    assert all(nums) and state.half_power in (0, 1)
+    assert state.half_power == ref.half_power
+    assert state.terms == ref.terms
+    assert list(state.terms) == list(ref.terms)
+    assert state.terms is state.terms  # derived once
+    assert state.serialize() == ref.serialize()
+    assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))
+
+
+@st.composite
+def raw_state_inputs(draw, n):
+    """A Fraction-like map (zeros and ints included) and any half power."""
+    size = draw(st.integers(0, 6))
+    exps = draw(st.lists(st.integers(-4, 14), min_size=size, max_size=size, unique=True))
+    coeffs = draw(
+        st.lists(
+            st.one_of(oracle_coefficients(), st.integers(-9, 9), st.just(Fraction(0))),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return dict(zip(exps, coeffs)), draw(st.integers(-3, 3))
+
+
+@st.composite
+def state_programs(draw):
+    """A start state and up to six steps: apply, scale, scale_sqrt2, + and -."""
+    system = draw(oracle_systems())
+    start = draw(raw_state_inputs(system.n))
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["apply", "scale", "sqrt2", "add", "sub"]))
+        if kind == "apply":
+            arg = system.generator(draw(st.sampled_from(list(Generator))))
+        elif kind == "scale":
+            arg = draw(st.one_of(oracle_coefficients(), st.integers(-4, 4)))
+        elif kind == "sqrt2":
+            arg = draw(st.integers(-3, 3))
+        else:
+            arg = draw(raw_state_inputs(system.n))
+        steps.append((kind, arg))
+    return system.n, start, steps
+
+
+@given(state_programs())
+@settings(max_examples=200, deadline=None)
+def test_state_representation_matches_fraction_reference(program):
+    n, (terms, w), steps = program
+    state, ref = GaussPolyState(n, terms, w), RefState(n, terms, w)
+    assert_matches_ref(state, ref)
+    for kind, arg in steps:
+        if kind == "apply":
+            state, ref = arg.apply(state), ref.apply(arg)
+        elif kind == "scale":
+            state, ref = state.scale(arg), ref.scale(arg)
+        elif kind == "sqrt2":
+            state, ref = state.scale_sqrt2(arg), ref.scale_sqrt2(arg)
+        else:
+            other = GaussPolyState(n, *arg)
+            if not (state.is_zero or other.is_zero) and other.half_power != state.half_power:
+                other = other.scale_sqrt2(1)  # match the sqrt(2) parity
+            ref_other = RefState(n, other.terms, other.half_power)
+            if kind == "add":
+                state, ref = state + other, ref.add(ref_other)
+            else:
+                state, ref = state - other, ref.add(ref_other, -1)
+        assert_matches_ref(state, ref)
+
+
+@given(oracle_systems().flatmap(lambda s: oracle_states(s.n)), st.sampled_from(NON_DYADIC))
+@settings(max_examples=100, deadline=None)
+def test_equal_states_by_different_routes(state, r):
+    routes = [
+        state.scale(3).scale(Fraction(1, 3)),
+        state.scale(r).scale(1 / r),
+        state.scale_sqrt2(2).scale(Fraction(1, 2)),
+        state.scale_sqrt2(-3).scale_sqrt2(3),
+        -(-state),
+        state + state - state,
+        GaussPolyState(state.n, state.terms, state.half_power),
+        GaussPolyState(state.n, {k: c * 4 for k, c in state.terms.items()}, state.half_power + 4),
+        GaussPolyState.parse(state.serialize()),
+    ]
+    for other in routes:
+        assert other == state
+        assert hash(other) == hash(state)
+        assert (other.nums, other.den) == (state.nums, state.den)
+    assert state - state == GaussPolyState(state.n, {})
+    assert state.scale(0) == GaussPolyState(state.n, {})
+    if not state.is_zero:
+        assert proportionality_ratio(state.scale(r), state) == (r, 0)
+        assert proportionality_ratio(state, state.scale(r)) == (1 / r, 0)
+
+
+@given(st.integers(-(2 ** 300), 2 ** 300), st.integers(1, 2 ** 300))
+@settings(max_examples=300, deadline=None)
+def test_int_true_division_rounds_like_fraction(p, q):
+    # evaluate divides unreduced ints; float(Fraction) divides reduced ones
+    assert p / q == float(Fraction(p, q))
+    state = GaussPolyState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
+    ref = RefState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
+    assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))

@@ -228,6 +228,31 @@ def test_atomic_output_no_partial_file(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "existing-dir"])
+def test_unwritable_out_is_config_error(target, tmp_path, capsys):
+    (tmp_path / "existing-dir").mkdir()
+    code = main(["verify", "--n", "2", "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert captured.err.count("\n") == 1
+    # no .tmp-report-* file is left next to the target
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir"]
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1e308:5", "-inf:1:5", "0:inf:5", "0:nan:5"])
+def test_non_finite_grid_is_config_error(grid, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would add stderr lines
+        code = main(["eigenfunctions", "--n", "2", "--m", "3", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid ")
+    assert captured.err.count("\n") == 1
+
+
 def test_float_formatting_17_digits():
     assert format_float(0.5) == "0.5"
     assert format_float(1e-13) == "1e-13"
