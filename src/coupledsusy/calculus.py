@@ -369,7 +369,14 @@ class Operator:
                 out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
         half = self.half_power + other.half_power
         den = den1 * den2 << (half >> 1)
-        return Operator({s: [Fraction(c, den) for c in p] for s, p in out.items()}, half & 1)
+        canon = {}
+        for s in sorted(out):
+            p = out[s]
+            while p and p[-1] == 0:
+                p.pop()
+            if p:
+                canon[s] = tuple([Fraction(c, den) for c in p])
+        return Operator._from_canonical(canon, half & 1 if canon else 0)
 
     def scale(self, r) -> "Operator":
         r = Fraction(r)

@@ -255,9 +255,13 @@ def cmd_eigenfunctions(args, config) -> int:
         raise ConfigError(str(exc)) from exc
     lo, hi, count = grid
     xs = np.linspace(lo, hi, count)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
-        values = normalized_samples(record, xs)
-    if not np.all(np.isfinite(values)):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
+            values = normalized_samples(record, xs)
+        finite = np.all(np.isfinite(values))
+    except OverflowError:  # a coefficient beyond float range
+        finite = False
+    if not finite:
         raise ConfigError(f"samples of m={m} overflow floats on the grid {lo:g}:{hi:g}:{count}: "
                           "lower --m or narrow --grid")
     payload = {
@@ -347,6 +351,8 @@ def cmd_uncertainty(args, config) -> int:
             raise ConfigError(
                 f"pair {pair!r} does not apply to a {record.sector.value} state"
             )
+    if not all(math.isfinite(r.equality_gap) for r in results):
+        raise ConfigError(f"uncertainty products of {descriptor} overflow floats: lower the level")
     result_dicts = []
     for r in results:
         d = r.to_json_dict()

@@ -173,9 +173,9 @@ def solve_generalized(
             ) from exc
         M = Linv * H * Linv.T
         M = (M + M.T) / 2
-        eigenvalues, _ = mp.eigsy(M)
+        eigenvalues = mp.eigsy(M, eigvals_only=True)
         computed_mp = sorted(eigenvalues[i] for i in range(size))[:count]
-        s_eigs, _ = mp.eigsy(S)
+        s_eigs = mp.eigsy(S, eigvals_only=True)
         s_sorted = sorted(s_eigs[i] for i in range(size))
         condition = float(s_sorted[-1] / s_sorted[0]) if s_sorted[0] > 0 else float("inf")
         computed = tuple(float(v) for v in computed_mp)

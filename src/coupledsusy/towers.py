@@ -7,8 +7,11 @@ Four families of eigenfunctions are generated from two ground states:
     PSI_TILDE  a . PSI (m >= 1), aa+ eigenvalue m(delta-gamma)
     PHI_TILDE  a . PHI,          aa+ eigenvalue m(delta-gamma) + delta
 
-The quadratic word a+b raises m by one inside each untilded family, so a
-level-m state is (a+b)^m applied to the ground state.  States are kept
+The quadratic word R = a+b raises m by one inside each untilded family, so
+a level-m state is R^m applied to the ground state.  It is solved directly:
+H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
+top-down from the top coefficient of R^m, and R must send level m-1 onto
+it.  A tilde state is a applied to its partner.  States are kept
 unnormalised with their exact squared norm attached; normalisation only
 happens at numeric export, because the norms are irrational Gamma values.
 
@@ -22,6 +25,7 @@ n-1 for PHI_TILDE.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,12 +36,10 @@ from .calculus import (
     GaussPolyState,
     Generator,
     LOWERING_WORD,
-    RAISING_WORD,
     apply_generator,
     apply_word,
     evaluate_gamma_vector,
     inner_product,
-    monomial_state,
 )
 from .systems import CoupledSusySystem, VerificationReport
 
@@ -95,6 +97,9 @@ class EigenstateRecord:
         }
 
 
+_EIGEN_FAILURE = "eigenvalue equation failed for {} m={}; system generators are inconsistent"
+
+
 def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
     base = m * system.spacing
     if sector.base is SectorLabel.PHI:
@@ -102,22 +107,71 @@ def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> 
     return Fraction(base)
 
 
+@functools.lru_cache(maxsize=64)
+def _ladder_operators(system: CoupledSusySystem):
+    """H = a+a and the raising word R = a+b, composed from the system's generators."""
+    adag = system.generator(Generator.ADAG)
+    return adag @ system.generator(Generator.A), adag @ system.generator(Generator.B)
+
+
+def _poly_at(poly, k: int) -> int:
+    value = 0
+    for c in reversed(poly):
+        value = value * k + c
+    return value
+
+
+def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
+    """Untilded level m: the eigenvector of H with eigenvalue E and top exponent K.
+
+    K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
+    d(K) = E and E != d(k) below K.  The top coefficient is that of R^m seed,
+    prod_{i<m} u(seed + 2ni) for R's +2n polynomial u; below it
+    c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.
+    """
+    two_n = 2 * system.n
+    seed = 0 if sector is SectorLabel.PSI else two_n - 1
+    top = seed + two_n * m
+    hamiltonian, raising = _ladder_operators(system)
+    h_den, h_polys = hamiltonian._integer_polys()
+    r_den, r_polys = raising._integer_polys()
+    polys = dict(h_polys)
+    diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(r_polys).get(two_n, [0])
+    value = tower_eigenvalue(system, sector, m)
+    p, q = value.numerator * h_den, value.denominator  # E - d(k) = (p - q D(k)) / (q h_den)
+    num, den = math.prod(_poly_at(up, seed + two_n * i) for i in range(m)), r_den ** m
+    if polys or hamiltonian.half_power or not num:
+        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
+    levels = []
+    for k in range(top, seed - 1, -two_n):
+        gap = p - q * _poly_at(diag, k)
+        if (gap == 0) != (k == top):
+            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
+        if gap:
+            num, den = num * (q * _poly_at(low, k + two_n)), den * gap
+        g = math.gcd(num, den)  # den may turn negative; lcm and // below keep the sign
+        num, den = num // g, den // g
+        levels.append((k, num, den))
+    common = math.lcm(*[d for _, _, d in levels])
+    nums = {k: c * (common // d) for k, c, d in reversed(levels) if c}
+    return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
+
+
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
-    n = system.n
     if sector.is_tilde:
         return apply_generator(system, Generator.A, _tower_state(system, sector.base, m))
-    if m == 0:
-        seed = 0 if sector is SectorLabel.PSI else 2 * n - 1
-        return monomial_state(n, seed)
-    return apply_word(system, RAISING_WORD, _tower_state(system, sector, m - 1))
+    state = _solve_level(system, sector, m)
+    if m and _ladder_operators(system)[1].apply(_solve_level(system, sector, m - 1)) != state:
+        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
+    return state
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """Level-m eigenstate record of the given tower.
 
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
-    The eigenvalue equation is re-verified exactly on construction.
+    The eigenvalue equation is re-verified exactly on construction; a zero state fails it.
     """
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
@@ -126,10 +180,8 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     state = _tower_state(system, sector, m)
     value = tower_eigenvalue(system, sector, m)
     hamiltonian = (Generator.A, Generator.ADAG) if sector.is_tilde else (Generator.ADAG, Generator.A)
-    if apply_word(system, hamiltonian, state) != state.scale(value):
-        raise RuntimeError(
-            f"eigenvalue equation failed for {sector} m={m}; system generators are inconsistent"
-        )
+    if state.is_zero or apply_word(system, hamiltonian, state) != state.scale(value):
+        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     return EigenstateRecord(
         sector=sector,
         m=m,
@@ -158,13 +210,8 @@ def ground_states(system: CoupledSusySystem):
 
 def merged_spectrum(system: CoupledSusySystem, count: int):
     """Lowest `count` eigenvalues of a+a from both towers, ascending."""
-    values = []
-    m = 0
-    while len(values) < 2 * count:
-        values.append(tower_eigenvalue(system, SectorLabel.PSI, m))
-        values.append(tower_eigenvalue(system, SectorLabel.PHI, m))
-        m += 1
-    return sorted(values)[:count]
+    sectors = (SectorLabel.PSI, SectorLabel.PHI)
+    return sorted(tower_eigenvalue(system, s, m) for m in range(count) for s in sectors)[:count]
 
 
 # ---------------------------------------------------------------------------

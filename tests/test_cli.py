@@ -134,6 +134,16 @@ def test_eigenfunctions_non_finite_samples_are_config_error(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sector, m", [("psi", "150"), ("phitilde", "160")])
+def test_eigenfunctions_coefficient_overflow_is_config_error(sector, m, capsys):
+    # the exact coefficients themselves exceed float range (OverflowError)
+    code = main(["eigenfunctions", "--n", "1", "--sector", sector, "--m", m])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: samples of m={m} overflow floats on the grid -4:4:401: lower --m or narrow --grid\n"
+
+
 def test_coherent_norm_and_half_lowering(capsys):
     code, out = run_cli(
         ["coherent", "--n", "2", "--sector", "psi", "--z", "0.5", "--tol", "1e-12"],
@@ -200,6 +210,16 @@ def test_uncertainty_all_pairs_and_mixed(capsys):
     payload = json.loads(out)
     assert code == 0
     assert abs(payload["results"][0]["bound"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--state", "psi:100"], ["--state", "psi:85"], ["--state", "phi:100", "--pair", "all"]])
+def test_uncertainty_overflow_is_config_error(argv, capsys):
+    code = main(["uncertainty", "--n", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: uncertainty products of ")
+    assert "overflow floats" in captured.err and captured.err.count("\n") == 1
 
 
 def test_uncertainty_rejects_unknown_state(capsys):

@@ -1,4 +1,11 @@
-"""Eigenstate towers: eigenvalues, orthogonality, closed forms, ladder factors."""
+"""Eigenstate towers: eigenvalues, orthogonality, closed forms, ladder factors.
+
+The direct top-down solve of the untilded levels is checked against the
+ladder it replaced, (a+b)^m applied to the ground state, kept at the end of
+this file as a test-local oracle (ladder_state, ladder_record).
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +15,8 @@ from coupledsusy.calculus import (
     GaussPolyState,
     Generator,
     LOWERING_WORD,
+    Operator,
+    RAISING_WORD,
     apply_generator,
     apply_word,
     evaluate_gamma_vector,
@@ -15,9 +24,10 @@ from coupledsusy.calculus import (
     monomial_state,
     proportionality_ratio,
 )
-from coupledsusy.systems import make_xn_system
+from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
 from coupledsusy.towers import (
     SectorLabel,
+    _tower_state,
     closed_form_eigenstate,
     eigenstate,
     gram_matrix,
@@ -268,3 +278,135 @@ def test_record_json_dict_exact_strings():
     assert payload["sector"] == "phi"
     assert payload["eigenvalue"] == "7/1"
     assert payload["state"] == "2; 0; 3:-7/1, 7:2/1"
+
+
+# ---------------------------------------------------------------------------
+# direct solve against the ladder
+# ---------------------------------------------------------------------------
+
+
+def ladder_state(system, sector, m):
+    """(a+b)^m on the ground state, one raising word per level; a on top for tildes."""
+    if sector.is_tilde:
+        return apply_generator(system, Generator.A, ladder_state(system, sector.base, m))
+    state = monomial_state(system.n, 0 if sector is PSI else 2 * system.n - 1)
+    for _ in range(m):
+        state = apply_word(system, RAISING_WORD, state)
+    return state
+
+
+def ladder_record(system, sector, m):
+    """(state, eigenvalue) from the ladder, with the eigenvalue check eigenstate made."""
+    state = ladder_state(system, sector, m)
+    value = tower_eigenvalue(system, sector, m)
+    word = (Generator.A, Generator.ADAG) if sector.is_tilde else (Generator.ADAG, Generator.A)
+    if apply_word(system, word, state) != state.scale(value):
+        raise RuntimeError("eigenvalue equation failed")
+    return state, value
+
+
+def assert_same_state(got, want):
+    assert got == want
+    assert (got.den, got.half_power, list(got.nums.items())) == (
+        want.den, want.half_power, list(want.nums.items())
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("sector", [PSI, PHI])
+def test_solved_levels_match_ladder(n, sector):
+    system = make_xn_system(n)
+    state = monomial_state(n, 0 if sector is PSI else 2 * n - 1)
+    for m in range(61):
+        assert_same_state(_tower_state(system, sector, m), state)
+        state = apply_word(system, RAISING_WORD, state)
+
+
+def test_deep_level_has_no_recursion_limit():
+    system = make_xn_system(1)
+    state = _tower_state(system, PSI, 2000)
+    assert max(state.nums) == 4000 and len(state.nums) == 2001
+    hamiltonian = apply_word(system, (Generator.ADAG, Generator.A), state)
+    assert hamiltonian == state.scale(tower_eigenvalue(system, PSI, 2000))
+
+
+def test_zero_state_is_rejected():
+    # b's +n coefficient 2 - 2 = 0: the raising word a+b cannot raise, and
+    # the ladder gave the zero state, which passed the eigenvalue check.
+    system = make_xn_system(2, mutate=(Generator.B, 1, "alpha", Fraction(-2)))
+    assert ladder_record(system, PSI, 3)[0].is_zero
+    with pytest.raises(RuntimeError, match="eigenvalue equation failed"):
+        eigenstate(system, PSI, 3)
+
+
+def test_zero_tilde_state_is_rejected():
+    # delta = 0 puts PHI level 0 at eigenvalue 0, and this a annihilates x:
+    # phi~ level 0 = a x is zero, and a a+ 0 = 0 * 0 holds vacuously.
+    a = Operator({-1: (-1, 1)}, 1)
+    adag, b, bdag = make_xn_system(1).generators[1:]
+    system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(0), generators=(a, adag, b, bdag))
+    assert eigenstate(system, PHI, 0).state == monomial_state(1, 1)
+    assert ladder_record(system, PHI_T, 0)[0].is_zero
+    with pytest.raises(RuntimeError, match="eigenvalue equation failed"):
+        eigenstate(system, PHI_T, 0)
+
+
+@pytest.mark.parametrize(
+    "a, adag, sector, m",
+    [
+        # H = a+a has the diagonal d(k) = (k^2 - 4k + 8)/2 and no -2 shift:
+        # d meets E = 4 at the top exponent 4 of PSI level 2 and again at 0
+        (Operator({-1: (1,)}, 1), Operator({1: (5, -2, 1)}, 1), PSI, 2),
+        # d(k) = 1 misses E = 0 at the PSI ground state
+        (Operator({-1: (1,)}, 1), Operator({1: (2,)}, 1), PSI, 0),
+        # a +3 shift in a+ gives H a +2 shift, which moves the PHI ground state x
+        (Operator({-1: (0, 1)}, 1), Operator({-1: (0, -1), 1: (2,), 3: (1,)}, 1), PHI, 0),
+        (Operator({-1: (0, 1)}, 1), Operator({-1: (0, -1), 1: (2,), 3: (1,)}, 1), PHI, 2),
+    ],
+    ids=["gap-below-top", "ground-off-eigenvalue", "plus-2-shift-ground", "plus-2-shift-level-2"],
+)
+def test_hamiltonian_outside_the_solve_fails_loudly(a, adag, sector, m):
+    b, bdag = make_xn_system(1).generators[2:]
+    system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(1), generators=(a, adag, b, bdag))
+    with pytest.raises(RuntimeError, match="eigenvalue equation failed"):
+        _tower_state(system, sector, m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_follows_generator_half_powers(n):
+    # sqrt(2) a and sqrt(2) a+ give H' = 2H and R' = sqrt(2) R, an odd half power
+    family = make_xn_system(n)
+    a, adag, b, bdag = family.generators
+    system = CoupledSusySystem(
+        n=n, gamma=2 * family.gamma, delta=2 * family.delta,
+        generators=(a.scale_sqrt2(1), adag.scale_sqrt2(1), b, bdag),
+    )
+    for sector in (PSI, PHI, PHI_T):
+        for m in range(6):
+            want = eigenstate(family, sector, m).state.scale_sqrt2(m + sector.is_tilde)
+            assert_same_state(eigenstate(system, sector, m).state, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(-2), Fraction(1, 3)])
+def test_mutated_generators_fail_like_the_ladder(n, delta):
+    """Every ladder failure still raises; records agree wherever both succeed.
+
+    The solve also refuses the zero states the ladder let through.
+    """
+    for slot in mutation_slots(make_xn_system(n)):
+        system = make_xn_system(n, mutate=(*slot, delta))
+        for sector in (PSI, PHI, PSI_T, PHI_T):
+            for m in range(1 if sector is PSI_T else 0, 7):
+                try:
+                    want = ladder_record(system, sector, m)
+                except RuntimeError:
+                    want = None
+                try:
+                    got = eigenstate(system, sector, m)
+                except RuntimeError:
+                    assert want is None or want[0].is_zero, (slot, sector, m)
+                    continue
+                assert want is not None, (slot, sector, m)
+                assert_same_state(got.state, want[0])
+                assert got.eigenvalue == want[1]
