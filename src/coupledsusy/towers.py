@@ -15,6 +15,13 @@ it.  A tilde state is a applied to its partner.  States are kept
 unnormalised with their exact squared norm attached; normalisation only
 happens at numeric export, because the norms are irrational Gamma values.
 
+The norm takes O(m) exact steps rather than a product over all term
+pairs.  Where H (a+a, or aa+ for a tilde state) provably pairs
+symmetrically, a level-m state psi is orthogonal to every lower monomial
+of its chain, so ||psi||^2 = c_top <x^top, psi>: one pairing against the
+top term (see _norm_sq for the proof and its conditions).  Any state the
+proof does not cover gets the full product <psi, psi>.
+
 For the x^n family the kernels of a and b+ on smooth whole-line states are
 one dimensional (exp(-x^(2n)/(2n)) and x^(n-1) exp(-x^(2n)/(2n))), so the
 tower index sets are singletons.  Exponents of a level-m state stay in a
@@ -157,6 +164,71 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
 
 
+@functools.lru_cache(maxsize=64)
+def _symmetric_diagonal(system: CoupledSusySystem, tilde: bool):
+    """(den, d) for H = aa+ (tilde) or a+a if H pairs monomials symmetrically, else None.
+
+    H must send x^k to (d(k) x^k + l(k) x^(k-2n)) / den with int
+    polynomials d, l and half power 0.  A pairing's weight exp(-x^(2n)/n)
+    gives mu(s) = (s-2n+1)/2 mu(s-2n) for mu(s) = <x^s, 1>, so
+    <x^i, H x^j> = <H x^i, x^j> for all i + j >= 2n if
+
+        (d(j) - d(i)) (i + j - 2n + 1) + 2 (l(j) - l(i)) = 0.
+
+    The residual has degree at most N = max(len d, len l) in each of i and
+    j, so it is identically zero iff it vanishes on (N+1)^2 points.  Its
+    i j^a coefficient for a >= 2 is that of k^a in d, so a symmetric d is affine.
+    """
+    a, adag = system.generator(Generator.A), system.generator(Generator.ADAG)
+    hamiltonian = a @ adag if tilde else _ladder_operators(system)[0]
+    two_n = 2 * system.n
+    den, polys = hamiltonian._integer_polys()
+    polys = dict(polys)
+    diag, low = polys.pop(0, [0]), polys.pop(-two_n, [0])
+    if polys or hamiltonian.half_power:
+        return None
+    points = range(max(len(diag), len(low)) + 1)
+    for i in points:
+        for j in points:
+            residual = (_poly_at(diag, j) - _poly_at(diag, i)) * (i + j - two_n + 1)
+            if residual + 2 * (_poly_at(low, j) - _poly_at(low, i)):
+                return None
+    return den, diag
+
+
+def _norm_sq(
+    system: CoupledSusySystem, sector: SectorLabel, state: GaussPolyState, value: Fraction
+) -> GammaVector:
+    """<psi, psi> for a nonzero psi with H psi = value psi, already checked exactly.
+
+    Let H pair symmetrically (_symmetric_diagonal), psi = sum c_k x^k have
+    exponents from bottom >= 0 to top, and value != d(k) at every k =
+    bottom, bottom+2n, ... below top.  Then ||psi||^2 = c_top <x^top, psi>,
+    the same GammaVector as the full product, from O(m) term pairs:
+
+    * psi lies in one residue class mod 2n.  H keeps the classes apart, so
+      each class part is an eigenvector whose top t has d(t) = value; d is
+      affine, so two such tops would make d constant and the gaps zero.
+    * At each k of the chain, value <x^k, psi> = <x^k, H psi> = <H x^k, psi>,
+      so (value - d(k)) <x^k, psi> = l(k) <x^(k-2n), psi>; every pairing
+      converges, and the symmetry covers it since distinct exponents of
+      one class sum to at least 2n.  l(bottom) = 0, as l(bottom) c_bottom
+      is the x^(bottom-2n) coefficient of H psi = value psi, so induction
+      upwards from bottom gives <x^k, psi> = 0 for every k below top.
+
+    Any other state gets the full product <psi, psi>.
+    """
+    proof = _symmetric_diagonal(system, sector.is_tilde)
+    top, bottom = max(state.nums), min(state.nums)
+    if proof is not None and bottom >= 0:
+        den, diag = proof
+        p, q = value.numerator * den, value.denominator  # value - d(k) = (p - q D(k)) / (q den)
+        if all(p != q * _poly_at(diag, k) for k in range(bottom, top, 2 * state.n)):
+            lead = GaussPolyState._from_ints(state.n, {top: state.nums[top]}, state.den, state.half_power)
+            return inner_product(lead, state)
+    return inner_product(state, state)
+
+
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
     if sector.is_tilde:
@@ -172,6 +244,9 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
 
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
     The eigenvalue equation is re-verified exactly on construction; a zero state fails it.
+    Once it holds, norm_sq is the single top pairing c_top <x^top, psi>
+    where the symmetry of H proves the lower pairings vanish (_norm_sq),
+    and the full product <psi, psi> otherwise; both are exact and equal.
     """
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
@@ -186,7 +261,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
         sector=sector,
         m=m,
         state=state,
-        norm_sq=inner_product(state, state),
+        norm_sq=_norm_sq(system, sector, state, value),
         eigenvalue=value,
     )
 

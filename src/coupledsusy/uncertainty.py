@@ -228,21 +228,38 @@ def expectation_exact(system, expr, state) -> ExactMatrixElement:
     return matrix_element(system, expr, state, state)
 
 
+def _norm_sq_value(state, precision: float) -> float:
+    """||state||^2 as a float: a record's exact norm_sq, else one inner product."""
+    if isinstance(state, EigenstateRecord):
+        return evaluate_gamma_vector(state.norm_sq, precision)
+    return evaluate_gamma_vector(inner_product(state, state), precision)
+
+
+def _guarded(system, expr, state, precision: float):
+    """(bare state, its squared norm) once the state passes expr's sector guard."""
+    bare = _as_state(state)
+    _guard_sector(system, expr, bare)
+    return bare, _norm_sq_value(state, precision)
+
+
+def _mean(system, expr, state, norm_sq: float, precision: float) -> complex:
+    return matrix_element(system, expr, state, state).value(precision) / norm_sq
+
+
+def _variance(system, expr, state, norm_sq: float, precision: float) -> float:
+    mean = _mean(system, expr, state, norm_sq, precision)
+    second = _mean(system, expr.compose(expr), state, norm_sq, precision)
+    var = second.real - abs(mean) ** 2
+    return max(var, 0.0)
+
+
 def expectation(system, expr, state, precision: float = 1e-14) -> complex:
-    """Normalised expectation <expr> on the given state."""
-    state = _as_state(state)
-    _guard_sector(system, expr, state)
-    me = matrix_element(system, expr, state, state).value(precision)
-    norm_sq = evaluate_gamma_vector(inner_product(state, state), precision)
-    return me / norm_sq
+    """Normalised expectation <expr> on the given state or record."""
+    return _mean(system, expr, *_guarded(system, expr, state, precision), precision)
 
 
 def variance(system, expr, state, precision: float = 1e-14) -> float:
-    state = _as_state(state)
-    mean = expectation(system, expr, state, precision)
-    second = expectation(system, expr.compose(expr), state, precision)
-    var = second.real - abs(mean) ** 2
-    return max(var, 0.0)
+    return _variance(system, expr, *_guarded(system, expr, state, precision), precision)
 
 
 def sigma(system, expr, state, precision: float = 1e-14) -> float:
@@ -281,13 +298,18 @@ class UncertaintyResult:
         }
 
 
+def _holds(product: float, bound: float, tolerance: float) -> bool:
+    """product >= bound - tolerance for a finite product and bound; inf >= inf proves nothing."""
+    return math.isfinite(product) and math.isfinite(bound) and product >= bound - tolerance
+
+
 def _sector_product(system, state, sector: int, tolerance: float) -> UncertaintyResult:
     """sigma_L sigma_A of one sector against its Robertson bound.
 
     The closed form is (d-g)|2<N> - c|/4 with N = a+a, c = gamma in the
-    first sector and N = aa+, c = delta in the second.
+    first sector and N = aa+, c = delta in the second.  The state's norm is
+    evaluated once, for all six expectations.
     """
-    state = _as_state(state)
     a, ad = system.generators[:2]
     if sector == 1:
         pair, obs_l, obs_a = "L,A", observable_L(system), observable_A(system)
@@ -295,11 +317,13 @@ def _sector_product(system, state, sector: int, tolerance: float) -> Uncertainty
     else:
         pair, obs_l, obs_a = "L~,A~", observable_L_tilde(system), observable_A_tilde(system)
         number_op, offset = OperatorExpression("aa+", a @ ad, sector=2), system.delta
-    s_l = sigma(system, obs_l, state)
-    s_a = sigma(system, obs_a, state)
-    comm_value = expectation(system, obs_l.commutator_with(obs_a), state)
+    precision = 1e-14
+    state, norm_sq = _guarded(system, obs_l, state, precision)
+    s_l = math.sqrt(_variance(system, obs_l, state, norm_sq, precision))
+    s_a = math.sqrt(_variance(system, obs_a, state, norm_sq, precision))
+    comm_value = _mean(system, obs_l.commutator_with(obs_a), state, norm_sq, precision)
     bound = 0.5 * abs(comm_value)
-    number = expectation(system, number_op, state).real
+    number = _mean(system, number_op, state, norm_sq, precision).real
     closed_form = float(system.spacing) / 4 * abs(2 * number - float(offset))
     product = s_l * s_a
     return UncertaintyResult(
@@ -308,7 +332,7 @@ def _sector_product(system, state, sector: int, tolerance: float) -> Uncertainty
         sigma2=s_a,
         product=product,
         bound=bound,
-        passed=product >= bound - tolerance,
+        passed=_holds(product, bound, tolerance),
         details={"mean_number": number, "bound_closed_form": closed_form},
     )
 
@@ -365,12 +389,11 @@ def _xp_guard(system, dstate):
             raise SectorDomainError("component 2 lies outside the second-sector classes")
 
 
-def _block_expectations(system, upper, lower, dstate, precision):
+def _block_expectations(system, upper, lower, dstate, norms, precision):
     """(<Psi|Op|Psi>, <Psi|Op^2|Psi>) for Op with the given off-diagonal blocks."""
     w1, w2 = float(dstate.weight1), float(dstate.weight2)
     c1, c2 = dstate.component1, dstate.component2
-    norm1_sq = evaluate_gamma_vector(inner_product(c1, c1), precision) if c1 is not None else 1.0
-    norm2_sq = evaluate_gamma_vector(inner_product(c2, c2), precision) if c2 is not None else 1.0
+    norm1_sq, norm2_sq = norms
     mean = 0.0 + 0.0j
     if c1 is not None and c2 is not None:
         cross12 = matrix_element(system, upper, c1, c2).value(precision)
@@ -397,10 +420,12 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     min(|gamma|, delta)/2.
     """
     _xp_guard(system, dstate)
+    c1, c2 = dstate.component1, dstate.component2
+    norms = tuple(1.0 if c is None else _norm_sq_value(c, precision) for c in (c1, c2))
     x12, x21 = x_block(system, "12"), x_block(system, "21")
     p12, p21 = p_block(system, "12"), p_block(system, "21")
-    mean_x, second_x = _block_expectations(system, x12, x21, dstate, precision)
-    mean_p, second_p = _block_expectations(system, p12, p21, dstate, precision)
+    mean_x, second_x = _block_expectations(system, x12, x21, dstate, norms, precision)
+    mean_p, second_p = _block_expectations(system, p12, p21, dstate, norms, precision)
     var_x = max(second_x - abs(mean_x) ** 2, 0.0)
     var_p = max(second_p - abs(mean_p) ** 2, 0.0)
     s_x, s_p = math.sqrt(var_x), math.sqrt(var_p)
@@ -409,14 +434,10 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     comm11 = x12.compose(p21).minus(p12.compose(x21))
     comm22 = x21.compose(p12).minus(p21.compose(x12))
     comm_total = 0.0 + 0.0j
-    if dstate.component1 is not None:
-        c1 = dstate.component1
-        n1 = evaluate_gamma_vector(inner_product(c1, c1), precision)
-        comm_total += float(dstate.weight1) * matrix_element(system, comm11, c1, c1).value(precision) / n1
-    if dstate.component2 is not None:
-        c2 = dstate.component2
-        n2 = evaluate_gamma_vector(inner_product(c2, c2), precision)
-        comm_total += float(dstate.weight2) * matrix_element(system, comm22, c2, c2).value(precision) / n2
+    if c1 is not None:
+        comm_total += float(dstate.weight1) * matrix_element(system, comm11, c1, c1).value(precision) / norms[0]
+    if c2 is not None:
+        comm_total += float(dstate.weight2) * matrix_element(system, comm22, c2, c2).value(precision) / norms[1]
     bound = 0.5 * abs(comm_total)
     convex = 0.5 * float(
         abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2
@@ -428,7 +449,7 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
         sigma2=s_p,
         product=product,
         bound=bound,
-        passed=product >= bound - tolerance,
+        passed=_holds(product, bound, tolerance),
         details={
             "mean_x": (mean_x.real, mean_x.imag),
             "mean_p": (mean_p.real, mean_p.imag),

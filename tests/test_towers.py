@@ -2,7 +2,9 @@
 
 The direct top-down solve of the untilded levels is checked against the
 ladder it replaced, (a+b)^m applied to the ground state, kept at the end of
-this file as a test-local oracle (ladder_state, ladder_record).
+this file as a test-local oracle (ladder_state, ladder_record).  Record
+norms, a single top pairing where the symmetry of H proves it, are checked
+against the full product inner_product(state, state).
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ import pytest
 from mpmath import mp
 
 from coupledsusy.calculus import (
+    DivergenceError,
     GaussPolyState,
     Generator,
     LOWERING_WORD,
@@ -27,6 +30,8 @@ from coupledsusy.calculus import (
 from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
 from coupledsusy.towers import (
     SectorLabel,
+    _norm_sq,
+    _symmetric_diagonal,
     _tower_state,
     closed_form_eigenstate,
     eigenstate,
@@ -410,3 +415,78 @@ def test_mutated_generators_fail_like_the_ladder(n, delta):
                 assert want is not None, (slot, sector, m)
                 assert_same_state(got.state, want[0])
                 assert got.eigenvalue == want[1]
+                assert got.norm_sq == inner_product(got.state, got.state), (slot, sector, m)
+
+
+# ---------------------------------------------------------------------------
+# norms from the top pairing
+# ---------------------------------------------------------------------------
+
+
+def top_pairing(state):
+    """c_top <x^top, state>, the norm wherever the lower pairings vanish."""
+    top = max(state.nums)
+    return inner_product(GaussPolyState(state.n, {top: state.terms[top]}, state.half_power), state)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("sector", [PSI, PHI, PSI_T, PHI_T])
+def test_norms_equal_the_full_product(n, sector):
+    system = make_xn_system(n)
+    assert _symmetric_diagonal(system, sector.is_tilde) is not None
+    for m in range(1 if sector is PSI_T else 0, 61):
+        rec = eigenstate(system, sector, m)
+        assert rec.norm_sq == inner_product(rec.state, rec.state), m
+
+
+@pytest.mark.parametrize("sector", [PSI, PHI, PSI_T, PHI_T])
+def test_deep_norm_equals_the_full_product(sector):
+    rec = eigenstate(make_xn_system(1), sector, 200)
+    assert len(rec.state.nums) >= 200
+    assert rec.norm_sq == inner_product(rec.state, rec.state)
+
+
+def test_asymmetric_hamiltonian_takes_the_full_product():
+    # a+ sends x^k to (1 - k) x^(k-1) + 2 x^(k+1) instead of -k x^(k-1) + ...:
+    # l(k) = k (2 - k) / 2 in H = a+a is off the symmetric -k (k - 1) / 2 + const,
+    # and the lower pairings of a level no longer vanish
+    a, _, b, bdag = make_xn_system(1).generators
+    adag = Operator({-1: (1, -1), 1: (2,)}, 1)
+    system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(1), generators=(a, adag, b, bdag))
+    assert _symmetric_diagonal(system, False) is None and _symmetric_diagonal(system, True) is None
+    for sector in (PSI, PSI_T):
+        for m in range(2, 7):
+            rec = eigenstate(system, sector, m)
+            full = inner_product(rec.state, rec.state)
+            assert rec.norm_sq == full and top_pairing(rec.state) != full, (sector, m)
+
+
+def test_zero_gap_takes_the_full_product():
+    # a+ = 0 makes aa+ = 0, symmetric with every gap value - d(k) zero, and
+    # phi~ level 0 = a x = (1 + x^2)/sqrt(2) an eigenvector that is not
+    # orthogonal to x^0
+    a = Operator({-1: (0, 1), 1: (1,)}, 1)
+    b, bdag = make_xn_system(1).generators[2:]
+    system = CoupledSusySystem(
+        n=1, gamma=Fraction(-1), delta=Fraction(0), generators=(a, Operator({}), b, bdag)
+    )
+    assert _symmetric_diagonal(system, True) is not None
+    rec = eigenstate(system, PHI_T, 0)
+    assert rec.state == GaussPolyState(1, {0: 1, 2: 1}, 1)
+    full = inner_product(rec.state, rec.state)
+    assert rec.norm_sq == full and top_pairing(rec.state) != full
+
+
+def test_negative_exponents_diverge_like_the_full_product():
+    # aa+ sends x^k to (k - 1) x^k - (k + 2)(k - 3)/2 x^(k-2), which is
+    # symmetric, and psi = x^2 + 1 + 3/4 x^-2 is its eigenvector for 1; the
+    # top pairing converges, the norm does not
+    b, bdag = make_xn_system(1).generators[2:]
+    a, adag = Operator({-1: (-2, 1)}, 1), Operator({-1: (-2, -1), 1: (2,)}, 1)
+    system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(1), generators=(a, adag, b, bdag))
+    assert _symmetric_diagonal(system, True) is not None
+    psi = GaussPolyState(1, {2: 1, 0: 1, -2: Fraction(3, 4)})
+    assert apply_word(system, (Generator.A, Generator.ADAG), psi) == psi
+    assert not top_pairing(psi).is_zero
+    with pytest.raises(DivergenceError):
+        _norm_sq(system, PSI_T, psi, Fraction(1))

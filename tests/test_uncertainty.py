@@ -1,5 +1,6 @@
 """Uncertainty products, Robertson bounds, and their minimisers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -334,3 +335,48 @@ def test_xp_cross_terms_computed_not_assumed():
     result = uncertainty_product_XP(sys2, dstate)
     assert abs(result.details["mean_x"][0]) > 0.1
     assert result.passed
+
+
+# ---------------------------------------------------------------------------
+# norms and non-finite results
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("sector", [PSI, PHI, PSI_T, PHI_T])
+def test_record_and_bare_state_give_identical_floats(n, sector):
+    # a record brings its exact norm_sq; a bare state pays one inner product
+    system = make_xn_system(n)
+    rec = eigenstate(system, sector, 4)
+    product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
+    assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
+    if not sector.is_tilde:
+        obs = observable_L(system)
+        assert expectation(system, obs, rec) == expectation(system, obs, rec.state)
+        assert variance(system, obs, rec) == variance(system, obs, rec.state)
+
+
+@pytest.mark.parametrize(
+    "product, sector, m, bound_finite",
+    [
+        (uncertainty_product_LA, PSI, 85, False),
+        (uncertainty_product_tilde, PSI_T, 84, True),
+        (uncertainty_product_tilde, PHI_T, 84, False),
+        (uncertainty_product_LA, PSI, 90, False),
+    ],
+)
+def test_non_finite_products_do_not_pass(product, sector, m, bound_finite):
+    # deep n = 1 levels overflow the float sigmas; inf >= inf - tol proves nothing
+    system = make_xn_system(1)
+    rec = eigenstate(system, sector, m)
+    result = product(system, rec)
+    assert not math.isfinite(result.product)
+    assert math.isfinite(result.bound) == bound_finite
+    assert not result.passed
+
+
+def test_non_finite_xp_product_does_not_pass():
+    system = make_xn_system(1)
+    result = uncertainty_product_XP(system, direct_sum(eigenstate(system, PSI, 85), 1, None, 0))
+    assert math.isinf(result.product) and result.bound == 0.5
+    assert not result.passed
