@@ -38,7 +38,6 @@ from .coherent import (
 from .spectral import (
     FD_DOCUMENTED_TOLERANCE,
     GalerkinProblem,
-    PrecisionLossError,
     SpectrumReport,
     build_galerkin,
     fd_spectrum,

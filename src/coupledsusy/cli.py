@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from . import reports
 from .coherent import coherent_state, full_lowering_misfit, verify_half_lowering
-from .spectral import (
-    PrecisionLossError,
-    fd_spectrum,
-    galerkin_spectrum,
-    merged_spectrum_from_index,
-)
+from .spectral import fd_spectrum, galerkin_spectrum, merged_spectrum_from_index
 from .systems import make_xn_system, verify_coupled_susy, verify_su11
 from .towers import SectorLabel, eigenstate, ground_states, normalized_samples
 from .uncertainty import (
@@ -104,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, default=None, help="family index (default 2)")
         p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-12)")
-        p.add_argument("--precision-bits", type=int, default=None, help="working precision")
         p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
@@ -172,14 +166,11 @@ def _common_values(args, config):
     tol = _merge(args, config, "tol", float, 1e-12)
     if not tol > 0:
         raise ConfigError("tolerance must be positive")
-    bits = _merge(args, config, "precision_bits", int, 128)
-    if bits < 24:
-        raise ConfigError("precision-bits must be at least 24")
-    return n, tol, bits
+    return n, tol
 
 
 def cmd_verify(args, config) -> int:
-    n, _, _ = _common_values(args, config)
+    n, _ = _common_values(args, config)
     mutate = _merge(args, config, "mutate", str, None)
     try:
         system = make_xn_system(n, mutate=mutate)
@@ -205,23 +196,16 @@ def cmd_verify(args, config) -> int:
 
 
 def cmd_spectrum(args, config) -> int:
-    n, _, bits = _common_values(args, config)
+    n, _ = _common_values(args, config)
     count = _merge(args, config, "count", int, 6)
     if count < 1:
         raise ConfigError("count must be >= 1")
     size = _merge(args, config, "galerkin_size", int, max(4, (count + 1) // 2 + 2))
+    if size < 1:
+        raise ConfigError("galerkin-size must be >= 1")
     system = make_xn_system(n)
     theory = merged_spectrum_from_index(n, count)
-    try:
-        galerkin = [
-            galerkin_spectrum(system, residue, size, precision_bits=bits)
-            for residue in (0, 2 * n - 1)
-        ]
-    except PrecisionLossError as exc:
-        raise ConfigError(
-            f"Galerkin basis size {size} is not resolved at {bits} bits: "
-            "raise --precision-bits, or lower --count or --galerkin-size"
-        ) from exc
+    galerkin = [galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
     payload = {
         "n": n,
         "theory": [float(t) for t in theory],
@@ -238,11 +222,11 @@ def cmd_spectrum(args, config) -> int:
         header = ("index", "computed", "theory", "rel_error")
         rows = list(fd.rows())
     _emit(args, config, payload, csv_header=header, csv_rows=rows)
-    return 0
+    return 0 if all(r.passed for r in galerkin) else 1
 
 
 def cmd_eigenfunctions(args, config) -> int:
-    n, _, _ = _common_values(args, config)
+    n, _ = _common_values(args, config)
     sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
     m = _merge(args, config, "m", int, 0)
     grid = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
@@ -275,7 +259,7 @@ def cmd_eigenfunctions(args, config) -> int:
 
 
 def cmd_coherent(args, config) -> int:
-    n, tol, _ = _common_values(args, config)
+    n, tol = _common_values(args, config)
     sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
     z = _parse_complex(_merge(args, config, "z", str, "0.5"))
     system = make_xn_system(n)
@@ -324,7 +308,7 @@ def _resolve_state(system, text):
 
 
 def cmd_uncertainty(args, config) -> int:
-    n, tol, _ = _common_values(args, config)
+    n, tol = _common_values(args, config)
     system = make_xn_system(n)
     descriptor = _merge(args, config, "state", str, "ground")
     kind, state = _resolve_state(system, descriptor)

@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .systems import CoupledSusySystem
 from .towers import SectorLabel, half_lowering_factor_squared
 
@@ -173,19 +171,6 @@ def coherent_state(
     )
 
 
-def coefficient_from_gamma(k: Fraction, z: complex, series_index: int, dps: int = 40) -> complex:
-    """Direct Gamma-formula coefficient, for cross-checking the recurrence."""
-    with mp.workdps(dps):
-        two_k = mp.mpf(2 * k.numerator) / k.denominator
-        amp = mp.sqrt(
-            mp.gamma(series_index + two_k)
-            / (mp.factorial(series_index) * mp.gamma(two_k))
-        )
-        pref = mp.power(1 - abs(z) ** 2, mp.mpf(k.numerator) / k.denominator)
-        value = pref * amp * mp.mpc(z) ** series_index
-        return complex(value)
-
-
 _HALF_LOWERING = {
     SectorLabel.PSI: ("a", SectorLabel.PSI_TILDE),
     SectorLabel.PHI_TILDE: ("b+", SectorLabel.PHI),
@@ -233,7 +218,7 @@ def verify_half_lowering(
         target_level = m if sector is SectorLabel.PSI else m - 1
         image[target_level] = c * math.sqrt(float(lamsq))
 
-    shared = [m for m in sorted(image) if source_covers(target, m)]
+    shared = [m for m in sorted(image) if target.m_start <= m <= target.truncation_level]
     residual_sq = 0.0
     dot = 0.0 + 0.0j
     tt = 0.0
@@ -255,10 +240,6 @@ def verify_half_lowering(
         tail_bound_source=source.tail_bound,
         tail_bound_target=target.tail_bound,
     )
-
-
-def source_covers(state: CoherentState, level: int) -> bool:
-    return state.m_start <= level <= state.truncation_level
 
 
 def full_lowering_misfit(

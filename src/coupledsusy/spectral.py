@@ -1,15 +1,17 @@
-"""Independent numeric confirmation of the ladder spectrum.
+"""Independent confirmation of the ladder spectrum.
 
 Two routes, deliberately different from the exact tower construction:
 
-* A Galerkin (Rayleigh-Ritz) generalized eigenproblem over the monomial
-  basis x^(r + 2nt) exp(-x^(2n)/(2n)) of one residue class, with stiffness
-  entries <a b_i, a b_j> and Gram entries <b_i, b_j> assembled exactly as
-  GammaVectors and only then evaluated at extended precision.  The basis
-  contains the true eigenfunctions, so the computed eigenvalues sit on the
-  theory ladder up to conditioning of the monomial Gram matrix, which grows
-  quickly with the basis size; exact entries plus extended precision keep
-  that under control for moderate sizes.
+* An exact Galerkin (Rayleigh-Ritz) generalized eigenproblem over the
+  monomial basis x^(r + 2nt) exp(-x^(2n)/(2n)) of one residue class, with
+  stiffness entries <a b_i, a b_j> and Gram entries <b_i, b_j> assembled
+  as GammaVectors.  Every entry of one problem is a rational multiple of a
+  single Gamma symbol, so the pencil is rational.  The first t basis
+  functions span the first t tower states, so symmetric elimination on S
+  in basis order leaves H diagonal as well, and diag(H) / diag(S) are the
+  eigenvalues, exact at every basis size.  A report passes iff both
+  reduced matrices are exactly diagonal and every eigenvalue is on the
+  ladder.
 
 * A conservative second-order finite-difference discretisation of
   H = (-(x^(2-2n) u')' + (x^(2n) - 1) u)/2 on [-L, L] with Dirichlet ends.
@@ -28,22 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import mpmath
-from mpmath import mp
-
 from .calculus import (
     Generator,
     apply_generator,
-    evaluate_gamma_vector_mp,
     inner_product,
     monomial_state,
 )
 from .systems import CoupledSusySystem, make_xn_system
 from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
-
-
-class PrecisionLossError(RuntimeError):
-    """The Gram matrix stopped being positive definite at the working precision."""
 
 
 #: Documented tolerances on the lowest eigenvalues (relative, with the zero
@@ -76,7 +70,8 @@ class SpectrumReport:
     """Computed vs theoretical eigenvalues with per-eigenvalue errors.
 
     `rel_errors` uses |computed - theory| / max(1, |theory|) so the zero
-    ground eigenvalue is measured absolutely.
+    ground eigenvalue is measured absolutely.  `passed` is the Galerkin
+    route's exact verdict; the finite-difference route has none (None).
     """
 
     method: str
@@ -84,19 +79,21 @@ class SpectrumReport:
     computed: tuple
     theory: tuple
     rel_errors: tuple
-    precision_bits: int
     details: dict = field(default_factory=dict)
+    passed: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "method": self.method,
             "n": self.n,
             "computed": list(self.computed),
             "theory": [f"{t.numerator}/{t.denominator}" for t in self.theory],
             "rel_errors": list(self.rel_errors),
-            "precision_bits": self.precision_bits,
             "details": self.details,
         }
+        if self.passed is not None:
+            payload["pass"] = self.passed
+        return payload
 
     def rows(self):
         for i, (c, t, e) in enumerate(zip(self.computed, self.theory, self.rel_errors)):
@@ -136,63 +133,63 @@ def _galerkin_theory(system, residue, size):
     return tuple(tower_eigenvalue(system, sector, m) for m in range(size))
 
 
+def _rational_matrices(problem: GalerkinProblem):
+    """H and S as Fraction matrices, in units of the Gamma symbol of S[0][0]."""
+    reference = problem.s_matrix[0][0]
+
+    def rational(entry):
+        q = entry.rational_ratio(reference)
+        if q is None:
+            raise ValueError(
+                f"Galerkin entry {entry.serialize()} is not a rational multiple of "
+                f"S[0][0] = {reference.serialize()}: H and S use different Gamma symbols"
+            )
+        return q
+
+    return [[[rational(e) for e in row] for row in matrix]
+            for matrix in (problem.h_matrix, problem.s_matrix)]
+
+
 def solve_generalized(
     problem: GalerkinProblem,
     system: CoupledSusySystem,
-    precision_bits: int = 128,
     count: int | None = None,
 ) -> SpectrumReport:
-    """Solve H c = lambda S c by congruence at the requested binary precision.
+    """Solve H c = lambda S c exactly by symmetric elimination on S.
 
-    S is Cholesky-factored after numeric evaluation; failure of the
-    factorisation means the working precision cannot resolve positive
-    definiteness, in which case the caller should raise the precision or
-    lower the basis size.
+    For each pivot k in basis order, row i -= f row k and column i -= f
+    column k with f = S[i][k] / S[k][k] clear S below and right of the
+    pivot; the same operations act on H, so the pencil stays congruent to
+    the original.  The eliminated basis is the Gram-Schmidt basis, which
+    for the true system is the tower itself: both matrices end diagonal and
+    diag(H) / diag(S) is the ladder, level by level.  `passed` is true iff
+    every off-diagonal entry of both is exactly 0 and every eigenvalue is
+    exactly on the theory.
     """
     size = problem.size
     count = size if count is None else min(count, size)
-    guard = 24
-    with mp.workprec(precision_bits + guard):
-        H = mp.matrix(size)
-        S = mp.matrix(size)
-        for i in range(size):
-            for j in range(size):
-                H[i, j] = evaluate_gamma_vector_mp(
-                    problem.h_matrix[i][j], precision_bits + guard
-                )[0]
-                S[i, j] = evaluate_gamma_vector_mp(
-                    problem.s_matrix[i][j], precision_bits + guard
-                )[0]
-        try:
-            L = mpmath.cholesky(S)
-            Linv = mp.inverse(L)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PrecisionLossError(
-                "Gram matrix is not positive definite at the working precision; "
-                "raise precision_bits or lower the basis size"
-            ) from exc
-        M = Linv * H * Linv.T
-        M = (M + M.T) / 2
-        eigenvalues = mp.eigsy(M, eigvals_only=True)
-        computed_mp = sorted(eigenvalues[i] for i in range(size))[:count]
-        s_eigs = mp.eigsy(S, eigvals_only=True)
-        s_sorted = sorted(s_eigs[i] for i in range(size))
-        condition = float(s_sorted[-1] / s_sorted[0]) if s_sorted[0] > 0 else float("inf")
-        computed = tuple(float(v) for v in computed_mp)
-    theory = _galerkin_theory(system, problem.residue, size)[:count]
+    h, s = _rational_matrices(problem)
+    for k in range(size):
+        for i in range(k + 1, size):
+            f = s[i][k] / s[k][k]
+            if f:
+                for matrix in (h, s):
+                    matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[k])]
+                    for row in matrix:
+                        row[i] -= f * row[k]
+    eigenvalues = tuple(h[i][i] / s[i][i] for i in range(size))
+    theory = _galerkin_theory(system, problem.residue, size)
+    diagonal = all(
+        matrix[i][j] == 0 for matrix in (h, s) for i in range(size) for j in range(size) if i != j
+    )
     return SpectrumReport(
         method="galerkin",
         n=problem.n,
-        computed=computed,
-        theory=theory,
-        rel_errors=_relative_errors(computed, theory),
-        precision_bits=precision_bits,
-        details={
-            "residue": problem.residue,
-            "basis_size": size,
-            "gram_condition": condition,
-            "working_precision_bits": precision_bits + guard,
-        },
+        computed=tuple(float(v) for v in eigenvalues[:count]),
+        theory=theory[:count],
+        rel_errors=_relative_errors(eigenvalues[:count], theory[:count]),
+        details={"residue": problem.residue, "basis_size": size},
+        passed=diagonal and eigenvalues == theory,
     )
 
 
@@ -200,10 +197,9 @@ def galerkin_spectrum(
     system: CoupledSusySystem,
     residue: int,
     size: int,
-    precision_bits: int = 128,
     count: int | None = None,
 ) -> SpectrumReport:
-    return solve_generalized(build_galerkin(system, residue, size), system, precision_bits, count)
+    return solve_generalized(build_galerkin(system, residue, size), system, count)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,6 @@ def fd_spectrum(
         computed=computed,
         theory=sysn_theory,
         rel_errors=_relative_errors(computed, sysn_theory),
-        precision_bits=53,
         details=details,
     )
 
@@ -293,12 +288,3 @@ def fd_spectrum(
 def merged_spectrum_from_index(n: int, count: int):
     """Theory eigenvalues {2kn} union {2kn + 2n - 1}, ascending, as Fractions."""
     return tuple(merged_spectrum(make_xn_system(n), count))
-
-
-def rayleigh_ritz_monotonic(system: CoupledSusySystem, residue: int, sizes, precision_bits=160):
-    """Lowest eigenvalues for increasing basis sizes (for monotonicity checks)."""
-    out = []
-    for size in sizes:
-        report = galerkin_spectrum(system, residue, size, precision_bits)
-        out.append(report.computed)
-    return out

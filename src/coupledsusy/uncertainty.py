@@ -351,12 +351,14 @@ def uncertainty_product_tilde(system, state, tolerance: float = 1e-12) -> Uncert
 class DirectSumState:
     """A normalised two-component state (sqrt(w1) psi1/|psi1|, sqrt(w2) psi2/|psi2|).
 
-    Components are stored unnormalised; w1 and w2 are the exact squared
-    weights and must sum to one.  A missing component requires weight zero.
+    Components are stored unnormalised, as bare states or as
+    EigenstateRecords (which bring their exact norm_sq); w1 and w2 are the
+    exact squared weights and must sum to one.  A missing component
+    requires weight zero.
     """
 
-    component1: GaussPolyState | None
-    component2: GaussPolyState | None
+    component1: GaussPolyState | EigenstateRecord | None
+    component2: GaussPolyState | EigenstateRecord | None
     weight1: Fraction
     weight2: Fraction
 
@@ -368,31 +370,28 @@ class DirectSumState:
             raise ValueError("component 1 must be present iff weight1 > 0")
         if (w2 > 0) != (self.component2 is not None):
             raise ValueError("component 2 must be present iff weight2 > 0")
-        if self.component1 is not None and self.component1.is_zero:
+        if self.component1 is not None and _as_state(self.component1).is_zero:
             raise ValueError("component 1 is the zero state")
-        if self.component2 is not None and self.component2.is_zero:
+        if self.component2 is not None and _as_state(self.component2).is_zero:
             raise ValueError("component 2 is the zero state")
 
 
 def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:
-    s1 = _as_state(state1) if state1 is not None else None
-    s2 = _as_state(state2) if state2 is not None else None
-    return DirectSumState(s1, s2, Fraction(weight1), Fraction(weight2))
+    return DirectSumState(state1, state2, Fraction(weight1), Fraction(weight2))
 
 
-def _xp_guard(system, dstate):
-    if dstate.component1 is not None:
-        if not dstate.component1.residues() <= _sector_residues(system, 1):
-            raise SectorDomainError("component 1 lies outside the first-sector classes")
-    if dstate.component2 is not None:
-        if not dstate.component2.residues() <= _sector_residues(system, 2):
-            raise SectorDomainError("component 2 lies outside the second-sector classes")
+def _xp_guard(system, components):
+    c1, c2 = components
+    if c1 is not None and not c1.residues() <= _sector_residues(system, 1):
+        raise SectorDomainError("component 1 lies outside the first-sector classes")
+    if c2 is not None and not c2.residues() <= _sector_residues(system, 2):
+        raise SectorDomainError("component 2 lies outside the second-sector classes")
 
 
-def _block_expectations(system, upper, lower, dstate, norms, precision):
+def _block_expectations(system, upper, lower, dstate, components, norms, precision):
     """(<Psi|Op|Psi>, <Psi|Op^2|Psi>) for Op with the given off-diagonal blocks."""
     w1, w2 = float(dstate.weight1), float(dstate.weight2)
-    c1, c2 = dstate.component1, dstate.component2
+    c1, c2 = components
     norm1_sq, norm2_sq = norms
     mean = 0.0 + 0.0j
     if c1 is not None and c2 is not None:
@@ -419,13 +418,14 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     combination (|gamma| w1 + delta w2)/2; the global minimum over states is
     min(|gamma|, delta)/2.
     """
-    _xp_guard(system, dstate)
-    c1, c2 = dstate.component1, dstate.component2
-    norms = tuple(1.0 if c is None else _norm_sq_value(c, precision) for c in (c1, c2))
+    given = (dstate.component1, dstate.component2)
+    c1, c2 = components = tuple(map(_as_state, given))  # _as_state(None) is None
+    _xp_guard(system, components)
+    norms = tuple(1.0 if c is None else _norm_sq_value(c, precision) for c in given)
     x12, x21 = x_block(system, "12"), x_block(system, "21")
     p12, p21 = p_block(system, "12"), p_block(system, "21")
-    mean_x, second_x = _block_expectations(system, x12, x21, dstate, norms, precision)
-    mean_p, second_p = _block_expectations(system, p12, p21, dstate, norms, precision)
+    mean_x, second_x = _block_expectations(system, x12, x21, dstate, components, norms, precision)
+    mean_p, second_p = _block_expectations(system, p12, p21, dstate, components, norms, precision)
     var_x = max(second_x - abs(mean_x) ** 2, 0.0)
     var_p = max(second_p - abs(mean_p) ** 2, 0.0)
     s_x, s_p = math.sqrt(var_x), math.sqrt(var_p)

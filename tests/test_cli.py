@@ -2,11 +2,14 @@
 
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from coupledsusy import cli
 from coupledsusy.cli import main
 from coupledsusy.reports import format_float
+from coupledsusy.systems import make_xn_system
 
 
 def run_cli(argv, capsys):
@@ -181,14 +184,39 @@ def test_coherent_truncation_failure_is_config_error(sector, z, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_spectrum_precision_loss_is_config_error(capsys):
-    code = main(["spectrum", "--n", "2", "--count", "80"])
+def test_spectrum_large_count_is_exact(capsys):
+    # basis size 42 per residue: the exact solve has no precision to run out of
+    code, out = run_cli(["spectrum", "--n", "2", "--count", "80"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["theory"]) == 80
+    for report in payload["galerkin"]:
+        assert report["pass"] is True
+        assert report["details"]["basis_size"] == 42
+        assert report["computed"] == [float(Fraction(t)) for t in report["theory"]]
+
+
+def test_spectrum_failing_galerkin_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "make_xn_system", lambda n: make_xn_system(n, mutate="a-coeff")
+    )
+    code, out = run_cli(["spectrum", "--n", "2", "--count", "6"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert [r["pass"] for r in payload["galerkin"]] == [False, False]
+
+
+def test_spectrum_rejects_empty_galerkin_basis(capsys):
+    code = main(["spectrum", "--n", "2", "--galerkin-size", "0"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "--precision-bits" in captured.err and "--count" in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: galerkin-size must be >= 1\n"
+
+
+def test_precision_bits_flag_is_gone(capsys):
+    code = main(["spectrum", "--n", "2", "--precision-bits", "128"])
+    assert code == 2
+    assert "--precision-bits" in capsys.readouterr().err
 
 
 def test_uncertainty_ground_product_half(capsys):

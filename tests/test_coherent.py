@@ -9,7 +9,6 @@ from mpmath import mp
 from coupledsusy.coherent import (
     bargmann_index,
     bargmann_indices,
-    coefficient_from_gamma,
     coherent_state,
     full_lowering_misfit,
     verify_half_lowering,
@@ -20,6 +19,19 @@ from coupledsusy.towers import SectorLabel, eigenstate
 
 PSI, PHI = SectorLabel.PSI, SectorLabel.PHI
 PSI_T, PHI_T = SectorLabel.PSI_TILDE, SectorLabel.PHI_TILDE
+
+
+def coefficient_from_gamma(k: Fraction, z: complex, series_index: int, dps: int = 40) -> complex:
+    """Direct Gamma-formula coefficient, the oracle for the ratio recurrence."""
+    with mp.workdps(dps):
+        two_k = mp.mpf(2 * k.numerator) / k.denominator
+        amp = mp.sqrt(
+            mp.gamma(series_index + two_k)
+            / (mp.factorial(series_index) * mp.gamma(two_k))
+        )
+        pref = mp.power(1 - abs(z) ** 2, mp.mpf(k.numerator) / k.denominator)
+        value = pref * amp * mp.mpc(z) ** series_index
+        return complex(value)
 
 
 def test_bargmann_indices_n1():

@@ -46,3 +46,13 @@ def test_verify_command_runs_without_numpy_or_scipy():
 def test_fd_spectrum_loads_scipy_linalg():
     code = "from coupledsusy.spectral import fd_spectrum\nfd_spectrum(1, 6.0, 16, count=2)\n"
     assert loaded_after(code) == {"numpy", "scipy", "scipy.linalg"}
+
+
+def test_galerkin_spectrum_command_runs_without_numpy_or_scipy():
+    code = (
+        "import contextlib, io\n"
+        "from coupledsusy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['spectrum', '--n', '2', '--count', '6']) == 0\n"
+    )
+    assert loaded_after(code) == set()

@@ -1,28 +1,30 @@
 """Galerkin and finite-difference confirmation of the eigenvalue ladder."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from coupledsusy.calculus import (
+    DivergenceError,
     GammaVector,
     Generator,
+    Operator,
     apply_generator,
     evaluate_gamma_vector,
     monomial_state,
 )
 from coupledsusy.spectral import (
     FD_DOCUMENTED_TOLERANCE,
-    PrecisionLossError,
     build_galerkin,
     fd_spectrum,
     galerkin_spectrum,
     merged_spectrum_from_index,
-    rayleigh_ritz_monotonic,
     solve_generalized,
 )
 from coupledsusy.systems import make_xn_system
+from coupledsusy.towers import SectorLabel, tower_eigenvalue
 
 
 def mp_state_value(state, t):
@@ -101,7 +103,7 @@ def test_galerkin_entries_match_quadrature_n2(residue):
 
 
 def test_galerkin_qmho_exact_closure():
-    report = galerkin_spectrum(make_xn_system(1), 0, 8, precision_bits=64)
+    report = galerkin_spectrum(make_xn_system(1), 0, 8)
     assert [round(v) for v in report.computed] == [0, 2, 4, 6, 8, 10, 12, 14]
     assert max(report.rel_errors) < 1e-10
 
@@ -111,30 +113,90 @@ def test_galerkin_qmho_exact_closure():
     [(0, [0, 4, 8, 12]), (3, [3, 7, 11, 15])],
 )
 def test_galerkin_n2_reproduces_ladder(residue, expected):
-    report = galerkin_spectrum(make_xn_system(2), residue, 10, precision_bits=128, count=4)
+    report = galerkin_spectrum(make_xn_system(2), residue, 10, count=4)
     assert [float(t) for t in report.theory] == expected
     assert max(report.rel_errors) <= 1e-6
-    assert report.details["gram_condition"] > 1.0
+    assert report.passed
 
 
-@pytest.mark.parametrize("residue", [0, 3])
-def test_galerkin_every_eigenvalue_on_the_ladder(residue):
-    # the basis contains the true eigenfunctions, so all ten computed
-    # eigenvalues must sit on the ladder, not just the lowest few
-    report = galerkin_spectrum(make_xn_system(2), residue, 10, precision_bits=160)
-    assert len(report.computed) == 10
-    assert max(report.rel_errors) <= 1e-6
+# n = 2 at size 10 keeps its original ids "0" and "3" (the residue)
+_LADDER_CASES = [pytest.param(2, 0, 10, id="0"), pytest.param(2, 3, 10, id="3")] + [
+    pytest.param(n, residue, size, id=f"n{n}-r{residue}-s{size}")
+    for n in range(1, 7)
+    for residue in (0, 2 * n - 1)
+    for size in (1, 4, 6, 10, 20)
+    if (n, size) != (2, 10)
+]
+
+
+@pytest.mark.parametrize("n,residue,size", _LADDER_CASES)
+def test_galerkin_every_eigenvalue_on_the_ladder(n, residue, size):
+    # the basis contains the true eigenfunctions, so every computed
+    # eigenvalue must sit exactly on the ladder, not just the lowest few
+    system = make_xn_system(n)
+    report = galerkin_spectrum(system, residue, size)
+    sector = SectorLabel.PSI if residue == 0 else SectorLabel.PHI
+    theory = tuple(tower_eigenvalue(system, sector, m) for m in range(size))
+    assert report.theory == theory
+    assert report.computed == tuple(float(t) for t in theory)
+    assert report.rel_errors == (0.0,) * size
+    assert report.passed is True
+    assert report.to_json_dict()["pass"] is True
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mutated_lowering_fails(n, delta, which):
+    # a perturbed a changes H = a+a; the pencil then misses the ladder
+    system = make_xn_system(n, mutate=(Generator.A, 0, which, delta))
+    for residue in (0, 2 * n - 1):
+        if which == "alpha" and residue == 0:
+            # a constant term sends x^0 to x^(-n), which is not integrable
+            with pytest.raises(DivergenceError):
+                galerkin_spectrum(system, residue, 6)
+            continue
+        report = galerkin_spectrum(system, residue, 6)
+        assert report.passed is False
+        assert report.to_json_dict()["pass"] is False
+        assert report.computed != tuple(float(t) for t in report.theory)
+
+
+@pytest.mark.parametrize("shift", [-1, -3, 1])
+def test_lowering_off_the_residue_lattice_is_rejected(shift):
+    # a shift not = n (mod 2n) puts H on another Gamma symbol than S
+    system = make_xn_system(2)
+    lowering = Operator({shift: (0, 1)}, 1)
+    system = dataclasses.replace(system, generators=(lowering,) + system.generators[1:])
+    with pytest.raises(ValueError, match="different Gamma symbols") as info:
+        galerkin_spectrum(system, 0, 4)
+    assert "\n" not in str(info.value)
+
+
+def test_off_diagonal_pencil_fails_on_the_ladder():
+    # add eps to H[0][1] = H[1][0] and 2 f eps to H[1][1], f = S[1][0] / S[0][0]:
+    # the eliminated H keeps its diagonal, so the eigenvalues stay on the
+    # ladder, but gains eps off the diagonal
+    system = make_xn_system(2)
+    problem = build_galerkin(system, 0, 2)
+    (h00, h01), (_, h11) = problem.h_matrix
+    s00, s01 = problem.s_matrix[0]
+    eps, f = s00, s01.rational_ratio(s00)
+    h_matrix = ((h00, h01 + eps), (h01 + eps, h11 + eps.scale(2 * f)))
+    report = solve_generalized(dataclasses.replace(problem, h_matrix=h_matrix), system)
+    assert report.computed == (0.0, 4.0)
+    assert report.passed is False
 
 
 def test_galerkin_h_positive_semidefinite():
-    report = galerkin_spectrum(make_xn_system(2), 0, 8, precision_bits=160)
+    report = galerkin_spectrum(make_xn_system(2), 0, 8)
     assert report.computed[0] >= -1e-20
 
 
 def test_rayleigh_ritz_monotone_from_above():
     # eigenvalues decrease weakly toward theory as the basis grows
     sys3 = make_xn_system(3)
-    seq = rayleigh_ritz_monotonic(sys3, 5, sizes=(4, 6, 8), precision_bits=160)
+    seq = [galerkin_spectrum(sys3, 5, size).computed for size in (4, 6, 8)]
     for level in range(4):
         values = [s[level] for s in seq]
         theory = float(2 * 3 * level + 5)
@@ -143,18 +205,14 @@ def test_rayleigh_ritz_monotone_from_above():
         assert values[-1] >= theory - 1e-9
 
 
-def test_precision_loss_reported():
-    problem = build_galerkin(make_xn_system(2), 0, 12)
-    with pytest.raises(PrecisionLossError):
-        solve_generalized(problem, make_xn_system(2), precision_bits=8)
-
-
 def test_report_json_shape():
-    report = galerkin_spectrum(make_xn_system(2), 0, 4, precision_bits=96)
+    report = galerkin_spectrum(make_xn_system(2), 0, 4)
     payload = report.to_json_dict()
     assert payload["method"] == "galerkin"
     assert len(payload["computed"]) == len(payload["theory"]) == len(payload["rel_errors"])
     assert all(e >= 0 for e in payload["rel_errors"])
+    assert payload["pass"] is True
+    assert payload["details"] == {"residue": 0, "basis_size": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +226,7 @@ def test_fd_qmho_reference_grid():
     assert [float(t) for t in report.theory] == theory
     assert max(abs(c - t) for c, t in zip(report.computed, theory)) < 1e-5
     assert report.details["refined"] is True
+    assert "pass" not in report.to_json_dict()  # the FD route has no gate yet
 
 
 def test_fd_raw_scheme_is_second_order_n1():
@@ -219,7 +278,7 @@ def test_merged_theory_values():
 
 
 def test_galerkin_matches_fd_cross_route_n2():
-    galerkin = galerkin_spectrum(make_xn_system(2), 0, 8, precision_bits=128, count=3)
+    galerkin = galerkin_spectrum(make_xn_system(2), 0, 8, count=3)
     fd = fd_spectrum(2, 6.0, 4000, count=6)
     fd_even = [v for v, t in zip(fd.computed, fd.theory) if t % 4 == 0][:3]
     for g, f in zip(galerkin.computed, fd_even):

@@ -13,7 +13,8 @@ from coupledsusy.calculus import (
     monomial_state,
 )
 from coupledsusy.systems import make_xn_system
-from coupledsusy.towers import SectorLabel, eigenstate, ground_states
+from coupledsusy import uncertainty
+from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
 from coupledsusy.uncertainty import (
     DirectSumState,
     SectorDomainError,
@@ -354,6 +355,33 @@ def test_record_and_bare_state_give_identical_floats(n, sector):
         obs = observable_L(system)
         assert expectation(system, obs, rec) == expectation(system, obs, rec.state)
         assert variance(system, obs, rec) == variance(system, obs, rec.state)
+    # direct sums keep records, so X,P takes their norm_sq as well
+    partner = eigenstate(system, PSI if sector.is_tilde else PHI_T, 1)
+    first, second = (partner, rec) if sector.is_tilde else (rec, partner)
+    alone = (None, 0, rec, 1) if sector.is_tilde else (rec, 1, None, 0)
+    for records in ((first, Fraction(1, 3), second, Fraction(2, 3)), alone):
+        bare = [s.state if isinstance(s, EigenstateRecord) else s for s in records]
+        with_records = uncertainty_product_XP(system, direct_sum(*records))
+        with_states = uncertainty_product_XP(system, direct_sum(*bare))
+        assert with_records.to_json_dict() == with_states.to_json_dict()
+
+
+@pytest.mark.parametrize("as_records", [True, False])
+def test_xp_norms_come_from_records(monkeypatch, as_records):
+    system = make_xn_system(2)
+    psi, phi_t = eigenstate(system, PSI, 3), eigenstate(system, PHI_T, 2)
+    if not as_records:
+        psi, phi_t = psi.state, phi_t.state
+    norm_products = []
+    real = uncertainty.inner_product
+
+    def counting(f, g):
+        norm_products.append(f is g)
+        return real(f, g)
+
+    monkeypatch.setattr(uncertainty, "inner_product", counting)
+    uncertainty_product_XP(system, direct_sum(psi, Fraction(1, 2), phi_t, Fraction(1, 2)))
+    assert sum(norm_products) == (0 if as_records else 2)
 
 
 @pytest.mark.parametrize(
