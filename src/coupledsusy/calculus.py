@@ -33,10 +33,11 @@ n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
     int_R x^j exp(-x^(2n)/n) dx = G_r * prod_{i<t} (r + 2ni) / (n 2^t).
 
 A GammaVector stores such a combination exactly; numeric values come out of
-an arbitrary-precision evaluator with a certified error bound.  Applying
-operators and the inner product run on those ints with no Fraction in
-between; an Operator derives its polynomials over one int denominator once,
-and composition runs on them too.
+an arbitrary-precision evaluator with a certified error bound.  An Operator
+stores its polynomials like a state: int coefficients over one int
+denominator, reduced once per result.  Applying operators, composing,
+adding and scaling them, and the inner product all run on those ints with
+no Fraction in between.
 
 Negative exponents are legal in intermediate states (some generators leave
 the polynomial towers); integrability is only enforced when an inner
@@ -269,77 +270,88 @@ def _poly_mul(p, q) -> list:
 
 
 def _poly_shift(p, s: int) -> list:
-    """Coefficients of k -> p(k + s), by Horner's rule in (k + s)."""
-    out = [0]
-    for c in reversed(p):
-        out = _poly_add(_poly_mul(out, (s, 1)), (c,))
+    """Coefficients of k -> p(k + s), by repeated synthetic division in place."""
+    out = list(p)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += s * out[j + 1]
     return out
 
 
 class Operator:
     """An exact linear map x^k -> 2^(-w/2) * sum_s p_s(k) x^(k+s).
 
-    `terms` maps each shift s to the coefficients (c0, c1, ...) of the
-    polynomial p_s(k) = c0 + c1 k + ... with rational c_i.  The canonical
-    form matches GaussPolyState: even half powers w are folded into the
-    coefficients, trailing zero coefficients and zero polynomials are
-    dropped, and shifts are kept in ascending order.  Two operators are
-    therefore equal iff they act identically on x^k for every integer k.
+    The polynomials p_s(k) = (c0 + c1 k + ...) / den are stored like a
+    GaussPolyState: `polys` holds (s, (c0, c1, ...)) with int c_i in
+    ascending shift order, trailing zero coefficients and zero polynomials
+    dropped, over one int `den` > 0 with gcd(den, every c_i) == 1, and even
+    half powers w are folded into the ints.  Two operators are therefore
+    equal iff they act identically on x^k for every integer k.  `terms`,
+    the same map as {s: (Fraction, ...)}, is derived on first read.
 
     Immutable; the hash is computed once, because the systems that hold
-    generator operators key the tower-state cache.  The int form of the
-    polynomials that `apply` and `@` run on is derived on first use.
+    generator operators key the tower-state cache.
     """
 
-    __slots__ = ("terms", "half_power", "_hash", "_ints")
+    __slots__ = ("polys", "den", "half_power", "_hash", "_terms")
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
-        factor = Fraction(1, 2) ** (half_power >> 1)  # floor division, works for negatives
-        canon = {}
-        for s in sorted(terms):
-            poly = [Fraction(c) for c in terms[s]]
-            if factor != 1:
-                poly = [c * factor for c in poly]
-            while poly and poly[-1] == 0:
-                poly.pop()
-            if poly:
-                canon[int(s)] = tuple(poly)
-        self._set(canon, half_power & 1 if canon else 0)  # the zero operator has one canonical form
+        fracs = {int(s): [Fraction(c) for c in p] for s, p in terms.items()}
+        den = math.lcm(*[c.denominator for p in fracs.values() for c in p])
+        polys = {s: [c.numerator * (den // c.denominator) for c in p] for s, p in fracs.items()}
+        self._set(polys, den, half_power)
 
-    def _set(self, terms: dict, half_power: int):
-        object.__setattr__(self, "terms", terms)
+    def _set(self, polys: dict, den: int, half_power: int):
+        """Store {s: int list} over den > 0 canonically, with one gcd; trims the lists in place."""
+        fold = half_power >> 1  # floor division, works for negatives
+        if fold > 0:
+            den <<= fold
+        canon = []
+        for s in sorted(polys):
+            p = polys[s]
+            while p and not p[-1]:
+                p.pop()
+            if p:
+                canon.append((s, [c << -fold for c in p] if fold < 0 else p))
+        g = math.gcd(den, *[c for _, p in canon for c in p])
+        if g != 1:
+            canon = [(s, [c // g for c in p]) for s, p in canon]
+            den //= g
+        polys = tuple([(s, tuple(p)) for s, p in canon])
+        half_power = half_power & 1 if polys else 0  # the zero operator has one canonical form
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "half_power", half_power)
-        object.__setattr__(self, "_hash", hash((half_power, tuple(terms.items()))))
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_hash", hash((half_power, den, polys)))
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _from_canonical(cls, terms: dict, half_power: int) -> "Operator":
-        """Wrap a term map that is already canonical (see the class docstring)."""
+    def _from_ints(cls, polys: dict, den: int, half_power: int) -> "Operator":
+        """The operator 2^(-half_power/2) * {s: polys[s] / den}; fresh int lists, den > 0."""
         op = object.__new__(cls)
-        op._set(terms, half_power)
+        op._set(polys, den, half_power)
         return op
 
     def __setattr__(self, *_):
         raise AttributeError("Operator is immutable")
 
-    def _integer_polys(self):
-        """The polynomials over the lcm of their denominators: (den, [(s, ints), ...])."""
-        if self._ints is None:
-            den = math.lcm(*[c.denominator for p in self.terms.values() for c in p])
-            polys = [(s, [c.numerator * (den // c.denominator) for c in p]) for s, p in self.terms.items()]
-            object.__setattr__(self, "_ints", (den, polys))
-        return self._ints
+    @property
+    def terms(self) -> dict:
+        """The polynomials as {s: (Fraction, ...)}, in ascending shift order."""
+        if self._terms is None:
+            terms = {s: tuple([Fraction(c, self.den) for c in p]) for s, p in self.polys}
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.polys
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
         """The image of a state, built shift by shift in ascending order, in ints."""
-        op_den, polys = self._integer_polys()
         items = state.nums.items()
         out: dict = {}
-        for shift, poly in polys:
+        for shift, poly in self.polys:
             top, rest = poly[-1], poly[-2::-1]
             for k, c in items:
                 value = top
@@ -351,7 +363,7 @@ class Operator:
                     out[kk] = out.get(kk, 0) + coeff
         nums = {k: c for k, c in out.items() if c}
         return GaussPolyState._from_ints(
-            state.n, nums, state.den * op_den, state.half_power + self.half_power
+            state.n, nums, state.den * self.den, state.half_power + self.half_power
         )
 
     def __matmul__(self, other: "Operator") -> "Operator":
@@ -360,36 +372,22 @@ class Operator:
         x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2), summed over the
         shifts s1 of self and s2 of other.
         """
-        den1, polys1 = self._integer_polys()
-        den2, polys2 = other._integer_polys()
         out: dict = {}
-        for s2, p2 in polys2:
-            for s1, p1 in polys1:
+        for s2, p2 in other.polys:
+            for s1, p1 in self.polys:
                 s = s1 + s2
                 out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
-        half = self.half_power + other.half_power
-        den = den1 * den2 << (half >> 1)
-        canon = {}
-        for s in sorted(out):
-            p = out[s]
-            while p and p[-1] == 0:
-                p.pop()
-            if p:
-                canon[s] = tuple([Fraction(c, den) for c in p])
-        return Operator._from_canonical(canon, half & 1 if canon else 0)
+        return Operator._from_ints(out, self.den * other.den, self.half_power + other.half_power)
 
     def scale(self, r) -> "Operator":
         r = Fraction(r)
-        if not r:
-            return Operator({})
-        # a nonzero factor keeps every coefficient nonzero and the shifts in order
-        return Operator._from_canonical(
-            {s: tuple([c * r for c in p]) for s, p in self.terms.items()}, self.half_power
-        )
+        p = r.numerator
+        polys = {s: [c * p for c in poly] for s, poly in self.polys}
+        return Operator._from_ints(polys, self.den * r.denominator, self.half_power)
 
     def scale_sqrt2(self, j: int) -> "Operator":
         """Multiply the operator by 2^(j/2) exactly."""
-        return Operator(self.terms, self.half_power - j)
+        return Operator._from_ints({s: list(p) for s, p in self.polys}, self.den, self.half_power - j)
 
     def __add__(self, other: "Operator") -> "Operator":
         return self._sum(other, 1)
@@ -408,10 +406,12 @@ class Operator:
                 "cannot add operators of mismatched sqrt(2) parity exactly; "
                 "rescale one side with scale_sqrt2 first"
             )
-        out = dict(self.terms)
-        for s, p in other.terms.items():
-            out[s] = _poly_add(out.get(s, ()), p if sign == 1 else [-c for c in p])
-        return Operator(out, self.half_power)
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        out = {s: [c * mine for c in p] for s, p in self.polys}
+        for s, p in other.polys:
+            out[s] = _poly_add(out.get(s, ()), [c * theirs for c in p])
+        return Operator._from_ints(out, den, self.half_power)
 
     def __neg__(self) -> "Operator":
         return self.scale(-1)
@@ -419,7 +419,7 @@ class Operator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.half_power == other.half_power and self.terms == other.terms
+        return (self.half_power, self.den, self.polys) == (other.half_power, other.den, other.polys)
 
     def __hash__(self):
         return self._hash

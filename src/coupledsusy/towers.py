@@ -140,10 +140,9 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     seed = 0 if sector is SectorLabel.PSI else two_n - 1
     top = seed + two_n * m
     hamiltonian, raising = _ladder_operators(system)
-    h_den, h_polys = hamiltonian._integer_polys()
-    r_den, r_polys = raising._integer_polys()
-    polys = dict(h_polys)
-    diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(r_polys).get(two_n, [0])
+    h_den, r_den = hamiltonian.den, raising.den
+    polys = dict(hamiltonian.polys)
+    diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(raising.polys).get(two_n, [0])
     value = tower_eigenvalue(system, sector, m)
     p, q = value.numerator * h_den, value.denominator  # E - d(k) = (p - q D(k)) / (q h_den)
     num, den = math.prod(_poly_at(up, seed + two_n * i) for i in range(m)), r_den ** m
@@ -182,8 +181,7 @@ def _symmetric_diagonal(system: CoupledSusySystem, tilde: bool):
     a, adag = system.generator(Generator.A), system.generator(Generator.ADAG)
     hamiltonian = a @ adag if tilde else _ladder_operators(system)[0]
     two_n = 2 * system.n
-    den, polys = hamiltonian._integer_polys()
-    polys = dict(polys)
+    den, polys = hamiltonian.den, dict(hamiltonian.polys)
     diag, low = polys.pop(0, [0]), polys.pop(-two_n, [0])
     if polys or hamiltonian.half_power:
         return None
@@ -357,10 +355,13 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     """Exact check of the four half-lowering norm relations up to level m_max.
 
     Each relation is verified without division: for unnormalised states,
-    <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors.
+    <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors.  The
+    image a psi_m is the psi~_m source (and a phi_m the phi~_m one), so each
+    distinct state's full product <s, s> is computed once.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    norms: dict = {}  # state -> <state, state>
     failures = []
     checked = 0
     for m in range(0, m_max + 1):
@@ -374,8 +375,10 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
             source = _tower_state(system, sector, level)
             image = apply_generator(system, op, source)
             lamsq = half_lowering_factor_squared(system, sector, level)
-            lhs = inner_product(image, image)
-            rhs = inner_product(source, source).scale(lamsq)
+            for state in (source, image):
+                if state not in norms:
+                    norms[state] = inner_product(state, state)
+            lhs, rhs = norms[image], norms[source].scale(lamsq)
             checked += 1
             if lhs != rhs:
                 failures.append({"sector": sector.value, "m": level})

@@ -33,6 +33,7 @@ would surface.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,27 +229,44 @@ def expectation_exact(system, expr, state) -> ExactMatrixElement:
     return matrix_element(system, expr, state, state)
 
 
-def _norm_sq_value(state, precision: float) -> float:
-    """||state||^2 as a float: a record's exact norm_sq, else one inner product."""
-    if isinstance(state, EigenstateRecord):
-        return evaluate_gamma_vector(state.norm_sq, precision)
-    return evaluate_gamma_vector(inner_product(state, state), precision)
+def _norm_sq(state, precision: float) -> tuple:
+    """(||state||^2, its float): a record's exact norm_sq, else one inner product."""
+    exact = state.norm_sq if isinstance(state, EigenstateRecord) else inner_product(state, state)
+    return exact, evaluate_gamma_vector(exact, precision)
+
+
+def _over_norm(element: ExactMatrixElement, norm: tuple, precision: float) -> tuple:
+    """Floats (value, norm) for element / ||state||^2, or the exact ratio and 1.0 where one overflows.
+
+    The ratio needs every bucket on the norm's Gamma symbol, as for tower states.
+    """
+    exact, norm_value = norm
+    value = element.value(precision)
+    if math.isfinite(norm_value) and cmath.isfinite(value):
+        return value, norm_value
+    buckets = (element.re_even, element.re_odd, element.im_even, element.im_odd)
+    ratios = [v.rational_ratio(exact) for v in buckets]
+    if None in ratios:
+        return value, norm_value
+    re_even, re_odd, im_even, im_odd = map(float, ratios)
+    return complex(re_even + re_odd / math.sqrt(2.0), im_even + im_odd / math.sqrt(2.0)), 1.0
 
 
 def _guarded(system, expr, state, precision: float):
     """(bare state, its squared norm) once the state passes expr's sector guard."""
     bare = _as_state(state)
     _guard_sector(system, expr, bare)
-    return bare, _norm_sq_value(state, precision)
+    return bare, _norm_sq(state, precision)
 
 
-def _mean(system, expr, state, norm_sq: float, precision: float) -> complex:
-    return matrix_element(system, expr, state, state).value(precision) / norm_sq
+def _mean(system, expr, state, norm: tuple, precision: float) -> complex:
+    value, norm_value = _over_norm(matrix_element(system, expr, state, state), norm, precision)
+    return value / norm_value
 
 
-def _variance(system, expr, state, norm_sq: float, precision: float) -> float:
-    mean = _mean(system, expr, state, norm_sq, precision)
-    second = _mean(system, expr.compose(expr), state, norm_sq, precision)
+def _variance(system, expr, state, norm: tuple, precision: float) -> float:
+    mean = _mean(system, expr, state, norm, precision)
+    second = _mean(system, expr.compose(expr), state, norm, precision)
     var = second.real - abs(mean) ** 2
     return max(var, 0.0)
 
@@ -318,12 +336,12 @@ def _sector_product(system, state, sector: int, tolerance: float) -> Uncertainty
         pair, obs_l, obs_a = "L~,A~", observable_L_tilde(system), observable_A_tilde(system)
         number_op, offset = OperatorExpression("aa+", a @ ad, sector=2), system.delta
     precision = 1e-14
-    state, norm_sq = _guarded(system, obs_l, state, precision)
-    s_l = math.sqrt(_variance(system, obs_l, state, norm_sq, precision))
-    s_a = math.sqrt(_variance(system, obs_a, state, norm_sq, precision))
-    comm_value = _mean(system, obs_l.commutator_with(obs_a), state, norm_sq, precision)
+    state, norm = _guarded(system, obs_l, state, precision)
+    s_l = math.sqrt(_variance(system, obs_l, state, norm, precision))
+    s_a = math.sqrt(_variance(system, obs_a, state, norm, precision))
+    comm_value = _mean(system, obs_l.commutator_with(obs_a), state, norm, precision)
     bound = 0.5 * abs(comm_value)
-    number = _mean(system, number_op, state, norm_sq, precision).real
+    number = _mean(system, number_op, state, norm, precision).real
     closed_form = float(system.spacing) / 4 * abs(2 * number - float(offset))
     product = s_l * s_a
     return UncertaintyResult(
@@ -392,19 +410,18 @@ def _block_expectations(system, upper, lower, dstate, components, norms, precisi
     """(<Psi|Op|Psi>, <Psi|Op^2|Psi>) for Op with the given off-diagonal blocks."""
     w1, w2 = float(dstate.weight1), float(dstate.weight2)
     c1, c2 = components
-    norm1_sq, norm2_sq = norms
     mean = 0.0 + 0.0j
     if c1 is not None and c2 is not None:
         cross12 = matrix_element(system, upper, c1, c2).value(precision)
         cross21 = matrix_element(system, lower, c2, c1).value(precision)
-        scale = math.sqrt(w1 * w2 / (norm1_sq * norm2_sq))
+        scale = math.sqrt(w1 * w2 / (norms[0][1] * norms[1][1]))
         mean = scale * (cross12 + cross21)
     second = 0.0
     if c1 is not None:
-        sq11 = matrix_element(system, upper.compose(lower), c1, c1).value(precision)
+        sq11, norm1_sq = _over_norm(matrix_element(system, upper.compose(lower), c1, c1), norms[0], precision)
         second += w1 * sq11.real / norm1_sq
     if c2 is not None:
-        sq22 = matrix_element(system, lower.compose(upper), c2, c2).value(precision)
+        sq22, norm2_sq = _over_norm(matrix_element(system, lower.compose(upper), c2, c2), norms[1], precision)
         second += w2 * sq22.real / norm2_sq
     return mean, second
 
@@ -421,7 +438,7 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     given = (dstate.component1, dstate.component2)
     c1, c2 = components = tuple(map(_as_state, given))  # _as_state(None) is None
     _xp_guard(system, components)
-    norms = tuple(1.0 if c is None else _norm_sq_value(c, precision) for c in given)
+    norms = tuple(None if c is None else _norm_sq(c, precision) for c in given)
     x12, x21 = x_block(system, "12"), x_block(system, "21")
     p12, p21 = p_block(system, "12"), p_block(system, "21")
     mean_x, second_x = _block_expectations(system, x12, x21, dstate, components, norms, precision)
@@ -434,10 +451,10 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     comm11 = x12.compose(p21).minus(p12.compose(x21))
     comm22 = x21.compose(p12).minus(p21.compose(x12))
     comm_total = 0.0 + 0.0j
-    if c1 is not None:
-        comm_total += float(dstate.weight1) * matrix_element(system, comm11, c1, c1).value(precision) / norms[0]
-    if c2 is not None:
-        comm_total += float(dstate.weight2) * matrix_element(system, comm22, c2, c2).value(precision) / norms[1]
+    for weight, comm, c, norm in zip((dstate.weight1, dstate.weight2), (comm11, comm22), components, norms):
+        if c is not None:
+            value, norm_value = _over_norm(matrix_element(system, comm, c, c), norm, precision)
+            comm_total += float(weight) * value / norm_value
     bound = 0.5 * abs(comm_total)
     convex = 0.5 * float(
         abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2

@@ -6,7 +6,8 @@ and inner products against adaptive mpmath quadrature over the real line.
 The integer hot loops (apply, composition, inner product) are also checked
 for exact equality, key order included, against straightforward Fraction
 reference implementations kept at the end of this file, and the int
-numerator state against the Fraction-map state it replaced (RefState).
+numerator state and operator against the Fraction-map forms they replaced
+(RefState, RefOperator).
 """
 
 import math
@@ -28,6 +29,7 @@ from coupledsusy.calculus import (
     GaussPolyState,
     Generator,
     Operator,
+    _poly_shift,
     apply_generator,
     apply_word,
     definitely_nonzero,
@@ -37,7 +39,7 @@ from coupledsusy.calculus import (
     proportionality_ratio,
     zero_gamma_vector,
 )
-from coupledsusy.systems import make_xn_system, mutation_slots
+from coupledsusy.systems import make_xn_system, mutation_slots, verify_coupled_susy, verify_su11
 from coupledsusy.towers import SectorLabel, eigenstate
 
 A, ADAG, B, BDAG = Generator.A, Generator.ADAG, Generator.B, Generator.BDAG
@@ -445,12 +447,13 @@ def ref_apply(op, state):
 
 
 def ref_compose(first, second):
+    """first . second as a RefOperator; either argument may be an Operator."""
     out = {}
     for s2, p2 in second.terms.items():
         for s1, p1 in first.terms.items():
             s = s1 + s2
             out[s] = ref_poly_add(out.get(s, ()), ref_poly_mul(ref_poly_shift(p1, s2), p2))
-    return Operator(out, first.half_power + second.half_power)
+    return RefOperator(out, first.half_power + second.half_power)
 
 
 def ref_monomial_integral(n, j):
@@ -521,12 +524,17 @@ def oracle_systems(draw):
 
 @st.composite
 def word_operators(draw, system):
-    """A word of up to four generators (degree <= 4 in k), rescaled, with either half power."""
-    op = IDENTITY
+    """A word of up to four generators (degree <= 4 in k), rescaled, with either half power.
+
+    The word is composed by the Fraction oracle and enters through the
+    public constructor.
+    """
+    op = RefOperator({0: (1,)})
     for gen in draw(st.lists(st.sampled_from(list(Generator)), max_size=4)):
         op = ref_compose(op, system.generator(gen))
     op = op.scale(draw(st.sampled_from((Fraction(1),) + NON_DYADIC)))
-    return op.scale_sqrt2(draw(st.integers(-2, 2)))
+    op = op.scale_sqrt2(draw(st.integers(-2, 2)))
+    return Operator(op.terms, op.half_power)
 
 
 @st.composite
@@ -556,9 +564,7 @@ def test_apply_matches_fraction_reference(inputs):
 def test_composition_matches_fraction_reference(inputs):
     (a, b, c), (state, _) = inputs
     product = a @ b
-    want = ref_compose(a, b)
-    assert product == want
-    assert list(product.terms) == list(want.terms)
+    assert_matches_ref_operator(product, ref_compose(a, b))
     assert product.apply(state) == a.apply(b.apply(state))
     assert (a @ b) @ c == a @ (b @ c)
 
@@ -770,3 +776,188 @@ def test_int_true_division_rounds_like_fraction(p, q):
     state = GaussPolyState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
     ref = RefState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
     assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))
+
+
+# ---------------------------------------------------------------------------
+# the operator representation: int polynomials over one denominator
+# ---------------------------------------------------------------------------
+
+
+class RefOperator:
+    """The Fraction-map operator the integer representation replaced, kept as an oracle."""
+
+    def __init__(self, terms, half_power=0):
+        factor = Fraction(1, 2) ** (half_power >> 1)
+        self.terms = {}
+        for s in sorted(terms):
+            poly = [Fraction(c) * factor for c in terms[s]]
+            while poly and poly[-1] == 0:
+                poly.pop()
+            if poly:
+                self.terms[int(s)] = tuple(poly)
+        self.half_power = half_power & 1 if self.terms else 0
+
+    def scale(self, r):
+        r = Fraction(r)
+        return RefOperator({s: [c * r for c in p] for s, p in self.terms.items()}, self.half_power)
+
+    def scale_sqrt2(self, j):
+        return RefOperator(self.terms, self.half_power - j)
+
+    def add(self, other, sign=1):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other.scale(sign)
+        assert self.half_power == other.half_power
+        out = dict(self.terms)
+        for s, p in other.terms.items():
+            out[s] = ref_poly_add(out.get(s, ()), [sign * c for c in p])
+        return RefOperator(out, self.half_power)
+
+    def serialize(self):
+        body = ", ".join(
+            f"{s}:[{' '.join(f'{c.numerator}/{c.denominator}' for c in p)}]"
+            for s, p in self.terms.items()
+        )
+        return f"{self.half_power}; {body}"
+
+
+def assert_matches_ref_operator(op, ref):
+    """Canonical ints, and the Fraction map and text of the reference."""
+    coeffs = [c for _, p in op.polys for c in p]
+    assert all(type(c) is int for c in coeffs) and type(op.den) is int
+    assert op.den > 0 and math.gcd(op.den, *coeffs) == 1
+    assert all(p and p[-1] for _, p in op.polys)
+    shifts = [s for s, _ in op.polys]
+    assert shifts == sorted(set(shifts))
+    assert op.half_power == ref.half_power and op.half_power in (0, 1)
+    assert op.terms == ref.terms
+    assert list(op.terms) == list(ref.terms)
+    assert op.terms is op.terms  # derived once
+    assert op.serialize() == ref.serialize()
+
+
+@st.composite
+def raw_operator_inputs(draw):
+    """A Fraction-like map {shift: coefficients} (zeros, ints, zero polynomials) and any half power."""
+    size = draw(st.integers(0, 3))
+    shifts = draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size, unique=True))
+    coeff = st.one_of(oracle_coefficients(), st.integers(-9, 9), st.just(Fraction(0)))
+    polys = [draw(st.lists(coeff, max_size=4)) for _ in shifts]
+    return dict(zip(shifts, polys)), draw(st.integers(-3, 3))
+
+
+@st.composite
+def operator_programs(draw):
+    """A start operator and up to six steps: @ on either side, +, -, unary -, scale, scale_sqrt2.
+
+    Operands are generators of a real or mutated system, or raw maps
+    through the public constructor, the zero operator included.
+    """
+    system = draw(oracle_systems())
+
+    def operand():
+        if draw(st.booleans()):
+            gen = system.generator(draw(st.sampled_from(list(Generator))))
+            return gen.terms, gen.half_power
+        return draw(raw_operator_inputs())
+
+    start = operand()
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["matmul", "rmatmul", "add", "sub", "neg", "scale", "sqrt2"]))
+        if kind == "scale":
+            arg = draw(st.one_of(oracle_coefficients(), st.integers(-4, 4)))
+        elif kind == "sqrt2":
+            arg = draw(st.integers(-3, 3))
+        else:
+            arg = operand()
+        steps.append((kind, arg))
+    return start, steps
+
+
+@given(operator_programs())
+@settings(max_examples=200, deadline=None)
+def test_operator_representation_matches_fraction_reference(program):
+    (terms, w), steps = program
+    op, ref = Operator(terms, w), RefOperator(terms, w)
+    assert_matches_ref_operator(op, ref)
+    for kind, arg in steps:
+        if kind == "neg":
+            op, ref = -op, ref.scale(-1)
+        elif kind == "scale":
+            op, ref = op.scale(arg), ref.scale(arg)
+        elif kind == "sqrt2":
+            op, ref = op.scale_sqrt2(arg), ref.scale_sqrt2(arg)
+        else:
+            other = Operator(*arg)
+            if kind == "matmul":
+                op, ref = op @ other, ref_compose(ref, RefOperator(*arg))
+            elif kind == "rmatmul":
+                op, ref = other @ op, ref_compose(RefOperator(*arg), ref)
+            else:
+                if not (op.is_zero or other.is_zero) and other.half_power != op.half_power:
+                    other = other.scale_sqrt2(1)  # match the sqrt(2) parity
+                ref_other = RefOperator(other.terms, other.half_power)
+                if kind == "add":
+                    op, ref = op + other, ref.add(ref_other)
+                else:
+                    op, ref = op - other, ref.add(ref_other, -1)
+        assert_matches_ref_operator(op, ref)
+
+
+@given(algebra_inputs(), st.sampled_from(NON_DYADIC))
+@settings(max_examples=100, deadline=None)
+def test_equal_operators_by_different_routes(inputs, r):
+    (a, b, c), _ = inputs
+    for op in (a, a @ b, Operator({})):
+        routes = [
+            op.scale(3).scale(Fraction(1, 3)),
+            op.scale(r).scale(1 / r),
+            op.scale_sqrt2(2).scale(Fraction(1, 2)),
+            op.scale_sqrt2(-3).scale_sqrt2(3),
+            -(-op),
+            op + op - op,
+            Operator(op.terms, op.half_power),
+            Operator({s: [x * 4 for x in p] for s, p in op.terms.items()}, op.half_power + 4),
+        ]
+        for other in routes:
+            assert other == op
+            assert hash(other) == hash(op)
+            assert (other.den, other.polys, other.serialize()) == (op.den, op.polys, op.serialize())
+    assert a - a == Operator({}) == a.scale(0)
+    left, right = (a @ b) @ c, a @ (b @ c)
+    assert left == right
+    assert hash(left) == hash(right)
+    assert left.serialize() == right.serialize()
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_poly_shift_matches_horner(degree):
+    for p in ([(-1) ** i * (2 * i + 3) for i in range(degree + 1)], [7] * degree + [-2]):
+        for s in range(-8, 9):
+            want = ref_poly_shift(p, s)
+            assert _poly_shift(tuple(p), s) == want[: len(p)]
+            assert not any(want[len(p):])
+
+
+def test_operator_algebra_builds_no_fraction_per_coefficient(monkeypatch):
+    # only the scalar arguments of scale (gamma/2, 1/(delta-gamma), ...) are Fractions
+    systems = [make_xn_system(n) for n in (1, 2, 3)]
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    counts = []
+    for system in systems:
+        built.clear()
+        reports = verify_coupled_susy(system) + verify_su11(system)
+        assert all(r.passed for r in reports)
+        counts.append(len(built))
+    monkeypatch.undo()
+    assert len(set(counts)) == 1 and counts[0] < 40, counts

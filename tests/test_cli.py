@@ -241,13 +241,14 @@ def test_uncertainty_all_pairs_and_mixed(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--state", "psi:100"], ["--state", "psi:85"], ["--state", "phi:100", "--pair", "all"]])
-def test_uncertainty_overflow_is_config_error(argv, capsys):
-    code = main(["uncertainty", "--n", "1", *argv])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: uncertainty products of ")
-    assert "overflow floats" in captured.err and captured.err.count("\n") == 1
+def test_uncertainty_past_float_range_passes(argv, capsys):
+    code, out = run_cli(["uncertainty", "--n", "1", *argv], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"]
+    for result in payload["results"]:
+        assert result["pass"] and result["product"] >= result["bound"]
+        details = result["details"]
+        assert result["bound"] == details.get("bound_closed_form", details.get("bound_convex_combination"))
 
 
 def test_uncertainty_rejects_unknown_state(capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from coupledsusy import towers
 from coupledsusy.calculus import (
     DivergenceError,
     GaussPolyState,
@@ -202,6 +203,24 @@ def test_lemma_factors_exact(n):
     report = verify_lemma_half_lowering(make_xn_system(n), 6)
     assert report.passed
     assert report.checked == 6 * 3 + 7  # three m>=1 relations plus PHI at m=0..6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lemma_pairs_each_state_once(monkeypatch, n):
+    # a psi_m is the psi~_m source and a phi_m the phi~_m one: 6 m_max + 2 products, not 8 m_max + 2
+    system = make_xn_system(n)
+    want = verify_lemma_half_lowering(system, 6)
+    calls = []
+    real = towers.inner_product
+
+    def counting(f, g):
+        calls.append(f is g)
+        return real(f, g)
+
+    monkeypatch.setattr(towers, "inner_product", counting)
+    report = verify_lemma_half_lowering(system, 6)
+    assert report == want and report.checked == want.checked
+    assert len(calls) == 6 * 6 + 2 and all(calls)
 
 
 def test_lemma_factor_direct_ratio_n2():

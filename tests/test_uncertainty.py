@@ -385,26 +385,50 @@ def test_xp_norms_come_from_records(monkeypatch, as_records):
 
 
 @pytest.mark.parametrize(
-    "product, sector, m, bound_finite",
+    "product, sector, m",
     [
-        (uncertainty_product_LA, PSI, 85, False),
-        (uncertainty_product_tilde, PSI_T, 84, True),
-        (uncertainty_product_tilde, PHI_T, 84, False),
-        (uncertainty_product_LA, PSI, 90, False),
+        (uncertainty_product_LA, PSI, 85),
+        (uncertainty_product_tilde, PSI_T, 84),
+        (uncertainty_product_tilde, PHI_T, 84),
+        (uncertainty_product_LA, PSI, 90),
+        (uncertainty_product_LA, PSI, 100),
     ],
 )
-def test_non_finite_products_do_not_pass(product, sector, m, bound_finite):
-    # deep n = 1 levels overflow the float sigmas; inf >= inf - tol proves nothing
+def test_products_past_float_range_pass(product, sector, m):
+    # deep n = 1 norms overflow floats; the quotients are then taken exactly
     system = make_xn_system(1)
-    rec = eigenstate(system, sector, m)
-    result = product(system, rec)
-    assert not math.isfinite(result.product)
-    assert math.isfinite(result.bound) == bound_finite
-    assert not result.passed
+    result = product(system, eigenstate(system, sector, m))
+    assert math.isfinite(result.product) and result.product >= result.bound
+    assert result.bound == result.details["bound_closed_form"]
+    assert result.passed
 
 
-def test_non_finite_xp_product_does_not_pass():
+def test_xp_product_past_float_range_passes():
     system = make_xn_system(1)
     result = uncertainty_product_XP(system, direct_sum(eigenstate(system, PSI, 85), 1, None, 0))
-    assert math.isinf(result.product) and result.bound == 0.5
-    assert not result.passed
+    assert math.isfinite(result.product) and result.product >= result.bound
+    assert result.bound == result.details["bound_convex_combination"] == 0.5
+    assert result.passed
+
+
+@pytest.mark.parametrize("n, sector, m", [(1, PSI, 20), (1, PHI_T, 30), (2, PHI, 12)])
+def test_exact_quotient_matches_float_quotient(n, sector, m):
+    # the overflow route, forced on a level whose floats are finite
+    system = make_xn_system(n)
+    rec = eigenstate(system, sector, m)
+    obs_l, x12, p12 = observable_L(system), x_block(system, "12"), p_block(system, "12")
+    exprs = [obs_l, observable_A(system), obs_l.compose(obs_l)]
+    exprs += [x12.compose(x_block(system, "21")), p12.compose(p_block(system, "21"))]
+    norm = uncertainty._norm_sq(rec, 1e-14)
+    for expr in exprs:
+        element = matrix_element(system, expr, rec.state, rec.state)
+        value, norm_value = uncertainty._over_norm(element, norm, 1e-14)
+        exact, one = uncertainty._over_norm(element, (norm[0], math.inf), 1e-14)
+        assert one == 1.0 and abs(exact - value / norm_value) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_non_finite_products_never_hold():
+    inf, nan = math.inf, math.nan
+    assert uncertainty._holds(2.0, 1.0, 1e-12)
+    for product, bound in ((inf, inf), (inf, 0.5), (0.5, inf), (nan, 0.5), (0.5, nan), (nan, nan)):
+        assert not uncertainty._holds(product, bound, 1e-12)
