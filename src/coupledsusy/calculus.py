@@ -215,8 +215,12 @@ class GaussPolyState:
             raise ZeroDivisionError("state has negative exponents; x=0 is singular")
         acc = np.zeros_like(x)
         den = self.den
-        for k, c in self.nums.items():  # c / den rounds like float(Fraction(c, den))
-            acc = acc + c / den * x ** k
+        for k, c in self.nums.items():
+            try:
+                coeff = c / den  # rounds like float(Fraction(c, den))
+            except OverflowError:  # past float range: the term is +-inf, like a smaller overflow
+                coeff = math.inf if c > 0 else -math.inf
+            acc = acc + coeff * x ** k
         weight = np.exp(-(x ** (2 * self.n)) / (2 * self.n))
         return 2.0 ** (-self.half_power / 2.0) * acc * weight
 

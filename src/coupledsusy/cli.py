@@ -239,20 +239,19 @@ def cmd_eigenfunctions(args, config) -> int:
         raise ConfigError(str(exc)) from exc
     lo, hi, count = grid
     xs = np.linspace(lo, hi, count)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
-            values = normalized_samples(record, xs)
-        finite = np.all(np.isfinite(values))
-    except OverflowError:  # a coefficient beyond float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"samples of m={m} overflow floats on the grid {lo:g}:{hi:g}:{count}: "
-                          "lower --m or narrow --grid")
-    payload = {
-        "record": record.to_json_dict(),
-        "grid": {"lo": lo, "hi": hi, "count": count},
-        "values": [float(v) for v in values],
-    }
+    values = normalized_samples(record, xs)
+    payload = None
+    if _merge(args, config, "format", str, "json") != "csv":
+        try:
+            exact = record.to_json_dict()
+        except ValueError as exc:  # an int past Python's int-to-text digit limit
+            raise ConfigError(f"the exact record of m={m} has integers longer than "
+                              f"{sys.get_int_max_str_digits()} digits: use --format csv") from exc
+        payload = {
+            "record": exact,
+            "grid": {"lo": lo, "hi": hi, "count": count},
+            "values": [float(v) for v in values],
+        }
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     _emit(args, config, payload, csv_header=("x", "value"), csv_rows=rows)
     return 0

@@ -27,6 +27,20 @@ one dimensional (exp(-x^(2n)/(2n)) and x^(n-1) exp(-x^(2n)/(2n))), so the
 tower index sets are singletons.  Exponents of a level-m state stay in a
 single residue class mod 2n: 0 for PSI, 2n-1 for PHI, n for PSI_TILDE and
 n-1 for PHI_TILDE.
+
+Every level is a closed form: with t = x^(2n)/n, a level-m state is a
+constant times x^p L_j^beta(t) exp(-t/2), L the generalized Laguerre
+polynomial, and its squared norm that constant squared times
+n^beta Gamma(j+beta+1) / j!, where
+
+    sector      p       beta          j
+    PSI         0       1/(2n) - 1    m
+    PHI         2n-1    1 - 1/(2n)    m
+    PSI_TILDE   n       1/(2n)        m-1
+    PHI_TILDE   n-1     -1/(2n)       m
+
+Numeric samples come from the Laguerre recurrence (normalized_samples);
+the exact state only fixes the sign and is checked against the table.
 """
 
 from __future__ import annotations
@@ -411,9 +425,76 @@ def gram_matrix_numeric(records, precision: float = 1e-14):
     return np.array([[evaluate_gamma_vector(v, precision) for v in row] for row in exact])
 
 
-def normalized_samples(record: EigenstateRecord, xs, precision: float = 1e-14):
-    """Values of the L2-normalised eigenfunction on the grid xs."""
+def _laguerre_parameters(record: EigenstateRecord):
+    """(p, a, j) with the record's state a constant times x^p L_j^beta(t) exp(-t/2), beta = a/(2n).
+
+    Checked exactly against the record: its lowest exponent is p, its top
+    exponent p + 2nj, and the ratio of the two coefficients is that of the
+    Laguerre polynomial, (-1)^j / (n^j prod_{i=1..j} (i + beta)), that is
+    c_top prod_{i=1..j} (2ni + a) = (-2)^j c_p.  Any other state raises
+    RuntimeError.
+    """
+    n, m, nums = record.state.n, record.m, record.state.nums
+    p, a, j = {
+        SectorLabel.PSI: (0, 1 - 2 * n, m),
+        SectorLabel.PHI: (2 * n - 1, 2 * n - 1, m),
+        SectorLabel.PSI_TILDE: (n, 1, m - 1),
+        SectorLabel.PHI_TILDE: (n - 1, -1, m),
+    }[record.sector]
+    top = p + 2 * n * j
+    if (
+        j < 0
+        or min(nums, default=None) != p
+        or max(nums) != top
+        or nums[top] * math.prod(2 * n * i + a for i in range(1, j + 1)) != (-2) ** j * nums[p]
+    ):
+        raise RuntimeError(f"{record.sector.value} level {record.m} is not the closed form x^{p} L_{j}")
+    return p, a, j
+
+
+_T_CAP = 1e200  # exp(-t/2) is 0 in floats long before t reaches it, at any level
+_GROWTH_LIMIT = 1e300
+
+
+def normalized_samples(record: EigenstateRecord, xs):
+    """Values of the L2-normalised eigenfunction on the grid xs.
+
+    The state is the closed form x^p L_j^beta(t) exp(-t/2), t = x^(2n)/n
+    (_laguerre_parameters), with squared norm n^beta Gamma(j+beta+1) / j!.
+    P_i = (-1)^i i! L_i^beta(t) runs the three-term recurrence
+
+        P_(i+1) = (t - 2i - 1 - beta) P_i - i (i + beta) P_(i-1),
+
+    vectorised over the grid.  The weight, x^p and the norm ride along as
+    a log scale per point, and P is divided back to at most 1 (its log
+    added to the scale) before a bound on its growth could pass 1e300, so
+    every finite grid gives finite values.  The sign is that of the
+    record's lowest coefficient; no Gamma value is evaluated.
+    """
     import numpy as np
 
-    norm = evaluate_gamma_vector(record.norm_sq, precision)
-    return record.state.evaluate(np.asarray(xs, dtype=float)) / norm ** 0.5
+    p, a, j = _laguerre_parameters(record)
+    n = record.state.n
+    beta = a / (2 * n)
+    x = np.asarray(xs, dtype=float)
+    ax = np.minimum(np.abs(x), 1e100)  # t is at the cap from 1e100 on, so x = +-inf samples 0
+    with np.errstate(over="ignore", divide="ignore"):
+        t = np.minimum(ax ** (2 * n) / n, _T_CAP)
+        log_scale = -0.5 * t + (p * np.log(ax) if p else 0.0)
+    log_scale -= 0.5 * (math.lgamma(j + 1) + math.lgamma(j + beta + 1) + beta * math.log(n))
+    t_max = float(np.fmax.reduce(t, axis=None, initial=0.0))  # fmax: a NaN x leaves the bound alone
+    prev, cur, bound = np.zeros_like(t), np.ones_like(t), 1.0
+    for i in range(j):
+        alpha, gamma = 2 * i + 1 + beta, i * (i + beta)
+        growth = t_max + alpha + gamma  # |P_(i+1)| <= growth * max(|P_i|, |P_(i-1)|)
+        if bound * growth > _GROWTH_LIMIT:
+            peak = np.maximum(np.abs(prev), np.abs(cur))
+            peak = np.where(peak > 0, peak, 1.0)
+            prev, cur, bound = prev / peak, cur / peak, 1.0
+            log_scale += np.log(peak)
+        prev, cur = cur, (t - alpha) * cur - gamma * prev
+        bound *= growth
+    values = cur * np.exp(log_scale)
+    if (record.state.nums[p] < 0) != (j % 2 == 1):  # P_j carries (-1)^j
+        values = -values
+    return np.where(x < 0, -values, values) if p % 2 else values

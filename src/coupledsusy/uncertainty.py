@@ -244,12 +244,18 @@ def _over_norm(element: ExactMatrixElement, norm: tuple, precision: float) -> tu
     value = element.value(precision)
     if math.isfinite(norm_value) and cmath.isfinite(value):
         return value, norm_value
+    ratio = _exact_ratio(element, exact)
+    return (value, norm_value) if ratio is None else (ratio, 1.0)
+
+
+def _exact_ratio(element: ExactMatrixElement, exact: GammaVector):
+    """element / exact from the buckets' rational ratios, or None if one has none."""
     buckets = (element.re_even, element.re_odd, element.im_even, element.im_odd)
     ratios = [v.rational_ratio(exact) for v in buckets]
     if None in ratios:
-        return value, norm_value
+        return None
     re_even, re_odd, im_even, im_odd = map(float, ratios)
-    return complex(re_even + re_odd / math.sqrt(2.0), im_even + im_odd / math.sqrt(2.0)), 1.0
+    return complex(re_even + re_odd / math.sqrt(2.0), im_even + im_odd / math.sqrt(2.0))
 
 
 def _guarded(system, expr, state, precision: float):
@@ -406,16 +412,32 @@ def _xp_guard(system, components):
         raise SectorDomainError("component 2 lies outside the second-sector classes")
 
 
+def _cross_over_norms(elements, norms, w1w2: float, fallback: complex) -> complex:
+    """sqrt(w1 w2) (cross / ||c1||^2) sqrt(||c1||^2 / ||c2||^2), both ratios exact.
+
+    For cross terms whose float or whose norms' product overflows; fallback
+    where a ratio is not rational (the parts lie on different Gamma symbols).
+    """
+    exact1, exact2 = norms[0][0], norms[1][0]
+    parts = [_exact_ratio(e, exact1) for e in elements]
+    norm_ratio = exact1.rational_ratio(exact2)
+    if None in parts or norm_ratio is None:
+        return fallback
+    return math.sqrt(w1w2 * float(norm_ratio)) * (parts[0] + parts[1])
+
+
 def _block_expectations(system, upper, lower, dstate, components, norms, precision):
     """(<Psi|Op|Psi>, <Psi|Op^2|Psi>) for Op with the given off-diagonal blocks."""
     w1, w2 = float(dstate.weight1), float(dstate.weight2)
     c1, c2 = components
     mean = 0.0 + 0.0j
     if c1 is not None and c2 is not None:
-        cross12 = matrix_element(system, upper, c1, c2).value(precision)
-        cross21 = matrix_element(system, lower, c2, c1).value(precision)
-        scale = math.sqrt(w1 * w2 / (norms[0][1] * norms[1][1]))
-        mean = scale * (cross12 + cross21)
+        elements = matrix_element(system, upper, c1, c2), matrix_element(system, lower, c2, c1)
+        cross = elements[0].value(precision) + elements[1].value(precision)
+        norm_product = norms[0][1] * norms[1][1]
+        mean = math.sqrt(w1 * w2 / norm_product) * cross
+        if not (math.isfinite(norm_product) and cmath.isfinite(cross)):
+            mean = _cross_over_norms(elements, norms, w1 * w2, mean)
     second = 0.0
     if c1 is not None:
         sq11, norm1_sq = _over_norm(matrix_element(system, upper.compose(lower), c1, c1), norms[0], precision)

@@ -778,6 +778,20 @@ def test_int_true_division_rounds_like_fraction(p, q):
     assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))
 
 
+def test_evaluate_past_float_range_gives_signed_inf():
+    # a coefficient c / den past float range is an inf term, not an OverflowError
+    xs = np.array([-2.0, -0.5, 0.5, 2.0])
+    with np.errstate(over="ignore"):
+        up = GaussPolyState(1, {1: 10 ** 400, 0: 1}).evaluate(xs)
+        down = GaussPolyState(1, {2: Fraction(-(10 ** 400), 3)}).evaluate(xs)
+    assert np.array_equal(up, [-np.inf, -np.inf, np.inf, np.inf])
+    assert np.array_equal(down, [-np.inf] * 4)
+    # huge but in range coefficients keep their floats
+    big = GaussPolyState(1, {0: Fraction(10 ** 400 + 1, 10 ** 100), 2: 1})
+    weight = np.exp(-(xs ** 2) / 2)
+    assert np.array_equal(big.evaluate(xs), ((10 ** 400 + 1) / 10 ** 100 + xs ** 2) * weight)
+
+
 # ---------------------------------------------------------------------------
 # the operator representation: int polynomials over one denominator
 # ---------------------------------------------------------------------------

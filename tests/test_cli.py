@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -123,28 +124,60 @@ def test_eigenfunctions_rejects_psitilde_zero(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [["--m", "120"], ["--m", "106", "--format", "csv"]])
-def test_eigenfunctions_non_finite_samples_are_config_error(argv, capsys):
+def _finite_samples(argv, capsys):
+    """Run eigenfunctions with numpy warnings as errors; the sampled values, all finite."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy overflow warnings would add stderr lines
-        code = main(["eigenfunctions", "--n", "2", *argv])
+        warnings.simplefilter("error")  # a numpy overflow warning would add stderr lines
+        code = main(["eigenfunctions", *argv])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "m=" + argv[1] in captured.err and "-4:4:401" in captured.err
-    assert "--m" in captured.err and "--grid" in captured.err
-    assert captured.err.count("\n") == 1
+    assert code == 0
+    assert captured.err == ""
+    if "csv" in argv:
+        rows = captured.out.strip().splitlines()[1:]
+        values = [float(row.split(",")[1]) for row in rows]
+    else:
+        values = json.loads(captured.out)["values"]
+    assert all(math.isfinite(v) for v in values)
+    return values
+
+
+@pytest.mark.parametrize("argv", [["--m", "120"], ["--m", "106", "--format", "csv"]])
+def test_eigenfunctions_deep_levels_give_finite_samples(argv, capsys):
+    # these levels used to overflow floats on the default grid (exit 2)
+    values = _finite_samples(["--n", "2", *argv], capsys)
+    assert len(values) == 401
+    assert 0 < max(abs(v) for v in values) < 2
 
 
 @pytest.mark.parametrize("sector, m", [("psi", "150"), ("phitilde", "160")])
-def test_eigenfunctions_coefficient_overflow_is_config_error(sector, m, capsys):
-    # the exact coefficients themselves exceed float range (OverflowError)
-    code = main(["eigenfunctions", "--n", "1", "--sector", sector, "--m", m])
+def test_eigenfunctions_past_coefficient_overflow_give_finite_samples(sector, m, capsys):
+    # the exact coefficients themselves exceed float range; sampling never converts them
+    values = _finite_samples(["--n", "1", "--sector", sector, "--m", m], capsys)
+    assert 0 < max(abs(v) for v in values) < 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "6", "--m", "2000", "--grid", "-1e300:1e300:3", "--format", "csv"],
+        ["--n", "1", "--sector", "phi", "--m", "300", "--grid", "-1e-300:1e300:4"],
+        ["--n", "3", "--sector", "phitilde", "--m", "40", "--grid", "-8e307:8e307:5"],
+    ],
+)
+def test_eigenfunctions_extreme_grids_give_finite_samples(argv, capsys):
+    values = _finite_samples(argv, capsys)
+    assert values[-1] == 0  # far past the turning point
+
+
+def test_eigenfunctions_json_past_int_text_limit_is_config_error(capsys):
+    # n = 1 level 2000 has exact coefficients longer than Python's int-to-text limit
+    code = main(["eigenfunctions", "--n", "1", "--m", "2000"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: samples of m={m} overflow floats on the grid -4:4:401: lower --m or narrow --grid\n"
+    assert captured.err.startswith("error: the exact record of m=2000 has integers longer than ")
+    assert captured.err.endswith("digits: use --format csv\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_coherent_norm_and_half_lowering(capsys):

@@ -7,6 +7,8 @@ norms, a single top pairing where the symmetry of H proves it, are checked
 against the full product inner_product(state, state).
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from coupledsusy.calculus import (
     apply_generator,
     apply_word,
     evaluate_gamma_vector,
+    evaluate_gamma_vector_mp,
     inner_product,
     monomial_state,
     proportionality_ratio,
@@ -294,6 +297,89 @@ def test_normalized_samples_unit_norm():
     vals = normalized_samples(rec, xs)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     assert trapezoid(vals ** 2, xs) == pytest.approx(1.0, rel=1e-8)
+
+
+def sample_oracle(record, xs):
+    """Normalised values of the exact state: its polynomial exactly at each float x, then mpmath."""
+    state = record.state
+    n, top = state.n, max(state.nums)
+    with mp.workdps(40):
+        norm, _ = evaluate_gamma_vector_mp(record.norm_sq, 300)
+        factor = mp.mpf(2) ** (-mp.mpf(state.half_power) / 2) / mp.sqrt(norm)
+        values = []
+        for x in xs:
+            a, b = float(x).as_integer_ratio()
+            poly = 0  # b^top * den * polynomial(a / b), by Horner's rule in ints
+            for k in range(top, -1, -1):
+                poly = poly * a + state.nums.get(k, 0) * b ** (top - k)
+            weight = mp.exp(-mp.mpf(float(x)) ** (2 * n) / (2 * n))
+            values.append(float(mp.mpf(poly) / (state.den * b ** top) * weight * factor))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3, 4) for m in (0, 1, 5, 10, 40)] + [(1, 80)])
+def test_samples_match_exact_oracle(n, m):
+    system = make_xn_system(n)
+    for sector in SectorLabel:
+        if sector is PSI_T and m == 0:
+            continue
+        rec = eigenstate(system, sector, m)
+        edge = 1.3 * (n * (4 * m + 6)) ** (1 / (2 * n))  # past the turning point t = 4j + 2 beta + 2
+        xs = np.concatenate([np.linspace(-edge, edge, 61), [0.0, 1e-3, -0.7]])
+        want = sample_oracle(rec, xs)
+        assert np.max(np.abs(normalized_samples(rec, xs) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_samples_unit_norm_at_level_2000():
+    rec = eigenstate(make_xn_system(1), PSI, 2000)
+    xs = np.linspace(-100, 100, 20001)  # the turning point is at |x| = 89.4
+    vals = normalized_samples(rec, xs)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    assert trapezoid(vals ** 2, xs) == pytest.approx(1.0, rel=1e-8)
+
+
+def laguerre_beta(sector, n):
+    return {PSI: Fraction(1, 2 * n) - 1, PHI: 1 - Fraction(1, 2 * n), PSI_T: Fraction(1, 2 * n),
+            PHI_T: Fraction(-1, 2 * n)}[sector]
+
+
+def kappa_sq(rec):
+    """(c_top / Laguerre top coefficient)^2 with c_top's den and half power: the state over x^p L_j e^(-t/2)."""
+    state, n = rec.state, rec.state.n
+    j = rec.m - (rec.sector is PSI_T)
+    c_top = Fraction(state.nums[max(state.nums)], state.den)
+    return (c_top * math.factorial(j) * n ** j) ** 2 / 2 ** state.half_power
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norm_ratios_match_laguerre_closed_form(n):
+    # ||state||^2 = kappa^2 n^beta Gamma(j+beta+1) / j!, so one level up multiplies it
+    # by (kappa'/kappa)^2 (j'+beta)/j', exactly
+    system = make_xn_system(n)
+    pairs = 0
+    for sector in SectorLabel:
+        beta = laguerre_beta(sector, n)
+        for m in range(1 if sector is PSI_T else 0, 40):
+            low, high = eigenstate(system, sector, m), eigenstate(system, sector, m + 1)
+            j = m + 1 - (sector is PSI_T)
+            want = kappa_sq(high) / kappa_sq(low) * (j + beta) / j
+            assert high.norm_sq.rational_ratio(low.norm_sq) == want
+            pairs += 1
+    assert pairs == 159
+
+
+def test_samples_refuse_records_off_the_closed_form():
+    system = make_xn_system(2)
+    rec = eigenstate(system, PHI, 3)
+    sampler = towers._laguerre_parameters
+    assert sampler(rec) == (3, 3, 3)
+    wrong_top = dataclasses.replace(rec, state=rec.state + monomial_state(2, 3 + 4 * 4))
+    wrong_bottom = dataclasses.replace(rec, state=rec.state + monomial_state(2, -1))
+    wrong_ratio = dataclasses.replace(rec, state=rec.state + monomial_state(2, 3))
+    wrong_sector = dataclasses.replace(rec, sector=PHI_T)
+    for bad in (wrong_top, wrong_bottom, wrong_ratio, wrong_sector, dataclasses.replace(rec, m=2)):
+        with pytest.raises(RuntimeError, match="closed form"):
+            normalized_samples(bad, [0.5])
 
 
 def test_record_json_dict_exact_strings():

@@ -411,6 +411,20 @@ def test_xp_product_past_float_range_passes():
     assert result.passed
 
 
+@pytest.mark.parametrize("m", [5, 40, 85, 100])
+def test_xp_cross_term_of_deep_partners(m):
+    # n = 1: X = [[0, x], [x, 0]] and psi~_m is Hermite function 2m - 1, so
+    # |<X>| = 2 sqrt(w1 w2) <2m|x|2m-1> = 2 sqrt(w1 w2 m); from m = 85 the
+    # norms overflow floats and the cross term takes the exact ratios
+    system = make_xn_system(1)
+    state = direct_sum(eigenstate(system, PSI, m), Fraction(1, 3), eigenstate(system, PSI_T, m), Fraction(2, 3))
+    result = uncertainty_product_XP(system, state)
+    mean_x, mean_p = result.details["mean_x"], result.details["mean_p"]
+    assert abs(mean_x[0]) == pytest.approx(2 * math.sqrt(2 * m / 9), rel=1e-12)
+    assert mean_x[1] == mean_p[0] == mean_p[1] == 0
+    assert math.isfinite(result.product) and result.passed
+
+
 @pytest.mark.parametrize("n, sector, m", [(1, PSI, 20), (1, PHI_T, 30), (2, PHI, 12)])
 def test_exact_quotient_matches_float_quotient(n, sector, m):
     # the overflow route, forced on a level whose floats are finite
