@@ -51,8 +51,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, TYPE_CHECKING
 
-from mpmath import mp
-
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import CoupledSusySystem
 
@@ -227,6 +225,8 @@ class GaussPolyState:
     # -- canonical text form ------------------------------------------------
 
     def serialize(self) -> str:
+        """Canonical text `n; w; k1:c1, ...`; raises ValueError for an int past Python's
+        int-to-text digit limit (4300 by default), which the library never raises."""
         den = self.den
         parts = []
         for k, c in sorted(self.nums.items()):
@@ -552,13 +552,14 @@ class GammaVector:
         """Rational q with self == q * other, or None if no exact ratio exists."""
         if self.n != other.n:
             raise FamilyMismatchError("GammaVectors belong to different families")
-        if other.is_zero:
+        if self.is_zero or other.is_zero:
             return Fraction(0) if self.is_zero else None
         r = max(other.coeffs)
         q = self.coeffs.get(r, Fraction(0)) / other.coeffs[r]
         return q if self == other.scale(q) else None
 
     def serialize(self) -> str:
+        """Canonical text `n; r1:c1, ...`; ValueError past the int-to-text digit limit, as for states."""
         body = ", ".join(
             f"{r}:{c.numerator}/{c.denominator}" for r, c in sorted(self.coeffs.items())
         )
@@ -638,6 +639,8 @@ def evaluate_gamma_vector_mp(v: GammaVector, prec_bits: int = 113):
     The bound covers the rounding of each Gamma/power/multiply/add at working
     precision; it is a small multiple of one ulp of the absolute-value sum.
     """
+    from mpmath import mp
+
     with mp.workprec(prec_bits):
         total = mp.mpf(0)
         absum = mp.mpf(0)

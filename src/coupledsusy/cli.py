@@ -307,7 +307,7 @@ def _resolve_state(system, text):
 
 
 def cmd_uncertainty(args, config) -> int:
-    n, tol = _common_values(args, config)
+    n, _ = _common_values(args, config)
     system = make_xn_system(n)
     descriptor = _merge(args, config, "state", str, "ground")
     kind, state = _resolve_state(system, descriptor)
@@ -318,24 +318,20 @@ def cmd_uncertainty(args, config) -> int:
     if kind == "xp":
         if pair not in ("xp", "all"):
             raise ConfigError("mixed direct-sum states support only the X,P pair")
-        results.append(uncertainty_product_XP(system, state, tol))
+        results.append(uncertainty_product_XP(system, state))
     else:
         record = state
         tilde = record.sector.is_tilde
         if pair in ("auto", "la", "all") and not tilde:
-            results.append(uncertainty_product_LA(system, record, tol))
+            results.append(uncertainty_product_LA(system, record))
         if pair in ("auto", "tilde", "all") and tilde:
-            results.append(uncertainty_product_tilde(system, record, tol))
+            results.append(uncertainty_product_tilde(system, record))
         if pair in ("xp", "all") and not tilde:
-            results.append(
-                uncertainty_product_XP(system, direct_sum(record, 1, None, 0), tol)
-            )
+            results.append(uncertainty_product_XP(system, direct_sum(record, 1, None, 0)))
         if not results:
             raise ConfigError(
                 f"pair {pair!r} does not apply to a {record.sector.value} state"
             )
-    if not all(math.isfinite(r.equality_gap) for r in results):
-        raise ConfigError(f"uncertainty products of {descriptor} overflow floats: lower the level")
     result_dicts = []
     for r in results:
         d = r.to_json_dict()

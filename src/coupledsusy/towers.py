@@ -108,6 +108,7 @@ class EigenstateRecord:
     eigenvalue: Fraction
 
     def to_json_dict(self) -> dict:
+        """ValueError once an int passes the int-to-text digit limit (n = 1: from level 800)."""
         return {
             "sector": self.sector.value,
             "m": self.m,

@@ -23,17 +23,21 @@ with the per-state X-P Robertson bound equal to the exact convex
 combination (|gamma| ||psi1||^2 + delta ||psi2||^2) / 2.
 
 Observables are pairs of exact Operators, the real and the imaginary
-part, composed from the system's generators; every expectation is
-assembled exactly (GammaVectors bucketed by the parity of the accumulated
-sqrt(2) powers) and only evaluated numerically at the end.  Quantities
-that vanish identically on real-coefficient states, like <A>, are still
-routed through the full computation so that a wrong sign in any word
-would surface.
+part, composed from the system's generators.  Every expectation is
+assembled exactly, as GammaVectors bucketed by the parity of the
+accumulated sqrt(2) powers.  On a tower record, or any state on one Gamma
+symbol, each bucket is a rational multiple of the squared norm: variances
+and the squared bound are Fractions, `pass` (sigma1^2 sigma2^2 >=
+bound^2) is exact, and floats appear only in the result, where an exactly
+saturated bound gives product == bound.  A bare state whose norm spans
+two Gamma symbols runs the same formulas over certified mpmath intervals
+(_decide).  No tolerance is involved.  Quantities that vanish identically
+on real-coefficient states, like <A>, are still routed through the full
+computation so that a wrong sign in any word would surface.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +47,7 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Operator,
-    evaluate_gamma_vector,
+    evaluate_gamma_vector_mp,
     inner_product,
 )
 from .systems import CoupledSusySystem
@@ -147,7 +151,8 @@ def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
 class ExactMatrixElement:
     """<f | expr | g> as exact GammaVectors, bucketed by residual sqrt(2) parity.
 
-    value = re_even + re_odd / sqrt(2) + i (im_even + im_odd / sqrt(2)).
+    value = re_even + re_odd / sqrt(2) + i (im_even + im_odd / sqrt(2)),
+    where matrix_element fills at most one bucket of each part.
     """
 
     re_even: GammaVector
@@ -156,22 +161,16 @@ class ExactMatrixElement:
     im_odd: GammaVector
 
     @property
+    def buckets(self) -> tuple:
+        return self.re_even, self.re_odd, self.im_even, self.im_odd
+
+    @property
     def is_exactly_zero(self) -> bool:
-        return all(
-            v.is_zero for v in (self.re_even, self.re_odd, self.im_even, self.im_odd)
-        )
+        return all(v.is_zero for v in self.buckets)
 
     @property
     def imag_exactly_zero(self) -> bool:
         return self.im_even.is_zero and self.im_odd.is_zero
-
-    def value(self, precision: float = 1e-14) -> complex:
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        re = evaluate_gamma_vector(self.re_even, precision)
-        re += inv_sqrt2 * evaluate_gamma_vector(self.re_odd, precision)
-        im = evaluate_gamma_vector(self.im_even, precision)
-        im += inv_sqrt2 * evaluate_gamma_vector(self.im_odd, precision)
-        return complex(re, im)
 
 
 def matrix_element(
@@ -229,65 +228,101 @@ def expectation_exact(system, expr, state) -> ExactMatrixElement:
     return matrix_element(system, expr, state, state)
 
 
-def _norm_sq(state, precision: float) -> tuple:
-    """(||state||^2, its float): a record's exact norm_sq, else one inner product."""
-    exact = state.norm_sq if isinstance(state, EigenstateRecord) else inner_product(state, state)
-    return exact, evaluate_gamma_vector(exact, precision)
+def _norm_sq(state) -> GammaVector:
+    """||state||^2: a record's exact norm_sq, else one inner product."""
+    return state.norm_sq if isinstance(state, EigenstateRecord) else inner_product(state, state)
 
 
-def _over_norm(element: ExactMatrixElement, norm: tuple, precision: float) -> tuple:
-    """Floats (value, norm) for element / ||state||^2, or the exact ratio and 1.0 where one overflows.
+class _NoRatio(Exception):
+    """A GammaVector and its norm lie on different Gamma symbols: the ratio is irrational."""
 
-    The ratio needs every bucket on the norm's Gamma symbol, as for tower states.
+
+def _decide(formula):
+    """(gap >= 0, values) for formula(ratio) = (gap, *values), ratio(v, norm) = v / norm.
+
+    Fraction ratios decide exactly.  An irrational ratio sends the formula
+    to mpmath intervals, each GammaVector its value +- the error bound of
+    evaluate_gamma_vector_mp, at 64, 128, ... bits until the sign of the
+    gap is certain; still uncertain at 4096 bits, the verdict is False.  A
+    formula with nothing to decide returns gap 0.
     """
-    exact, norm_value = norm
-    value = element.value(precision)
-    if math.isfinite(norm_value) and cmath.isfinite(value):
-        return value, norm_value
-    ratio = _exact_ratio(element, exact)
-    return (value, norm_value) if ratio is None else (ratio, 1.0)
+    def rational(v, norm):
+        q = v.rational_ratio(norm)
+        if q is None:
+            raise _NoRatio
+        return q
+
+    try:
+        gap, *values = formula(rational)
+        return gap >= 0, values
+    except _NoRatio:
+        from mpmath import iv
+
+    def interval(v):
+        value, bound = evaluate_gamma_vector_mp(v, iv.prec)
+        return iv.mpf(value) + iv.mpf([-bound, bound])
+
+    saved = iv.prec
+    try:
+        for iv.prec in (64, 128, 256, 512, 1024, 2048, 4096):  # iv rounds outward at iv.prec
+            gap, *values = formula(lambda v, norm: interval(v) / interval(norm))
+            verdict = gap >= 0  # None while the interval holds 0
+            if verdict is not None:
+                return verdict, values
+    finally:
+        iv.prec = saved
+    return False, values
 
 
-def _exact_ratio(element: ExactMatrixElement, exact: GammaVector):
-    """element / exact from the buckets' rational ratios, or None if one has none."""
-    buckets = (element.re_even, element.re_odd, element.im_even, element.im_odd)
-    ratios = [v.rational_ratio(exact) for v in buckets]
-    if None in ratios:
-        return None
-    re_even, re_odd, im_even, im_odd = map(float, ratios)
-    return complex(re_even + re_odd / math.sqrt(2.0), im_even + im_odd / math.sqrt(2.0))
+def _ratios(element: ExactMatrixElement, norm: GammaVector, ratio) -> list:
+    """element / norm as its buckets' ratios [re_even, re_odd, im_even, im_odd]."""
+    return [ratio(v, norm) for v in element.buckets]
 
 
-def _guarded(system, expr, state, precision: float):
-    """(bare state, its squared norm) once the state passes expr's sector guard."""
-    bare = _as_state(state)
-    _guard_sector(system, expr, bare)
-    return bare, _norm_sq(state, precision)
+def _abs_sq(parts):
+    """|re_even + re_odd/sqrt2 + i (im_even + im_odd/sqrt2)|^2, one bucket per part nonzero."""
+    re_even, re_odd, im_even, im_odd = parts
+    return re_even ** 2 + re_odd ** 2 / 2 + im_even ** 2 + im_odd ** 2 / 2
 
 
-def _mean(system, expr, state, norm: tuple, precision: float) -> complex:
-    value, norm_value = _over_norm(matrix_element(system, expr, state, state), norm, precision)
-    return value / norm_value
+def _variance(mean: ExactMatrixElement, second: ExactMatrixElement, norm, ratio):
+    """<O^2> - |<O>|^2 from <f|O|f> and <f|O^2|f>, whose real part is its re_even
+    bucket: the real part of O^2, re.re - im.im, has an even sqrt(2) power."""
+    return ratio(second.re_even, norm) - _abs_sq(_ratios(mean, norm, ratio))
 
 
-def _variance(system, expr, state, norm: tuple, precision: float) -> float:
-    mean = _mean(system, expr, state, norm, precision)
-    second = _mean(system, expr.compose(expr), state, norm, precision)
-    var = second.real - abs(mean) ** 2
-    return max(var, 0.0)
+def _float(x) -> float:
+    """A Fraction's float, or an interval's midpoint."""
+    return float(getattr(x, "mid", x))
 
 
-def expectation(system, expr, state, precision: float = 1e-14) -> complex:
+def _root(x) -> float:
+    """sqrt of a nonnegative number; an interval's midpoint may dip below 0."""
+    return math.sqrt(max(_float(x), 0.0))
+
+
+def _complex(parts) -> complex:
+    re_even, re_odd, im_even, im_odd = map(_float, parts)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return complex(re_even + inv_sqrt2 * re_odd, im_even + inv_sqrt2 * im_odd)
+
+
+def expectation(system, expr, state) -> complex:
     """Normalised expectation <expr> on the given state or record."""
-    return _mean(system, expr, *_guarded(system, expr, state, precision), precision)
+    element, norm = expectation_exact(system, expr, state), _norm_sq(state)
+    _, (parts,) = _decide(lambda ratio: (0, _ratios(element, norm, ratio)))
+    return _complex(parts)
 
 
-def variance(system, expr, state, precision: float = 1e-14) -> float:
-    return _variance(system, expr, *_guarded(system, expr, state, precision), precision)
+def variance(system, expr, state) -> float:
+    mean, second = (expectation_exact(system, e, state) for e in (expr, expr.compose(expr)))
+    norm = _norm_sq(state)
+    _, (var,) = _decide(lambda ratio: (0, _variance(mean, second, norm, ratio)))
+    return max(_float(var), 0.0)  # an interval's midpoint may dip below 0
 
 
-def sigma(system, expr, state, precision: float = 1e-14) -> float:
-    return math.sqrt(variance(system, expr, state, precision))
+def sigma(system, expr, state) -> float:
+    return math.sqrt(variance(system, expr, state))
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +357,18 @@ class UncertaintyResult:
         }
 
 
-def _holds(product: float, bound: float, tolerance: float) -> bool:
-    """product >= bound - tolerance for a finite product and bound; inf >= inf proves nothing."""
-    return math.isfinite(product) and math.isfinite(bound) and product >= bound - tolerance
+def _result(pair, passed, var1, var2, bound_sq, details) -> UncertaintyResult:
+    """Floats by one route from var1 var2 and bound^2, so equal ones give product == bound."""
+    return UncertaintyResult(pair, _root(var1), _root(var2), _root(var1 * var2), _root(bound_sq),
+                             passed, details)
 
 
-def _sector_product(system, state, sector: int, tolerance: float) -> UncertaintyResult:
+def _sector_product(system, state, sector: int) -> UncertaintyResult:
     """sigma_L sigma_A of one sector against its Robertson bound.
 
     The closed form is (d-g)|2<N> - c|/4 with N = a+a, c = gamma in the
     first sector and N = aa+, c = delta in the second.  The state's norm is
-    evaluated once, for all six expectations.
+    taken once, for all six expectations.
     """
     a, ad = system.generators[:2]
     if sector == 1:
@@ -341,34 +377,31 @@ def _sector_product(system, state, sector: int, tolerance: float) -> Uncertainty
     else:
         pair, obs_l, obs_a = "L~,A~", observable_L_tilde(system), observable_A_tilde(system)
         number_op, offset = OperatorExpression("aa+", a @ ad, sector=2), system.delta
-    precision = 1e-14
-    state, norm = _guarded(system, obs_l, state, precision)
-    s_l = math.sqrt(_variance(system, obs_l, state, norm, precision))
-    s_a = math.sqrt(_variance(system, obs_a, state, norm, precision))
-    comm_value = _mean(system, obs_l.commutator_with(obs_a), state, norm, precision)
-    bound = 0.5 * abs(comm_value)
-    number = _mean(system, number_op, state, norm, precision).real
+    exprs = (obs_l, obs_l.compose(obs_l), obs_a, obs_a.compose(obs_a), obs_l.commutator_with(obs_a), number_op)
+    mean_l, second_l, mean_a, second_a, comm, number = (expectation_exact(system, e, state) for e in exprs)
+    norm = _norm_sq(state)
+
+    def formula(ratio):
+        var_l = _variance(mean_l, second_l, norm, ratio)
+        var_a = _variance(mean_a, second_a, norm, ratio)
+        bound_sq = _abs_sq(_ratios(comm, norm, ratio)) / 4
+        return var_l * var_a - bound_sq, var_l, var_a, bound_sq, ratio(number.re_even, norm)
+
+    passed, (var_l, var_a, bound_sq, number) = _decide(formula)
+    number = _float(number)
     closed_form = float(system.spacing) / 4 * abs(2 * number - float(offset))
-    product = s_l * s_a
-    return UncertaintyResult(
-        pair=pair,
-        sigma1=s_l,
-        sigma2=s_a,
-        product=product,
-        bound=bound,
-        passed=_holds(product, bound, tolerance),
-        details={"mean_number": number, "bound_closed_form": closed_form},
-    )
+    return _result(pair, passed, var_l, var_a, bound_sq,
+                   {"mean_number": number, "bound_closed_form": closed_form})
 
 
-def uncertainty_product_LA(system, state, tolerance: float = 1e-12) -> UncertaintyResult:
+def uncertainty_product_LA(system, state) -> UncertaintyResult:
     """sigma_L sigma_A against the Robertson bound (d-g)|2<a+a> - gamma|/4."""
-    return _sector_product(system, state, 1, tolerance)
+    return _sector_product(system, state, 1)
 
 
-def uncertainty_product_tilde(system, state, tolerance: float = 1e-12) -> UncertaintyResult:
+def uncertainty_product_tilde(system, state) -> UncertaintyResult:
     """sigma_L~ sigma_A~ against (d-g)|2<aa+> - delta|/4 (minimised by phi~ level 0)."""
-    return _sector_product(system, state, 2, tolerance)
+    return _sector_product(system, state, 2)
 
 
 @dataclass(frozen=True)
@@ -412,44 +445,33 @@ def _xp_guard(system, components):
         raise SectorDomainError("component 2 lies outside the second-sector classes")
 
 
-def _cross_over_norms(elements, norms, w1w2: float, fallback: complex) -> complex:
-    """sqrt(w1 w2) (cross / ||c1||^2) sqrt(||c1||^2 / ||c2||^2), both ratios exact.
+def _block_moments(system, upper, lower, components, norms):
+    """moments(ratio) = (variance, <Op^2>, (s^2, parts)) of the block operator Op.
 
-    For cross terms whose float or whose norms' product overflows; fallback
-    where a ratio is not rational (the parts lie on different Gamma symbols).
+    With norms[i] = ||c_i||^2 / w_i, <Op> = cross / sqrt(norms[0] norms[1]) is
+    s parts, parts = cross / norms[0]; s^2 = norms[0] / norms[1] is taken only
+    for a nonzero cross term (for the CLI's mixed state it is irrational).
     """
-    exact1, exact2 = norms[0][0], norms[1][0]
-    parts = [_exact_ratio(e, exact1) for e in elements]
-    norm_ratio = exact1.rational_ratio(exact2)
-    if None in parts or norm_ratio is None:
-        return fallback
-    return math.sqrt(w1w2 * float(norm_ratio)) * (parts[0] + parts[1])
-
-
-def _block_expectations(system, upper, lower, dstate, components, norms, precision):
-    """(<Psi|Op|Psi>, <Psi|Op^2|Psi>) for Op with the given off-diagonal blocks."""
-    w1, w2 = float(dstate.weight1), float(dstate.weight2)
     c1, c2 = components
-    mean = 0.0 + 0.0j
-    if c1 is not None and c2 is not None:
-        elements = matrix_element(system, upper, c1, c2), matrix_element(system, lower, c2, c1)
-        cross = elements[0].value(precision) + elements[1].value(precision)
-        norm_product = norms[0][1] * norms[1][1]
-        mean = math.sqrt(w1 * w2 / norm_product) * cross
-        if not (math.isfinite(norm_product) and cmath.isfinite(cross)):
-            mean = _cross_over_norms(elements, norms, w1 * w2, mean)
-    second = 0.0
-    if c1 is not None:
-        sq11, norm1_sq = _over_norm(matrix_element(system, upper.compose(lower), c1, c1), norms[0], precision)
-        second += w1 * sq11.real / norm1_sq
-    if c2 is not None:
-        sq22, norm2_sq = _over_norm(matrix_element(system, lower.compose(upper), c2, c2), norms[1], precision)
-        second += w2 * sq22.real / norm2_sq
-    return mean, second
+    cross = None
+    if c1 is not None and c2 is not None:  # both terms carry one sqrt(2) parity
+        up, low = matrix_element(system, upper, c1, c2), matrix_element(system, lower, c2, c1)
+        cross = ExactMatrixElement(*(u + v for u, v in zip(up.buckets, low.buckets)))
+    diagonal = [(matrix_element(system, left.compose(right), c, c), norm)
+                for c, left, right, norm in ((c1, upper, lower, norms[0]), (c2, lower, upper, norms[1]))
+                if c is not None]
+
+    def moments(ratio):
+        second = sum(ratio(e.re_even, norm) for e, norm in diagonal)  # real parts, as in _variance
+        if cross is None or cross.is_exactly_zero:
+            return second, second, (0, [0, 0, 0, 0])
+        scale_sq, parts = ratio(norms[0], norms[1]), _ratios(cross, norms[0], ratio)
+        return second - scale_sq * _abs_sq(parts), second, (scale_sq, parts)
+
+    return moments
 
 
-def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e-12,
-                           precision: float = 1e-14) -> UncertaintyResult:
+def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
     """sigma_X sigma_P on a direct-sum state, with the exact Robertson bound.
 
     The commutator [X, P] is block diagonal and acts as -gamma on the first
@@ -458,43 +480,34 @@ def uncertainty_product_XP(system, dstate: DirectSumState, tolerance: float = 1e
     min(|gamma|, delta)/2.
     """
     given = (dstate.component1, dstate.component2)
-    c1, c2 = components = tuple(map(_as_state, given))  # _as_state(None) is None
+    components = tuple(map(_as_state, given))  # _as_state(None) is None
     _xp_guard(system, components)
-    norms = tuple(None if c is None else _norm_sq(c, precision) for c in given)
+    weights = (dstate.weight1, dstate.weight2)
+    norms = [None if c is None else _norm_sq(c).scale(1 / Fraction(w)) for c, w in zip(given, weights)]
     x12, x21 = x_block(system, "12"), x_block(system, "21")
     p12, p21 = p_block(system, "12"), p_block(system, "21")
-    mean_x, second_x = _block_expectations(system, x12, x21, dstate, components, norms, precision)
-    mean_p, second_p = _block_expectations(system, p12, p21, dstate, components, norms, precision)
-    var_x = max(second_x - abs(mean_x) ** 2, 0.0)
-    var_p = max(second_p - abs(mean_p) ** 2, 0.0)
-    s_x, s_p = math.sqrt(var_x), math.sqrt(var_p)
-    product = s_x * s_p
+    x_moments = _block_moments(system, x12, x21, components, norms)
+    p_moments = _block_moments(system, p12, p21, components, norms)
     # Robertson bound from the block commutators, evaluated per component.
     comm11 = x12.compose(p21).minus(p12.compose(x21))
     comm22 = x21.compose(p12).minus(p21.compose(x12))
-    comm_total = 0.0 + 0.0j
-    for weight, comm, c, norm in zip((dstate.weight1, dstate.weight2), (comm11, comm22), components, norms):
-        if c is not None:
-            value, norm_value = _over_norm(matrix_element(system, comm, c, c), norm, precision)
-            comm_total += float(weight) * value / norm_value
-    bound = 0.5 * abs(comm_total)
-    convex = 0.5 * float(
-        abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2
-    )
-    global_bound = 0.5 * float(min(abs(system.gamma), system.delta))
-    return UncertaintyResult(
-        pair="X,P",
-        sigma1=s_x,
-        sigma2=s_p,
-        product=product,
-        bound=bound,
-        passed=_holds(product, bound, tolerance),
-        details={
-            "mean_x": (mean_x.real, mean_x.imag),
-            "mean_p": (mean_p.real, mean_p.imag),
-            "second_x": second_x,
-            "second_p": second_p,
-            "bound_convex_combination": convex,
-            "global_bound": global_bound,
-        },
-    )
+    comms = [(matrix_element(system, comm, c, c), norm)
+             for comm, c, norm in zip((comm11, comm22), components, norms) if c is not None]
+
+    def formula(ratio):
+        (var_x, second_x, mean_x), (var_p, second_p, mean_p) = x_moments(ratio), p_moments(ratio)
+        comm = [sum(parts) for parts in zip(*(_ratios(e, norm, ratio) for e, norm in comms))]
+        bound_sq = _abs_sq(comm) / 4
+        return var_x * var_p - bound_sq, var_x, var_p, bound_sq, mean_x, mean_p, second_x, second_p
+
+    passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = _decide(formula)
+    mean_x, mean_p = (_root(scale_sq) * _complex(parts) for scale_sq, parts in means)
+    convex = 0.5 * float(abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2)
+    return _result("X,P", passed, var_x, var_p, bound_sq, {
+        "mean_x": (mean_x.real, mean_x.imag),
+        "mean_p": (mean_p.real, mean_p.imag),
+        "second_x": _float(second_x),
+        "second_p": _float(second_p),
+        "bound_convex_combination": convex,
+        "global_bound": 0.5 * float(min(abs(system.gamma), system.delta)),
+    })

@@ -1,7 +1,7 @@
-"""Import graph: numpy and scipy load only on the routes that compute with them.
+"""Import graph: numpy, scipy and mpmath load only on the routes that compute with them.
 
 Each check runs in a fresh interpreter, since the test process itself has
-long since imported both.
+long since imported them.
 """
 
 import os
@@ -12,12 +12,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _REPORT = """
 import sys
-print(" ".join(m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules))
+print(" ".join(m for m in ("numpy", "scipy", "scipy.linalg", "mpmath") if m in sys.modules))
 """
 
 
 def loaded_after(code):
-    """Which of numpy, scipy and scipy.linalg a fresh interpreter holds after `code`."""
+    """Which of numpy, scipy, scipy.linalg and mpmath a fresh interpreter holds after `code`."""
     result = subprocess.run(
         [sys.executable, "-c", code + _REPORT],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -33,14 +33,18 @@ def test_package_and_cli_import_without_numpy_or_scipy():
     assert loaded_after("import coupledsusy, coupledsusy.cli\n") == set()
 
 
-def test_verify_command_runs_without_numpy_or_scipy():
-    code = (
+def cli_code(argv):
+    """Code that runs one CLI command, which must exit 0, with its report discarded."""
+    return (
         "import contextlib, io\n"
         "from coupledsusy import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--n', '2']) == 0\n"
+        f"    assert cli.main({argv!r}) == 0\n"
     )
-    assert loaded_after(code) == set()
+
+
+def test_verify_command_runs_without_numpy_or_scipy():
+    assert loaded_after(cli_code(["verify", "--n", "2"])) == set()
 
 
 def test_fd_spectrum_loads_scipy_linalg():
@@ -49,10 +53,18 @@ def test_fd_spectrum_loads_scipy_linalg():
 
 
 def test_galerkin_spectrum_command_runs_without_numpy_or_scipy():
-    code = (
-        "import contextlib, io\n"
-        "from coupledsusy import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['spectrum', '--n', '2', '--count', '6']) == 0\n"
-    )
-    assert loaded_after(code) == set()
+    assert loaded_after(cli_code(["spectrum", "--n", "2", "--count", "6"])) == set()
+
+
+def test_uncertainty_and_coherent_commands_run_without_mpmath():
+    for argv in (
+        ["uncertainty", "--n", "1", "--state", "ground"],
+        ["uncertainty", "--n", "2", "--state", "mixed"],
+        ["coherent", "--n", "2", "--sector", "psi", "--z", "0.5", "--tol", "1e-12"],
+    ):
+        assert loaded_after(cli_code(argv)) == set(), argv
+
+
+def test_eigenfunctions_command_loads_only_numpy():
+    argv = ["eigenfunctions", "--n", "2", "--m", "3", "--grid", "-4:4:401", "--format", "csv"]
+    assert loaded_after(cli_code(argv)) == {"numpy"}

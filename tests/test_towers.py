@@ -9,6 +9,7 @@ against the full product inner_product(state, state).
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -388,6 +389,20 @@ def test_record_json_dict_exact_strings():
     assert payload["sector"] == "phi"
     assert payload["eigenvalue"] == "7/1"
     assert payload["state"] == "2; 0; 3:-7/1, 7:2/1"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default int-to-text limit")
+def test_record_json_dict_past_int_text_limit_raises():
+    # n = 1: the squared norm of level 800 has an integer past 4300 digits;
+    # the library reports it and leaves the interpreter-wide limit alone
+    system = make_xn_system(1)
+    assert eigenstate(system, PSI, 750).to_json_dict()["m"] == 750
+    deep = eigenstate(system, PSI, 800)
+    with pytest.raises(ValueError):
+        deep.to_json_dict()
+    with pytest.raises(ValueError):
+        deep.norm_sq.serialize()
+    assert sys.get_int_max_str_digits() == 4300
 
 
 # ---------------------------------------------------------------------------

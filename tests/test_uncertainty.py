@@ -7,8 +7,10 @@ import pytest
 from mpmath import mp
 
 from coupledsusy.calculus import (
+    GammaVector,
     Generator,
     apply_word,
+    evaluate_gamma_vector,
     inner_product,
     monomial_state,
 )
@@ -23,7 +25,9 @@ from coupledsusy.uncertainty import (
     expectation_exact,
     matrix_element,
     observable_A,
+    observable_A_tilde,
     observable_L,
+    observable_L_tilde,
     p_block,
     uncertainty_product_LA,
     uncertainty_product_tilde,
@@ -426,23 +430,140 @@ def test_xp_cross_term_of_deep_partners(m):
 
 
 @pytest.mark.parametrize("n, sector, m", [(1, PSI, 20), (1, PHI_T, 30), (2, PHI, 12)])
-def test_exact_quotient_matches_float_quotient(n, sector, m):
-    # the overflow route, forced on a level whose floats are finite
+def test_exact_ratios_match_evaluated_quotients(n, sector, m):
+    # each normalised expectation, taken from exact ratios to the norm, is
+    # the quotient of the two GammaVectors evaluated in floats
     system = make_xn_system(n)
     rec = eigenstate(system, sector, m)
-    obs_l, x12, p12 = observable_L(system), x_block(system, "12"), p_block(system, "12")
-    exprs = [obs_l, observable_A(system), obs_l.compose(obs_l)]
-    exprs += [x12.compose(x_block(system, "21")), p12.compose(p_block(system, "21"))]
-    norm = uncertainty._norm_sq(rec, 1e-14)
+    obs_l = observable_L_tilde(system) if sector.is_tilde else observable_L(system)
+    obs_a = observable_A_tilde(system) if sector.is_tilde else observable_A(system)
+    outer, inner = ("21", "12") if sector.is_tilde else ("12", "21")
+    exprs = [obs_l, obs_a, obs_l.compose(obs_l), obs_a.compose(obs_a), obs_l.commutator_with(obs_a)]
+    exprs += [block(system, outer).compose(block(system, inner)) for block in (x_block, p_block)]
+    norm = evaluate_gamma_vector(rec.norm_sq)
     for expr in exprs:
-        element = matrix_element(system, expr, rec.state, rec.state)
-        value, norm_value = uncertainty._over_norm(element, norm, 1e-14)
-        exact, one = uncertainty._over_norm(element, (norm[0], math.inf), 1e-14)
-        assert one == 1.0 and abs(exact - value / norm_value) <= 1e-12 * max(1.0, abs(exact))
+        element = expectation_exact(system, expr, rec)
+        want = complex(evaluate_gamma_vector(element.re_even), evaluate_gamma_vector(element.im_even)) / norm
+        assert element.re_odd.is_zero and element.im_odd.is_zero
+        assert abs(expectation(system, expr, rec) - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_non_finite_products_never_hold():
-    inf, nan = math.inf, math.nan
-    assert uncertainty._holds(2.0, 1.0, 1e-12)
-    for product, bound in ((inf, inf), (inf, 0.5), (0.5, inf), (nan, 0.5), (0.5, nan), (nan, nan)):
-        assert not uncertainty._holds(product, bound, 1e-12)
+def test_uncertain_sign_never_passes(monkeypatch):
+    # v / w - v / w is exactly 0, but over intervals it never excludes 0: a
+    # verdict the certified route cannot settle by 4096 bits does not pass.
+    # Every evaluation is done at 64 bits (a first 4096-bit Gamma value
+    # takes seconds), which keeps each interval wide at every step.
+    v, w = GammaVector(2, {1: 1, 3: 1}), GammaVector(2, {1: 2, 3: 1})
+    assert v.rational_ratio(w) is None
+    bits, real = [], uncertainty.evaluate_gamma_vector_mp
+
+    def at_64_bits(vector, prec_bits):
+        bits.append(prec_bits)
+        return real(vector, 64)
+
+    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", at_64_bits)
+    passed, (gap,) = uncertainty._decide(lambda ratio: (ratio(v, w) - ratio(v, w),) * 2)
+    assert passed is False and gap.a < 0 < gap.b
+    assert sorted(set(bits)) == [64, 128, 256, 512, 1024, 2048, 4096]
+    # the same formula over Fractions is exactly 0 and passes
+    assert uncertainty._decide(lambda ratio: (ratio(w, w) - 1,) * 2) == (True, [Fraction(0)])
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts
+# ---------------------------------------------------------------------------
+
+LOWEST = [(PSI, 0), (PHI, 0), (PSI_T, 1), (PHI_T, 0)]
+
+
+def exact_gap(system, state):
+    """sigma_L^2 sigma_A^2 - bound^2 of a bare first-sector state on one Gamma symbol."""
+    norm = inner_product(state, state)
+
+    def ratios(expr):  # <expr> as (re, im); these observables fill even buckets only
+        element = expectation_exact(system, expr, state)
+        assert element.re_odd.is_zero and element.im_odd.is_zero
+        return element.re_even.rational_ratio(norm), element.im_even.rational_ratio(norm)
+
+    def var(obs):
+        (mean_re, mean_im), (second, _) = ratios(obs), ratios(obs.compose(obs))
+        return second - mean_re ** 2 - mean_im ** 2
+
+    obs_l, obs_a = observable_L(system), observable_A(system)
+    comm_re, comm_im = ratios(obs_l.commutator_with(obs_a))
+    return var(obs_l) * var(obs_a) - (comm_re ** 2 + comm_im ** 2) / 4
+
+
+def sector_product(system, sector, m):
+    product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
+    return product(system, eigenstate(system, sector, m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sector, m", LOWEST)
+def test_lowest_levels_saturate_exactly(n, sector, m):
+    system = make_xn_system(n)
+    result = sector_product(system, sector, m)
+    assert result.equality_gap == 0.0 and result.product == result.bound
+    assert result.passed
+    if not sector.is_tilde:
+        assert exact_gap(system, eigenstate(system, sector, m).state) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sector, lowest", LOWEST)
+def test_levels_above_lowest_exceed_bound(n, sector, lowest):
+    system = make_xn_system(n)
+    for m in range(lowest + 1, lowest + 8):
+        result = sector_product(system, sector, m)
+        assert result.product > result.bound and result.passed
+
+
+@pytest.mark.parametrize("tag, gaps", [
+    ("adag-coeff", [Fraction(-3, 32), Fraction(-3, 16), Fraction(-9, 32)]),
+    ("a-coeff", [0, 0, 0]),
+    ("b-coeff", [0, 0, 0]),
+])
+def test_mutated_generators_decide_exactly(tag, gaps):
+    # the unmutated bare psi_0 under mutated generators: a miss fails and
+    # a saturation passes with no tolerance either way
+    for n, gap in zip((1, 2, 3), gaps):
+        psi0 = eigenstate(make_xn_system(n), PSI, 0).state
+        mutated = make_xn_system(n, mutate=tag)
+        assert exact_gap(mutated, psi0) == gap
+        result = uncertainty_product_LA(mutated, psi0)
+        assert result.passed == (gap == 0)
+        assert (result.equality_gap == 0.0) == (gap == 0)
+
+
+def test_records_evaluate_no_gamma_value(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a Gamma value was evaluated")
+
+    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", refuse)
+    for n in (1, 2, 3):
+        system = make_xn_system(n)
+        psi0, phi_t0 = eigenstate(system, PSI, 0), eigenstate(system, PHI_T, 0)
+        assert uncertainty_product_LA(system, eigenstate(system, PHI, 2).state).passed
+        assert uncertainty_product_tilde(system, eigenstate(system, PSI_T, 3)).passed
+        # the CLI's mixed state: norms on two Gamma symbols, exactly zero cross terms
+        mixed = direct_sum(psi0, Fraction(1, 2), phi_t0, Fraction(1, 2))
+        assert uncertainty_product_XP(system, mixed).passed
+
+
+@pytest.mark.parametrize("n, want", [(2, 10.391998515659457), (3, 21.603093321105437)])
+def test_two_symbol_state_takes_certified_route(monkeypatch, n, want):
+    system = make_xn_system(n)
+    bare = eigenstate(system, PSI, 1).state + eigenstate(system, PHI, 0).state
+    bits = []
+    real = uncertainty.evaluate_gamma_vector_mp
+
+    def counting(v, prec_bits):
+        bits.append(prec_bits)
+        return real(v, prec_bits)
+
+    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", counting)
+    result = uncertainty_product_LA(system, bare)
+    assert bits and set(bits) == {64}
+    assert result.passed and result.product > result.bound
+    assert result.product == pytest.approx(want, rel=1e-12)
