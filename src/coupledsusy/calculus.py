@@ -55,6 +55,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from .systems import CoupledSusySystem
 
 
+class Record:
+    """Base of the immutable result records: field-wise ==, hash and repr.
+
+    A subclass names its fields in `_fields`, holds them in `__slots__` and
+    stores them through object.__setattr__; == holds only within one class.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+
 class FamilyMismatchError(ValueError):
     """Two objects built for different family indices n were combined."""
 

@@ -41,27 +41,30 @@ lowering word b+a does not fix any of these states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .calculus import Record
 from .systems import CoupledSusySystem
 from .towers import SectorLabel, half_lowering_factor_squared
 
 
-@dataclass(frozen=True)
-class CoherentState:
+class CoherentState(Record):
     """Truncated coefficient expansion of a displacement coherent state.
 
     coefficients[i] multiplies the normalised tower state at level
     m_start + i; the dropped tail has squared l2 mass below tail_bound.
     """
 
-    sector: SectorLabel
-    k: Fraction
-    z: complex
-    m_start: int
-    coefficients: tuple
-    tail_bound: float
+    __slots__ = _fields = ("sector", "k", "z", "m_start", "coefficients", "tail_bound")
+
+    def __init__(self, sector: SectorLabel, k: Fraction, z: complex, m_start: int,
+                 coefficients: tuple, tail_bound: float):
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "m_start", m_start)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "tail_bound", tail_bound)
 
     @property
     def truncation_level(self) -> int:
@@ -88,20 +91,25 @@ class CoherentState:
         }
 
 
-@dataclass(frozen=True)
-class HalfLoweringCheck:
+class HalfLoweringCheck(Record):
     """Result of the coefficientwise intertwining check."""
 
-    sector: SectorLabel
-    operator: str
-    target_sector: SectorLabel
-    target_k: Fraction
-    scalar: complex
-    best_fit_scalar: complex
-    residual: float
-    compared_levels: int
-    tail_bound_source: float
-    tail_bound_target: float
+    __slots__ = _fields = ("sector", "operator", "target_sector", "target_k", "scalar", "best_fit_scalar",
+                           "residual", "compared_levels", "tail_bound_source", "tail_bound_target")
+
+    def __init__(self, sector: SectorLabel, operator: str, target_sector: SectorLabel,
+                 target_k: Fraction, scalar: complex, best_fit_scalar: complex, residual: float,
+                 compared_levels: int, tail_bound_source: float, tail_bound_target: float):
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "target_sector", target_sector)
+        object.__setattr__(self, "target_k", target_k)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "best_fit_scalar", best_fit_scalar)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "compared_levels", compared_levels)
+        object.__setattr__(self, "tail_bound_source", tail_bound_source)
+        object.__setattr__(self, "tail_bound_target", tail_bound_target)
 
     @property
     def total_mismatch_bound(self) -> float:

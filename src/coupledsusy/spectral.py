@@ -28,14 +28,7 @@ Two routes, deliberately different from the exact tower construction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .calculus import (
-    Generator,
-    apply_generator,
-    inner_product,
-    monomial_state,
-)
+from .calculus import Generator, Record, apply_generator, inner_product, monomial_state
 from .systems import CoupledSusySystem, make_xn_system
 from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
 
@@ -50,23 +43,24 @@ from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
 FD_DOCUMENTED_TOLERANCE = {1: 1e-5, 2: 0.05, 3: 0.10}
 
 
-@dataclass(frozen=True)
-class GalerkinProblem:
+class GalerkinProblem(Record):
     """Exact weak-form matrices of a+a over one residue-class monomial basis."""
 
-    n: int
-    residue: int
-    exponents: tuple
-    h_matrix: tuple
-    s_matrix: tuple
+    __slots__ = _fields = ("n", "residue", "exponents", "h_matrix", "s_matrix")
+
+    def __init__(self, n: int, residue: int, exponents: tuple, h_matrix: tuple, s_matrix: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "h_matrix", h_matrix)
+        object.__setattr__(self, "s_matrix", s_matrix)
 
     @property
     def size(self) -> int:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Computed vs theoretical eigenvalues with per-eigenvalue errors.
 
     `rel_errors` uses |computed - theory| / max(1, |theory|) so the zero
@@ -74,13 +68,17 @@ class SpectrumReport:
     route's exact verdict; the finite-difference route has none (None).
     """
 
-    method: str
-    n: int
-    computed: tuple
-    theory: tuple
-    rel_errors: tuple
-    details: dict = field(default_factory=dict)
-    passed: bool | None = None
+    __slots__ = _fields = ("method", "n", "computed", "theory", "rel_errors", "details", "passed")
+
+    def __init__(self, method: str, n: int, computed: tuple, theory: tuple, rel_errors: tuple,
+                 details: dict | None = None, passed: bool | None = None):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "rel_errors", rel_errors)
+        object.__setattr__(self, "details", {} if details is None else details)
+        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         payload = {

@@ -18,12 +18,10 @@ identically zero; that settles the identity for every integer exponent k.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .calculus import IDENTITY, Generator, Operator, monomial_state
+from .calculus import IDENTITY, Generator, Operator, Record, monomial_state
 
 _GENERATOR_INDEX = {gen: i for i, gen in enumerate(Generator)}
 
@@ -34,24 +32,31 @@ _PROOF_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CoupledSusySystem:
+class CoupledSusySystem(Record):
     """The quadruple (a, b, gamma, delta) with its four generator Operators.
 
     `generators` holds the Operators of a, a+, b, b+ in Generator order.
+    The hash is computed once, because systems key the tower-state cache.
     """
 
-    n: int
-    gamma: Fraction
-    delta: Fraction
-    generators: tuple
-    mutation: str | None = None
+    _fields = ("n", "gamma", "delta", "generators", "mutation")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        if self.gamma > 0 or self.delta < 0:
+    def __init__(self, n: int, gamma: Fraction, delta: Fraction, generators: tuple,
+                 mutation: str | None = None):
+        if gamma > 0 or delta < 0:
             raise ValueError("positivity requires gamma <= 0 <= delta")
-        if not self.gamma < self.delta:
+        if not gamma < delta:
             raise ValueError("a coupled SUSY system needs gamma < delta")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "mutation", mutation)
+        object.__setattr__(self, "_hash", hash((n, gamma, delta, generators, mutation)))
+
+    def __hash__(self):
+        return self._hash
 
     def generator(self, gen: Generator) -> Operator:
         return self.generators[_GENERATOR_INDEX[gen]]
@@ -144,8 +149,7 @@ def default_window(n: int) -> tuple:
     return (-2 * n - 10, 4 * n + 30)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of proving one operator identity.
 
     `passed` is exact for every exponent.  `k_range` and `checked` describe
@@ -156,13 +160,17 @@ class VerificationReport:
     residual Operator (`residual_operator`).
     """
 
-    identity: str
-    n: int
-    k_range: tuple
-    passed: bool
-    first_failure: dict | None = None
-    checked: int = 0
-    note: str = ""
+    __slots__ = _fields = ("identity", "n", "k_range", "passed", "first_failure", "checked", "note")
+
+    def __init__(self, identity: str, n: int, k_range: tuple, passed: bool,
+                 first_failure: dict | None = None, checked: int = 0, note: str = ""):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k_range", k_range)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "note", note)
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -175,9 +183,6 @@ class VerificationReport:
         if self.note:
             payload["note"] = self.note
         return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -> VerificationReport:

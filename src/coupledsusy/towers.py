@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -57,6 +56,7 @@ from .calculus import (
     GaussPolyState,
     Generator,
     LOWERING_WORD,
+    Record,
     apply_generator,
     apply_word,
     evaluate_gamma_vector,
@@ -93,19 +93,22 @@ class SectorLabel(Enum):
         }[self]
 
 
-@dataclass(frozen=True)
-class EigenstateRecord:
+class EigenstateRecord(Record):
     """An unnormalised exact eigenstate with its norm and eigenvalue.
 
     Untilded records are eigenstates of a+a, tilde records of aa+; both
     carry the same eigenvalue ladder m(delta-gamma) / m(delta-gamma)+delta.
     """
 
-    sector: SectorLabel
-    m: int
-    state: GaussPolyState
-    norm_sq: GammaVector
-    eigenvalue: Fraction
+    __slots__ = _fields = ("sector", "m", "state", "norm_sq", "eigenvalue")
+
+    def __init__(self, sector: SectorLabel, m: int, state: GaussPolyState, norm_sq: GammaVector,
+                 eigenvalue: Fraction):
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "norm_sq", norm_sq)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
 
     def to_json_dict(self) -> dict:
         """ValueError once an int passes the int-to-text digit limit (n = 1: from level 800)."""

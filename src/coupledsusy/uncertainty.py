@@ -39,7 +39,6 @@ computation so that a wrong sign in any word would surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import (
@@ -47,6 +46,7 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Operator,
+    Record,
     evaluate_gamma_vector_mp,
     inner_product,
 )
@@ -62,18 +62,20 @@ _ZERO = Operator({})
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class OperatorExpression:
+class OperatorExpression(Record):
     """The complex operator re + i im, with exact Operator parts.
 
     `sector` is 1 or 2 for within-sector observables (enforced on states),
     or None for the direct-sum blocks which transfer between sectors.
     """
 
-    name: str
-    re: Operator
-    im: Operator = _ZERO
-    sector: int | None = None
+    __slots__ = _fields = ("name", "re", "im", "sector")
+
+    def __init__(self, name: str, re: Operator, im: Operator = _ZERO, sector: int | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "sector", sector)
 
     def compose(self, other: "OperatorExpression", name: str | None = None) -> "OperatorExpression":
         """Operator product self . other (other acts first)."""
@@ -147,18 +149,21 @@ def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactMatrixElement:
+class ExactMatrixElement(Record):
     """<f | expr | g> as exact GammaVectors, bucketed by residual sqrt(2) parity.
 
     value = re_even + re_odd / sqrt(2) + i (im_even + im_odd / sqrt(2)),
     where matrix_element fills at most one bucket of each part.
     """
 
-    re_even: GammaVector
-    re_odd: GammaVector
-    im_even: GammaVector
-    im_odd: GammaVector
+    __slots__ = _fields = ("re_even", "re_odd", "im_even", "im_odd")
+
+    def __init__(self, re_even: GammaVector, re_odd: GammaVector, im_even: GammaVector,
+                 im_odd: GammaVector):
+        object.__setattr__(self, "re_even", re_even)
+        object.__setattr__(self, "re_odd", re_odd)
+        object.__setattr__(self, "im_even", im_even)
+        object.__setattr__(self, "im_odd", im_odd)
 
     @property
     def buckets(self) -> tuple:
@@ -330,15 +335,18 @@ def sigma(system, expr, state) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UncertaintyResult:
-    pair: str
-    sigma1: float
-    sigma2: float
-    product: float
-    bound: float
-    passed: bool
-    details: dict = field(default_factory=dict)
+class UncertaintyResult(Record):
+    __slots__ = _fields = ("pair", "sigma1", "sigma2", "product", "bound", "passed", "details")
+
+    def __init__(self, pair: str, sigma1: float, sigma2: float, product: float, bound: float,
+                 passed: bool, details: dict | None = None):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     @property
     def equality_gap(self) -> float:
@@ -404,8 +412,7 @@ def uncertainty_product_tilde(system, state) -> UncertaintyResult:
     return _sector_product(system, state, 2)
 
 
-@dataclass(frozen=True)
-class DirectSumState:
+class DirectSumState(Record):
     """A normalised two-component state (sqrt(w1) psi1/|psi1|, sqrt(w2) psi2/|psi2|).
 
     Components are stored unnormalised, as bare states or as
@@ -414,23 +421,26 @@ class DirectSumState:
     requires weight zero.
     """
 
-    component1: GaussPolyState | EigenstateRecord | None
-    component2: GaussPolyState | EigenstateRecord | None
-    weight1: Fraction
-    weight2: Fraction
+    __slots__ = _fields = ("component1", "component2", "weight1", "weight2")
 
-    def __post_init__(self):
-        w1, w2 = Fraction(self.weight1), Fraction(self.weight2)
+    def __init__(self, component1: GaussPolyState | EigenstateRecord | None,
+                 component2: GaussPolyState | EigenstateRecord | None, weight1: Fraction,
+                 weight2: Fraction):
+        w1, w2 = Fraction(weight1), Fraction(weight2)
         if w1 < 0 or w2 < 0 or w1 + w2 != 1:
             raise ValueError("squared weights must be nonnegative and sum to 1 exactly")
-        if (w1 > 0) != (self.component1 is not None):
+        if (w1 > 0) != (component1 is not None):
             raise ValueError("component 1 must be present iff weight1 > 0")
-        if (w2 > 0) != (self.component2 is not None):
+        if (w2 > 0) != (component2 is not None):
             raise ValueError("component 2 must be present iff weight2 > 0")
-        if self.component1 is not None and _as_state(self.component1).is_zero:
+        if component1 is not None and _as_state(component1).is_zero:
             raise ValueError("component 1 is the zero state")
-        if self.component2 is not None and _as_state(self.component2).is_zero:
+        if component2 is not None and _as_state(component2).is_zero:
             raise ValueError("component 2 is the zero state")
+        object.__setattr__(self, "component1", component1)
+        object.__setattr__(self, "component2", component2)
+        object.__setattr__(self, "weight1", weight1)
+        object.__setattr__(self, "weight2", weight2)
 
 
 def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:

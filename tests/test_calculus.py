@@ -29,6 +29,7 @@ from coupledsusy.calculus import (
     GaussPolyState,
     Generator,
     Operator,
+    Record,
     _poly_shift,
     apply_generator,
     apply_word,
@@ -975,3 +976,30 @@ def test_operator_algebra_builds_no_fraction_per_coefficient(monkeypatch):
         counts.append(len(built))
     monkeypatch.undo()
     assert len(set(counts)) == 1 and counts[0] < 40, counts
+
+
+class _Pair(Record):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class _OtherPair(_Pair):
+    __slots__ = ()
+
+
+def test_record_base_semantics():
+    pair = _Pair(1, Fraction(1, 2))
+    assert pair == _Pair(1, Fraction(1, 2)) and hash(pair) == hash(_Pair(1, Fraction(1, 2)))
+    assert pair != _Pair(2, Fraction(1, 2)) and pair != _Pair(1, Fraction(1, 3))
+    assert pair != _OtherPair(1, Fraction(1, 2))  # == holds only within one class
+    assert pair != (1, Fraction(1, 2))
+    for action in (lambda: setattr(pair, "left", 2), lambda: setattr(pair, "new", 0),
+                   lambda: delattr(pair, "left")):
+        with pytest.raises(AttributeError, match="_Pair is immutable"):
+            action()
+    assert not hasattr(pair, "__dict__")
+    assert repr(pair) == "_Pair(left=1, right=Fraction(1, 2))"
+    assert repr(_OtherPair(0, "x")) == "_OtherPair(left=0, right='x')"

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from coupledsusy import towers
 from coupledsusy.coherent import (
+    CoherentState,
+    HalfLoweringCheck,
     bargmann_index,
     bargmann_indices,
     coherent_state,
@@ -77,6 +80,16 @@ def test_bargmann_index_matches_k0_action(n, sector):
     assert j == 0
     # the lowest state of each tower representation sits at K0 eigenvalue k
     assert q == bargmann_index(sysn, sector)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bargmann_index_is_half_laguerre_beta_plus_one(n):
+    # ties the Bargmann table to the towers' closed-form (p, a, j) table: 2k = beta + 1
+    system = make_xn_system(n)
+    for sector in SectorLabel:
+        record = eigenstate(system, sector, 1 if sector is PSI_T else 0)
+        _, a, _ = towers._laguerre_parameters(record)
+        assert 2 * bargmann_index(system, sector) == Fraction(a, 2 * n) + 1
 
 
 def test_z_zero_is_ground_state():
@@ -239,3 +252,39 @@ def test_full_lowering_word_oracle_consistency():
         assert rec_prev.norm_sq.scale(q * q * Fraction(2) ** j) == rec_m.norm_sq.scale(
             lamsq_product
         )
+
+
+def test_coherent_state_record_semantics():
+    state = coherent_state(make_xn_system(2), PSI, 0.3 + 0.2j, 1e-8)
+    fields = (state.sector, state.k, state.z, state.m_start, state.coefficients, state.tail_bound)
+    assert state == CoherentState(*fields) == coherent_state(make_xn_system(2), PSI, 0.3 + 0.2j, 1e-8)
+    assert hash(state) == hash(CoherentState(*fields))
+    assert state != CoherentState(*fields[:5], 0.0)
+    assert state != coherent_state(make_xn_system(2), PSI, 0.3 + 0.2j, 1e-10)
+    with pytest.raises(AttributeError):
+        state.z = 0j
+    zero = CoherentState(
+        sector=PHI, k=Fraction(3, 4), z=0j, m_start=0, coefficients=(1 + 0j,), tail_bound=0.0
+    )
+    assert zero == coherent_state(make_xn_system(1), PHI, 0)
+    assert repr(zero) == (
+        f"CoherentState(sector={PHI!r}, k=Fraction(3, 4), z=0j, m_start=0, "
+        "coefficients=((1+0j),), tail_bound=0.0)"
+    )
+
+
+def test_half_lowering_check_record_semantics():
+    check = verify_half_lowering(make_xn_system(2), PSI, 0.4, 1e-10)
+    assert check == verify_half_lowering(make_xn_system(2), PSI, 0.4, 1e-10)
+    assert check != verify_half_lowering(make_xn_system(2), PSI, 0.5, 1e-10)
+    fields = [getattr(check, f) for f in (
+        "sector", "operator", "target_sector", "target_k", "scalar", "best_fit_scalar",
+        "residual", "compared_levels", "tail_bound_source", "tail_bound_target",
+    )]
+    assert HalfLoweringCheck(*fields) == check
+    assert hash(HalfLoweringCheck(*fields)) == hash(check)
+    assert HalfLoweringCheck(*fields[:7], check.compared_levels + 1, *fields[8:]) != check
+    with pytest.raises(AttributeError):
+        check.residual = 0.0
+    assert repr(check).startswith(f"HalfLoweringCheck(sector={PSI!r}, operator='a', target_sector=")
+    assert f", compared_levels={check.compared_levels}, tail_bound_source=" in repr(check)

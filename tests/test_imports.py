@@ -1,7 +1,9 @@
 """Import graph: numpy, scipy and mpmath load only on the routes that compute with them.
 
-Each check runs in a fresh interpreter, since the test process itself has
-long since imported them.
+The package itself loads neither dataclasses nor inspect, which cost a cold
+CLI process tens of milliseconds; numpy imports inspect (and scipy
+dataclasses) on the routes that need them.  Each check runs in a fresh
+interpreter, since the test process itself has long since imported them.
 """
 
 import os
@@ -12,12 +14,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _REPORT = """
 import sys
-print(" ".join(m for m in ("numpy", "scipy", "scipy.linalg", "mpmath") if m in sys.modules))
+_WATCHED = ("numpy", "scipy", "scipy.linalg", "mpmath", "dataclasses", "inspect")
+print(" ".join(m for m in _WATCHED if m in sys.modules))
 """
 
 
 def loaded_after(code):
-    """Which of numpy, scipy, scipy.linalg and mpmath a fresh interpreter holds after `code`."""
+    """Which of numpy, scipy, scipy.linalg, mpmath, dataclasses and inspect a fresh interpreter holds."""
     result = subprocess.run(
         [sys.executable, "-c", code + _REPORT],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -49,7 +52,7 @@ def test_verify_command_runs_without_numpy_or_scipy():
 
 def test_fd_spectrum_loads_scipy_linalg():
     code = "from coupledsusy.spectral import fd_spectrum\nfd_spectrum(1, 6.0, 16, count=2)\n"
-    assert loaded_after(code) == {"numpy", "scipy", "scipy.linalg"}
+    assert loaded_after(code) == {"numpy", "scipy", "scipy.linalg", "inspect", "dataclasses"}
 
 
 def test_galerkin_spectrum_command_runs_without_numpy_or_scipy():
@@ -67,4 +70,4 @@ def test_uncertainty_and_coherent_commands_run_without_mpmath():
 
 def test_eigenfunctions_command_loads_only_numpy():
     argv = ["eigenfunctions", "--n", "2", "--m", "3", "--grid", "-4:4:401", "--format", "csv"]
-    assert loaded_after(cli_code(argv)) == {"numpy"}
+    assert loaded_after(cli_code(argv)) == {"numpy", "inspect"}

@@ -1,6 +1,5 @@
 """Galerkin and finite-difference confirmation of the eigenvalue ladder."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,13 +16,15 @@ from coupledsusy.calculus import (
 )
 from coupledsusy.spectral import (
     FD_DOCUMENTED_TOLERANCE,
+    GalerkinProblem,
+    SpectrumReport,
     build_galerkin,
     fd_spectrum,
     galerkin_spectrum,
     merged_spectrum_from_index,
     solve_generalized,
 )
-from coupledsusy.systems import make_xn_system
+from coupledsusy.systems import CoupledSusySystem, make_xn_system
 from coupledsusy.towers import SectorLabel, tower_eigenvalue
 
 
@@ -167,7 +168,7 @@ def test_lowering_off_the_residue_lattice_is_rejected(shift):
     # a shift not = n (mod 2n) puts H on another Gamma symbol than S
     system = make_xn_system(2)
     lowering = Operator({shift: (0, 1)}, 1)
-    system = dataclasses.replace(system, generators=(lowering,) + system.generators[1:])
+    system = CoupledSusySystem(system.n, system.gamma, system.delta, (lowering,) + system.generators[1:])
     with pytest.raises(ValueError, match="different Gamma symbols") as info:
         galerkin_spectrum(system, 0, 4)
     assert "\n" not in str(info.value)
@@ -183,7 +184,8 @@ def test_off_diagonal_pencil_fails_on_the_ladder():
     s00, s01 = problem.s_matrix[0]
     eps, f = s00, s01.rational_ratio(s00)
     h_matrix = ((h00, h01 + eps), (h01 + eps, h11 + eps.scale(2 * f)))
-    report = solve_generalized(dataclasses.replace(problem, h_matrix=h_matrix), system)
+    changed = GalerkinProblem(problem.n, problem.residue, problem.exponents, h_matrix, problem.s_matrix)
+    report = solve_generalized(changed, system)
     assert report.computed == (0.0, 4.0)
     assert report.passed is False
 
@@ -283,3 +285,32 @@ def test_galerkin_matches_fd_cross_route_n2():
     fd_even = [v for v, t in zip(fd.computed, fd.theory) if t % 4 == 0][:3]
     for g, f in zip(galerkin.computed, fd_even):
         assert g == pytest.approx(f, abs=0.05)
+
+
+def test_galerkin_problem_record_semantics():
+    problem = build_galerkin(make_xn_system(2), 0, 3)
+    fields = (problem.n, problem.residue, problem.exponents, problem.h_matrix, problem.s_matrix)
+    assert problem == GalerkinProblem(*fields) == build_galerkin(make_xn_system(2), 0, 3)
+    assert hash(problem) == hash(GalerkinProblem(*fields))
+    assert problem != build_galerkin(make_xn_system(2), 0, 4)
+    assert problem != GalerkinProblem(*fields[:3], problem.s_matrix, problem.s_matrix)
+    with pytest.raises(AttributeError):
+        problem.n = 3
+    assert repr(problem).startswith("GalerkinProblem(n=2, residue=0, exponents=(0, 4, 8), h_matrix=((")
+    assert ", s_matrix=((" in repr(problem)
+
+
+def test_spectrum_report_record_semantics():
+    report = SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,))
+    assert report.details == {} and report.passed is None
+    other = SpectrumReport(method="m", n=1, computed=(0.0,), theory=(Fraction(0),), rel_errors=(0.0,))
+    assert other == report and other.details is not report.details
+    assert report != SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), passed=True)
+    assert report != SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), {"grid": 2})
+    with pytest.raises(AttributeError):
+        report.passed = True
+    assert repr(report) == (
+        "SpectrumReport(method='m', n=1, computed=(0.0,), theory=(Fraction(0, 1),), "
+        "rel_errors=(0.0,), details={}, passed=None)"
+    )
+    assert galerkin_spectrum(make_xn_system(1), 0, 4) == galerkin_spectrum(make_xn_system(1), 0, 4)

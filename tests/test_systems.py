@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coupledsusy import reports
 from coupledsusy.calculus import Generator, apply_word, monomial_state
 from coupledsusy.systems import (
+    CoupledSusySystem,
+    VerificationReport,
     all_reports_pass,
     default_window,
     k_operators,
@@ -169,7 +172,7 @@ def test_every_rule_coefficient_is_load_bearing(n, delta, slot_index):
 
 def test_report_serialises_to_json():
     report = verify_coupled_susy(make_xn_system(2), range(-2, 3))[0]
-    payload = json.loads(report.to_json())
+    payload = json.loads(reports.dumps(report.to_json_dict()))
     assert payload["identity"] == "a+a = b+b + gamma"
     assert payload["pass"] is True
     assert payload["range"] == [-2, 2]
@@ -203,3 +206,76 @@ def test_defining_identities_property(n, k):
 def test_default_window_shape():
     assert default_window(2) == (-14, 38)
     assert default_window(6) == (-22, 54)
+
+
+# ---------------------------------------------------------------------------
+# Records: immutable, field-wise == and hash, dataclass-style repr
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_equal_systems_compare_and_hash_equal(n):
+    assert make_xn_system(n) is not make_xn_system(n)
+    assert make_xn_system(n) == make_xn_system(n)
+    assert hash(make_xn_system(n)) == hash(make_xn_system(n))
+
+
+def test_one_changed_system_field_compares_unequal():
+    base = make_xn_system(2)
+    fields = dict(n=base.n, gamma=base.gamma, delta=base.delta, generators=base.generators)
+    assert CoupledSusySystem(**fields) == base
+    assert CoupledSusySystem(base.n, base.gamma, base.delta, base.generators, None) == base
+    assert CoupledSusySystem(**{**fields, "delta": Fraction(5)}) != base
+    assert CoupledSusySystem(**fields, mutation="note") != base
+    assert make_xn_system(2, mutate="b-coeff") != base
+    assert make_xn_system(3) != base
+    assert base != (base.n, base.gamma, base.delta, base.generators, None)
+
+
+def test_system_is_immutable_and_repr_names_fields():
+    system = make_xn_system(1)
+    with pytest.raises(AttributeError):
+        system.n = 2
+    with pytest.raises(AttributeError):
+        system.extra = 1
+    with pytest.raises(AttributeError):
+        del system.gamma
+    assert system.n == 1
+    text = repr(system)
+    assert text.startswith(
+        "CoupledSusySystem(n=1, gamma=Fraction(-1, 1), delta=Fraction(1, 1), generators=("
+    )
+    assert text.endswith(", mutation=None)")
+
+
+@pytest.mark.parametrize(
+    "gamma, delta, message",
+    [
+        (Fraction(1), Fraction(3), "positivity requires gamma <= 0 <= delta"),
+        (Fraction(-3), Fraction(-1), "positivity requires gamma <= 0 <= delta"),
+        (Fraction(0), Fraction(0), "a coupled SUSY system needs gamma < delta"),
+    ],
+)
+def test_system_validation_errors(gamma, delta, message):
+    generators = make_xn_system(1).generators
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CoupledSusySystem(1, gamma, delta, generators)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CoupledSusySystem(n=1, gamma=gamma, delta=delta, generators=generators, mutation="m")
+
+
+def test_verification_report_record_semantics():
+    report = VerificationReport("id", 2, (0, 4), True)
+    assert (report.first_failure, report.checked, report.note) == (None, 0, "")
+    assert report == VerificationReport(identity="id", n=2, k_range=(0, 4), passed=True)
+    assert hash(report) == hash(VerificationReport("id", 2, (0, 4), True, None, 0, ""))
+    assert report != VerificationReport("id", 2, (0, 4), True, checked=1)
+    assert report != VerificationReport("id", 2, (0, 4), False)
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert repr(report) == (
+        "VerificationReport(identity='id', n=2, k_range=(0, 4), passed=True, "
+        "first_failure=None, checked=0, note='')"
+    )
+    proved = verify_coupled_susy(make_xn_system(2), range(-2, 3))
+    assert proved == verify_coupled_susy(make_xn_system(2), range(-2, 3))

@@ -7,7 +7,6 @@ norms, a single top pairing where the symmetry of H proves it, are checked
 against the full product inner_product(state, state).
 """
 
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -34,6 +33,7 @@ from coupledsusy.calculus import (
 )
 from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
 from coupledsusy.towers import (
+    EigenstateRecord,
     SectorLabel,
     _norm_sq,
     _symmetric_diagonal,
@@ -374,13 +374,46 @@ def test_samples_refuse_records_off_the_closed_form():
     rec = eigenstate(system, PHI, 3)
     sampler = towers._laguerre_parameters
     assert sampler(rec) == (3, 3, 3)
-    wrong_top = dataclasses.replace(rec, state=rec.state + monomial_state(2, 3 + 4 * 4))
-    wrong_bottom = dataclasses.replace(rec, state=rec.state + monomial_state(2, -1))
-    wrong_ratio = dataclasses.replace(rec, state=rec.state + monomial_state(2, 3))
-    wrong_sector = dataclasses.replace(rec, sector=PHI_T)
-    for bad in (wrong_top, wrong_bottom, wrong_ratio, wrong_sector, dataclasses.replace(rec, m=2)):
+
+    def with_state(extra):
+        return EigenstateRecord(rec.sector, rec.m, rec.state + extra, rec.norm_sq, rec.eigenvalue)
+
+    wrong_top = with_state(monomial_state(2, 3 + 4 * 4))
+    wrong_bottom = with_state(monomial_state(2, -1))
+    wrong_ratio = with_state(monomial_state(2, 3))
+    wrong_sector = EigenstateRecord(PHI_T, rec.m, rec.state, rec.norm_sq, rec.eigenvalue)
+    wrong_level = EigenstateRecord(rec.sector, 2, rec.state, rec.norm_sq, rec.eigenvalue)
+    for bad in (wrong_top, wrong_bottom, wrong_ratio, wrong_sector, wrong_level):
         with pytest.raises(RuntimeError, match="closed form"):
             normalized_samples(bad, [0.5])
+
+
+def test_eigenstate_record_semantics():
+    rec = eigenstate(make_xn_system(2), PHI, 3)
+    fields = (rec.sector, rec.m, rec.state, rec.norm_sq, rec.eigenvalue)
+    assert rec == EigenstateRecord(*fields) == eigenstate(make_xn_system(2), PHI, 3)
+    assert hash(rec) == hash(EigenstateRecord(*fields))
+    assert rec == EigenstateRecord(
+        sector=rec.sector, m=rec.m, state=rec.state, norm_sq=rec.norm_sq, eigenvalue=rec.eigenvalue
+    )
+    for i, other in enumerate((PHI_T, 4, rec.state.scale(2), rec.norm_sq.scale(2), rec.eigenvalue + 1)):
+        changed = list(fields)
+        changed[i] = other
+        assert EigenstateRecord(*changed) != rec
+    assert rec != fields
+    with pytest.raises(AttributeError):
+        rec.m = 4
+    assert repr(rec) == (
+        f"EigenstateRecord(sector={PHI!r}, m=3, state={rec.state!r}, norm_sq={rec.norm_sq!r}, "
+        "eigenvalue=Fraction(15, 1))"
+    )
+
+
+def test_equal_systems_share_the_tower_cache():
+    eigenstate(make_xn_system(3), PSI, 4)
+    hits = _tower_state.cache_info().hits
+    eigenstate(make_xn_system(3), PSI, 4)
+    assert _tower_state.cache_info().hits == hits + 1
 
 
 def test_record_json_dict_exact_strings():

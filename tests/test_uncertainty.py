@@ -19,6 +19,9 @@ from coupledsusy import uncertainty
 from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
 from coupledsusy.uncertainty import (
     DirectSumState,
+    ExactMatrixElement,
+    OperatorExpression,
+    UncertaintyResult,
     SectorDomainError,
     direct_sum,
     expectation,
@@ -320,6 +323,89 @@ def test_direct_sum_validation():
         direct_sum(psi0, Fraction(1, 2), None, Fraction(1, 2))
     with pytest.raises(ValueError):
         DirectSumState(None, None, Fraction(1), Fraction(0))
+
+
+_WEIGHTS_MESSAGE = "squared weights must be nonnegative and sum to 1 exactly"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, None, Fraction(1, 2), Fraction(1, 3)), _WEIGHTS_MESSAGE),
+        ((0, 0, Fraction(3, 2), Fraction(-1, 2)), _WEIGHTS_MESSAGE),
+        ((None, None, Fraction(1), Fraction(0)), "component 1 must be present iff weight1 > 0"),
+        ((0, 0, Fraction(1), Fraction(0)), "component 2 must be present iff weight2 > 0"),
+        (("zero", None, Fraction(1), Fraction(0)), "component 1 is the zero state"),
+        ((0, "zero", Fraction(1, 2), Fraction(1, 2)), "component 2 is the zero state"),
+    ],
+)
+def test_direct_sum_validation_errors(args, message):
+    psi0, _ = ground_states(make_xn_system(2))
+    parts = {0: psi0, "zero": psi0.state.scale(0), None: None}
+    component1, component2, weight1, weight2 = parts[args[0]], parts[args[1]], *args[2:]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DirectSumState(component1, component2, weight1, weight2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DirectSumState(component1=component1, component2=component2, weight1=weight1, weight2=weight2)
+
+
+def test_direct_sum_state_record_semantics():
+    sys2 = make_xn_system(2)
+    psi0, phi0 = ground_states(sys2)
+    state = direct_sum(psi0, Fraction(1, 4), phi0, Fraction(3, 4))
+    assert state == DirectSumState(psi0, phi0, Fraction(1, 4), Fraction(3, 4))
+    assert hash(state) == hash(DirectSumState(psi0, phi0, Fraction(1, 4), Fraction(3, 4)))
+    assert state != direct_sum(psi0, Fraction(1, 2), phi0, Fraction(1, 2))
+    assert state != direct_sum(psi0.state, Fraction(1, 4), phi0, Fraction(3, 4))
+    assert type(DirectSumState(psi0, None, 1, 0).weight1) is int  # weights are stored as given
+    with pytest.raises(AttributeError):
+        state.weight1 = Fraction(1)
+    assert repr(state) == (
+        f"DirectSumState(component1={psi0!r}, component2={phi0!r}, "
+        "weight1=Fraction(1, 4), weight2=Fraction(3, 4))"
+    )
+
+
+def test_operator_expression_and_matrix_element_records():
+    sys2 = make_xn_system(2)
+    obs = observable_L(sys2)
+    assert obs == observable_L(sys2) and hash(obs) == hash(observable_L(sys2))
+    assert obs == OperatorExpression(obs.name, obs.re, obs.im, obs.sector)
+    assert obs == OperatorExpression(name="L", re=obs.re, sector=1)
+    assert obs != OperatorExpression("L", obs.re)
+    assert obs != OperatorExpression("L", obs.re, obs.re, 1)
+    assert obs != observable_L_tilde(sys2)
+    with pytest.raises(AttributeError):
+        obs.name = "L2"
+    assert repr(obs) == f"OperatorExpression(name='L', re={obs.re!r}, im={obs.im!r}, sector=1)"
+    psi0, _ = ground_states(sys2)
+    element = matrix_element(sys2, obs.compose(obs), psi0.state, psi0.state)
+    assert not element.re_even.is_zero
+    assert element == matrix_element(sys2, obs.compose(observable_L(sys2)), psi0.state, psi0.state)
+    assert element == ExactMatrixElement(*element.buckets)
+    assert hash(element) == hash(ExactMatrixElement(*element.buckets))
+    assert element != ExactMatrixElement(element.re_even.scale(2), *element.buckets[1:])
+    with pytest.raises(AttributeError):
+        element.re_odd = element.re_even
+    assert repr(element).startswith(f"ExactMatrixElement(re_even={element.re_even!r}, re_odd=")
+
+
+def test_uncertainty_result_record_semantics():
+    result = UncertaintyResult("L,A", 1.0, 2.0, 2.0, 1.5, True)
+    assert result.details == {}
+    other = UncertaintyResult(pair="L,A", sigma1=1.0, sigma2=2.0, product=2.0, bound=1.5, passed=True)
+    assert other == result and other.details is not result.details
+    assert result != UncertaintyResult("L,A", 1.0, 2.0, 2.0, 1.5, False)
+    assert result != UncertaintyResult("L,A", 1.0, 2.0, 2.0, 1.5, True, {"mean_number": 0.5})
+    with pytest.raises(AttributeError):
+        result.passed = False
+    assert repr(result) == (
+        "UncertaintyResult(pair='L,A', sigma1=1.0, sigma2=2.0, product=2.0, bound=1.5, "
+        "passed=True, details={})"
+    )
+    sys2 = make_xn_system(2)
+    psi0, _ = ground_states(sys2)
+    assert uncertainty_product_LA(sys2, psi0) == uncertainty_product_LA(make_xn_system(2), psi0)
 
 
 def test_xp_guard_rejects_swapped_sectors():
