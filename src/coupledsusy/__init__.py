@@ -19,8 +19,6 @@ from .calculus import (
     RAISING_WORD,
     apply_generator,
     apply_word,
-    definitely_nonzero,
-    evaluate_gamma_vector,
     inner_product,
     monomial_state,
     proportionality_ratio,
@@ -42,7 +40,6 @@ from .spectral import (
     build_galerkin,
     fd_spectrum,
     galerkin_spectrum,
-    merged_spectrum_from_index,
     solve_generalized,
 )
 from .systems import (
@@ -59,10 +56,8 @@ from .systems import (
 from .towers import (
     EigenstateRecord,
     SectorLabel,
-    closed_form_eigenstate,
     eigenstate,
     gram_matrix,
-    gram_matrix_numeric,
     ground_states,
     half_lowering_factor_squared,
     merged_spectrum,

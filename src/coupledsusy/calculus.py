@@ -233,26 +233,6 @@ class GaussPolyState:
     def __repr__(self):
         return f"GaussPolyState({self.serialize()!r})"
 
-    # -- numerics ----------------------------------------------------------
-
-    def evaluate(self, x):
-        """Evaluate the state at points x (scalar or numpy array), in floats."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if self.nums and min(self.nums) < 0 and np.any(x == 0.0):
-            raise ZeroDivisionError("state has negative exponents; x=0 is singular")
-        acc = np.zeros_like(x)
-        den = self.den
-        for k, c in self.nums.items():
-            try:
-                coeff = c / den  # rounds like float(Fraction(c, den))
-            except OverflowError:  # past float range: the term is +-inf, like a smaller overflow
-                coeff = math.inf if c > 0 else -math.inf
-            acc = acc + coeff * x ** k
-        weight = np.exp(-(x ** (2 * self.n)) / (2 * self.n))
-        return 2.0 ** (-self.half_power / 2.0) * acc * weight
-
     # -- canonical text form ------------------------------------------------
 
     def serialize(self) -> str:
@@ -562,12 +542,6 @@ class GammaVector:
             out[r] = out.get(r, Fraction(0)) + c
         return GammaVector(self.n, out)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaVector):
             return NotImplemented
@@ -605,10 +579,6 @@ class GammaVector:
                 r, c = chunk.split(":")
                 coeffs[int(r)] = Fraction(c.strip())
         return cls(int(head), coeffs)
-
-
-def zero_gamma_vector(n: int) -> GammaVector:
-    return GammaVector(n, {})
 
 
 def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
@@ -687,42 +657,3 @@ def evaluate_gamma_vector_mp(v: GammaVector, prec_bits: int = 113):
             absum += abs(term)
         bound = absum * (len(v.coeffs) + 4) * mp.mpf(2) ** (2 - prec_bits)
         return total, bound
-
-
-def evaluate_gamma_vector(v: GammaVector, precision: float = 1e-14, max_bits: int = 4096) -> float:
-    """Numeric value of a GammaVector with relative error at most `precision`.
-
-    The working precision escalates until the certified rounding bound meets
-    the target.  A structurally zero vector evaluates to exactly 0.0; a
-    nonzero map that keeps cancelling below the bound at max_bits is returned
-    as is (callers that must distinguish use definitely_nonzero).
-    """
-    if v.is_zero:
-        return 0.0
-    if not precision > 0:
-        raise ValueError("precision must be positive")
-    bits = max(64, int(math.ceil(-math.log2(precision))) + 16)
-    while True:
-        value, bound = evaluate_gamma_vector_mp(v, bits)
-        if bound <= precision * abs(value) or bits >= max_bits:
-            return float(value)
-        bits *= 2
-
-
-def definitely_nonzero(v: GammaVector, max_bits: int = 4096) -> bool:
-    """Confirm a GammaVector is numerically nonzero with a wide safety margin.
-
-    True only when |value| exceeds 1000x the evaluation error bound at some
-    working precision.  Structural zeros are False.  A False answer for a
-    nonzero map means "not confirmed": rational relations among the base
-    symbols are not assumed.
-    """
-    if v.is_zero:
-        return False
-    bits = 64
-    while bits <= max_bits:
-        value, bound = evaluate_gamma_vector_mp(v, bits)
-        if abs(value) > 1000 * bound:
-            return True
-        bits *= 2
-    return False

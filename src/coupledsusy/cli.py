@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from . import reports
 from .coherent import coherent_state, full_lowering_misfit, verify_half_lowering
-from .spectral import fd_spectrum, galerkin_spectrum, merged_spectrum_from_index
+from .spectral import fd_spectrum, galerkin_spectrum
 from .systems import make_xn_system, verify_coupled_susy, verify_su11
-from .towers import SectorLabel, eigenstate, ground_states, normalized_samples
+from .towers import SectorLabel, eigenstate, ground_states, merged_spectrum, normalized_samples
 from .uncertainty import (
     direct_sum,
     uncertainty_product_LA,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--n", type=int, default=None, help="family index (default 2)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-12)")
+        p.add_argument("--tol", type=float, default=None, help="coherent tolerance (default 1e-12)")
         p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
@@ -163,14 +163,11 @@ def _common_values(args, config):
     n = _merge(args, config, "n", int, 2)
     if n < 1:
         raise ConfigError("family index n must be >= 1")
-    tol = _merge(args, config, "tol", float, 1e-12)
-    if not tol > 0:
-        raise ConfigError("tolerance must be positive")
-    return n, tol
+    return n
 
 
 def cmd_verify(args, config) -> int:
-    n, _ = _common_values(args, config)
+    n = _common_values(args, config)
     mutate = _merge(args, config, "mutate", str, None)
     try:
         system = make_xn_system(n, mutate=mutate)
@@ -196,7 +193,7 @@ def cmd_verify(args, config) -> int:
 
 
 def cmd_spectrum(args, config) -> int:
-    n, _ = _common_values(args, config)
+    n = _common_values(args, config)
     count = _merge(args, config, "count", int, 6)
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -204,7 +201,7 @@ def cmd_spectrum(args, config) -> int:
     if size < 1:
         raise ConfigError("galerkin-size must be >= 1")
     system = make_xn_system(n)
-    theory = merged_spectrum_from_index(n, count)
+    theory = merged_spectrum(system, count)
     galerkin = [galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
     payload = {
         "n": n,
@@ -226,7 +223,7 @@ def cmd_spectrum(args, config) -> int:
 
 
 def cmd_eigenfunctions(args, config) -> int:
-    n, _ = _common_values(args, config)
+    n = _common_values(args, config)
     sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
     m = _merge(args, config, "m", int, 0)
     grid = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
@@ -258,7 +255,10 @@ def cmd_eigenfunctions(args, config) -> int:
 
 
 def cmd_coherent(args, config) -> int:
-    n, tol = _common_values(args, config)
+    n = _common_values(args, config)
+    tol = _merge(args, config, "tol", float, 1e-12)
+    if not tol > 0:
+        raise ConfigError("tolerance must be positive")
     sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
     z = _parse_complex(_merge(args, config, "z", str, "0.5"))
     system = make_xn_system(n)
@@ -307,7 +307,7 @@ def _resolve_state(system, text):
 
 
 def cmd_uncertainty(args, config) -> int:
-    n, _ = _common_values(args, config)
+    n = _common_values(args, config)
     system = make_xn_system(n)
     descriptor = _merge(args, config, "state", str, "ground")
     kind, state = _resolve_state(system, descriptor)

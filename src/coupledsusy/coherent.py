@@ -133,12 +133,15 @@ def bargmann_indices(system: CoupledSusySystem) -> dict:
     return {sector: bargmann_index(system, sector) for sector in SectorLabel}
 
 
+#: Truncation levels before coherent_state gives up on a |z| too close to 1.
+_MAX_TERMS = 100000
+
+
 def coherent_state(
     system: CoupledSusySystem,
     sector: SectorLabel,
     z: complex,
     tol: float = 1e-12,
-    max_terms: int = 100000,
 ) -> CoherentState:
     """Construct the displacement coherent state truncated to tail mass < tol."""
     z = complex(z)
@@ -167,7 +170,7 @@ def coherent_state(
     while tail_bound_after(m) >= tol:
         coeffs.append(coeffs[-1] * z * math.sqrt((m + two_k) / (m + 1.0)))
         m += 1
-        if m > max_terms:
+        if m > _MAX_TERMS:
             raise RuntimeError("truncation did not converge; |z| too close to 1")
     return CoherentState(
         sector=sector,

@@ -205,7 +205,7 @@ def galerkin_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def _assemble_fd(n: int, half_width: float, grid_count: int, potential_exponent=None):
+def _assemble_fd(n: int, half_width: float, grid_count: int):
     """Tridiagonal (diag, offdiag, nodes) for the conservative scheme."""
     import numpy as np
 
@@ -222,32 +222,24 @@ def _assemble_fd(n: int, half_width: float, grid_count: int, potential_exponent=
     if np.any(midpoints == 0.0):
         raise ValueError("coefficient sample collided with x = 0")
     w = midpoints ** (2 - 2 * n) if n != 1 else np.ones_like(midpoints)
-    p = 2 * n if potential_exponent is None else potential_exponent
-    diag = 0.5 * ((w[:-1] + w[1:]) / h ** 2 + (nodes ** p - 1.0))
+    diag = 0.5 * ((w[:-1] + w[1:]) / h ** 2 + (nodes ** (2 * n) - 1.0))
     off = -0.5 * w[1:-1] / h ** 2
     return diag, off, nodes
 
 
-def fd_spectrum(
-    n: int,
-    half_width: float,
-    grid_count: int,
-    count: int = 6,
-    refine: bool = True,
-    potential_exponent=None,
-) -> SpectrumReport:
+def fd_spectrum(n: int, half_width: float, grid_count: int, count: int = 6) -> SpectrumReport:
     """Lowest eigenvalues of the finite-difference Hamiltonian on [-L, L].
 
-    With `refine` (default) the problem is also solved on the half grid and
-    the reported values are the Richardson extrapolates (4 f_N - f_{N/2})/3,
-    which cancel the leading second-order error; the raw values of both
-    grids stay available in the details.  Refinement needs N divisible by 4
-    so that the half grid is still even.
+    When N is divisible by 4, so that the half grid is still even, the
+    problem is also solved on the half grid and the reported values are the
+    Richardson extrapolates (4 f_N - f_{N/2})/3, which cancel the leading
+    second-order error; the raw values of both grids stay available in the
+    details.  Otherwise the raw values are reported.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    sysn_theory = merged_spectrum_from_index(n, count)
-    diag, off, _ = _assemble_fd(n, half_width, grid_count, potential_exponent)
+    sysn_theory = tuple(merged_spectrum(make_xn_system(n), count))
+    diag, off, _ = _assemble_fd(n, half_width, grid_count)
     raw = eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
@@ -261,8 +253,8 @@ def fd_spectrum(
             "for n >= 2"
         ),
     }
-    if refine and grid_count % 4 == 0:
-        diag2, off2, _ = _assemble_fd(n, half_width, grid_count // 2, potential_exponent)
+    if grid_count % 4 == 0:
+        diag2, off2, _ = _assemble_fd(n, half_width, grid_count // 2)
         coarse = eigh_tridiagonal(
             diag2, off2, eigvals_only=True, select="i", select_range=(0, count - 1)
         )
@@ -281,8 +273,3 @@ def fd_spectrum(
         rel_errors=_relative_errors(computed, sysn_theory),
         details=details,
     )
-
-
-def merged_spectrum_from_index(n: int, count: int):
-    """Theory eigenvalues {2kn} union {2kn + 2n - 1}, ascending, as Fractions."""
-    return tuple(merged_spectrum(make_xn_system(n), count))

@@ -59,7 +59,6 @@ from .calculus import (
     Record,
     apply_generator,
     apply_word,
-    evaluate_gamma_vector,
     inner_product,
 )
 from .systems import CoupledSusySystem, VerificationReport
@@ -306,42 +305,6 @@ def merged_spectrum(system: CoupledSusySystem, count: int):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form ladder via the conjugated second-order operator
-# ---------------------------------------------------------------------------
-
-
-def _differentiate_double_weight(n: int, terms: dict) -> dict:
-    """d/dx of sum c_k x^k exp(-x^(2n)/n), returned as a term map."""
-    out: dict = {}
-    for k, c in terms.items():
-        if k != 0:
-            out[k - 1] = out.get(k - 1, Fraction(0)) + c * k
-        kk = k + 2 * n - 1
-        out[kk] = out.get(kk, Fraction(0)) - 2 * c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def closed_form_eigenstate(n: int, index: int) -> GaussPolyState:
-    """Eigenfunction number `index` from the conjugated derivative formula.
-
-    Even indices 2m come from applying (d/dx x^(2-2n) d/dx) m times to
-    exp(-x^(2n)/n); odd indices 2m+1 use the seed x^(2n-1) exp(-x^(2n)/n).
-    Conjugating by exp(x^(2n)/(2n)) leaves a polynomial multiple of the
-    usual weight exp(-x^(2n)/(2n)), which is what gets returned.  For n=1
-    this reproduces the Hermite functions up to normalisation.
-    """
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    m, odd = divmod(index, 2)
-    terms = {2 * n - 1: Fraction(1)} if odd else {0: Fraction(1)}
-    for _ in range(m):
-        step = _differentiate_double_weight(n, terms)
-        step = {k + 2 - 2 * n: c for k, c in step.items()}
-        terms = _differentiate_double_weight(n, step)
-    return GaussPolyState(n, terms)
-
-
-# ---------------------------------------------------------------------------
 # Ladder coefficient checks
 # ---------------------------------------------------------------------------
 
@@ -420,13 +383,6 @@ def gram_matrix(records) -> list:
     if len({r.state.n for r in records}) > 1:
         raise FamilyMismatchError("records belong to different families")
     return [[inner_product(a.state, b.state) for b in records] for a in records]
-
-
-def gram_matrix_numeric(records, precision: float = 1e-14):
-    import numpy as np
-
-    exact = gram_matrix(records)
-    return np.array([[evaluate_gamma_vector(v, precision) for v in row] for row in exact])
 
 
 def _laguerre_parameters(record: EigenstateRecord):

@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -33,12 +32,10 @@ from coupledsusy.calculus import (
     _poly_shift,
     apply_generator,
     apply_word,
-    definitely_nonzero,
-    evaluate_gamma_vector,
+    evaluate_gamma_vector_mp,
     inner_product,
     monomial_state,
     proportionality_ratio,
-    zero_gamma_vector,
 )
 from coupledsusy.systems import make_xn_system, mutation_slots, verify_coupled_susy, verify_su11
 from coupledsusy.towers import SectorLabel, eigenstate
@@ -249,7 +246,7 @@ def test_gaussian_norm_n1():
     g = monomial_state(1, 0)
     ip = inner_product(g, g)
     assert ip == GammaVector(1, {1: 1})
-    assert evaluate_gamma_vector(ip) == pytest.approx(float(mpmath.sqrt(mpmath.pi)), rel=1e-14)
+    assert float(evaluate_gamma_vector_mp(ip)[0]) == pytest.approx(float(mpmath.sqrt(mpmath.pi)), rel=1e-14)
 
 
 def test_ground_state_norm_n2():
@@ -257,8 +254,9 @@ def test_ground_state_norm_n2():
     ip = inner_product(g, g)
     assert ip == GammaVector(2, {1: Fraction(1, 2)})
     # adaptive quadrature oracle
-    assert evaluate_gamma_vector(ip) == pytest.approx(quad_inner_product(g, g), rel=1e-12)
-    assert evaluate_gamma_vector(ip) == pytest.approx(2.1558005495409279, rel=1e-14)
+    value = float(evaluate_gamma_vector_mp(ip)[0])
+    assert value == pytest.approx(quad_inner_product(g, g), rel=1e-12)
+    assert value == pytest.approx(2.1558005495409279, rel=1e-14)
 
 
 def test_tower_orthogonality_exact_cancellation_n2():
@@ -303,7 +301,7 @@ def test_odd_sqrt2_parity_rejected():
 def test_inner_product_matches_quadrature(n, terms_f, terms_g):
     f = GaussPolyState(n, terms_f)
     g = GaussPolyState(n, terms_g)
-    exact = evaluate_gamma_vector(inner_product(f, g), precision=1e-15)
+    exact = float(evaluate_gamma_vector_mp(inner_product(f, g))[0])
     assert exact == pytest.approx(quad_inner_product(f, g), rel=1e-10, abs=1e-20)
 
 
@@ -342,7 +340,7 @@ def test_adjoint_symmetry(n, exps_f, exps_g):
 @settings(max_examples=40, deadline=None)
 def test_norm_positive_for_nonzero_states(state):
     ip = inner_product(state, state)
-    assert evaluate_gamma_vector(ip) > 0
+    assert evaluate_gamma_vector_mp(ip)[0] > 0
 
 
 def test_ladder_closure_residue_classes():
@@ -362,26 +360,22 @@ def test_ladder_closure_residue_classes():
 
 
 def test_evaluate_sqrt_pi():
-    assert evaluate_gamma_vector(GammaVector(1, {1: 1})) == pytest.approx(
-        1.7724538509055160, rel=1e-15
-    )
+    value, bound = evaluate_gamma_vector_mp(GammaVector(1, {1: 1}))
+    assert float(value) == pytest.approx(1.7724538509055160, rel=1e-15)
+    with mp.workprec(200):
+        assert abs(value - mp.sqrt(mp.pi)) <= bound < mp.mpf(2) ** -100
 
 
 def test_evaluate_quarter_gamma_symbol():
     # Gamma(1/4) * 2^(1/4), cross-checked against mpmath directly
     with mp.workdps(30):
         want = float(mp.gamma(mp.mpf(1) / 4) * mp.power(2, mp.mpf(1) / 4))
-    assert evaluate_gamma_vector(GammaVector(2, {1: 1})) == pytest.approx(want, rel=1e-14)
+    assert float(evaluate_gamma_vector_mp(GammaVector(2, {1: 1}))[0]) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(4.3116010990818559, rel=1e-14)
 
 
 def test_evaluate_empty_vector_is_zero():
-    assert evaluate_gamma_vector(zero_gamma_vector(3)) == 0.0
-
-
-def test_definitely_nonzero_margins():
-    assert not definitely_nonzero(zero_gamma_vector(2))
-    assert definitely_nonzero(GammaVector(2, {1: Fraction(1, 10 ** 12)}))
+    assert evaluate_gamma_vector_mp(GammaVector(3, {})) == (0, 0)
 
 
 def test_gamma_vector_rational_ratio():
@@ -658,21 +652,9 @@ class RefState:
         )
         return f"{self.n}; {self.half_power}; {body}"
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for k, c in self.terms.items():
-            acc = acc + float(c) * x ** k
-        weight = np.exp(-(x ** (2 * self.n)) / (2 * self.n))
-        return 2.0 ** (-self.half_power / 2.0) * acc * weight
-
-
-#: Sample points away from 0, so states with negative exponents evaluate too.
-EVAL_POINTS = np.array([-2.5, -1.3, -0.4, 0.7, 1.9, 3.1])
-
 
 def assert_matches_ref(state, ref):
-    """Canonical ints, and the Fraction map, text and floats of the reference."""
+    """Canonical ints, and the Fraction map and text of the reference."""
     nums = list(state.nums.values())
     assert state.den > 0 and math.gcd(state.den, *nums) == 1
     assert all(nums) and state.half_power in (0, 1)
@@ -681,7 +663,6 @@ def assert_matches_ref(state, ref):
     assert list(state.terms) == list(ref.terms)
     assert state.terms is state.terms  # derived once
     assert state.serialize() == ref.serialize()
-    assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))
 
 
 @st.composite
@@ -767,30 +748,6 @@ def test_equal_states_by_different_routes(state, r):
     if not state.is_zero:
         assert proportionality_ratio(state.scale(r), state) == (r, 0)
         assert proportionality_ratio(state, state.scale(r)) == (1 / r, 0)
-
-
-@given(st.integers(-(2 ** 300), 2 ** 300), st.integers(1, 2 ** 300))
-@settings(max_examples=300, deadline=None)
-def test_int_true_division_rounds_like_fraction(p, q):
-    # evaluate divides unreduced ints; float(Fraction) divides reduced ones
-    assert p / q == float(Fraction(p, q))
-    state = GaussPolyState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
-    ref = RefState(1, {0: Fraction(p, q), 2: Fraction(q, 3)})
-    assert np.array_equal(state.evaluate(EVAL_POINTS), ref.evaluate(EVAL_POINTS))
-
-
-def test_evaluate_past_float_range_gives_signed_inf():
-    # a coefficient c / den past float range is an inf term, not an OverflowError
-    xs = np.array([-2.0, -0.5, 0.5, 2.0])
-    with np.errstate(over="ignore"):
-        up = GaussPolyState(1, {1: 10 ** 400, 0: 1}).evaluate(xs)
-        down = GaussPolyState(1, {2: Fraction(-(10 ** 400), 3)}).evaluate(xs)
-    assert np.array_equal(up, [-np.inf, -np.inf, np.inf, np.inf])
-    assert np.array_equal(down, [-np.inf] * 4)
-    # huge but in range coefficients keep their floats
-    big = GaussPolyState(1, {0: Fraction(10 ** 400 + 1, 10 ** 100), 2: 1})
-    weight = np.exp(-(xs ** 2) / 2)
-    assert np.array_equal(big.evaluate(xs), ((10 ** 400 + 1) / 10 ** 100 + xs ** 2) * weight)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,17 @@ def test_coherent_truncation_failure_is_config_error(sector, z, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_tol_is_checked_only_where_it_is_read(capsys):
+    # uncertainty never reads --tol, so any value gives the report of the run without it
+    want = run_cli(["uncertainty", "--n", "1", "--state", "ground"], capsys)
+    assert run_cli(["uncertainty", "--n", "1", "--state", "ground", "--tol", "-1"], capsys) == want
+    assert want[0] == 0
+    code = main(["coherent", "--n", "2", "--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: tolerance must be positive\n"
+
+
 def test_spectrum_large_count_is_exact(capsys):
     # basis size 42 per residue: the exact solve has no precision to run out of
     code, out = run_cli(["spectrum", "--n", "2", "--count", "80"], capsys)

@@ -11,9 +11,10 @@ from coupledsusy.calculus import (
     Generator,
     Operator,
     apply_generator,
-    evaluate_gamma_vector,
+    evaluate_gamma_vector_mp,
     monomial_state,
 )
+from coupledsusy import spectral
 from coupledsusy.spectral import (
     FD_DOCUMENTED_TOLERANCE,
     GalerkinProblem,
@@ -21,7 +22,6 @@ from coupledsusy.spectral import (
     build_galerkin,
     fd_spectrum,
     galerkin_spectrum,
-    merged_spectrum_from_index,
     solve_generalized,
 )
 from coupledsusy.systems import CoupledSusySystem, make_xn_system
@@ -91,9 +91,9 @@ def test_galerkin_entries_match_quadrature_n2(residue):
     lowered = [apply_generator(sys2, Generator.A, b) for b in basis]
     for i in range(4):
         for j in range(i, 4):
-            s_exact = evaluate_gamma_vector(problem.s_matrix[i][j])
+            s_exact = float(evaluate_gamma_vector_mp(problem.s_matrix[i][j])[0])
             assert s_exact == pytest.approx(quad_ip(basis[i], basis[j]), rel=1e-10)
-            h_exact = evaluate_gamma_vector(problem.h_matrix[i][j])
+            h_exact = float(evaluate_gamma_vector_mp(problem.h_matrix[i][j])[0])
             h_quad = quad_ip(lowered[i], lowered[j])
             assert h_exact == pytest.approx(h_quad, rel=1e-10, abs=1e-10)
 
@@ -232,14 +232,14 @@ def test_fd_qmho_reference_grid():
 
 
 def test_fd_raw_scheme_is_second_order_n1():
-    fine = fd_spectrum(1, 12.0, 2000, count=2, refine=False)
-    coarse = fd_spectrum(1, 12.0, 1000, count=2, refine=False)
-    err_fine = abs(fine.computed[1] - 1.0)
-    err_coarse = abs(coarse.computed[1] - 1.0)
+    fine = fd_spectrum(1, 12.0, 2000, count=2).details["raw"]
+    coarse = fd_spectrum(1, 12.0, 1000, count=2).details["raw"]
+    err_fine = abs(fine[1] - 1.0)
+    err_coarse = abs(coarse[1] - 1.0)
     assert err_coarse / err_fine == pytest.approx(4.0, rel=0.05)
     # ground state too
-    e0f = abs(fine.computed[0])
-    e0c = abs(coarse.computed[0])
+    e0f = abs(fine[0])
+    e0c = abs(coarse[0])
     assert e0c / e0f == pytest.approx(4.0, rel=0.05)
 
 
@@ -267,16 +267,24 @@ def test_fd_odd_grid_rejected():
         fd_spectrum(2, 6.0, 4001)
 
 
-def test_fd_mismatched_potential_flags_disagreement():
+def test_fd_mismatched_potential_flags_disagreement(monkeypatch):
     # quartic potential with the n=1 kinetic term: systematically wrong ladder
-    report = fd_spectrum(1, 12.0, 2000, count=4, potential_exponent=4)
+    real = spectral._assemble_fd
+
+    def quartic(n, half_width, grid_count):
+        diag, off, nodes = real(n, half_width, grid_count)
+        return diag + 0.5 * (nodes ** 4 - nodes ** 2), off, nodes
+
+    monkeypatch.setattr(spectral, "_assemble_fd", quartic)
+    report = fd_spectrum(1, 12.0, 2000, count=4)
     assert max(report.rel_errors) > 0.1
 
 
 def test_merged_theory_values():
-    assert [float(v) for v in merged_spectrum_from_index(2, 6)] == [0, 3, 4, 7, 8, 11]
-    assert [float(v) for v in merged_spectrum_from_index(1, 5)] == [0, 1, 2, 3, 4]
-    assert [float(v) for v in merged_spectrum_from_index(3, 4)] == [0, 5, 6, 11]
+    # the FD theory is the merged a+a ladder, as a tuple of Fractions
+    for n, count, want in [(2, 6, (0, 3, 4, 7, 8, 11)), (1, 5, (0, 1, 2, 3, 4)), (3, 4, (0, 5, 6, 11))]:
+        theory = fd_spectrum(n, 6.0, 16, count=count).theory
+        assert theory == want and all(type(t) is Fraction for t in theory)
 
 
 def test_galerkin_matches_fd_cross_route_n2():

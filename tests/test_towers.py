@@ -18,6 +18,7 @@ from mpmath import mp
 from coupledsusy import towers
 from coupledsusy.calculus import (
     DivergenceError,
+    GammaVector,
     GaussPolyState,
     Generator,
     LOWERING_WORD,
@@ -25,7 +26,6 @@ from coupledsusy.calculus import (
     RAISING_WORD,
     apply_generator,
     apply_word,
-    evaluate_gamma_vector,
     evaluate_gamma_vector_mp,
     inner_product,
     monomial_state,
@@ -38,10 +38,8 @@ from coupledsusy.towers import (
     _norm_sq,
     _symmetric_diagonal,
     _tower_state,
-    closed_form_eigenstate,
     eigenstate,
     gram_matrix,
-    gram_matrix_numeric,
     ground_states,
     half_lowering_factor_squared,
     merged_spectrum,
@@ -155,34 +153,41 @@ def test_lowering_word_steps_down(n):
 
 
 def test_closed_form_hermite_n1():
-    # index 2 must be proportional to (2x^2 - 1) e^{-x^2/2}
-    got = closed_form_eigenstate(1, 2)
-    ratio = proportionality_ratio(got, GaussPolyState(1, {0: -1, 2: 2}))
-    assert ratio is not None
-    # index 3 ~ (2x^3 - 3x) e^{-x^2/2}, the third Hermite function
-    got3 = closed_form_eigenstate(1, 3)
+    # PSI level 1 must be proportional to (2x^2 - 1) e^{-x^2/2}
+    sys1 = make_xn_system(1)
+    got = eigenstate(sys1, PSI, 1).state
+    assert proportionality_ratio(got, GaussPolyState(1, {0: -1, 2: 2})) is not None
+    # PHI level 1 ~ (2x^3 - 3x) e^{-x^2/2}, the third Hermite function
+    got3 = eigenstate(sys1, PHI, 1).state
     assert proportionality_ratio(got3, GaussPolyState(1, {1: -3, 3: 2})) is not None
 
 
-def test_closed_form_even_branch_n2():
-    got = closed_form_eigenstate(2, 2)
-    ladder = eigenstate(make_xn_system(2), PSI, 1).state
-    ratio = proportionality_ratio(got, ladder)
-    assert ratio is not None and ratio[0] != 0
+def laguerre_state(n, sector, m):
+    """x^p L_j^beta(t) with t = x^(2n)/n, in Fractions from the explicit sum.
 
-
-def test_closed_form_odd_seed_n2():
-    assert closed_form_eigenstate(2, 1) == monomial_state(2, 3)
+    L_j^beta(t) = sum_i (-1)^i binom(j + beta, j - i) t^i / i!, where
+    binom(j + beta, j - i) = prod_{l=i+1..j} (beta + l) / (j - i)!.  The
+    (p, beta, j) table is the one in the towers docstring.
+    """
+    p, j = {PSI: (0, m), PHI: (2 * n - 1, m), PSI_T: (n, m - 1), PHI_T: (n - 1, m)}[sector]
+    beta = laguerre_beta(sector, n)
+    terms = {}
+    for i in range(j + 1):
+        binom = math.prod([beta + l for l in range(i + 1, j + 1)], start=Fraction(1))
+        terms[p + 2 * n * i] = (-1) ** i * binom / (math.factorial(j - i) * math.factorial(i) * n ** i)
+    return GaussPolyState(n, terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(7))
 def test_closed_form_matches_ladder_both_branches(n, m):
-    sysn = make_xn_system(n)
-    even = closed_form_eigenstate(n, 2 * m)
-    odd = closed_form_eigenstate(n, 2 * m + 1)
-    assert proportionality_ratio(even, eigenstate(sysn, PSI, m).state) is not None
-    assert proportionality_ratio(odd, eigenstate(sysn, PHI, m).state) is not None
+    # the Laguerre closed form against the a+a branch (PSI, PHI) and the aa+ branch (the tildes)
+    system = make_xn_system(n)
+    for sector in SectorLabel:
+        if sector is PSI_T and m == 0:
+            continue
+        ratio = proportionality_ratio(laguerre_state(n, sector, m), eigenstate(system, sector, m).state)
+        assert ratio is not None and ratio[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +257,23 @@ def test_gram_8x8_exactly_diagonal_n2():
                 assert not gram[i][j].is_zero
             else:
                 assert gram[i][j].is_zero
-    numeric = gram_matrix_numeric(records)
-    off = numeric - np.diag(np.diag(numeric))
-    assert np.max(np.abs(off)) < 1e-12
-    assert np.all(np.diag(numeric) > 0)
 
 
 def test_gram_n1_hermite_norms():
     sys1 = make_xn_system(1)
-    records = [eigenstate(sys1, PSI, m) for m in range(3)]
-    numeric = gram_matrix_numeric(records)
-    sqrt_pi = float(mp.sqrt(mp.pi))
+    gram = gram_matrix([eigenstate(sys1, PSI, m) for m in range(3)])
     # ||(a+b)^(m+1) psi_0||^2 / ||(a+b)^m psi_0||^2 = (2m+1)(2m+2), from
-    # b+ a a+ b = (a+a - gamma)^2 + delta (a+a - gamma) on eigenstates
-    assert numeric[0, 0] == pytest.approx(sqrt_pi, rel=1e-13)
-    assert numeric[1, 1] / sqrt_pi == pytest.approx(1 * 2, rel=1e-13)
-    assert numeric[2, 2] / sqrt_pi == pytest.approx(1 * 2 * 3 * 4, rel=1e-13)
+    # b+ a a+ b = (a+a - gamma)^2 + delta (a+a - gamma) on eigenstates,
+    # so ||psi_m||^2 = (2m)! sqrt(pi)
+    for m in range(3):
+        assert gram[m][m] == GammaVector(1, {1: math.factorial(2 * m)})
 
 
 def test_gram_single_record():
     rec = eigenstate(make_xn_system(3), PHI, 2)
     gram = gram_matrix([rec])
     assert len(gram) == 1
-    assert evaluate_gamma_vector(gram[0][0]) > 0
+    assert evaluate_gamma_vector_mp(gram[0][0])[0] > 0
 
 
 def test_tilde_sectors_orthogonal_too():
