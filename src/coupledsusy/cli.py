@@ -200,6 +200,14 @@ def cmd_spectrum(args, config) -> int:
     size = _merge(args, config, "galerkin_size", int, max(4, (count + 1) // 2 + 2))
     if size < 1:
         raise ConfigError("galerkin-size must be >= 1")
+    fd = None
+    if args.fd or str(config.get("fd", "")).lower() in ("1", "true", "yes"):
+        half_width = _merge(args, config, "fd_half_width", float, {1: 12.0, 2: 6.0}.get(n, 6.0))
+        grid = _merge(args, config, "fd_grid", int, {1: 2000, 2: 4000}.get(n, 1000))
+        try:  # before the Galerkin solve, so a bad FD input costs nothing
+            fd = fd_spectrum(n, half_width, grid, count=count)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     system = make_xn_system(n)
     theory = merged_spectrum(system, count)
     galerkin = [galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
@@ -210,11 +218,7 @@ def cmd_spectrum(args, config) -> int:
     }
     rows = [(i, float(t)) for i, t in enumerate(theory)]
     header = ("index", "theory")
-    run_fd = args.fd or str(config.get("fd", "")).lower() in ("1", "true", "yes")
-    if run_fd:
-        half_width = _merge(args, config, "fd_half_width", float, {1: 12.0, 2: 6.0}.get(n, 6.0))
-        grid = _merge(args, config, "fd_grid", int, {1: 2000, 2: 4000}.get(n, 1000))
-        fd = fd_spectrum(n, half_width, grid, count=count)
+    if fd is not None:
         payload["fd"] = fd.to_json_dict()
         header = ("index", "computed", "theory", "rel_error")
         rows = list(fd.rows())

@@ -17,30 +17,40 @@ Two routes, deliberately different from the exact tower construction:
   H = (-(x^(2-2n) u')' + (x^(2n) - 1) u)/2 on [-L, L] with Dirichlet ends.
   Interior unknowns sit at x_i = -L + i h; the singular coefficient
   w = x^(2-2n) is sampled only at the inter-node midpoints -L + (i+1/2) h,
-  which for even N never touch x = 0 (odd N would, and is rejected).  A
-  refinement sweep N/2 -> N with Richardson extrapolation is performed and
-  reported alongside the raw values; the raw scheme is cleanly second
-  order for n = 1, while the x = 0 singularity limits the observed order
-  for n >= 2, hence the looser documented tolerances.  The offset grid
-  implicitly selects one self-adjoint extension at x = 0 for n >= 2; this
-  is flagged in the report, not resolved.
+  which for even N never touch x = 0.  N must be a multiple of 4, so that
+  the half grid is even too: the report carries the Richardson extrapolate
+  of the N/2 -> N pair, with the raw values of both grids.  The raw scheme
+  is cleanly second order for n = 1, while the x = 0 singularity limits the
+  observed order for n >= 2, hence the looser documented tolerances.  The
+  offset grid implicitly selects one self-adjoint extension at x = 0 for
+  n >= 2; this is flagged in the report, not resolved.
+
+  The eigenvalues are resolved to 2^-40 max(1, |lambda|), where LAPACK's
+  bisection stops at eps ||T|| and ||T|| grows like N^(2n).  For n >= 3 a
+  grid window remains: rounding the entries moves the eigenvalues whose
+  states reach x = 0, and the n = 3 refined error is 3.3e-5, 2.0e-6, 2.4e-5
+  and 3.6e-3 at N = 500, 1000, 2000 and 4000.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 from .calculus import Generator, Record, apply_generator, inner_product, monomial_state
 from .systems import CoupledSusySystem, make_xn_system
 from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
 
 
-#: Documented tolerances on the lowest eigenvalues (relative, with the zero
-#: eigenvalue measured absolutely), per family index, for the refined
+#: Documented tolerances on the lowest eight eigenvalues (relative, with the
+#: zero eigenvalue measured absolutely), per family index, for the refined
 #: finite-difference route at the reference grids (L=12, N=2000 for n=1;
-#: L=6, N=4000 for n=2; L=6, N=1000 for n=3).  Values come from refinement
-#: sweeps, not from an assumed convergence order: for n >= 3 the midpoint
-#: samples of x^(2-2n) grow so fast that finer grids amplify roundoff, so
-#: the useful grid window is bounded on both sides.
-FD_DOCUMENTED_TOLERANCE = {1: 1e-5, 2: 0.05, 3: 0.10}
+#: L=6, N=4000 for n=2; L=6, N=1000 for n=3).  Values come from a refinement
+#: sweep over N = 500..8000 and counts 1..8, not from an assumed convergence
+#: order: each is at least 10x the worst error at its reference grid (2.0e-8,
+#: 1.0e-8 and 2.0e-6).  For n >= 3 the useful grid window is bounded on both
+#: sides (see the module docstring).
+FD_DOCUMENTED_TOLERANCE = {1: 1e-6, 2: 1e-6, 3: 1e-4}
 
 
 class GalerkinProblem(Record):
@@ -206,65 +216,164 @@ def galerkin_spectrum(
 
 
 def _assemble_fd(n: int, half_width: float, grid_count: int):
-    """Tridiagonal (diag, offdiag, nodes) for the conservative scheme."""
-    import numpy as np
-
-    if grid_count % 2 != 0:
-        raise ValueError(
-            "grid count must be even: odd counts place a coefficient sample "
-            "at the singular point x = 0"
-        )
-    if grid_count < 8:
-        raise ValueError("grid too coarse")
+    """Tridiagonal (diag, offdiag, nodes) for the conservative scheme, as float lists."""
     h = 2.0 * half_width / grid_count
-    nodes = -half_width + h * np.arange(1, grid_count)
-    midpoints = -half_width + h * (np.arange(grid_count) + 0.5)
-    if np.any(midpoints == 0.0):
-        raise ValueError("coefficient sample collided with x = 0")
-    w = midpoints ** (2 - 2 * n) if n != 1 else np.ones_like(midpoints)
-    diag = 0.5 * ((w[:-1] + w[1:]) / h ** 2 + (nodes ** (2 * n) - 1.0))
-    off = -0.5 * w[1:-1] / h ** 2
+    h2 = h * h
+    nodes = [-half_width + h * i for i in range(1, grid_count)]
+    # an even grid puts x = 0 on node N/2, so no midpoint sample is 0
+    w = [(-half_width + h * (i + 0.5)) ** (2 - 2 * n) for i in range(grid_count)]
+    diag = [0.5 * ((a + b) / h2 + (x ** (2 * n) - 1.0)) for a, b, x in zip(w, w[1:], nodes)]
+    off = [-0.5 * v / h2 for v in w[1:-1]]
     return diag, off, nodes
+
+
+#: Relative resolution of `_lowest_eigenvalues`: far below any grid's
+#: discretisation error, far above the float noise of well-conditioned values.
+_EIGENVALUE_RESOLUTION = 2.0 ** -40
+
+
+def _sturm(diag, off2, x, pivmin):
+    """(eigenvalues below x, d/dx log|det(T - x)|) from one pass over the LDL^T pivots of T - x.
+
+    The pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1} multiply to det(T - x),
+    and the number of negative ones is the number of eigenvalues below x.
+    A pivot smaller than pivmin in magnitude becomes -pivmin, as in LAPACK.
+    The log-derivative sums r_i = q_i' / q_i, with q_i' = t r_{i-1} - 1 and
+    t = e_{i-1}^2 / q_{i-1}.
+    """
+    below = 0
+    q, r, s = 1.0, 0.0, 0.0
+    for d, e2 in zip(diag, off2):
+        t = e2 / q
+        q = d - x - t
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            below += 1
+        r = (t * r - 1.0) / q
+        s += r
+    return below, s
+
+
+def _lowest_eigenvalues(diag, off, count):
+    """The `count` lowest eigenvalues of the symmetric tridiagonal (diag, off), ascending.
+
+    Sturm bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386)
+    isolates eigenvalue k = 0, 1, ... in turn in the Gershgorin interval of
+    width W, using the counts of earlier k only, so no value depends on
+    `count`; splits are geometric while the bracket spans a factor over 4
+    above the interval's bottom.  Newton steps x - 1/s on det(T - x) refine
+    it, each probe narrowing the bracket by its count; a step that leaves
+    the bracket, or follows two passes in which it did not halve, becomes a
+    bisection.  The search ends when a step or the bracket is below 2^-40
+    max(1, |x|); several eigenvalues in so narrow a bracket all get its
+    midpoint, as in LAPACK.  After at most 5 geometric splits the bracket
+    halves every third pass or sooner: at most 3 (log2 W + 41) + 5 passes.
+    """
+    size = len(diag)
+    off2 = [0.0] + [e * e for e in off]
+    pivmin = sys.float_info.min * max(off2 + [1.0])
+    radius = [abs(a) + abs(b) for a, b in zip([0.0] + off, off + [0.0])]
+    lower = min(d - r for d, r in zip(diag, radius))
+    upper = max(d + r for d, r in zip(diag, radius))
+    slack = 2.1 * (max(-lower, upper) * sys.float_info.epsilon * size + 2.0 * pivmin)
+    lower, upper = lower - slack, upper + slack
+    if not math.isfinite(upper - lower):
+        raise ValueError("the matrix spectrum is not within the float range")
+    origin = lower - (upper - lower) * _EIGENVALUE_RESOLUTION
+    probes = {lower: (0, 0.0), upper: (size, 0.0)}  # x -> _sturm(x)
+
+    def below(x):
+        if x not in probes:
+            probes[x] = _sturm(diag, off2, x, pivmin)
+        return probes[x][0]
+
+    def newton(x):
+        s = probes[x][1]
+        return x - 1.0 / s if s else math.nan
+
+    def resolved(width, x):
+        return width <= _EIGENVALUE_RESOLUTION * max(1.0, abs(x))
+
+    values = []
+    for k in range(count):
+        lo = max(x for x, (c, _) in probes.items() if c <= k)
+        hi = min(x for x, (c, _) in probes.items() if c > k)
+        reference, stalled, pending = hi - lo, 0, math.nan
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            if resolved(hi - lo, mid):
+                values.append(mid)
+                break
+            a, b = lo - origin, hi - origin
+            newton_step = False
+            if probes[lo][0] < k or probes[hi][0] > k + 1:  # not isolated yet
+                x = origin + math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else mid
+            else:
+                newton_step = stalled < 2 and lo < pending < hi
+                x = pending if newton_step else mid
+            if below(x) <= k:
+                lo = x
+            else:
+                hi = x
+            if hi - lo <= 0.5 * reference:
+                reference, stalled = hi - lo, 0
+            else:
+                stalled += 1
+            y = newton(x)
+            if (resolved(abs(y - x), x) and lo <= y <= hi
+                    and probes[lo][0] == k and probes[hi][0] == k + 1):
+                values.append(y)
+                break
+            if newton_step or not lo < pending < hi:
+                pending = y
+    return values
 
 
 def fd_spectrum(n: int, half_width: float, grid_count: int, count: int = 6) -> SpectrumReport:
     """Lowest eigenvalues of the finite-difference Hamiltonian on [-L, L].
 
-    When N is divisible by 4, so that the half grid is still even, the
-    problem is also solved on the half grid and the reported values are the
-    Richardson extrapolates (4 f_N - f_{N/2})/3, which cancel the leading
-    second-order error; the raw values of both grids stay available in the
-    details.  Otherwise the raw values are reported.
+    The problem is solved on the grid of N cells and on the half grid, and
+    the reported values are the Richardson extrapolates (4 f_N - f_{N/2})/3,
+    which cancel the leading second-order error; the raw values of both
+    grids stay in the details.  N must be a multiple of 4, so that both
+    grids are even, and at least 8; `count` may be at most N/2 - 1, the
+    size of the half-grid matrix.
     """
-    from scipy.linalg import eigh_tridiagonal
-
+    if grid_count % 4 != 0 or grid_count < 8:
+        raise ValueError(
+            f"fd grid count must be a multiple of 4 and at least 8, got {grid_count}: "
+            "the half grid must be even, or a coefficient sample lands on x = 0"
+        )
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"fd half-width must be positive and finite, got {half_width}")
+    if not 1 <= count <= grid_count // 2 - 1:
+        raise ValueError(
+            f"count must be between 1 and {grid_count // 2 - 1} (the half-grid matrix size) "
+            f"for fd grid count {grid_count}, got {count}"
+        )
     sysn_theory = tuple(merged_spectrum(make_xn_system(n), count))
-    diag, off, _ = _assemble_fd(n, half_width, grid_count)
-    raw = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    try:
+        raw, coarse = (
+            _lowest_eigenvalues(*_assemble_fd(n, half_width, grid)[:2], count)
+            for grid in (grid_count, grid_count // 2)
+        )
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ValueError(f"the fd matrix for half-width {half_width} and grid count "
+                         f"{grid_count} has entries beyond the float range") from exc
+    computed = tuple((4.0 * f - c) / 3.0 for f, c in zip(raw, coarse))
     details = {
         "half_width": half_width,
         "grid_count": grid_count,
-        "raw": [float(v) for v in raw],
+        "raw": raw,
         "documented_tolerance": FD_DOCUMENTED_TOLERANCE.get(n, 0.10),
         "boundary_note": (
             "offset grid implicitly selects one self-adjoint extension at x=0 "
             "for n >= 2"
         ),
+        "coarse": coarse,
+        "refined": True,
     }
-    if grid_count % 4 == 0:
-        diag2, off2, _ = _assemble_fd(n, half_width, grid_count // 2)
-        coarse = eigh_tridiagonal(
-            diag2, off2, eigvals_only=True, select="i", select_range=(0, count - 1)
-        )
-        computed = (4.0 * raw - coarse) / 3.0
-        details["coarse"] = [float(v) for v in coarse]
-        details["refined"] = True
-    else:
-        computed = raw
-        details["refined"] = False
-    computed = tuple(float(v) for v in computed)
     return SpectrumReport(
         method="fd",
         n=n,

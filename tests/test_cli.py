@@ -257,6 +257,27 @@ def test_spectrum_rejects_empty_galerkin_basis(capsys):
     assert captured.err == "error: galerkin-size must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--fd-grid", "4001"],
+        ["--fd-grid", "6"],
+        ["--fd-half-width", "0"],
+        ["--count", "4000", "--fd-grid", "400"],
+        ["--fd-half-width", "-3"],
+        ["--fd-grid", "2002"],  # a half grid of 1001 cells cannot be refined
+    ],
+    ids=["odd-grid", "coarse-grid", "zero-half-width", "count-above-matrix",
+         "negative-half-width", "unrefinable-grid"],
+)
+def test_bad_fd_input_is_config_error(extra, capsys):
+    code = main(["spectrum", "--n", "1", "--count", "4", "--fd"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_precision_bits_flag_is_gone(capsys):
     code = main(["spectrum", "--n", "2", "--precision-bits", "128"])
     assert code == 2

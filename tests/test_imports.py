@@ -1,9 +1,9 @@
-"""Import graph: numpy, scipy and mpmath load only on the routes that compute with them.
+"""Import graph: numpy and mpmath load only on the routes that compute with them, scipy never.
 
 The package itself loads neither dataclasses nor inspect, which cost a cold
-CLI process tens of milliseconds; numpy imports inspect (and scipy
-dataclasses) on the routes that need them.  Each check runs in a fresh
-interpreter, since the test process itself has long since imported them.
+CLI process tens of milliseconds; numpy imports inspect on the sampling
+route that needs it.  Each check runs in a fresh interpreter, since the
+test process itself has long since imported them.
 """
 
 import os
@@ -50,9 +50,14 @@ def test_verify_command_runs_without_numpy_or_scipy():
     assert loaded_after(cli_code(["verify", "--n", "2"])) == set()
 
 
-def test_fd_spectrum_loads_scipy_linalg():
+def test_fd_spectrum_loads_none_of_the_watched_modules():
     code = "from coupledsusy.spectral import fd_spectrum\nfd_spectrum(1, 6.0, 16, count=2)\n"
-    assert loaded_after(code) == {"numpy", "scipy", "scipy.linalg", "inspect", "dataclasses"}
+    assert loaded_after(code) == set()
+
+
+def test_fd_spectrum_command_runs_without_numpy_or_scipy():
+    for n in (1, 2, 3):
+        assert loaded_after(cli_code(["spectrum", "--n", str(n), "--count", "6", "--fd"])) == set(), n
 
 
 def test_galerkin_spectrum_command_runs_without_numpy_or_scipy():

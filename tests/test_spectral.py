@@ -1,5 +1,6 @@
 """Galerkin and finite-difference confirmation of the eigenvalue ladder."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -253,8 +254,8 @@ def test_fd_n2_within_documented_tolerance():
 
 
 def test_fd_n3_within_documented_tolerance():
-    # reference grid for n=3: finer grids amplify roundoff through the
-    # x^(-4) midpoint samples, so the window is bounded on both sides
+    # reference grid for n=3: finer grids lose accuracy to the rounding of
+    # the x^(-4) midpoint samples, so the window is bounded on both sides
     report = fd_spectrum(3, 6.0, 1000, count=4)
     theory = [0, 5, 6, 11]
     tol = FD_DOCUMENTED_TOLERANCE[3]
@@ -273,11 +274,128 @@ def test_fd_mismatched_potential_flags_disagreement(monkeypatch):
 
     def quartic(n, half_width, grid_count):
         diag, off, nodes = real(n, half_width, grid_count)
-        return diag + 0.5 * (nodes ** 4 - nodes ** 2), off, nodes
+        return [d + 0.5 * (x ** 4 - x ** 2) for d, x in zip(diag, nodes)], off, nodes
 
     monkeypatch.setattr(spectral, "_assemble_fd", quartic)
     report = fd_spectrum(1, 12.0, 2000, count=4)
     assert max(report.rel_errors) > 0.1
+
+
+def test_fd_values_do_not_depend_on_count():
+    # each eigenvalue's search depends only on its index, so a larger count
+    # only appends values
+    for n, half_width, grid in ((1, 12.0, 2000), (2, 6.0, 4000), (3, 6.0, 1000)):
+        full = fd_spectrum(n, half_width, grid, count=8)
+        for count in range(1, 8):
+            report = fd_spectrum(n, half_width, grid, count=count)
+            assert report.computed == full.computed[:count], (n, count)
+            assert report.details["raw"] == full.details["raw"][:count]
+
+
+@pytest.mark.parametrize(
+    "grid,half_width,count",
+    [(2002, 6.0, 4), (6, 6.0, 1), (8, 0.0, 2), (8, -3.0, 2), (8, math.inf, 2), (8, math.nan, 2),
+     (400, 6.0, 200), (400, 6.0, 0)],
+)
+def test_fd_rejects_bad_inputs(grid, half_width, count):
+    with pytest.raises(ValueError):
+        fd_spectrum(2, half_width, grid, count=count)
+
+
+@pytest.mark.parametrize("half_width", [1e-320, 1e300])
+def test_fd_half_width_beyond_float_range_is_a_value_error(half_width):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        fd_spectrum(3, half_width, 16, count=2)
+
+
+def test_fd_half_grid_count_bound_is_inclusive():
+    report = fd_spectrum(1, 6.0, 16, count=7)  # the 7 x 7 half-grid matrix, all of it
+    assert len(report.computed) == len(report.details["coarse"]) == 7
+
+
+# ---------------------------------------------------------------------------
+# Tridiagonal eigensolver
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,e", [(2.0, -1.0), (-3.5, 0.25), (1e6, 4e5)])
+@pytest.mark.parametrize("size", [1, 2, 7, 50])
+def test_lowest_eigenvalues_of_a_constant_matrix(d, e, size):
+    want = sorted(d + 2 * e * math.cos(k * math.pi / (size + 1)) for k in range(1, size + 1))
+    got = spectral._lowest_eigenvalues([d] * size, [e] * (size - 1), size)
+    scale = abs(d) + 2 * abs(e)
+    assert got == pytest.approx(want, rel=0, abs=1e-11 * scale)
+    assert got == sorted(got)
+
+
+def test_lowest_eigenvalues_of_exact_clusters():
+    # two identical uncoupled blocks: every eigenvalue is exactly double,
+    # and a zero matrix is one cluster of the whole size
+    block_d, block_e = [2.0, 5.0, -1.0], [0.5, 3.0]
+    got = spectral._lowest_eigenvalues(block_d * 2, block_e + [0.0] + block_e, 6)
+    single = spectral._lowest_eigenvalues(block_d, block_e, 3)
+    assert got == pytest.approx([v for v in single for _ in (0, 1)], rel=0, abs=1e-11)
+    assert spectral._lowest_eigenvalues([0.0] * 5, [0.0] * 4, 5) == [0.0] * 5
+
+
+def test_lowest_eigenvalues_rejects_entries_beyond_float_range():
+    with pytest.raises(ValueError):
+        spectral._lowest_eigenvalues([1.0, math.inf], [1.0], 1)
+    with pytest.raises(ValueError):
+        spectral._lowest_eigenvalues([1.0, 1e308], [-1e308], 1)
+
+
+@pytest.mark.parametrize("grid", [8, 16, 64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lowest_eigenvalues_match_dense_eigvalsh(n, grid):
+    # all of a small FD matrix; n = 2 at N = 8 has two pairs that agree to
+    # float resolution (the half grid of fd_spectrum(2, 6.0, 16))
+    np = pytest.importorskip("numpy")
+    diag, off, _ = spectral._assemble_fd(n, 6.0, grid)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    want = np.linalg.eigvalsh(dense)
+    got = spectral._lowest_eigenvalues(diag, off, len(diag))
+    scale = float(np.abs(want).max())
+    assert got == pytest.approx(list(want), rel=0, abs=1e-12 * scale)
+
+
+def mp_sturm_eigenvalues(diag, off, count, dps=30):
+    """Lowest eigenvalues of the same float matrix by Sturm bisection in dps digits."""
+    with mp.workdps(dps):
+        d = [mp.mpf(v) for v in diag]
+        e2 = [mp.mpf(0)] + [mp.mpf(v) ** 2 for v in off]
+
+        def below(x):
+            count, q = 0, mp.mpf(1)
+            for di, ei in zip(d, e2):
+                q = di - x - ei / q
+                if q == 0:
+                    q = mp.mpf(10) ** (-3 * dps)
+                count += q < 0
+            return count
+
+        bound = max(abs(a) for a in d) + 2 * max(mp.sqrt(b) for b in e2)
+        values, lo = [], -bound
+        for k in range(count):
+            hi = bound
+            while hi - lo > mp.mpf(10) ** (-14) * max(1, abs(lo)):
+                mid = (lo + hi) / 2
+                if below(mid) <= k:
+                    lo = mid
+                else:
+                    hi = mid
+            values.append((lo + hi) / 2)
+            lo = values[-1] - mp.mpf(10) ** (-12) * max(1, abs(lo))
+        return [float(v) for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lowest_eigenvalues_match_mp_sturm_bisection(n):
+    diag, off, _ = spectral._assemble_fd(n, 6.0, 200)
+    want = mp_sturm_eigenvalues(diag, off, 6)
+    got = spectral._lowest_eigenvalues(diag, off, 6)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-8 * max(1.0, abs(w))
 
 
 def test_merged_theory_values():
