@@ -10,33 +10,43 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from fractions import Fraction
 
 from . import reports
-from .coherent import coherent_state, full_lowering_misfit, verify_half_lowering
-from .spectral import fd_spectrum, galerkin_spectrum
 from .systems import make_xn_system, verify_coupled_susy, verify_su11
-from .towers import SectorLabel, eigenstate, ground_states, merged_spectrum, normalized_samples
-from .uncertainty import (
-    direct_sum,
-    uncertainty_product_LA,
-    uncertainty_product_tilde,
-    uncertainty_product_XP,
-)
+
+
+def _lazy(name):
+    """Submodule `name`, registered with LazyLoader (the importlib recipe) unless already imported.
+
+    The module runs on the first read of one of its attributes, so a
+    command compiles only the modules it calls.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+# Every command builds a system; these run inside the commands that call
+# them, which read their functions off the modules at call time.
+coherent, spectral, towers, uncertainty = (
+    _lazy(name) for name in ("coherent", "spectral", "towers", "uncertainty"))
 
 
 class ConfigError(Exception):
     pass
 
 
-_SECTORS = {
-    "psi": SectorLabel.PSI,
-    "phi": SectorLabel.PHI,
-    "psitilde": SectorLabel.PSI_TILDE,
-    "phitilde": SectorLabel.PHI_TILDE,
-}
+#: Flag name -> SectorLabel value.
+_SECTORS = {"psi": "psi", "phi": "phi", "psitilde": "psi~", "phitilde": "phi~"}
 
 
 def _load_config_file(path):
@@ -205,12 +215,12 @@ def cmd_spectrum(args, config) -> int:
         half_width = _merge(args, config, "fd_half_width", float, {1: 12.0, 2: 6.0}.get(n, 6.0))
         grid = _merge(args, config, "fd_grid", int, {1: 2000, 2: 4000}.get(n, 1000))
         try:  # before the Galerkin solve, so a bad FD input costs nothing
-            fd = fd_spectrum(n, half_width, grid, count=count)
+            fd = spectral.fd_spectrum(n, half_width, grid, count=count)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     system = make_xn_system(n)
-    theory = merged_spectrum(system, count)
-    galerkin = [galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
+    theory = towers.merged_spectrum(system, count)
+    galerkin = [spectral.galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
     payload = {
         "n": n,
         "theory": [float(t) for t in theory],
@@ -228,19 +238,19 @@ def cmd_spectrum(args, config) -> int:
 
 def cmd_eigenfunctions(args, config) -> int:
     n = _common_values(args, config)
-    sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi")])
     m = _merge(args, config, "m", int, 0)
     grid = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
     import numpy as np
 
     system = make_xn_system(n)
     try:
-        record = eigenstate(system, sector, m)
+        record = towers.eigenstate(system, sector, m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lo, hi, count = grid
     xs = np.linspace(lo, hi, count)
-    values = normalized_samples(record, xs)
+    values = towers.normalized_samples(record, xs)
     payload = None
     if _merge(args, config, "format", str, "json") != "csv":
         try:
@@ -263,25 +273,25 @@ def cmd_coherent(args, config) -> int:
     tol = _merge(args, config, "tol", float, 1e-12)
     if not tol > 0:
         raise ConfigError("tolerance must be positive")
-    sector = _SECTORS[_merge(args, config, "sector", str, "psi")]
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi")])
     z = _parse_complex(_merge(args, config, "z", str, "0.5"))
     system = make_xn_system(n)
     # RuntimeError: the truncation of the state, or of the state its
     # half-lowering lands on, did not converge because |z| is too close to 1.
     try:
-        state = coherent_state(system, sector, z, tol)
+        state = coherent.coherent_state(system, sector, z, tol)
         payload = state.to_json_dict()
         payload["norm_sq"] = state.norm_sq()
-        if sector in (SectorLabel.PSI, SectorLabel.PHI_TILDE) and z != 0:
-            check = verify_half_lowering(system, sector, z, tol)
+        if sector in (towers.SectorLabel.PSI, towers.SectorLabel.PHI_TILDE) and z != 0:
+            check = coherent.verify_half_lowering(system, sector, z, tol)
             payload["half_lowering"] = {
                 "operator": check.operator,
                 "target_sector": check.target_sector.value,
                 "scalar": check.scalar,
                 "residual": check.residual,
             }
-            if sector is SectorLabel.PSI:
-                _, misfit = full_lowering_misfit(system, z, tol)
+            if sector is towers.SectorLabel.PSI:
+                _, misfit = coherent.full_lowering_misfit(system, z, tol)
                 payload["full_lowering_best_fit_residual"] = misfit
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -295,16 +305,17 @@ def cmd_coherent(args, config) -> int:
 def _resolve_state(system, text):
     text = (text or "ground").strip().lower()
     if text in ("ground", "psi:0"):
-        return ("la", eigenstate(system, SectorLabel.PSI, 0))
+        return ("la", towers.eigenstate(system, towers.SectorLabel.PSI, 0))
     if text == "mixed":
-        psi0, _ = ground_states(system)
-        phi_t0 = eigenstate(system, SectorLabel.PHI_TILDE, 0)
-        return ("xp", direct_sum(psi0, Fraction(1, 2), phi_t0, Fraction(1, 2)))
+        psi0, _ = towers.ground_states(system)
+        phi_t0 = towers.eigenstate(system, towers.SectorLabel.PHI_TILDE, 0)
+        return ("xp", uncertainty.direct_sum(psi0, Fraction(1, 2), phi_t0, Fraction(1, 2)))
     if ":" in text:
         name, _, level = text.partition(":")
         if name in _SECTORS:
             try:
-                return ("la", eigenstate(system, _SECTORS[name], int(level)))
+                sector = towers.SectorLabel(_SECTORS[name])
+                return ("la", towers.eigenstate(system, sector, int(level)))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
     raise ConfigError(f"cannot parse state descriptor {text!r}")
@@ -322,16 +333,17 @@ def cmd_uncertainty(args, config) -> int:
     if kind == "xp":
         if pair not in ("xp", "all"):
             raise ConfigError("mixed direct-sum states support only the X,P pair")
-        results.append(uncertainty_product_XP(system, state))
+        results.append(uncertainty.uncertainty_product_XP(system, state))
     else:
         record = state
         tilde = record.sector.is_tilde
         if pair in ("auto", "la", "all") and not tilde:
-            results.append(uncertainty_product_LA(system, record))
+            results.append(uncertainty.uncertainty_product_LA(system, record))
         if pair in ("auto", "tilde", "all") and tilde:
-            results.append(uncertainty_product_tilde(system, record))
+            results.append(uncertainty.uncertainty_product_tilde(system, record))
         if pair in ("xp", "all") and not tilde:
-            results.append(uncertainty_product_XP(system, direct_sum(record, 1, None, 0)))
+            alone = uncertainty.direct_sum(record, 1, None, 0)
+            results.append(uncertainty.uncertainty_product_XP(system, alone))
         if not results:
             raise ConfigError(
                 f"pair {pair!r} does not apply to a {record.sector.value} state"

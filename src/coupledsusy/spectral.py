@@ -154,8 +154,11 @@ def _rational_matrices(problem: GalerkinProblem):
             )
         return q
 
-    return [[[rational(e) for e in row] for row in matrix]
-            for matrix in (problem.h_matrix, problem.s_matrix)]
+    matrices = [[[rational(e) for e in row] for row in matrix]
+                for matrix in (problem.h_matrix, problem.s_matrix)]
+    if any(m[i][j] != m[j][i] for m in matrices for i in range(problem.size) for j in range(i)):
+        raise ValueError("Galerkin H and S must be symmetric")
+    return matrices
 
 
 def solve_generalized(
@@ -168,7 +171,9 @@ def solve_generalized(
     For each pivot k in basis order, row i -= f row k and column i -= f
     column k with f = S[i][k] / S[k][k] clear S below and right of the
     pivot; the same operations act on H, so the pencil stays congruent to
-    the original.  The eliminated basis is the Gram-Schmidt basis, which
+    the original.  Both matrices are symmetric and stay so, and a step
+    changes only row and column i: row i is computed once and copied into
+    column i.  The eliminated basis is the Gram-Schmidt basis, which
     for the true system is the tower itself: both matrices end diagonal and
     diag(H) / diag(S) is the ladder, level by level.  `passed` is true iff
     every off-diagonal entry of both is exactly 0 and every eigenvalue is
@@ -182,9 +187,11 @@ def solve_generalized(
             f = s[i][k] / s[k][k]
             if f:
                 for matrix in (h, s):
-                    matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[k])]
-                    for row in matrix:
-                        row[i] -= f * row[k]
+                    row = [x - f * y for x, y in zip(matrix[i], matrix[k])]
+                    row[i] -= f * row[k]
+                    for j, x in enumerate(row):
+                        matrix[j][i] = x
+                    matrix[i] = row
     eigenvalues = tuple(h[i][i] / s[i][i] for i in range(size))
     theory = _galerkin_theory(system, problem.residue, size)
     diagonal = all(

@@ -1,14 +1,20 @@
-"""Import graph: numpy and mpmath load only on the routes that compute with them, scipy never.
+"""Import graph: which submodules run, and which third-party modules load, on each route.
 
-The package itself loads neither dataclasses nor inspect, which cost a cold
-CLI process tens of milliseconds; numpy imports inspect on the sampling
-route that needs it.  Each check runs in a fresh interpreter, since the
-test process itself has long since imported them.
+``import coupledsusy`` runs no submodule and each CLI command runs only
+the submodules it calls, since a cold CLI process otherwise spends most
+of its time compiling the package's source.  numpy and mpmath load only
+on the routes that compute with them, scipy never.  The package itself
+loads neither dataclasses nor inspect, which cost a cold CLI process tens
+of milliseconds; numpy imports inspect on the sampling route that needs
+it.  Each check runs in a fresh interpreter, since the test process itself
+has long since imported them.
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -76,3 +82,123 @@ def test_uncertainty_and_coherent_commands_run_without_mpmath():
 def test_eigenfunctions_command_loads_only_numpy():
     argv = ["eigenfunctions", "--n", "2", "--m", "3", "--grid", "-4:4:401", "--format", "csv"]
     assert loaded_after(cli_code(argv)) == {"numpy", "inspect"}
+
+
+PACKAGE_DIR = os.path.join(SRC, "coupledsusy")
+SUBMODULES = {"calculus", "coherent", "spectral", "systems", "towers", "uncertainty"}
+
+#: Records, by file stem, every package module whose code runs; a module
+#: registered with LazyLoader and never read does not run.
+_RAN_HOOK = f"""
+import os, sys
+_ran = set()
+def _record(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>" and os.path.dirname(code.co_filename) == {PACKAGE_DIR!r}:
+        _ran.add(os.path.basename(code.co_filename)[:-3])
+sys.addaudithook(_record)
+"""
+
+
+def ran_after(code):
+    """The package modules (file stems, minus __init__) whose code a fresh interpreter ran for `code`."""
+    result = subprocess.run(
+        [sys.executable, "-c", _RAN_HOOK + code + "\nprint(' '.join(sorted(_ran)))\n"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return set(result.stdout.split()) - {"__init__"}
+
+
+def test_package_import_runs_no_submodule():
+    assert ran_after("import coupledsusy\n") == set()
+
+
+def test_unknown_attribute_raises_without_running_a_submodule():
+    code = (
+        "import coupledsusy\n"
+        "try:\n"
+        "    coupledsusy.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+    )
+    assert ran_after(code) == set()
+
+
+def test_first_public_name_runs_every_submodule():
+    assert ran_after("import coupledsusy\ncoupledsusy.SectorLabel\n") == SUBMODULES
+
+
+def main_code(argv):
+    """Code that runs the CLI as __main__, as `python -m coupledsusy.cli` does, and checks exit 0."""
+    return (
+        "import contextlib, io, runpy\n"
+        f"sys.argv = ['coupledsusy'] + {argv!r}\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runpy.run_module('coupledsusy.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        pytest.param(["verify", "--n", "2"], set(), id="verify"),
+        pytest.param(["spectrum", "--n", "2", "--count", "6"], {"towers", "spectral"}, id="spectrum"),
+        pytest.param(["spectrum", "--n", "1", "--count", "6", "--fd", "--format", "csv", "--out", "OUT"],
+                     {"towers", "spectral"}, id="spectrum-fd"),
+        pytest.param(["eigenfunctions", "--n", "2", "--m", "3", "--grid", "-4:4:401", "--format", "csv",
+                      "--out", "OUT"], {"towers"}, id="eigenfunctions"),
+        pytest.param(["coherent", "--n", "2", "--sector", "psi", "--z", "0.5", "--tol", "1e-12"],
+                     {"towers", "coherent"}, id="coherent"),
+        pytest.param(["uncertainty", "--n", "1", "--state", "ground"], {"towers", "uncertainty"},
+                     id="uncertainty-ground"),
+        pytest.param(["uncertainty", "--n", "2", "--state", "mixed"], {"towers", "uncertainty"},
+                     id="uncertainty-mixed"),
+    ],
+)
+def test_each_readme_command_runs_only_the_submodules_it_calls(argv, extra, tmp_path):
+    argv = [str(tmp_path / "report") if a == "OUT" else a for a in argv]
+    assert ran_after(main_code(argv)) == {"cli", "reports", "calculus", "systems"} | extra
+
+
+def test_after_cli_import_every_submodule_is_registered_and_exposes_its_functions():
+    # A tracer that wraps the functions of the package modules in
+    # sys.modules, reading each with vars(), finds all six.
+    code = (
+        "import types, coupledsusy.cli\n"
+        f"for name in {sorted(SUBMODULES)!r}:\n"
+        "    module = sys.modules['coupledsusy.' + name]\n"
+        "    assert any(isinstance(v, types.FunctionType) and v.__module__ == module.__name__\n"
+        "               for v in vars(module).values()), name\n"
+    )
+    assert ran_after(code) == SUBMODULES | {"cli", "reports"}
+
+
+@pytest.mark.parametrize("first", ["coupledsusy", "coupledsusy.cli"])
+def test_concurrent_first_reads_of_a_public_name_all_succeed(first):
+    code = (
+        f"import threading, {first}\n"
+        "barrier, errors = threading.Barrier(4), []\n"
+        "def read():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        coupledsusy.make_xn_system, coupledsusy.eigenstate\n"
+        "    except Exception as exc:\n"
+        "        errors.append(exc)\n"
+        "threads = [threading.Thread(target=read) for _ in range(4)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(60)\n"
+        "assert not any(thread.is_alive() for thread in threads)\n"
+        "assert not errors, errors\n"
+    )
+    assert SUBMODULES <= ran_after(code)

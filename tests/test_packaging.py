@@ -40,3 +40,11 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(coupledsusy.__all__) == PUBLIC_API
+
+
+def test_star_import_and_dir_give_the_pinned_names():
+    namespace = {}
+    exec("from coupledsusy import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_API
+    assert dir(coupledsusy) == PUBLIC_API
+    assert "__version__" in vars(coupledsusy)  # read without loading a submodule

@@ -191,6 +191,48 @@ def test_off_diagonal_pencil_fails_on_the_ladder():
     assert report.passed is False
 
 
+def _two_triangle_elimination(problem):
+    """The reference elimination: every step applies its row and column operation in full."""
+    h, s = spectral._rational_matrices(problem)
+    for k in range(problem.size):
+        for i in range(k + 1, problem.size):
+            f = s[i][k] / s[k][k]
+            if f:
+                for matrix in (h, s):
+                    matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[k])]
+                    for row in matrix:
+                        row[i] -= f * row[k]
+    return h, s
+
+
+@pytest.mark.parametrize(
+    "system",
+    [make_xn_system(n) for n in (1, 2, 3)]
+    + [make_xn_system(n, mutate=(Generator.A, 0, "beta", 1)) for n in (1, 2)]
+    + [make_xn_system(2, mutate="a-coeff")],
+)
+def test_one_triangle_elimination_matches_the_two_triangle_reference(system):
+    for residue in (0, 2 * system.n - 1):
+        problem = build_galerkin(system, residue, 7)
+        h, s = _two_triangle_elimination(problem)
+        eigenvalues = tuple(float(h[i][i] / s[i][i]) for i in range(problem.size))
+        diagonal = all(m[i][j] == 0 for m in (h, s) for i in range(7) for j in range(7) if i != j)
+        report = solve_generalized(problem, system)
+        assert report.computed == eigenvalues
+        assert report.passed == (diagonal and report.computed == tuple(map(float, report.theory)))
+
+
+def test_asymmetric_pencil_is_rejected():
+    system = make_xn_system(2)
+    problem = build_galerkin(system, 0, 3)
+    h = [list(row) for row in problem.h_matrix]
+    h[0][1] = h[0][1] + problem.s_matrix[0][0]
+    changed = GalerkinProblem(problem.n, problem.residue, problem.exponents,
+                              tuple(map(tuple, h)), problem.s_matrix)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_generalized(changed, system)
+
+
 def test_galerkin_h_positive_semidefinite():
     report = galerkin_spectrum(make_xn_system(2), 0, 8)
     assert report.computed[0] >= -1e-20
