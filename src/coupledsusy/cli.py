@@ -233,7 +233,8 @@ def cmd_spectrum(args, config) -> int:
         header = ("index", "computed", "theory", "rel_error")
         rows = list(fd.rows())
     _emit(args, config, payload, csv_header=header, csv_rows=rows)
-    return 0 if all(r.passed for r in galerkin) else 1
+    reports = galerkin if fd is None else [*galerkin, fd]
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_eigenfunctions(args, config) -> int:

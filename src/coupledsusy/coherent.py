@@ -145,7 +145,7 @@ def coherent_state(
 ) -> CoherentState:
     """Construct the displacement coherent state truncated to tail mass < tol."""
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:  # NaN parts fail this as well
         raise ValueError("|z| must be < 1 (disk of convergence)")
     if not tol > 0:
         raise ValueError("tol must be positive")

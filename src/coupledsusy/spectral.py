@@ -75,7 +75,8 @@ class SpectrumReport(Record):
 
     `rel_errors` uses |computed - theory| / max(1, |theory|) so the zero
     ground eigenvalue is measured absolutely.  `passed` is the Galerkin
-    route's exact verdict; the finite-difference route has none (None).
+    route's exact verdict, and for the finite-difference route whether every
+    relative error is within details["documented_tolerance"].
     """
 
     __slots__ = _fields = ("method", "n", "computed", "theory", "rel_errors", "details", "passed")
@@ -345,7 +346,8 @@ def fd_spectrum(n: int, half_width: float, grid_count: int, count: int = 6) -> S
     which cancel the leading second-order error; the raw values of both
     grids stay in the details.  N must be a multiple of 4, so that both
     grids are even, and at least 8; `count` may be at most N/2 - 1, the
-    size of the half-grid matrix.
+    size of the half-grid matrix.  The report passes when every relative
+    error is within FD_DOCUMENTED_TOLERANCE for n (0.10 for other n).
     """
     if grid_count % 4 != 0 or grid_count < 8:
         raise ValueError(
@@ -369,11 +371,13 @@ def fd_spectrum(n: int, half_width: float, grid_count: int, count: int = 6) -> S
         raise ValueError(f"the fd matrix for half-width {half_width} and grid count "
                          f"{grid_count} has entries beyond the float range") from exc
     computed = tuple((4.0 * f - c) / 3.0 for f, c in zip(raw, coarse))
+    rel_errors = _relative_errors(computed, sysn_theory)
+    tolerance = FD_DOCUMENTED_TOLERANCE.get(n, 0.10)
     details = {
         "half_width": half_width,
         "grid_count": grid_count,
         "raw": raw,
-        "documented_tolerance": FD_DOCUMENTED_TOLERANCE.get(n, 0.10),
+        "documented_tolerance": tolerance,
         "boundary_note": (
             "offset grid implicitly selects one self-adjoint extension at x=0 "
             "for n >= 2"
@@ -386,6 +390,7 @@ def fd_spectrum(n: int, half_width: float, grid_count: int, count: int = 6) -> S
         n=n,
         computed=computed,
         theory=sysn_theory,
-        rel_errors=_relative_errors(computed, sysn_theory),
+        rel_errors=rel_errors,
         details=details,
+        passed=all(e <= tolerance for e in rel_errors),  # a NaN error fails
     )

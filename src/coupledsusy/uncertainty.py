@@ -22,18 +22,19 @@ sigma_F sigma_G >= |<[F, G]>| / 2 then yields
 with the per-state X-P Robertson bound equal to the exact convex
 combination (|gamma| ||psi1||^2 + delta ||psi2||^2) / 2.
 
-Observables are pairs of exact Operators, the real and the imaginary
-part, composed from the system's generators.  Every expectation is
-assembled exactly, as GammaVectors bucketed by the parity of the
-accumulated sqrt(2) powers.  On a tower record, or any state on one Gamma
-symbol, each bucket is a rational multiple of the squared norm: variances
-and the squared bound are Fractions, `pass` (sigma1^2 sigma2^2 >=
-bound^2) is exact, and floats appear only in the result, where an exactly
-saturated bound gives product == bound.  A bare state whose norm spans
-two Gamma symbols runs the same formulas over certified mpmath intervals
-(_decide).  No tolerance is involved.  Quantities that vanish identically
-on real-coefficient states, like <A>, are still routed through the full
-computation so that a wrong sign in any word would surface.
+Each observable is an exact real Operator composed from the system's
+generators, times 1 or i; so is every product and commutator built from
+them.  On the package's real states every matrix element is therefore one
+GammaVector, times the observable's phase.  On a tower record, or any
+state on one Gamma symbol, it is a rational multiple of the squared norm:
+variances and the squared bound are Fractions, `pass` (sigma1^2 sigma2^2
+>= bound^2) is exact, and floats appear only in the result, where an
+exactly saturated bound gives product == bound.  A bare state whose norm
+spans two Gamma symbols runs the same formulas over certified mpmath
+intervals (_decide).  No tolerance is involved.  Quantities that vanish
+identically on real-coefficient states, like <A>, are still routed
+through the full computation so that a wrong sign in any word would
+surface.
 """
 
 from __future__ import annotations
@@ -58,45 +59,46 @@ class SectorDomainError(ValueError):
     """A sector observable was evaluated on a state outside its residue classes."""
 
 
-_ZERO = Operator({})
 _HALF = Fraction(1, 2)
 
 
 class OperatorExpression(Record):
-    """The complex operator re + i im, with exact Operator parts.
+    """The observable op, or i op when `imaginary`, with op an exact real Operator.
 
     `sector` is 1 or 2 for within-sector observables (enforced on states),
     or None for the direct-sum blocks which transfer between sectors.
     """
 
-    __slots__ = _fields = ("name", "re", "im", "sector")
+    __slots__ = _fields = ("name", "op", "imaginary", "sector")
 
-    def __init__(self, name: str, re: Operator, im: Operator = _ZERO, sector: int | None = None):
+    def __init__(self, name: str, op: Operator, imaginary: bool = False, sector: int | None = None):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "imaginary", imaginary)
         object.__setattr__(self, "sector", sector)
 
-    def compose(self, other: "OperatorExpression", name: str | None = None) -> "OperatorExpression":
-        """Operator product self . other (other acts first)."""
+    def compose(self, other: "OperatorExpression") -> "OperatorExpression":
+        """Operator product self . other (other acts first); i . i = -1."""
+        product = self.op @ other.op
         return OperatorExpression(
-            name or f"{self.name}.{other.name}",
-            self.re @ other.re - self.im @ other.im,
-            self.re @ other.im + self.im @ other.re,
+            f"{self.name}.{other.name}",
+            -product if self.imaginary and other.imaginary else product,
+            self.imaginary != other.imaginary,
             self.sector,
         )
 
-    def minus(self, other: "OperatorExpression", name: str | None = None) -> "OperatorExpression":
+    def minus(self, other: "OperatorExpression") -> "OperatorExpression":
+        """self - other; ValueError when one is real and the other imaginary."""
+        if self.imaginary != other.imaginary:
+            raise ValueError(f"{self.name} - {other.name} is neither real nor imaginary")
         return OperatorExpression(
-            name or f"{self.name}-{other.name}",
-            self.re - other.re,
-            self.im - other.im,
-            self.sector,
+            f"{self.name}-{other.name}", self.op - other.op, self.imaginary, self.sector
         )
 
-    def commutator_with(self, other: "OperatorExpression", name: str | None = None):
-        return self.compose(other).minus(
-            other.compose(self), name or f"[{self.name},{other.name}]"
+    def commutator_with(self, other: "OperatorExpression") -> "OperatorExpression":
+        difference = self.compose(other).minus(other.compose(self))
+        return OperatorExpression(
+            f"[{self.name},{other.name}]", difference.op, difference.imaginary, self.sector
         )
 
 
@@ -107,7 +109,7 @@ def observable_L(system: CoupledSusySystem) -> OperatorExpression:
 
 def observable_A(system: CoupledSusySystem) -> OperatorExpression:
     a, ad, b, bd = system.generators
-    return OperatorExpression("A", _ZERO, (ad @ b - bd @ a).scale(_HALF), sector=1)
+    return OperatorExpression("A", (ad @ b - bd @ a).scale(_HALF), True, sector=1)
 
 
 def observable_L_tilde(system: CoupledSusySystem) -> OperatorExpression:
@@ -117,31 +119,31 @@ def observable_L_tilde(system: CoupledSusySystem) -> OperatorExpression:
 
 def observable_A_tilde(system: CoupledSusySystem) -> OperatorExpression:
     a, ad, b, bd = system.generators
-    return OperatorExpression("A~", _ZERO, (b @ ad - a @ bd).scale(_HALF), sector=2)
+    return OperatorExpression("A~", (b @ ad - a @ bd).scale(_HALF), True, sector=2)
 
 
 def x_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
     """Off-diagonal blocks of X: "12" = (a+ + b+)/sqrt(2), "21" = (a + b)/sqrt(2)."""
     a, ad, b, bd = system.generators
     if which == "12":
-        re = ad + bd
+        op = ad + bd
     elif which == "21":
-        re = a + b
+        op = a + b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"X{which}", re.scale_sqrt2(-1))
+    return OperatorExpression(f"X{which}", op.scale_sqrt2(-1))
 
 
 def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
     """Off-diagonal blocks of P: "12" = -i(a+ - b+)/sqrt(2), "21" = -i(-a + b)/sqrt(2)."""
     a, ad, b, bd = system.generators
     if which == "12":
-        im = bd - ad
+        op = bd - ad
     elif which == "21":
-        im = a - b
+        op = a - b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"P{which}", _ZERO, im.scale_sqrt2(-1))
+    return OperatorExpression(f"P{which}", op.scale_sqrt2(-1), True)
 
 
 # ---------------------------------------------------------------------------
@@ -149,56 +151,17 @@ def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
 # ---------------------------------------------------------------------------
 
 
-class ExactMatrixElement(Record):
-    """<f | expr | g> as exact GammaVectors, bucketed by residual sqrt(2) parity.
+def matrix_element(system: CoupledSusySystem, expr: OperatorExpression, f: GaussPolyState,
+                   g: GaussPolyState) -> GammaVector:
+    """<f | expr.op | g> exactly: one apply and one inner product.
 
-    value = re_even + re_odd / sqrt(2) + i (im_even + im_odd / sqrt(2)),
-    where matrix_element fills at most one bucket of each part.
+    The matrix element of expr is this value times i when expr.imaginary.
+    inner_product raises ValueError when the sqrt(2) half powers of f, op
+    and g add up to an odd total.
     """
-
-    __slots__ = _fields = ("re_even", "re_odd", "im_even", "im_odd")
-
-    def __init__(self, re_even: GammaVector, re_odd: GammaVector, im_even: GammaVector,
-                 im_odd: GammaVector):
-        object.__setattr__(self, "re_even", re_even)
-        object.__setattr__(self, "re_odd", re_odd)
-        object.__setattr__(self, "im_even", im_even)
-        object.__setattr__(self, "im_odd", im_odd)
-
-    @property
-    def buckets(self) -> tuple:
-        return self.re_even, self.re_odd, self.im_even, self.im_odd
-
-    @property
-    def is_exactly_zero(self) -> bool:
-        return all(v.is_zero for v in self.buckets)
-
-    @property
-    def imag_exactly_zero(self) -> bool:
-        return self.im_even.is_zero and self.im_odd.is_zero
-
-
-def matrix_element(
-    system: CoupledSusySystem,
-    expr: OperatorExpression,
-    f: GaussPolyState,
-    g: GaussPolyState,
-) -> ExactMatrixElement:
-    """Assemble <f | expr | g> exactly: one apply and one inner product per part."""
     if f.n != system.n or g.n != system.n:
         raise FamilyMismatchError("states and system belong to different families")
-    buckets = []
-    for part in (expr.re, expr.im):
-        even = odd = GammaVector(f.n, {})
-        if not part.is_zero:
-            image = part.apply(g)
-            if (f.half_power + image.half_power) % 2 != 0:
-                # multiply the image by sqrt(2) and divide it back out in the odd bucket
-                odd = inner_product(f, image.scale_sqrt2(1))
-            else:
-                even = inner_product(f, image)
-        buckets += [even, odd]
-    return ExactMatrixElement(*buckets)
+    return inner_product(f, expr.op.apply(g))
 
 
 def _as_state(state) -> GaussPolyState:
@@ -207,29 +170,22 @@ def _as_state(state) -> GaussPolyState:
     return state
 
 
-def _sector_residues(system: CoupledSusySystem, sector: int) -> set:
+def _guard_sector(system: CoupledSusySystem, sector: int, state: GaussPolyState):
+    """SectorDomainError unless the state lies in the residue classes of sector 1 or 2."""
     n = system.n
-    mod = 2 * n
-    if sector == 1:
-        return {0, (2 * n - 1) % mod}
-    return {n % mod, (n - 1) % mod}
-
-
-def _guard_sector(system, expr, state):
-    if expr.sector is None:
-        return
-    allowed = _sector_residues(system, expr.sector)
+    allowed = {0, 2 * n - 1} if sector == 1 else {n, n - 1}
     if not state.residues() <= allowed:
         raise SectorDomainError(
             f"state residues {sorted(state.residues())} lie outside the "
-            f"sector-{expr.sector} classes {sorted(allowed)}"
+            f"sector-{sector} classes {sorted(allowed)}"
         )
 
 
-def expectation_exact(system, expr, state) -> ExactMatrixElement:
-    """Unnormalised <state | expr | state> as exact data."""
+def expectation_exact(system, expr, state) -> GammaVector:
+    """Unnormalised <state | expr.op | state> as an exact GammaVector."""
     state = _as_state(state)
-    _guard_sector(system, expr, state)
+    if expr.sector is not None:
+        _guard_sector(system, expr.sector, state)
     return matrix_element(system, expr, state, state)
 
 
@@ -279,21 +235,9 @@ def _decide(formula):
     return False, values
 
 
-def _ratios(element: ExactMatrixElement, norm: GammaVector, ratio) -> list:
-    """element / norm as its buckets' ratios [re_even, re_odd, im_even, im_odd]."""
-    return [ratio(v, norm) for v in element.buckets]
-
-
-def _abs_sq(parts):
-    """|re_even + re_odd/sqrt2 + i (im_even + im_odd/sqrt2)|^2, one bucket per part nonzero."""
-    re_even, re_odd, im_even, im_odd = parts
-    return re_even ** 2 + re_odd ** 2 / 2 + im_even ** 2 + im_odd ** 2 / 2
-
-
-def _variance(mean: ExactMatrixElement, second: ExactMatrixElement, norm, ratio):
-    """<O^2> - |<O>|^2 from <f|O|f> and <f|O^2|f>, whose real part is its re_even
-    bucket: the real part of O^2, re.re - im.im, has an even sqrt(2) power."""
-    return ratio(second.re_even, norm) - _abs_sq(_ratios(mean, norm, ratio))
+def _variance(mean: GammaVector, second: GammaVector, norm, ratio):
+    """<O^2> - |<O>|^2 from <f|O|f> and <f|O^2|f>; O^2 is real for O real or imaginary."""
+    return ratio(second, norm) - ratio(mean, norm) ** 2
 
 
 def _float(x) -> float:
@@ -306,17 +250,16 @@ def _root(x) -> float:
     return math.sqrt(max(_float(x), 0.0))
 
 
-def _complex(parts) -> complex:
-    re_even, re_odd, im_even, im_odd = map(_float, parts)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return complex(re_even + inv_sqrt2 * re_odd, im_even + inv_sqrt2 * im_odd)
+def _phased(value, imaginary: bool) -> complex:
+    """A real value's float times i when imaginary."""
+    return complex(0.0, _float(value)) if imaginary else complex(_float(value), 0.0)
 
 
 def expectation(system, expr, state) -> complex:
     """Normalised expectation <expr> on the given state or record."""
     element, norm = expectation_exact(system, expr, state), _norm_sq(state)
-    _, (parts,) = _decide(lambda ratio: (0, _ratios(element, norm, ratio)))
-    return _complex(parts)
+    _, (value,) = _decide(lambda ratio: (0, ratio(element, norm)))
+    return _phased(value, expr.imaginary)
 
 
 def variance(system, expr, state) -> float:
@@ -392,8 +335,8 @@ def _sector_product(system, state, sector: int) -> UncertaintyResult:
     def formula(ratio):
         var_l = _variance(mean_l, second_l, norm, ratio)
         var_a = _variance(mean_a, second_a, norm, ratio)
-        bound_sq = _abs_sq(_ratios(comm, norm, ratio)) / 4
-        return var_l * var_a - bound_sq, var_l, var_a, bound_sq, ratio(number.re_even, norm)
+        bound_sq = ratio(comm, norm) ** 2 / 4
+        return var_l * var_a - bound_sq, var_l, var_a, bound_sq, ratio(number, norm)
 
     passed, (var_l, var_a, bound_sq, number) = _decide(formula)
     number = _float(number)
@@ -447,36 +390,42 @@ def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:
     return DirectSumState(state1, state2, Fraction(weight1), Fraction(weight2))
 
 
-def _xp_guard(system, components):
-    c1, c2 = components
-    if c1 is not None and not c1.residues() <= _sector_residues(system, 1):
-        raise SectorDomainError("component 1 lies outside the first-sector classes")
-    if c2 is not None and not c2.residues() <= _sector_residues(system, 2):
-        raise SectorDomainError("component 2 lies outside the second-sector classes")
+def _xp_component(system, sector: int, given, weight):
+    """(the state at half power 0, its squared norm / weight), or (None, None) if absent.
+
+    A first-sector and a tilde state differ in their sqrt(2) half power, so
+    the X,P cross terms pair them only once both are rescaled to half power 0.
+    """
+    if given is None:
+        return None, None
+    state = _as_state(given)
+    _guard_sector(system, sector, state)
+    half = state.half_power
+    return state.scale_sqrt2(half), _norm_sq(given).scale(2 ** half / Fraction(weight))
 
 
 def _block_moments(system, upper, lower, components, norms):
-    """moments(ratio) = (variance, <Op^2>, (s^2, parts)) of the block operator Op.
+    """moments(ratio) = (variance, <Op^2>, (s^2, mean)) of the block operator Op.
 
     With norms[i] = ||c_i||^2 / w_i, <Op> = cross / sqrt(norms[0] norms[1]) is
-    s parts, parts = cross / norms[0]; s^2 = norms[0] / norms[1] is taken only
-    for a nonzero cross term (for the CLI's mixed state it is irrational).
+    s mean, mean = cross / norms[0], times Op's phase; s^2 = norms[0] / norms[1]
+    is taken only for a nonzero cross term (for the CLI's mixed state it is
+    irrational).
     """
     c1, c2 = components
     cross = None
-    if c1 is not None and c2 is not None:  # both terms carry one sqrt(2) parity
-        up, low = matrix_element(system, upper, c1, c2), matrix_element(system, lower, c2, c1)
-        cross = ExactMatrixElement(*(u + v for u, v in zip(up.buckets, low.buckets)))
+    if c1 is not None and c2 is not None:
+        cross = matrix_element(system, upper, c1, c2) + matrix_element(system, lower, c2, c1)
     diagonal = [(matrix_element(system, left.compose(right), c, c), norm)
                 for c, left, right, norm in ((c1, upper, lower, norms[0]), (c2, lower, upper, norms[1]))
                 if c is not None]
 
     def moments(ratio):
-        second = sum(ratio(e.re_even, norm) for e, norm in diagonal)  # real parts, as in _variance
-        if cross is None or cross.is_exactly_zero:
-            return second, second, (0, [0, 0, 0, 0])
-        scale_sq, parts = ratio(norms[0], norms[1]), _ratios(cross, norms[0], ratio)
-        return second - scale_sq * _abs_sq(parts), second, (scale_sq, parts)
+        second = sum(ratio(e, norm) for e, norm in diagonal)
+        if cross is None or cross.is_zero:
+            return second, second, (0, 0)
+        scale_sq, mean = ratio(norms[0], norms[1]), ratio(cross, norms[0])
+        return second - scale_sq * mean ** 2, second, (scale_sq, mean)
 
     return moments
 
@@ -489,11 +438,8 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
     combination (|gamma| w1 + delta w2)/2; the global minimum over states is
     min(|gamma|, delta)/2.
     """
-    given = (dstate.component1, dstate.component2)
-    components = tuple(map(_as_state, given))  # _as_state(None) is None
-    _xp_guard(system, components)
-    weights = (dstate.weight1, dstate.weight2)
-    norms = [None if c is None else _norm_sq(c).scale(1 / Fraction(w)) for c, w in zip(given, weights)]
+    components, norms = zip(_xp_component(system, 1, dstate.component1, dstate.weight1),
+                            _xp_component(system, 2, dstate.component2, dstate.weight2))
     x12, x21 = x_block(system, "12"), x_block(system, "21")
     p12, p21 = p_block(system, "12"), p_block(system, "21")
     x_moments = _block_moments(system, x12, x21, components, norms)
@@ -506,12 +452,12 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
 
     def formula(ratio):
         (var_x, second_x, mean_x), (var_p, second_p, mean_p) = x_moments(ratio), p_moments(ratio)
-        comm = [sum(parts) for parts in zip(*(_ratios(e, norm, ratio) for e, norm in comms))]
-        bound_sq = _abs_sq(comm) / 4
+        bound_sq = sum(ratio(e, norm) for e, norm in comms) ** 2 / 4
         return var_x * var_p - bound_sq, var_x, var_p, bound_sq, mean_x, mean_p, second_x, second_p
 
     passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = _decide(formula)
-    mean_x, mean_p = (_root(scale_sq) * _complex(parts) for scale_sq, parts in means)
+    mean_x, mean_p = (_root(scale_sq) * _phased(mean, block.imaginary)
+                      for (scale_sq, mean), block in zip(means, (x12, p12)))
     convex = 0.5 * float(abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2)
     return _result("X,P", passed, var_x, var_p, bound_sq, {
         "mean_x": (mean_x.real, mean_x.imag),

@@ -199,6 +199,15 @@ def test_coherent_rejects_unit_disk_boundary(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("z", ["nan", "nanj", "0.5+nanj"])
+def test_coherent_nan_z_is_config_error(z, capsys):
+    # abs(z) >= 1 is false for a NaN part, so the check reads not abs(z) < 1
+    code = main(["coherent", "--n", "2", "--z", z])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: |z| must be < 1 (disk of convergence)\n"
+
+
 @pytest.mark.parametrize(
     "sector,z",
     [
@@ -248,6 +257,17 @@ def test_spectrum_failing_galerkin_exits_1(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(out)
     assert [r["pass"] for r in payload["galerkin"]] == [False, False]
+
+
+@pytest.mark.parametrize("n, want", [(1, 0), (2, 0), (3, 0), (5, 1), (6, 1)])
+def test_spectrum_fd_gate_sets_exit_code(n, want, capsys):
+    # on the default grids the FD errors of n = 5 and 6 exceed the
+    # documented 0.10 while the Galerkin reports pass
+    code, out = run_cli(["spectrum", "--n", str(n), "--count", "6", "--fd"], capsys)
+    payload = json.loads(out)
+    assert code == want
+    assert payload["fd"]["pass"] is (want == 0)
+    assert [r["pass"] for r in payload["galerkin"]] == [True, True]
 
 
 def test_spectrum_rejects_empty_galerkin_basis(capsys):

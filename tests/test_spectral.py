@@ -271,7 +271,7 @@ def test_fd_qmho_reference_grid():
     assert [float(t) for t in report.theory] == theory
     assert max(abs(c - t) for c, t in zip(report.computed, theory)) < 1e-5
     assert report.details["refined"] is True
-    assert "pass" not in report.to_json_dict()  # the FD route has no gate yet
+    assert report.passed is True
 
 
 def test_fd_raw_scheme_is_second_order_n1():

@@ -14,12 +14,11 @@ from coupledsusy.calculus import (
     inner_product,
     monomial_state,
 )
-from coupledsusy.systems import make_xn_system
+from coupledsusy.systems import CoupledSusySystem, make_xn_system
 from coupledsusy import uncertainty
 from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
 from coupledsusy.uncertainty import (
     DirectSumState,
-    ExactMatrixElement,
     OperatorExpression,
     UncertaintyResult,
     SectorDomainError,
@@ -60,20 +59,15 @@ def mp_state_value(state, t):
 
 
 def quad_expectation(expr, state, dps=25):
-    """Numeric <expr> by quadrature of each part's image against the state."""
+    """Numeric <expr> by quadrature of the operator's image against the state."""
     with mp.workdps(dps):
-        total = mp.mpc(0)
-        for part, pref in ((expr.re, mp.mpc(1)), (expr.im, mp.mpc(0, 1))):
-            image = part.apply(state)
-            if image.is_zero:
-                continue
-            ip = mp.quad(
-                lambda t: mp_state_value(state, t) * mp_state_value(image, t),
-                [-mp.inf, 0, mp.inf],
-            )
-            total += pref * ip
+        image = expr.op.apply(state)
+        total = mp.quad(
+            lambda t: mp_state_value(state, t) * mp_state_value(image, t),
+            [-mp.inf, 0, mp.inf],
+        )
         norm = mp.quad(lambda t: mp_state_value(state, t) ** 2, [-mp.inf, 0, mp.inf])
-        return complex(total / norm)
+        return complex(total / norm) * (1j if expr.imaginary else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +81,7 @@ def test_mean_L_and_A_vanish_on_psi0(n):
     psi0, _ = ground_states(sysn)
     for expr in (observable_L(sysn), observable_A(sysn)):
         exact = expectation_exact(sysn, expr, psi0)
-        assert exact.is_exactly_zero
+        assert exact.is_zero
     # the A computation must actually traverse nonzero word images
     raised = apply_word(sysn, (Generator.ADAG, Generator.B), psi0.state)
     assert not raised.is_zero
@@ -130,14 +124,13 @@ def test_commutator_LA_is_scaled_number_operator():
         for k in (0, 2 * n - 1, 2 * n, 4 * n):
             mono = monomial_state(n, k)
             exact = matrix_element(sysn, comm, mono, mono)
-            assert exact.re_even.is_zero and exact.re_odd.is_zero
+            assert comm.imaginary
             expected = inner_product(
                 apply_word(sysn, (Generator.ADAG, Generator.A), mono)
                 - mono.scale(sysn.gamma / 2),
                 mono,
             ).scale(-sysn.spacing)
-            got = exact.im_even
-            assert got == expected
+            assert exact == expected
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +193,7 @@ def test_variance_nonnegative_and_imag_parts_cancel():
     for expr in (observable_L(sys3), observable_A(sys3)):
         assert variance(sys3, expr, rec) >= 0
         exact = expectation_exact(sys3, expr, rec)
-        assert exact.imag_exactly_zero or exact.im_even.is_zero
+        assert not expr.imaginary or exact.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +286,14 @@ def test_xp_commutator_blocks_act_as_scalars():
     comm11 = x12.compose(p21).minus(p12.compose(x21))
     for k in (0, 3, 4, 8):
         mono = monomial_state(2, k)
-        exact = matrix_element(sys2, comm11, mono, mono)
-        assert exact.re_even.is_zero and exact.re_odd.is_zero and exact.im_odd.is_zero
-        assert exact.im_even == inner_product(mono, mono).scale(sys2.gamma)
+        assert comm11.imaginary
+        assert matrix_element(sys2, comm11, mono, mono) == inner_product(mono, mono).scale(sys2.gamma)
     # the second diagonal block acts as -i delta (signs cancel in the bound)
     comm22 = x21.compose(p12).minus(p21.compose(x12))
     for k in (1, 2, 5):
         mono = monomial_state(2, k)
-        exact = matrix_element(sys2, comm22, mono, mono)
-        assert exact.im_even == inner_product(mono, mono).scale(-sys2.delta)
+        assert comm22.imaginary
+        assert matrix_element(sys2, comm22, mono, mono) == inner_product(mono, mono).scale(-sys2.delta)
 
 
 def test_xp_heisenberg_reduction_n1():
@@ -370,24 +362,44 @@ def test_operator_expression_and_matrix_element_records():
     sys2 = make_xn_system(2)
     obs = observable_L(sys2)
     assert obs == observable_L(sys2) and hash(obs) == hash(observable_L(sys2))
-    assert obs == OperatorExpression(obs.name, obs.re, obs.im, obs.sector)
-    assert obs == OperatorExpression(name="L", re=obs.re, sector=1)
-    assert obs != OperatorExpression("L", obs.re)
-    assert obs != OperatorExpression("L", obs.re, obs.re, 1)
+    assert obs == OperatorExpression(obs.name, obs.op, obs.imaginary, obs.sector)
+    assert obs == OperatorExpression(name="L", op=obs.op, sector=1)
+    assert obs != OperatorExpression("L", obs.op)
+    assert obs != OperatorExpression("L", obs.op, True, 1)
     assert obs != observable_L_tilde(sys2)
     with pytest.raises(AttributeError):
         obs.name = "L2"
-    assert repr(obs) == f"OperatorExpression(name='L', re={obs.re!r}, im={obs.im!r}, sector=1)"
+    assert repr(obs) == f"OperatorExpression(name='L', op={obs.op!r}, imaginary=False, sector=1)"
     psi0, _ = ground_states(sys2)
     element = matrix_element(sys2, obs.compose(obs), psi0.state, psi0.state)
-    assert not element.re_even.is_zero
+    assert isinstance(element, GammaVector) and not element.is_zero
     assert element == matrix_element(sys2, obs.compose(observable_L(sys2)), psi0.state, psi0.state)
-    assert element == ExactMatrixElement(*element.buckets)
-    assert hash(element) == hash(ExactMatrixElement(*element.buckets))
-    assert element != ExactMatrixElement(element.re_even.scale(2), *element.buckets[1:])
-    with pytest.raises(AttributeError):
-        element.re_odd = element.re_even
-    assert repr(element).startswith(f"ExactMatrixElement(re_even={element.re_even!r}, re_odd=")
+    assert element == inner_product(psi0.state, obs.op.apply(obs.op.apply(psi0.state)))
+
+
+def test_compose_multiplies_phases():
+    # (iK)(iK) = -K K is real; i K M and K i M are imaginary
+    sys2 = make_xn_system(2)
+    obs_l, obs_a = observable_L(sys2), observable_A(sys2)
+    square = obs_a.compose(obs_a)
+    assert obs_a.imaginary and not square.imaginary
+    assert square.op == -(obs_a.op @ obs_a.op)
+    assert not obs_l.compose(obs_l).imaginary
+    for product in (obs_l.compose(obs_a), obs_a.compose(obs_l)):
+        assert product.imaginary
+    assert obs_l.compose(obs_a).op == obs_l.op @ obs_a.op
+    assert obs_l.commutator_with(obs_a).name == "[L,A]"
+
+
+def test_minus_rejects_mixed_phases():
+    # L - A would be neither real nor imaginary: no single Operator holds it
+    sys2 = make_xn_system(2)
+    obs_l, obs_a = observable_L(sys2), observable_A(sys2)
+    with pytest.raises(ValueError, match="neither real nor imaginary"):
+        obs_l.minus(obs_a)
+    with pytest.raises(ValueError, match="neither real nor imaginary"):
+        obs_a.minus(obs_l)
+    assert obs_a.minus(obs_a).op.is_zero and obs_a.minus(obs_a).imaginary
 
 
 def test_uncertainty_result_record_semantics():
@@ -426,6 +438,33 @@ def test_xp_cross_terms_computed_not_assumed():
     result = uncertainty_product_XP(sys2, dstate)
     assert abs(result.details["mean_x"][0]) > 0.1
     assert result.passed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_xp_cross_term_is_correctly_rounded(n):
+    # <X> = sqrt(1/2) on psi0 + psi~_1 at equal weights; the tilde component
+    # is brought to half power 0 first, so no float 1/sqrt(2) enters
+    system = make_xn_system(n)
+    psi0, _ = ground_states(system)
+    psi_t1 = eigenstate(system, PSI_T, 1)
+    for weight in (Fraction(1, 2), 0.5):  # DirectSumState keeps weights as given
+        result = uncertainty_product_XP(system, DirectSumState(psi0, psi_t1, weight, weight))
+        assert result.details["mean_x"] == (math.sqrt(0.5), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_odd_half_power_observable_is_rejected(n):
+    # sqrt(2) a and sqrt(2) a+ make L an odd sqrt(2) power: its matrix
+    # elements are irrational, and the product raises instead of misreading them
+    family = make_xn_system(n)
+    a, adag, b, bdag = family.generators
+    system = CoupledSusySystem(
+        n=n, gamma=2 * family.gamma, delta=2 * family.delta,
+        generators=(a.scale_sqrt2(1), adag.scale_sqrt2(1), b, bdag),
+    )
+    for m in range(3):
+        with pytest.raises(ValueError, match="odd combined sqrt"):
+            uncertainty_product_LA(system, eigenstate(system, PSI, m))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +572,7 @@ def test_exact_ratios_match_evaluated_quotients(n, sector, m):
     norm = value(rec.norm_sq)
     for expr in exprs:
         element = expectation_exact(system, expr, rec)
-        want = complex(value(element.re_even), value(element.im_even)) / norm
-        assert element.re_odd.is_zero and element.im_odd.is_zero
+        want = value(element) * (1j if expr.imaginary else 1) / norm
         assert abs(expectation(system, expr, rec) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -570,18 +608,14 @@ def exact_gap(system, state):
     """sigma_L^2 sigma_A^2 - bound^2 of a bare first-sector state on one Gamma symbol."""
     norm = inner_product(state, state)
 
-    def ratios(expr):  # <expr> as (re, im); these observables fill even buckets only
-        element = expectation_exact(system, expr, state)
-        assert element.re_odd.is_zero and element.im_odd.is_zero
-        return element.re_even.rational_ratio(norm), element.im_even.rational_ratio(norm)
+    def ratio(expr):  # <expr> over its phase, 1 or i
+        return expectation_exact(system, expr, state).rational_ratio(norm)
 
     def var(obs):
-        (mean_re, mean_im), (second, _) = ratios(obs), ratios(obs.compose(obs))
-        return second - mean_re ** 2 - mean_im ** 2
+        return ratio(obs.compose(obs)) - ratio(obs) ** 2
 
     obs_l, obs_a = observable_L(system), observable_A(system)
-    comm_re, comm_im = ratios(obs_l.commutator_with(obs_a))
-    return var(obs_l) * var(obs_a) - (comm_re ** 2 + comm_im ** 2) / 4
+    return var(obs_l) * var(obs_a) - ratio(obs_l.commutator_with(obs_a)) ** 2 / 4
 
 
 def sector_product(system, sector, m):
