@@ -220,7 +220,8 @@ def cmd_spectrum(args, config) -> int:
             raise ConfigError(str(exc)) from exc
     system = make_xn_system(n)
     theory = towers.merged_spectrum(system, count)
-    galerkin = [spectral.galerkin_spectrum(system, residue, size) for residue in (0, 2 * n - 1)]
+    galerkin = [spectral.galerkin_spectrum(system, s.residue(n), size)
+                for s in towers.SectorLabel if not s.is_tilde]
     payload = {
         "n": n,
         "theory": [float(t) for t in theory],

@@ -8,16 +8,15 @@ produces, for |z| < 1,
     |z; k> = (1 - |z|^2)^k  sum_m  sqrt(Gamma(m+2k) / (m! Gamma(2k)))  z^m  e_m,
 
 where e_m is the normalised tower state m steps above the cyclic vector.
-The four towers give four families with indices
+K0 is (a+a - gamma/2)/(delta-gamma) on an untilded tower and
+(aa+ - delta/2)/(delta-gamma) on a tilde one, so each tower's index is
 
-    PSI:        k = -gamma / (2(delta-gamma))
-    PHI:        k =  delta / (2(delta-gamma)) + 1/2
-    PSI_TILDE:  k = -gamma / (2(delta-gamma)) + 1/2
-    PHI_TILDE:  k =  delta / (2(delta-gamma))
+    k = (E - c/2) / (delta-gamma),   c = gamma (untilded) or delta (tilde),
 
-The PSI_TILDE tower starts at level 1 (a annihilates the PSI ground state),
-so its series coefficient index is the level minus one; with that shift the
-state is exactly normalised, like the other three.
+with E the tower eigenvalue at its first level.  The PSI_TILDE tower
+starts at level 1 (a annihilates the PSI ground state), so its series
+coefficient index is the level minus one; with that shift the state is
+exactly normalised, like the other three.
 
 Coefficients are generated by the stable ratio recurrence
 
@@ -34,8 +33,9 @@ lowering word intertwines the families with the exact scalar
     sqrt(delta)  z / sqrt(1-|z|^2)     (b+ on PHI_TILDE),
 
 as the ladder norm relations force (substituting the coefficient ratios
-shows both scalars share the 1/sqrt(1-|z|^2) factor).  The full quadratic
-lowering word b+a does not fix any of these states.
+shows both scalars share the 1/sqrt(1-|z|^2) factor); each root is
+sqrt(2k(delta-gamma)).  The full quadratic lowering word b+a does not fix
+any of these states.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .calculus import Record
 from .systems import CoupledSusySystem
-from .towers import SectorLabel, half_lowering_factor_squared
+from .towers import SectorLabel, half_lowering_factor_squared, tower_eigenvalue
 
 
 class CoherentState(Record):
@@ -119,14 +119,9 @@ class HalfLoweringCheck(Record):
 
 
 def bargmann_index(system: CoupledSusySystem, sector: SectorLabel) -> Fraction:
-    dg = system.spacing
-    if sector is SectorLabel.PSI:
-        return -system.gamma / (2 * dg)
-    if sector is SectorLabel.PHI:
-        return system.delta / (2 * dg) + Fraction(1, 2)
-    if sector is SectorLabel.PSI_TILDE:
-        return -system.gamma / (2 * dg) + Fraction(1, 2)
-    return system.delta / (2 * dg)
+    """The lowest K0 eigenvalue, that of the tower's first level."""
+    offset = system.delta if sector.is_tilde else system.gamma
+    return (tower_eigenvalue(system, sector, sector.first_level) - offset / 2) / system.spacing
 
 
 def bargmann_indices(system: CoupledSusySystem) -> dict:
@@ -151,7 +146,7 @@ def coherent_state(
         raise ValueError("tol must be positive")
     k = bargmann_index(system, sector)
     two_k = float(2 * k)
-    m_start = 1 if sector is SectorLabel.PSI_TILDE else 0
+    m_start = sector.first_level
     zsq = abs(z) ** 2
     prefactor = (1.0 - zsq) ** float(k)
     coeffs = [complex(prefactor)]
@@ -190,12 +185,9 @@ _HALF_LOWERING = {
 
 def half_lowering_scalar(system: CoupledSusySystem, sector: SectorLabel, z: complex) -> complex:
     """The exact intertwining scalar for a (on PSI) or b+ (on PHI_TILDE)."""
-    if sector is SectorLabel.PSI:
-        root = math.sqrt(float(-system.gamma))
-    elif sector is SectorLabel.PHI_TILDE:
-        root = math.sqrt(float(system.delta))
-    else:
+    if sector not in _HALF_LOWERING:
         raise ValueError("half lowering transfers PSI or PHI_TILDE states")
+    root = math.sqrt(float(2 * bargmann_index(system, sector) * system.spacing))
     return root * complex(z) / math.sqrt(1.0 - abs(z) ** 2)
 
 
@@ -226,8 +218,7 @@ def verify_half_lowering(
         lamsq = half_lowering_factor_squared(system, sector, m)
         if lamsq == 0:
             continue
-        target_level = m if sector is SectorLabel.PSI else m - 1
-        image[target_level] = c * math.sqrt(float(lamsq))
+        image[m - sector.is_tilde] = c * math.sqrt(float(lamsq))  # b+ lowers a tilde level
 
     shared = [m for m in sorted(image) if target.m_start <= m <= target.truncation_level]
     residual_sq = 0.0

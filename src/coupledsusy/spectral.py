@@ -82,7 +82,7 @@ class SpectrumReport(Record):
     __slots__ = _fields = ("method", "n", "computed", "theory", "rel_errors", "details", "passed")
 
     def __init__(self, method: str, n: int, computed: tuple, theory: tuple, rel_errors: tuple,
-                 details: dict | None = None, passed: bool | None = None):
+                 details: dict | None = None, *, passed: bool):
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "computed", computed)
@@ -92,17 +92,15 @@ class SpectrumReport(Record):
         object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
-        payload = {
+        return {
             "method": self.method,
             "n": self.n,
             "computed": list(self.computed),
             "theory": [f"{t.numerator}/{t.denominator}" for t in self.theory],
             "rel_errors": list(self.rel_errors),
             "details": self.details,
+            "pass": self.passed,
         }
-        if self.passed is not None:
-            payload["pass"] = self.passed
-        return payload
 
     def rows(self):
         for i, (c, t, e) in enumerate(zip(self.computed, self.theory, self.rel_errors)):
@@ -113,13 +111,20 @@ def _relative_errors(computed, theory):
     return tuple(abs(c - float(t)) / max(1.0, abs(float(t))) for c, t in zip(computed, theory))
 
 
+def _untilded_sector(n: int, residue: int) -> SectorLabel:
+    """The a+a tower whose exponents lie in the residue class; ValueError for any other class."""
+    sectors = {s.residue(n): s for s in SectorLabel if not s.is_tilde}
+    if residue not in sectors:
+        raise ValueError(f"residue must be {' or '.join(map(str, sectors))} for the a+a sectors")
+    return sectors[residue]
+
+
 def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> GalerkinProblem:
     """Assemble exact H and S for the residue-class basis of the given size."""
     n = system.n
     if size < 1:
         raise ValueError("basis size must be at least 1")
-    if residue not in (0, 2 * n - 1):
-        raise ValueError(f"residue must be 0 or {2 * n - 1} for the a+a sectors")
+    _untilded_sector(n, residue)
     exponents = tuple(residue + 2 * n * t for t in range(size))
     basis = [monomial_state(n, k) for k in exponents]
     lowered = [apply_generator(system, Generator.A, b) for b in basis]
@@ -138,7 +143,7 @@ def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> Galerk
 
 
 def _galerkin_theory(system, residue, size):
-    sector = SectorLabel.PSI if residue == 0 else SectorLabel.PHI
+    sector = _untilded_sector(system.n, residue)
     return tuple(tower_eigenvalue(system, sector, m) for m in range(size))
 
 

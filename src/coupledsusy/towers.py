@@ -24,23 +24,21 @@ proof does not cover gets the full product <psi, psi>.
 
 For the x^n family the kernels of a and b+ on smooth whole-line states are
 one dimensional (exp(-x^(2n)/(2n)) and x^(n-1) exp(-x^(2n)/(2n))), so the
-tower index sets are singletons.  Exponents of a level-m state stay in a
-single residue class mod 2n: 0 for PSI, 2n-1 for PHI, n for PSI_TILDE and
-n-1 for PHI_TILDE.
+tower index sets are singletons.  SectorLabel holds the only per-sector
+facts: partner (base, is_tilde), first level (1 for PSI_TILDE, else 0) and
+the residue class mod 2n of every exponent (0 for PSI, 2n-1 for PHI, and a
+shifts it by n: n for PSI_TILDE, n-1 for PHI_TILDE).  Every other constant
+is a formula over these and the tower eigenvalue E.
 
 Every level is a closed form: with t = x^(2n)/n, a level-m state is a
 constant times x^p L_j^beta(t) exp(-t/2), L the generalized Laguerre
 polynomial, and its squared norm that constant squared times
 n^beta Gamma(j+beta+1) / j!, where
 
-    sector      p       beta          j
-    PSI         0       1/(2n) - 1    m
-    PHI         2n-1    1 - 1/(2n)    m
-    PSI_TILDE   n       1/(2n)        m-1
-    PHI_TILDE   n-1     -1/(2n)       m
+    p = residue,   beta = (2p + 1 - 2n) / (2n),   j = m - first level.
 
 Numeric samples come from the Laguerre recurrence (normalized_samples);
-the exact state only fixes the sign and is checked against the table.
+the exact state only fixes the sign and is checked against the closed form.
 """
 
 from __future__ import annotations
@@ -65,6 +63,8 @@ from .systems import CoupledSusySystem, VerificationReport
 
 
 class SectorLabel(Enum):
+    """The four towers: the only per-sector facts; every other constant derives from them."""
+
     PSI = "psi"
     PHI = "phi"
     PSI_TILDE = "psi~"
@@ -82,14 +82,14 @@ class SectorLabel(Enum):
             return SectorLabel.PHI
         return self
 
+    @property
+    def first_level(self) -> int:
+        """The lowest level of the tower: 1 for PSI_TILDE, as a annihilates the PSI ground state."""
+        return int(self is SectorLabel.PSI_TILDE)
+
     def residue(self, n: int) -> int:
-        mod = 2 * n
-        return {
-            SectorLabel.PSI: 0,
-            SectorLabel.PHI: (2 * n - 1) % mod,
-            SectorLabel.PSI_TILDE: n % mod,
-            SectorLabel.PHI_TILDE: (n - 1) % mod,
-        }[self]
+        """The class mod 2n of every exponent: 0 or 2n-1 for the ground states, a shifts it by n."""
+        return ((2 * n - 1) * (self.base is SectorLabel.PHI) + n * self.is_tilde) % (2 * n)
 
 
 class EigenstateRecord(Record):
@@ -154,7 +154,7 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.
     """
     two_n = 2 * system.n
-    seed = 0 if sector is SectorLabel.PSI else two_n - 1
+    seed = sector.residue(system.n)
     top = seed + two_n * m
     hamiltonian, raising = _ladder_operators(system)
     h_den, r_den = hamiltonian.den, raising.den
@@ -265,7 +265,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     """
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
-    if sector is SectorLabel.PSI_TILDE and m == 0:
+    if m < sector.first_level:
         raise ValueError("the tilde image of the PSI ground state vanishes (m >= 1)")
     state = _tower_state(system, sector, m)
     value = tower_eigenvalue(system, sector, m)
@@ -315,21 +315,11 @@ def half_lowering_factor_squared(
     """Exact lambda^2 in a psi_m = lambda psi~_m (and companions).
 
     Applying a to a normalised level-m untilded state, or b+ to a tilde one,
-    lands on the normalised partner state times sqrt of:
-
-        PSI       -> m (delta-gamma)
-        PHI       -> m (delta-gamma) + delta
-        PSI_TILDE -> m (delta-gamma) - delta   (b+ lowers to PSI level m-1)
-        PHI_TILDE -> m (delta-gamma)           (b+ lowers to PHI level m-1)
+    lands on the normalised partner state times sqrt of its squared norm:
+    ||a psi_m||^2 = <psi, a+a psi> = E, and ||b+ psi~_m||^2 = <psi~, (aa+ -
+    delta) psi~> = E - delta, with E = tower_eigenvalue(sector, m).
     """
-    dg = system.spacing
-    if sector is SectorLabel.PSI:
-        return Fraction(m) * dg
-    if sector is SectorLabel.PHI:
-        return Fraction(m) * dg + system.delta
-    if sector is SectorLabel.PSI_TILDE:
-        return Fraction(m) * dg - system.delta
-    return Fraction(m) * dg
+    return tower_eigenvalue(system, sector, m) - system.delta * sector.is_tilde
 
 
 def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> VerificationReport:
@@ -394,13 +384,9 @@ def _laguerre_parameters(record: EigenstateRecord):
     c_top prod_{i=1..j} (2ni + a) = (-2)^j c_p.  Any other state raises
     RuntimeError.
     """
-    n, m, nums = record.state.n, record.m, record.state.nums
-    p, a, j = {
-        SectorLabel.PSI: (0, 1 - 2 * n, m),
-        SectorLabel.PHI: (2 * n - 1, 2 * n - 1, m),
-        SectorLabel.PSI_TILDE: (n, 1, m - 1),
-        SectorLabel.PHI_TILDE: (n - 1, -1, m),
-    }[record.sector]
+    n, nums = record.state.n, record.state.nums
+    p, j = record.sector.residue(n), record.m - record.sector.first_level
+    a = 2 * p + 1 - 2 * n
     top = p + 2 * n * j
     if (
         j < 0

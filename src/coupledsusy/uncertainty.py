@@ -39,6 +39,7 @@ surface.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ from .calculus import (
     inner_product,
 )
 from .systems import CoupledSusySystem
-from .towers import EigenstateRecord
+from .towers import EigenstateRecord, SectorLabel
 
 
 class SectorDomainError(ValueError):
@@ -170,10 +171,15 @@ def _as_state(state) -> GaussPolyState:
     return state
 
 
+@functools.lru_cache(maxsize=64)
+def _sector_classes(n: int, sector: int) -> frozenset:
+    """The residue classes of sector 1 (the a+a towers) or 2 (the tilde towers)."""
+    return frozenset(s.residue(n) for s in SectorLabel if s.is_tilde == (sector == 2))
+
+
 def _guard_sector(system: CoupledSusySystem, sector: int, state: GaussPolyState):
     """SectorDomainError unless the state lies in the residue classes of sector 1 or 2."""
-    n = system.n
-    allowed = {0, 2 * n - 1} if sector == 1 else {n, n - 1}
+    allowed = _sector_classes(system.n, sector)
     if not state.residues() <= allowed:
         raise SectorDomainError(
             f"state residues {sorted(state.residues())} lie outside the "
@@ -456,7 +462,8 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
         return var_x * var_p - bound_sq, var_x, var_p, bound_sq, mean_x, mean_p, second_x, second_p
 
     passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = _decide(formula)
-    mean_x, mean_p = (_root(scale_sq) * _phased(mean, block.imaginary)
+    # s mean, rounded once: the root of the exact s^2 mean^2, with mean's sign (0.0 for 0)
+    mean_x, mean_p = (_phased(math.copysign(_root(scale_sq * mean ** 2), _float(mean)), block.imaginary)
                       for (scale_sq, mean), block in zip(means, (x12, p12)))
     convex = 0.5 * float(abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2)
     return _result("X,P", passed, var_x, var_p, bound_sq, {

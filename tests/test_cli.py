@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -396,3 +397,32 @@ def test_float_formatting_17_digits():
         assert float(format_float(value)) == value
     with pytest.raises(ValueError):
         format_float(float("nan"))
+
+
+#: sha256 of the stdout, or of the --out file, of each README command.
+README_GOLDEN = [
+    ("verify --n 2", "95ff087a79f596c95984715402522f3fa14c288f6ff930088810112bc9565b26"),
+    ("spectrum --n 2 --count 6", "76e85070b197775dbb99471e8f0366b8569cc6c8e02e53aca5ac755efe75fd52"),
+    ("spectrum --n 1 --count 6 --fd --format csv --out spectrum.csv",
+     "ed785bfb0d17c39c75b43172491ad9f921c0b068a63bb5e9642fda9a43d5c5b1"),
+    ("eigenfunctions --n 2 --m 3 --grid -4:4:401 --format csv --out eigen.csv",
+     "9f82144d7888802b634de5b723514073027b4a2d0d9f7dfb7bf7ef3f97ab329f"),
+    ("coherent --n 2 --sector psi --z 0.5 --tol 1e-12",
+     "d9593c2ae199c6a26e36337cbe44cda9cefe6246b73d2b8bebc4e290dfd40899"),
+    ("uncertainty --n 1 --state ground", "c891e91962bd56afff54e3451d567d49a316de18034d05ce7fdc92d68f905718"),
+    ("uncertainty --n 2 --state mixed", "dfa39659439f4a4f718f134b5e9760476d543a785e8cb1d26fafdbb163f1f949"),
+]
+
+
+@pytest.mark.parametrize("command,digest", README_GOLDEN, ids=[c for c, _ in README_GOLDEN])
+def test_readme_command_bytes_are_pinned(command, digest, tmp_path, capsys):
+    argv = command.split()
+    out_file = None
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        out_file = tmp_path / argv[at]
+        argv[at] = str(out_file)
+    code, out = run_cli(argv, capsys)
+    data = out.encode() if out_file is None else out_file.read_bytes()
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -469,16 +469,20 @@ def test_galerkin_problem_record_semantics():
 
 
 def test_spectrum_report_record_semantics():
-    report = SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,))
-    assert report.details == {} and report.passed is None
-    other = SpectrumReport(method="m", n=1, computed=(0.0,), theory=(Fraction(0),), rel_errors=(0.0,))
+    report = SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), passed=False)
+    assert report.details == {} and report.passed is False
+    other = SpectrumReport(method="m", n=1, computed=(0.0,), theory=(Fraction(0),), rel_errors=(0.0,),
+                           passed=False)
     assert other == report and other.details is not report.details
     assert report != SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), passed=True)
-    assert report != SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), {"grid": 2})
+    assert report != SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,), {"grid": 2}, passed=False)
+    with pytest.raises(TypeError):
+        SpectrumReport("m", 1, (0.0,), (Fraction(0),), (0.0,))
     with pytest.raises(AttributeError):
         report.passed = True
+    assert report.to_json_dict()["pass"] is False
     assert repr(report) == (
         "SpectrumReport(method='m', n=1, computed=(0.0,), theory=(Fraction(0, 1),), "
-        "rel_errors=(0.0,), details={}, passed=None)"
+        "rel_errors=(0.0,), details={}, passed=False)"
     )
     assert galerkin_spectrum(make_xn_system(1), 0, 4) == galerkin_spectrum(make_xn_system(1), 0, 4)

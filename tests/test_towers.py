@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from coupledsusy import towers
+from coupledsusy import coherent, towers, uncertainty
 from coupledsusy.calculus import (
     DivergenceError,
     GammaVector,
@@ -642,3 +642,44 @@ def test_negative_exponents_diverge_like_the_full_product():
     assert not top_pairing(psi).is_zero
     with pytest.raises(DivergenceError):
         _norm_sq(system, PSI_T, psi, Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# per-sector constants against literal tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_constants_match_the_literal_tables(n):
+    # Each constant is derived from the tower eigenvalue, the residue and the
+    # first level; these literal four-way tables are the oracle for it.
+    system = make_xn_system(n)
+    g, d = system.gamma, system.delta
+    dg = d - g
+    bargmann = {PSI: -g / (2 * dg), PHI: d / (2 * dg) + Fraction(1, 2),
+                PSI_T: -g / (2 * dg) + Fraction(1, 2), PHI_T: d / (2 * dg)}
+    lambda_sq = {PSI: lambda m: m * dg, PHI: lambda m: m * dg + d,
+                 PSI_T: lambda m: m * dg - d, PHI_T: lambda m: m * dg}
+    laguerre = {PSI: lambda m: (0, 1 - 2 * n, m), PHI: lambda m: (2 * n - 1, 2 * n - 1, m),
+                PSI_T: lambda m: (n, 1, m - 1), PHI_T: lambda m: (n - 1, -1, m)}
+    roots = {PSI: math.sqrt(float(-g)), PHI_T: math.sqrt(float(d))}
+    classes = {1: {0, 2 * n - 1}, 2: {n, n - 1}}
+    z = 0.3 - 0.2j
+    for sector in SectorLabel:
+        assert coherent.bargmann_index(system, sector) == bargmann[sector]
+        for m in range(1 if sector is PSI_T else 0, 13):
+            assert half_lowering_factor_squared(system, sector, m) == lambda_sq[sector](m)
+            assert towers._laguerre_parameters(eigenstate(system, sector, m)) == laguerre[sector](m)
+        if sector in roots:
+            want = roots[sector] * z / math.sqrt(1.0 - abs(z) ** 2)
+            assert coherent.half_lowering_scalar(system, sector, z) == want
+        else:
+            with pytest.raises(ValueError):
+                coherent.half_lowering_scalar(system, sector, z)
+    for sector, allowed in classes.items():
+        for r in range(2 * n):
+            if r in allowed:
+                uncertainty._guard_sector(system, sector, monomial_state(n, r))
+            else:
+                with pytest.raises(uncertainty.SectorDomainError):
+                    uncertainty._guard_sector(system, sector, monomial_state(n, r))

@@ -440,16 +440,31 @@ def test_xp_cross_terms_computed_not_assumed():
     assert result.passed
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_xp_cross_term_is_correctly_rounded(n):
     # <X> = sqrt(1/2) on psi0 + psi~_1 at equal weights; the tilde component
-    # is brought to half power 0 first, so no float 1/sqrt(2) enters
+    # is brought to half power 0 first, and <X> is the root of the exact
+    # s^2 mean^2 = 1/2, so it is rounded once
     system = make_xn_system(n)
     psi0, _ = ground_states(system)
     psi_t1 = eigenstate(system, PSI_T, 1)
     for weight in (Fraction(1, 2), 0.5):  # DirectSumState keeps weights as given
         result = uncertainty_product_XP(system, DirectSumState(psi0, psi_t1, weight, weight))
         assert result.details["mean_x"] == (math.sqrt(0.5), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_xp_mean_keeps_its_sign_and_zero_is_positive(n):
+    system = make_xn_system(n)
+    psi0, _ = ground_states(system)
+    flipped = eigenstate(system, PSI_T, 1).state.scale(-1)
+    result = uncertainty_product_XP(system, DirectSumState(psi0, flipped, Fraction(1, 2), Fraction(1, 2)))
+    assert result.details["mean_x"] == (-math.sqrt(0.5), 0.0)
+    phi_t0 = eigenstate(system, PHI_T, 0)
+    for state2 in (flipped, phi_t0):  # <P> = 0, and <X> = 0 on psi0 + phi~0
+        result = uncertainty_product_XP(system, DirectSumState(psi0, state2, Fraction(1, 2), Fraction(1, 2)))
+        means = result.details["mean_p"] + (result.details["mean_x"] if state2 is phi_t0 else ())
+        assert all(v == 0 and math.copysign(1.0, v) == 1.0 for v in means)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
