@@ -589,6 +589,13 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     residue class r sums d_j prod_{i<t} (r + 2ni) / (n 2^t), j + 1 = r + 2nt,
     with one running product over t into one Fraction.
 
+    When no exponent sum can be negative (min f + min g >= 0), only terms of
+    equal parity are paired, since odd powers integrate to zero, and <f, f>
+    on one object pairs each unordered term pair once (c_k^2, and
+    2 c_k c_l for k before l).  Otherwise every pair is summed, so the
+    lowest divergent power is the one named.  Either way the even-power sums
+    d_j, and so the value and its key order, are the same.
+
     The combined sqrt(2) half power of the two states must be even (every
     pairing arising from the operator algebra is); an odd total would leave
     an irrational sqrt(2) that the Gamma symbols cannot absorb.
@@ -604,12 +611,27 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
             "irrational; rescale one argument with scale_sqrt2 first"
         )
     n, two_n = f.n, 2 * f.n
-    g_items = g.nums.items()
     collected: dict = {}
-    for k, c in f.nums.items():
-        for l, d in g_items:
-            j = k + l
-            collected[j] = collected.get(j, 0) + c * d
+    if min(f.nums) + min(g.nums) < 0:  # every pair, so the sweep below names the first divergent term
+        g_items = g.nums.items()
+        for k, c in f.nums.items():
+            for l, d in g_items:
+                j = k + l
+                collected[j] = collected.get(j, 0) + c * d
+    else:
+        same_parity = ([], [])  # odd powers integrate to zero
+        if f is not g:
+            for l, d in g.nums.items():
+                same_parity[l & 1].append((l, d))
+        for k, c in f.nums.items():
+            partners = same_parity[k & 1]
+            weight = c << 1 if f is g else c  # <f, f>: each unordered pair once
+            for l, d in partners:
+                j = k + l
+                collected[j] = collected.get(j, 0) + weight * d
+            if f is g:
+                collected[2 * k] = collected.get(2 * k, 0) + c * c
+                partners.append((k, c))
     by_residue: dict = {}  # r -> {t: d_j}
     for j, d in sorted(collected.items()):
         if d == 0:

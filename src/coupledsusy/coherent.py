@@ -213,12 +213,13 @@ def verify_half_lowering(
     scalar = half_lowering_scalar(system, sector, z)
 
     image = {}
+    spacing = system.spacing
+    lamsq = half_lowering_factor_squared(system, sector, source.m_start)  # affine in m
     for i, c in enumerate(source.coefficients):
         m = source.m_start + i
-        lamsq = half_lowering_factor_squared(system, sector, m)
-        if lamsq == 0:
-            continue
-        image[m - sector.is_tilde] = c * math.sqrt(float(lamsq))  # b+ lowers a tilde level
+        if lamsq:
+            image[m - sector.is_tilde] = c * math.sqrt(float(lamsq))  # b+ lowers a tilde level
+        lamsq += spacing
 
     shared = [m for m in sorted(image) if target.m_start <= m <= target.truncation_level]
     residual_sq = 0.0
@@ -258,13 +259,14 @@ def full_lowering_misfit(
     """
     source = coherent_state(system, SectorLabel.PSI, z, tol)
     image = {}
+    spacing = system.spacing
+    lam1 = half_lowering_factor_squared(system, SectorLabel.PSI, source.m_start)  # both affine in m
+    lam2 = half_lowering_factor_squared(system, SectorLabel.PSI_TILDE, source.m_start)
     for i, c in enumerate(source.coefficients):
         m = source.m_start + i
-        if m == 0:
-            continue
-        lam1 = half_lowering_factor_squared(system, SectorLabel.PSI, m)
-        lam2 = half_lowering_factor_squared(system, SectorLabel.PSI_TILDE, m)
-        image[m - 1] = c * math.sqrt(float(lam1 * lam2))
+        if m:
+            image[m - 1] = c * math.sqrt(float(lam1 * lam2))
+        lam1, lam2 = lam1 + spacing, lam2 + spacing
     dot = 0.0 + 0.0j
     ss = 0.0
     norm_image_sq = sum(abs(v) ** 2 for v in image.values())

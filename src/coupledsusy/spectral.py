@@ -120,7 +120,10 @@ def _untilded_sector(n: int, residue: int) -> SectorLabel:
 
 
 def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> GalerkinProblem:
-    """Assemble exact H and S for the residue-class basis of the given size."""
+    """Assemble exact H and S for the residue-class basis of the given size.
+
+    Both are Gram matrices, so the upper triangles are computed and mirrored.
+    """
     n = system.n
     if size < 1:
         raise ValueError("basis size must be at least 1")
@@ -128,17 +131,18 @@ def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> Galerk
     exponents = tuple(residue + 2 * n * t for t in range(size))
     basis = [monomial_state(n, k) for k in exponents]
     lowered = [apply_generator(system, Generator.A, b) for b in basis]
-    h_rows = []
-    s_rows = []
+    h_rows = [[None] * size for _ in range(size)]
+    s_rows = [[None] * size for _ in range(size)]
     for i in range(size):
-        h_rows.append(tuple(inner_product(lowered[i], lowered[j]) for j in range(size)))
-        s_rows.append(tuple(inner_product(basis[i], basis[j]) for j in range(size)))
+        for j in range(i, size):
+            h_rows[i][j] = h_rows[j][i] = inner_product(lowered[i], lowered[j])
+            s_rows[i][j] = s_rows[j][i] = inner_product(basis[i], basis[j])
     return GalerkinProblem(
         n=n,
         residue=residue,
         exponents=exponents,
-        h_matrix=tuple(h_rows),
-        s_matrix=tuple(s_rows),
+        h_matrix=tuple(map(tuple, h_rows)),
+        s_matrix=tuple(map(tuple, s_rows)),
     )
 
 

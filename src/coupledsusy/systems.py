@@ -239,12 +239,18 @@ def k_operators(system: CoupledSusySystem) -> dict:
     lowest state of a tilde tower is that tower's Bargmann index.
     """
     a, ad, b, bd = system.generators
+    return _k_from_words(system, ad @ a, ad @ b, bd @ a, a @ ad)
+
+
+def _k_from_words(system: CoupledSusySystem, ada: Operator, adb: Operator, bda: Operator,
+                  aad: Operator) -> dict:
+    """k_operators from the composed words a+a, a+b, b+a and aa+."""
     pref = 1 / system.spacing
     return {
-        "k+": (ad @ b).scale(pref),
-        "k-": (bd @ a).scale(pref),
-        "k0": (ad @ a - IDENTITY.scale(system.gamma / 2)).scale(pref),
-        "k0~": (a @ ad - IDENTITY.scale(system.delta / 2)).scale(pref),
+        "k+": adb.scale(pref),
+        "k-": bda.scale(pref),
+        "k0": (ada - IDENTITY.scale(system.gamma / 2)).scale(pref),
+        "k0~": (aad - IDENTITY.scale(system.delta / 2)).scale(pref),
     }
 
 
@@ -265,23 +271,23 @@ def verify_su11(system: CoupledSusySystem, exponent_range=None) -> list:
     ks = _window(system, exponent_range)
     a, ad, b, bd = system.generators
     dg = system.spacing
-    kops = k_operators(system)
+    ada, adb, bda = ad @ a, ad @ b, bd @ a  # each quadratic word composed once
+    aad, bad, abd = a @ ad, b @ ad, a @ bd
+    kops = _k_from_words(system, ada, adb, bda, aad)
     identities = [
         # First sector: ladder action of a+b and b+a on a+a.
-        ("[a+a, a+b] = (delta-gamma) a+b", _commutator(ad @ a, ad @ b) - (ad @ b).scale(dg)),
-        ("[a+a, b+a] = -(delta-gamma) b+a", _commutator(ad @ a, bd @ a) + (bd @ a).scale(dg)),
+        ("[a+a, a+b] = (delta-gamma) a+b", _commutator(ada, adb) - adb.scale(dg)),
+        ("[a+a, b+a] = -(delta-gamma) b+a", _commutator(ada, bda) + bda.scale(dg)),
         (
             "[a+b, b+a] = 2(gamma-delta)(a+a - gamma/2)",
-            _commutator(ad @ b, bd @ a)
-            + (ad @ a - IDENTITY.scale(system.gamma / 2)).scale(2 * dg),
+            _commutator(adb, bda) + (ada - IDENTITY.scale(system.gamma / 2)).scale(2 * dg),
         ),
         # Second sector: ba+ and ab+ ladder aa+.
-        ("[aa+, ba+] = (delta-gamma) ba+", _commutator(a @ ad, b @ ad) - (b @ ad).scale(dg)),
-        ("[aa+, ab+] = -(delta-gamma) ab+", _commutator(a @ ad, a @ bd) + (a @ bd).scale(dg)),
+        ("[aa+, ba+] = (delta-gamma) ba+", _commutator(aad, bad) - bad.scale(dg)),
+        ("[aa+, ab+] = -(delta-gamma) ab+", _commutator(aad, abd) + abd.scale(dg)),
         (
             "[ba+, ab+] = 2(gamma-delta)(aa+ - delta/2)",
-            _commutator(b @ ad, a @ bd)
-            + (a @ ad - IDENTITY.scale(system.delta / 2)).scale(2 * dg),
+            _commutator(bad, abd) + (aad - IDENTITY.scale(system.delta / 2)).scale(2 * dg),
         ),
         # Normalised forms with the 1/(delta-gamma) prefactors.
         ("[K0, K+] = K+", _commutator(kops["k0"], kops["k+"]) - kops["k+"]),

@@ -58,6 +58,7 @@ from .calculus import (
     apply_generator,
     apply_word,
     inner_product,
+    proportionality_ratio,
 )
 from .systems import CoupledSusySystem, VerificationReport
 
@@ -145,6 +146,7 @@ def _poly_at(poly, k: int) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=4096)
 def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
     """Untilded level m: the eigenvector of H with eigenvalue E and top exponent K.
 
@@ -322,37 +324,60 @@ def half_lowering_factor_squared(
     return tower_eigenvalue(system, sector, m) - system.delta * sector.is_tilde
 
 
+#: The lemma's cases at each level, in the order they are checked.
+_LEMMA_SECTORS = (SectorLabel.PSI, SectorLabel.PSI_TILDE, SectorLabel.PHI_TILDE, SectorLabel.PHI)
+#: a maps level m of an untilded tower onto level m of its tilde partner.
+_A_IMAGE = {SectorLabel.PSI: SectorLabel.PSI_TILDE, SectorLabel.PHI: SectorLabel.PHI_TILDE}
+
+
 def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> VerificationReport:
     """Exact check of the four half-lowering norm relations up to level m_max.
 
     Each relation is verified without division: for unnormalised states,
-    <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors.  The
-    image a psi_m is the psi~_m source (and a phi_m the phi~_m one), so each
-    distinct state's full product <s, s> is computed once.
+    <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors, with T =
+    b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
+    from m = 0).  The norms are keyed by (sector, level), and every tower
+    state's norm is the full product <s, s>, computed once.  The image a psi_m
+    is the tower state psi~_m (a phi_m is phi~_m), so its norm is that
+    state's.  The image b+ psi~_m is an exact multiple q 2^(j/2) psi_(m-1) of
+    the level below, checked termwise by proportionality_ratio, so its norm
+    is q^2 2^j <psi_(m-1), psi_(m-1)>, the same GammaVector as its full
+    product; an image with no such ratio gets the full product.  lambda^2 is
+    affine in m: its level-0 value plus m times the spacing.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    norms: dict = {}  # state -> <state, state>
+    norms: dict = {}  # (sector, level) -> <state, state>
+
+    def norm_sq(sector: SectorLabel, level: int) -> GammaVector:
+        if (sector, level) not in norms:
+            state = _tower_state(system, sector, level)
+            norms[sector, level] = inner_product(state, state)
+        return norms[sector, level]
+
+    lamsq = {sector: half_lowering_factor_squared(system, sector, 0) for sector in _LEMMA_SECTORS}
     failures = []
     checked = 0
     for m in range(0, m_max + 1):
-        cases = []
-        if m >= 1:
-            cases.append((SectorLabel.PSI, Generator.A, m))
-            cases.append((SectorLabel.PSI_TILDE, Generator.BDAG, m))
-            cases.append((SectorLabel.PHI_TILDE, Generator.BDAG, m))
-        cases.append((SectorLabel.PHI, Generator.A, m))
-        for sector, op, level in cases:
-            source = _tower_state(system, sector, level)
-            image = apply_generator(system, op, source)
-            lamsq = half_lowering_factor_squared(system, sector, level)
-            for state in (source, image):
-                if state not in norms:
-                    norms[state] = inner_product(state, state)
-            lhs, rhs = norms[image], norms[source].scale(lamsq)
+        step = m * system.spacing
+        for sector in _LEMMA_SECTORS:
+            if m == 0 and sector is not SectorLabel.PHI:
+                continue  # a psi_0 and b+ phi~_0 vanish, and psi~_0 is no state
+            if sector.is_tilde:  # b+ lowers to level m-1 of the partner tower
+                image = apply_generator(system, Generator.BDAG, _tower_state(system, sector, m))
+                source_norm = norm_sq(sector, m)
+                ratio = proportionality_ratio(image, _tower_state(system, sector.base, m - 1))
+                if ratio is None:
+                    lhs = inner_product(image, image)
+                else:
+                    q, j = ratio
+                    lhs = norm_sq(sector.base, m - 1).scale(q * q * Fraction(2) ** j)
+            else:
+                source_norm = norm_sq(sector, m)
+                lhs = norm_sq(_A_IMAGE[sector], m)
             checked += 1
-            if lhs != rhs:
-                failures.append({"sector": sector.value, "m": level})
+            if lhs != source_norm.scale(lamsq[sector] + step):
+                failures.append({"sector": sector.value, "m": m})
     return VerificationReport(
         identity="half-lowering norm relations",
         n=system.n,
@@ -368,11 +393,15 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
 
 
 def gram_matrix(records) -> list:
-    """Exact pairwise inner products of the given records."""
+    """Exact pairwise inner products of the given records: one triangle, mirrored, as <b, a> = <a, b>."""
     records = list(records)
     if len({r.state.n for r in records}) > 1:
         raise FamilyMismatchError("records belong to different families")
-    return [[inner_product(a.state, b.state) for b in records] for a in records]
+    rows = [[None] * len(records) for _ in records]
+    for i, a in enumerate(records):
+        for j in range(i, len(records)):
+            rows[i][j] = rows[j][i] = inner_product(a.state, records[j].state)
+    return rows
 
 
 def _laguerre_parameters(record: EigenstateRecord):
@@ -402,6 +431,13 @@ _T_CAP = 1e200  # exp(-t/2) is 0 in floats long before t reaches it, at any leve
 _GROWTH_LIMIT = 1e300
 
 
+def _libm(fn, values):
+    """fn at each value, through libm: numpy's SIMD power, log and exp can differ from it by an ulp."""
+    import numpy as np
+
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
 def normalized_samples(record: EigenstateRecord, xs):
     """Values of the L2-normalised eigenfunction on the grid xs.
 
@@ -414,8 +450,10 @@ def normalized_samples(record: EigenstateRecord, xs):
     vectorised over the grid.  The weight, x^p and the norm ride along as
     a log scale per point, and P is divided back to at most 1 (its log
     added to the scale) before a bound on its growth could pass 1e300, so
-    every finite grid gives finite values.  The sign is that of the
-    record's lowest coefficient; no Gamma value is evaluated.
+    every finite grid gives finite values.  x^(2n), the logs and exp are
+    taken from libm point by point (_libm), so the values do not depend on
+    the CPU that numpy dispatches to.  The sign is that of the record's
+    lowest coefficient; no Gamma value is evaluated.
     """
     import numpy as np
 
@@ -423,10 +461,15 @@ def normalized_samples(record: EigenstateRecord, xs):
     n = record.state.n
     beta = a / (2 * n)
     x = np.asarray(xs, dtype=float)
-    ax = np.minimum(np.abs(x), 1e100)  # t is at the cap from 1e100 on, so x = +-inf samples 0
-    with np.errstate(over="ignore", divide="ignore"):
-        t = np.minimum(ax ** (2 * n) / n, _T_CAP)
-        log_scale = -0.5 * t + (p * np.log(ax) if p else 0.0)
+    # t is at the cap from this bound on, so x = +-inf samples 0, and the power stays finite
+    ax = np.minimum(np.abs(x), (n * _T_CAP) ** (1 / (2 * n)) * (1 + 1 / n))
+    t = np.minimum(_libm(float(2 * n).__rpow__, ax) / n, _T_CAP)
+    log_scale = -0.5 * t
+    if p:
+        nonzero = ax != 0
+        log_ax = np.full_like(ax, -math.inf)  # log 0
+        log_ax[nonzero] = _libm(math.log, ax[nonzero])
+        log_scale += p * log_ax
     log_scale -= 0.5 * (math.lgamma(j + 1) + math.lgamma(j + beta + 1) + beta * math.log(n))
     t_max = float(np.fmax.reduce(t, axis=None, initial=0.0))  # fmax: a NaN x leaves the bound alone
     prev, cur, bound = np.zeros_like(t), np.ones_like(t), 1.0
@@ -437,10 +480,10 @@ def normalized_samples(record: EigenstateRecord, xs):
             peak = np.maximum(np.abs(prev), np.abs(cur))
             peak = np.where(peak > 0, peak, 1.0)
             prev, cur, bound = prev / peak, cur / peak, 1.0
-            log_scale += np.log(peak)
+            log_scale += _libm(math.log, peak)
         prev, cur = cur, (t - alpha) * cur - gamma * prev
         bound *= growth
-    values = cur * np.exp(log_scale)
+    values = cur * _libm(math.exp, log_scale)
     if (record.state.nums[p] < 0) != (j % 2 == 1):  # P_j carries (-1)^j
         values = -values
     return np.where(x < 0, -values, values) if p % 2 else values

@@ -568,7 +568,8 @@ def test_composition_matches_fraction_reference(inputs):
 @settings(max_examples=200, deadline=None)
 def test_inner_product_matches_fraction_reference(inputs):
     ops, (f, g) = inputs
-    for left, right in ((f, g), (f, ops[0].apply(g)), (ops[1].apply(f), ops[2].apply(g))):
+    pairs = ((f, g), (f, f), (g, g), (f, ops[0].apply(g)), (ops[1].apply(f), ops[2].apply(g)))
+    for left, right in pairs:
         try:
             want = ref_inner_product(left, right)
         except DivergenceError as exc:

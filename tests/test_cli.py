@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -406,7 +409,7 @@ README_GOLDEN = [
     ("spectrum --n 1 --count 6 --fd --format csv --out spectrum.csv",
      "ed785bfb0d17c39c75b43172491ad9f921c0b068a63bb5e9642fda9a43d5c5b1"),
     ("eigenfunctions --n 2 --m 3 --grid -4:4:401 --format csv --out eigen.csv",
-     "9f82144d7888802b634de5b723514073027b4a2d0d9f7dfb7bf7ef3f97ab329f"),
+     "f554d2e923dc89d03fa63c883a9df8047213d939b901166a8a376e2b3df227d7"),
     ("coherent --n 2 --sector psi --z 0.5 --tol 1e-12",
      "d9593c2ae199c6a26e36337cbe44cda9cefe6246b73d2b8bebc4e290dfd40899"),
     ("uncertainty --n 1 --state ground", "c891e91962bd56afff54e3451d567d49a316de18034d05ce7fdc92d68f905718"),
@@ -426,3 +429,21 @@ def test_readme_command_bytes_are_pinned(command, digest, tmp_path, capsys):
     data = out.encode() if out_file is None else out_file.read_bytes()
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+#: numpy CPU features whose SIMD power and exp differ from libm by an ulp on some inputs.
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.parametrize("disabled", [None, _AVX512], ids=["default", "no-avx512"])
+def test_eigenfunction_bytes_do_not_depend_on_numpy_dispatch(disabled, tmp_path):
+    command, digest = next(pin for pin in README_GOLDEN if pin[0].startswith("eigenfunctions"))
+    argv = command.split()
+    out_file = tmp_path / argv[argv.index("--out") + 1]
+    argv[argv.index("--out") + 1] = str(out_file)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    subprocess.run([sys.executable, "-m", "coupledsusy.cli", *argv], env=env, check=True, timeout=120)
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

@@ -216,7 +216,8 @@ def test_lemma_factors_exact(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lemma_pairs_each_state_once(monkeypatch, n):
-    # a psi_m is the psi~_m source and a phi_m the phi~_m one: 6 m_max + 2 products, not 8 m_max + 2
+    # one full product per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at
+    # m = 0); a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 products
     system = make_xn_system(n)
     want = verify_lemma_half_lowering(system, 6)
     calls = []
@@ -229,7 +230,58 @@ def test_lemma_pairs_each_state_once(monkeypatch, n):
     monkeypatch.setattr(towers, "inner_product", counting)
     report = verify_lemma_half_lowering(system, 6)
     assert report == want and report.checked == want.checked
-    assert len(calls) == 6 * 6 + 2 and all(calls)
+    assert len(calls) == 4 * 6 + 3 and all(calls)
+
+
+def reference_lemma(system, m_max):
+    """The half-lowering lemma as every image's full product, kept as the reference."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    norms = {}  # state -> <state, state>
+    failures = []
+    checked = 0
+    for m in range(0, m_max + 1):
+        cases = []
+        if m >= 1:
+            cases.append((PSI, Generator.A, m))
+            cases.append((PSI_T, Generator.BDAG, m))
+            cases.append((PHI_T, Generator.BDAG, m))
+        cases.append((PHI, Generator.A, m))
+        for sector, op, level in cases:
+            source = _tower_state(system, sector, level)
+            image = apply_generator(system, op, source)
+            lamsq = half_lowering_factor_squared(system, sector, level)
+            for state in (source, image):
+                if state not in norms:
+                    norms[state] = inner_product(state, state)
+            lhs, rhs = norms[image], norms[source].scale(lamsq)
+            checked += 1
+            if lhs != rhs:
+                failures.append({"sector": sector.value, "m": level})
+    return not failures, failures[0] if failures else None, checked
+
+
+def lemma_outcome(lemma, system, m_max):
+    try:
+        result = lemma(system, m_max)
+    except Exception as exc:  # the outcome compared is the exception's type and message
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else (result.passed, result.first_failure, result.checked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lemma_matches_the_full_product_reference(n):
+    assert lemma_outcome(verify_lemma_half_lowering, make_xn_system(n), 11) == (True, None, 45)
+    assert lemma_outcome(reference_lemma, make_xn_system(n), 11) == (True, None, 45)
+    outcomes = set()
+    for slot in mutation_slots(make_xn_system(n)):
+        for delta in (1, -1, 2, Fraction(1, 2), -3):
+            system = make_xn_system(n, mutate=(*slot, Fraction(delta)))
+            got = lemma_outcome(verify_lemma_half_lowering, system, 6)
+            assert got == lemma_outcome(reference_lemma, system, 6), (slot, delta)
+            outcomes.add(got[0])
+    assert RuntimeError in outcomes and DivergenceError in outcomes
+    assert (False in outcomes) == (n == 1)  # n = 1 has failing reports, at psi~ level 1
 
 
 def test_lemma_factor_direct_ratio_n2():
