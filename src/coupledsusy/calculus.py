@@ -581,6 +581,12 @@ class GammaVector:
         return cls(int(head), coeffs)
 
 
+_ODD_PARITY = (
+    "inner product of states with odd combined sqrt(2) parity is "
+    "irrational; rescale one argument with scale_sqrt2 first"
+)
+
+
 def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     """Exact <f, g> = int f g dx as a GammaVector.
 
@@ -598,21 +604,21 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
 
     The combined sqrt(2) half power of the two states must be even (every
     pairing arising from the operator algebra is); an odd total would leave
-    an irrational sqrt(2) that the Gamma symbols cannot absorb.
+    an irrational sqrt(2) that the Gamma symbols cannot absorb.  The one
+    exception is a product that is exactly 0: no exponent sum is negative
+    and every even-power sum d_j is zero, so the integrand f g is odd.
     """
     if f.n != g.n:
         raise FamilyMismatchError("states belong to different families")
     if f.is_zero or g.is_zero:
         return GammaVector(f.n, {})
     total_half = f.half_power + g.half_power
-    if total_half % 2 != 0:
-        raise ValueError(
-            "inner product of states with odd combined sqrt(2) parity is "
-            "irrational; rescale one argument with scale_sqrt2 first"
-        )
+    odd_parity = total_half % 2 != 0
     n, two_n = f.n, 2 * f.n
     collected: dict = {}
     if min(f.nums) + min(g.nums) < 0:  # every pair, so the sweep below names the first divergent term
+        if odd_parity:
+            raise ValueError(_ODD_PARITY)
         g_items = g.nums.items()
         for k, c in f.nums.items():
             for l, d in g_items:
@@ -632,6 +638,10 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
             if f is g:
                 collected[2 * k] = collected.get(2 * k, 0) + c * c
                 partners.append((k, c))
+        if odd_parity:  # collected holds the even powers only
+            if any(collected.values()):
+                raise ValueError(_ODD_PARITY)
+            return GammaVector(n, {})
     by_residue: dict = {}  # r -> {t: d_j}
     for j, d in sorted(collected.items()):
         if d == 0:

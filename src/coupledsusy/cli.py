@@ -251,7 +251,10 @@ def cmd_eigenfunctions(args, config) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lo, hi, count = grid
-    xs = np.linspace(lo, hi, count)
+    try:
+        xs = np.linspace(lo, hi, count)
+    except (ValueError, IndexError, MemoryError) as exc:  # numpy cannot index or allocate count points
+        raise ConfigError(f"grid count {count} is too large to sample") from exc
     values = towers.normalized_samples(record, xs)
     payload = None
     if _merge(args, config, "format", str, "json") != "csv":
@@ -284,7 +287,7 @@ def cmd_coherent(args, config) -> int:
         state = coherent.coherent_state(system, sector, z, tol)
         payload = state.to_json_dict()
         payload["norm_sq"] = state.norm_sq()
-        if sector in (towers.SectorLabel.PSI, towers.SectorLabel.PHI_TILDE) and z != 0:
+        if sector in coherent.HALF_LOWERING and z != 0:
             check = coherent.verify_half_lowering(system, sector, z, tol)
             payload["half_lowering"] = {
                 "operator": check.operator,

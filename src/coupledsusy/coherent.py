@@ -119,9 +119,9 @@ class HalfLoweringCheck(Record):
 
 
 def bargmann_index(system: CoupledSusySystem, sector: SectorLabel) -> Fraction:
-    """The lowest K0 eigenvalue, that of the tower's first level."""
-    offset = system.delta if sector.is_tilde else system.gamma
-    return (tower_eigenvalue(system, sector, sector.first_level) - offset / 2) / system.spacing
+    """The lowest K0 eigenvalue (E - c/2)/(delta-gamma): E at the tower's first level, c its pair's shift."""
+    c = system.pairs[sector.is_tilde].shift
+    return (tower_eigenvalue(system, sector, sector.first_level) - c / 2) / system.spacing
 
 
 def bargmann_indices(system: CoupledSusySystem) -> dict:
@@ -177,7 +177,8 @@ def coherent_state(
     )
 
 
-_HALF_LOWERING = {
+#: The towers whose half-lowering is verified: source -> (operator, target tower).
+HALF_LOWERING = {
     SectorLabel.PSI: ("a", SectorLabel.PSI_TILDE),
     SectorLabel.PHI_TILDE: ("b+", SectorLabel.PHI),
 }
@@ -185,7 +186,7 @@ _HALF_LOWERING = {
 
 def half_lowering_scalar(system: CoupledSusySystem, sector: SectorLabel, z: complex) -> complex:
     """The exact intertwining scalar for a (on PSI) or b+ (on PHI_TILDE)."""
-    if sector not in _HALF_LOWERING:
+    if sector not in HALF_LOWERING:
         raise ValueError("half lowering transfers PSI or PHI_TILDE states")
     root = math.sqrt(float(2 * bargmann_index(system, sector) * system.spacing))
     return root * complex(z) / math.sqrt(1.0 - abs(z) ** 2)
@@ -205,9 +206,9 @@ def verify_half_lowering(
     mismatch over the levels both truncations resolve; the dropped tails
     are reported separately and are below tol by construction.
     """
-    if sector not in _HALF_LOWERING:
+    if sector not in HALF_LOWERING:
         raise ValueError("half lowering is verified from PSI (a) or PHI_TILDE (b+)")
-    op_name, target_sector = _HALF_LOWERING[sector]
+    op_name, target_sector = HALF_LOWERING[sector]
     source = coherent_state(system, sector, z, tol)
     target = coherent_state(system, target_sector, z, tol)
     scalar = half_lowering_scalar(system, sector, z)

@@ -9,17 +9,25 @@ b = (-x^(1-n) d/dx + x^n)/sqrt(2), giving gamma = -1 and delta = 2n - 1.
 Differentiating x^k exp(-x^(2n)/(2n)) turns each generator into an
 Operator with one or two shifts, x^k -> (alpha + beta k) x^(k+shift).
 
-The quadratic products a+b and b+a ladder the spectrum of a+a, and after
-rescaling by 1/(delta-gamma) they close into the su(1,1) commutation
-relations.  Each identity is proved by composing its residual Operator
-lhs - rhs, a map {shift -> polynomial in k}, and checking that it is
-identically zero; that settles the identity for every integer exponent k.
+The definition is two pairs of partner Hamiltonians, H = partner + c,
+each laddered by its own quadratic words; _PAIRS is their one table:
+
+    H      partner   raising   lowering   shift c
+    a+a    b+b       a+b       b+a        gamma
+    aa+    bb+       ba+       ab+        delta
+
+A system composes the eight words once (`pairs`, indexed by is_tilde) for
+every identity, tower check and observable to read.  Rescaled by
+1/(delta-gamma), each pair's words close into su(1,1).  Each identity is
+proved by composing its residual Operator lhs - rhs, a map {shift ->
+polynomial in k}, and checking that it is identically zero; that settles
+the identity for every integer exponent k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .calculus import IDENTITY, Generator, Operator, Record, monomial_state
 
@@ -32,15 +40,41 @@ _PROOF_NOTE = (
 )
 
 
+#: (H, partner, raising, lowering, shift) per pair; a word reads as an operator product.
+_PAIRS = (
+    ("a+a", "b+b", "a+b", "b+a", "gamma"),
+    ("aa+", "bb+", "ba+", "ab+", "delta"),
+)
+
+
+class PartnerPair(NamedTuple):
+    """A row of _PAIRS (`names`) composed for one system: its four words and the shift."""
+
+    names: tuple
+    hamiltonian: Operator
+    partner: Operator
+    raising: Operator
+    lowering: Operator
+    shift: Fraction
+
+
+def _compose(generators: tuple, word: str) -> Operator:
+    """The two-generator word, e.g. "a+b" = a+ . b (b acts first)."""
+    split = 2 if word[1] == "+" else 1
+    left, right = (generators[_GENERATOR_INDEX[Generator(g)]] for g in (word[:split], word[split:]))
+    return left @ right
+
+
 class CoupledSusySystem(Record):
     """The quadruple (a, b, gamma, delta) with its four generator Operators.
 
-    `generators` holds the Operators of a, a+, b, b+ in Generator order.
+    `generators` holds the Operators of a, a+, b, b+ in Generator order,
+    `pairs` the rows of _PAIRS composed from them (not in == or the hash).
     The hash is computed once, because systems key the tower-state cache.
     """
 
     _fields = ("n", "gamma", "delta", "generators", "mutation")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("pairs", "_hash")
 
     def __init__(self, n: int, gamma: Fraction, delta: Fraction, generators: tuple,
                  mutation: str | None = None):
@@ -53,6 +87,10 @@ class CoupledSusySystem(Record):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "mutation", mutation)
+        object.__setattr__(self, "pairs", tuple(
+            PartnerPair(row, *[_compose(generators, w) for w in row[:4]], getattr(self, row[4]))
+            for row in _PAIRS
+        ))
         object.__setattr__(self, "_hash", hash((n, gamma, delta, generators, mutation)))
 
     def __hash__(self):
@@ -219,16 +257,15 @@ def _window(system, exponent_range) -> list:
 
 
 def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
-    """Prove the two defining identities for every exponent.
+    """Prove the two defining identities H = partner + c for every exponent.
 
     Returns one VerificationReport per identity; both must pass for the
     system to satisfy the coupled SUSY definition.
     """
     ks = _window(system, exponent_range)
-    a, ad, b, bd = system.generators
     return [
-        _prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
-        _prove(system, "aa+ = bb+ + delta", a @ ad - b @ bd - IDENTITY.scale(system.delta), ks),
+        _prove(system, f"{h} = {partner} + {shift_name}", H - P - IDENTITY.scale(c), ks)
+        for (h, partner, _, _, shift_name), H, P, _, _, c in system.pairs
     ]
 
 
@@ -238,20 +275,10 @@ def k_operators(system: CoupledSusySystem) -> dict:
     "k0~" = (aa+ - d/2)/(d-g) is the second-sector K0, whose value on the
     lowest state of a tilde tower is that tower's Bargmann index.
     """
-    a, ad, b, bd = system.generators
-    return _k_from_words(system, ad @ a, ad @ b, bd @ a, a @ ad)
-
-
-def _k_from_words(system: CoupledSusySystem, ada: Operator, adb: Operator, bda: Operator,
-                  aad: Operator) -> dict:
-    """k_operators from the composed words a+a, a+b, b+a and aa+."""
     pref = 1 / system.spacing
-    return {
-        "k+": adb.scale(pref),
-        "k-": bda.scale(pref),
-        "k0": (ada - IDENTITY.scale(system.gamma / 2)).scale(pref),
-        "k0~": (aad - IDENTITY.scale(system.delta / 2)).scale(pref),
-    }
+    k0, k0_tilde = ((p.hamiltonian - IDENTITY.scale(p.shift / 2)).scale(pref) for p in system.pairs)
+    first = system.pairs[0]
+    return {"k+": first.raising.scale(pref), "k-": first.lowering.scale(pref), "k0": k0, "k0~": k0_tilde}
 
 
 def _commutator(x: Operator, y: Operator) -> Operator:
@@ -259,36 +286,25 @@ def _commutator(x: Operator, y: Operator) -> Operator:
 
 
 def verify_su11(system: CoupledSusySystem, exponent_range=None) -> list:
-    """Prove the su(1,1) ladder commutators for every exponent, sector by sector.
+    """Prove the su(1,1) ladder commutators for every exponent, pair by pair.
 
-    The raw-word identities are proved together with their rescaled forms
-    [K0, K+-] = +-K+- and [K+, K-] = -2 K0, where K+- and K0 carry the
-    1/(delta-gamma) normalisation.  The second-sector commutator
-    [ba+, ab+] is compared against 2(gamma-delta)(aa+ - delta/2), which it
-    must equal given bb+ = aa+ - delta; the proof composes it rather than
-    assuming it.
+    Per pair, [H, R] = (delta-gamma) R, [H, L] = -(delta-gamma) L and
+    [R, L] = 2(gamma-delta)(H - c/2); the proofs compose each commutator
+    rather than assume it.  They come with the rescaled forms [K0, K+-] =
+    +-K+- and [K+, K-] = -2 K0, where K+- and K0 carry 1/(delta-gamma).
     """
     ks = _window(system, exponent_range)
-    a, ad, b, bd = system.generators
     dg = system.spacing
-    ada, adb, bda = ad @ a, ad @ b, bd @ a  # each quadratic word composed once
-    aad, bad, abd = a @ ad, b @ ad, a @ bd
-    kops = _k_from_words(system, ada, adb, bda, aad)
-    identities = [
-        # First sector: ladder action of a+b and b+a on a+a.
-        ("[a+a, a+b] = (delta-gamma) a+b", _commutator(ada, adb) - adb.scale(dg)),
-        ("[a+a, b+a] = -(delta-gamma) b+a", _commutator(ada, bda) + bda.scale(dg)),
-        (
-            "[a+b, b+a] = 2(gamma-delta)(a+a - gamma/2)",
-            _commutator(adb, bda) + (ada - IDENTITY.scale(system.gamma / 2)).scale(2 * dg),
-        ),
-        # Second sector: ba+ and ab+ ladder aa+.
-        ("[aa+, ba+] = (delta-gamma) ba+", _commutator(aad, bad) - bad.scale(dg)),
-        ("[aa+, ab+] = -(delta-gamma) ab+", _commutator(aad, abd) + abd.scale(dg)),
-        (
-            "[ba+, ab+] = 2(gamma-delta)(aa+ - delta/2)",
-            _commutator(bad, abd) + (aad - IDENTITY.scale(system.delta / 2)).scale(2 * dg),
-        ),
+    identities = []
+    for (h, _, r, l, shift_name), H, _, R, L, c in system.pairs:
+        identities += [
+            (f"[{h}, {r}] = (delta-gamma) {r}", _commutator(H, R) - R.scale(dg)),
+            (f"[{h}, {l}] = -(delta-gamma) {l}", _commutator(H, L) + L.scale(dg)),
+            (f"[{r}, {l}] = 2(gamma-delta)({h} - {shift_name}/2)",
+             _commutator(R, L) + (H - IDENTITY.scale(c / 2)).scale(2 * dg)),
+        ]
+    kops = k_operators(system)
+    identities += [
         # Normalised forms with the 1/(delta-gamma) prefactors.
         ("[K0, K+] = K+", _commutator(kops["k0"], kops["k+"]) - kops["k+"]),
         ("[K0, K-] = -K-", _commutator(kops["k0"], kops["k-"]) + kops["k-"]),

@@ -7,8 +7,9 @@ Four families of eigenfunctions are generated from two ground states:
     PSI_TILDE  a . PSI (m >= 1), aa+ eigenvalue m(delta-gamma)
     PHI_TILDE  a . PHI,          aa+ eigenvalue m(delta-gamma) + delta
 
-The quadratic word R = a+b raises m by one inside each untilded family, so
-a level-m state is R^m applied to the ground state.  It is solved directly:
+H and its ladder words are read from the pair table, system.pairs[is_tilde].
+The raising word R = a+b raises m by one inside each untilded family, so a
+level-m state is R^m applied to the ground state.  It is solved directly:
 H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
 top-down from the top coefficient of R^m, and R must send level m-1 onto
 it.  A tilde state is a applied to its partner.  States are kept
@@ -53,10 +54,8 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
-    LOWERING_WORD,
     Record,
     apply_generator,
-    apply_word,
     inner_product,
     proportionality_ratio,
 )
@@ -132,13 +131,6 @@ def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> 
     return Fraction(base)
 
 
-@functools.lru_cache(maxsize=64)
-def _ladder_operators(system: CoupledSusySystem):
-    """H = a+a and the raising word R = a+b, composed from the system's generators."""
-    adag = system.generator(Generator.ADAG)
-    return adag @ system.generator(Generator.A), adag @ system.generator(Generator.B)
-
-
 def _poly_at(poly, k: int) -> int:
     value = 0
     for c in reversed(poly):
@@ -158,7 +150,7 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     two_n = 2 * system.n
     seed = sector.residue(system.n)
     top = seed + two_n * m
-    hamiltonian, raising = _ladder_operators(system)
+    hamiltonian, raising = system.pairs[0].hamiltonian, system.pairs[0].raising  # the a+a pair
     h_den, r_den = hamiltonian.den, raising.den
     polys = dict(hamiltonian.polys)
     diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(raising.polys).get(two_n, [0])
@@ -197,8 +189,7 @@ def _symmetric_diagonal(system: CoupledSusySystem, tilde: bool):
     j, so it is identically zero iff it vanishes on (N+1)^2 points.  Its
     i j^a coefficient for a >= 2 is that of k^a in d, so a symmetric d is affine.
     """
-    a, adag = system.generator(Generator.A), system.generator(Generator.ADAG)
-    hamiltonian = a @ adag if tilde else _ladder_operators(system)[0]
+    hamiltonian = system.pairs[tilde].hamiltonian
     two_n = 2 * system.n
     den, polys = hamiltonian.den, dict(hamiltonian.polys)
     diag, low = polys.pop(0, [0]), polys.pop(-two_n, [0])
@@ -251,7 +242,7 @@ def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     if sector.is_tilde:
         return apply_generator(system, Generator.A, _tower_state(system, sector.base, m))
     state = _solve_level(system, sector, m)
-    if m and _ladder_operators(system)[1].apply(_solve_level(system, sector, m - 1)) != state:
+    if m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     return state
 
@@ -271,8 +262,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
         raise ValueError("the tilde image of the PSI ground state vanishes (m >= 1)")
     state = _tower_state(system, sector, m)
     value = tower_eigenvalue(system, sector, m)
-    hamiltonian = (Generator.A, Generator.ADAG) if sector.is_tilde else (Generator.ADAG, Generator.A)
-    if state.is_zero or apply_word(system, hamiltonian, state) != state.scale(value):
+    if state.is_zero or system.pairs[sector.is_tilde].hamiltonian.apply(state) != state.scale(value):
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     return EigenstateRecord(
         sector=sector,
@@ -293,7 +283,7 @@ def ground_states(system: CoupledSusySystem):
     phi0 = eigenstate(system, SectorLabel.PHI, 0)
     if not apply_generator(system, Generator.A, psi0.state).is_zero:
         raise RuntimeError("PSI ground state is not annihilated by a")
-    if not apply_word(system, LOWERING_WORD, phi0.state).is_zero:
+    if not system.pairs[0].lowering.apply(phi0.state).is_zero:
         raise RuntimeError("PHI ground state is not annihilated by b+a")
     if apply_generator(system, Generator.A, phi0.state).is_zero:
         raise RuntimeError("PHI ground state must not lie in ker a")

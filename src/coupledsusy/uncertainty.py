@@ -6,7 +6,9 @@ Within one sector the quadratic observables
     L~ = -(ba+ + ab+)/2          A~ = i(ba+ - ab+)/2
 
 play the role of position and momentum (for the x^n family L is a
-Lagrangian-type operator and A the classical action variable).  On the
+Lagrangian-type operator and A the classical action variable).  Both
+are -(R + L)/2 and i(R - L)/2 over the words R, L of the sector's row of
+system.pairs, which also gives its number operator H and shift c.  On the
 direct sum of the two sectors the first-order block operators
 
     X = [[0, a+ + b+], [a + b, 0]] / sqrt(2)
@@ -103,24 +105,29 @@ class OperatorExpression(Record):
         )
 
 
+def _ladder_observables(system: CoupledSusySystem, sector: int) -> tuple:
+    """(L, A) of sector 1, or (L~, A~) of sector 2: -(R + L)/2 and i(R - L)/2 over its pair's words."""
+    pair, tilde = system.pairs[sector - 1], "~" * (sector == 2)
+    return (
+        OperatorExpression(f"L{tilde}", (pair.raising + pair.lowering).scale(-_HALF), sector=sector),
+        OperatorExpression(f"A{tilde}", (pair.raising - pair.lowering).scale(_HALF), True, sector),
+    )
+
+
 def observable_L(system: CoupledSusySystem) -> OperatorExpression:
-    a, ad, b, bd = system.generators
-    return OperatorExpression("L", (ad @ b + bd @ a).scale(-_HALF), sector=1)
+    return _ladder_observables(system, 1)[0]
 
 
 def observable_A(system: CoupledSusySystem) -> OperatorExpression:
-    a, ad, b, bd = system.generators
-    return OperatorExpression("A", (ad @ b - bd @ a).scale(_HALF), True, sector=1)
+    return _ladder_observables(system, 1)[1]
 
 
 def observable_L_tilde(system: CoupledSusySystem) -> OperatorExpression:
-    a, ad, b, bd = system.generators
-    return OperatorExpression("L~", (b @ ad + a @ bd).scale(-_HALF), sector=2)
+    return _ladder_observables(system, 2)[0]
 
 
 def observable_A_tilde(system: CoupledSusySystem) -> OperatorExpression:
-    a, ad, b, bd = system.generators
-    return OperatorExpression("A~", (b @ ad - a @ bd).scale(_HALF), True, sector=2)
+    return _ladder_observables(system, 2)[1]
 
 
 def x_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
@@ -323,17 +330,13 @@ def _result(pair, passed, var1, var2, bound_sq, details) -> UncertaintyResult:
 def _sector_product(system, state, sector: int) -> UncertaintyResult:
     """sigma_L sigma_A of one sector against its Robertson bound.
 
-    The closed form is (d-g)|2<N> - c|/4 with N = a+a, c = gamma in the
-    first sector and N = aa+, c = delta in the second.  The state's norm is
-    taken once, for all six expectations.
+    The closed form is (d-g)|2<N> - c|/4 with N the sector's H and c its
+    shift: a+a and gamma in the first sector, aa+ and delta in the second.
+    The state's norm is taken once, for all six expectations.
     """
-    a, ad = system.generators[:2]
-    if sector == 1:
-        pair, obs_l, obs_a = "L,A", observable_L(system), observable_A(system)
-        number_op, offset = OperatorExpression("a+a", ad @ a, sector=1), system.gamma
-    else:
-        pair, obs_l, obs_a = "L~,A~", observable_L_tilde(system), observable_A_tilde(system)
-        number_op, offset = OperatorExpression("aa+", a @ ad, sector=2), system.delta
+    row = system.pairs[sector - 1]
+    obs_l, obs_a = _ladder_observables(system, sector)
+    number_op = OperatorExpression(row.names[0], row.hamiltonian, sector=sector)
     exprs = (obs_l, obs_l.compose(obs_l), obs_a, obs_a.compose(obs_a), obs_l.commutator_with(obs_a), number_op)
     mean_l, second_l, mean_a, second_a, comm, number = (expectation_exact(system, e, state) for e in exprs)
     norm = _norm_sq(state)
@@ -346,8 +349,8 @@ def _sector_product(system, state, sector: int) -> UncertaintyResult:
 
     passed, (var_l, var_a, bound_sq, number) = _decide(formula)
     number = _float(number)
-    closed_form = float(system.spacing) / 4 * abs(2 * number - float(offset))
-    return _result(pair, passed, var_l, var_a, bound_sq,
+    closed_form = float(system.spacing) / 4 * abs(2 * number - float(row.shift))
+    return _result(f"{obs_l.name},{obs_a.name}", passed, var_l, var_a, bound_sq,
                    {"mean_number": number, "bound_closed_form": closed_form})
 
 

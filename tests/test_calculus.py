@@ -469,14 +469,16 @@ def ref_inner_product(f, g):
     if f.is_zero or g.is_zero:
         return GammaVector(f.n, {})
     total_half = f.half_power + g.half_power
-    if total_half % 2 != 0:
-        raise ValueError("odd combined sqrt(2) parity")
     scale = Fraction(1, 2) ** (total_half // 2)
     collected = {}
     for k, c in f.terms.items():
         for l, d in g.terms.items():
             j = k + l
             collected[j] = collected.get(j, Fraction(0)) + c * d
+    if total_half % 2 != 0:  # irrational unless f g is an odd integrand with no negative power
+        if min(f.terms) + min(g.terms) < 0 or any(d for j, d in collected.items() if j % 2 == 0):
+            raise ValueError("odd combined sqrt(2) parity")
+        return GammaVector(f.n, {})
     coeffs = {}
     for j, d in sorted(collected.items()):
         if d == 0:

@@ -391,6 +391,27 @@ def test_non_finite_grid_is_config_error(grid, capsys):
     assert captured.err.count("\n") == 1
 
 
+# counts from 2^60 up: numpy refuses them before it allocates anything
+@pytest.mark.parametrize("count", ["100000000000000000000", str(2**63 - 1), str(2**60)])
+def test_unsampleable_grid_count_is_config_error(count, capsys):
+    code = main(["eigenfunctions", "--n", "2", "--grid", f"0:1:{count}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: grid count {count} is too large to sample\n"
+
+
+@pytest.mark.parametrize("sector", ["psi", "phi", "psitilde", "phitilde"])
+def test_coherent_half_lowering_runs_where_coherent_defines_it(sector, capsys):
+    from coupledsusy import coherent
+    from coupledsusy.towers import SectorLabel
+
+    code, out = run_cli(["coherent", "--n", "2", "--sector", sector, "--z", "0.3"], capsys)
+    assert code == 0
+    label = SectorLabel(cli._SECTORS[sector])
+    assert ("half_lowering" in json.loads(out)) == (label in coherent.HALF_LOWERING)
+
+
 def test_float_formatting_17_digits():
     assert format_float(0.5) == "0.5"
     assert format_float(1e-13) == "1e-13"
@@ -429,6 +450,22 @@ def test_readme_command_bytes_are_pinned(command, digest, tmp_path, capsys):
     data = out.encode() if out_file is None else out_file.read_bytes()
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+#: sha256 of `verify --n 2 --mutate T` for each named mutation tag; every one exits 1.
+MUTATED_VERIFY_GOLDEN = [
+    ("b-coeff", "2b69f4e2ed40eb45a6c32978a4a2cf05af0d5ac15dd713a2a84e6a348e63f865"),
+    ("a-coeff", "8752d7c174d3c678bfe2e622782619e62dcb480fe54e2fe2eac5858100378266"),
+    ("adag-coeff", "5236636ccdf0e5242672e511d2fc272e3603a7fe49d3c8f8cabe024407318b92"),
+    ("bdag-coeff", "ba5fd108e32983616c1260926521ed48241786661607ea81ea730c4ddbbc669f"),
+]
+
+
+@pytest.mark.parametrize("tag,digest", MUTATED_VERIFY_GOLDEN, ids=[t for t, _ in MUTATED_VERIFY_GOLDEN])
+def test_mutated_verify_bytes_are_pinned(tag, digest, capsys):
+    code, out = run_cli(["verify", "--n", "2", "--mutate", tag], capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 #: numpy CPU features whose SIMD power and exp differ from libm by an ulp on some inputs.

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coupledsusy import reports
-from coupledsusy.calculus import Generator, apply_word, monomial_state
+from coupledsusy.calculus import IDENTITY, LOWERING_WORD, RAISING_WORD, Generator, apply_word, monomial_state
 from coupledsusy.systems import (
     CoupledSusySystem,
     VerificationReport,
+    _prove,
+    _window,
     all_reports_pass,
     default_window,
     k_operators,
@@ -279,3 +281,108 @@ def test_verification_report_record_semantics():
     )
     proved = verify_coupled_susy(make_xn_system(2), range(-2, 3))
     assert proved == verify_coupled_susy(make_xn_system(2), range(-2, 3))
+
+
+# ---------------------------------------------------------------------------
+# The pair table against the hand-written identities it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_verify_coupled_susy(system, exponent_range=None):
+    ks = _window(system, exponent_range)
+    a, ad, b, bd = system.generators
+    return [
+        _prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
+        _prove(system, "aa+ = bb+ + delta", a @ ad - b @ bd - IDENTITY.scale(system.delta), ks),
+    ]
+
+
+def ref_k_operators(system):
+    a, ad, b, bd = system.generators
+    return ref_k_from_words(system, ad @ a, ad @ b, bd @ a, a @ ad)
+
+
+def ref_k_from_words(system, ada, adb, bda, aad):
+    pref = 1 / system.spacing
+    return {
+        "k+": adb.scale(pref),
+        "k-": bda.scale(pref),
+        "k0": (ada - IDENTITY.scale(system.gamma / 2)).scale(pref),
+        "k0~": (aad - IDENTITY.scale(system.delta / 2)).scale(pref),
+    }
+
+
+def ref_commutator(x, y):
+    return x @ y - y @ x
+
+
+def ref_verify_su11(system, exponent_range=None):
+    ks = _window(system, exponent_range)
+    a, ad, b, bd = system.generators
+    dg = system.spacing
+    ada, adb, bda = ad @ a, ad @ b, bd @ a  # each quadratic word composed once
+    aad, bad, abd = a @ ad, b @ ad, a @ bd
+    kops = ref_k_from_words(system, ada, adb, bda, aad)
+    identities = [
+        # First sector: ladder action of a+b and b+a on a+a.
+        ("[a+a, a+b] = (delta-gamma) a+b", ref_commutator(ada, adb) - adb.scale(dg)),
+        ("[a+a, b+a] = -(delta-gamma) b+a", ref_commutator(ada, bda) + bda.scale(dg)),
+        (
+            "[a+b, b+a] = 2(gamma-delta)(a+a - gamma/2)",
+            ref_commutator(adb, bda) + (ada - IDENTITY.scale(system.gamma / 2)).scale(2 * dg),
+        ),
+        # Second sector: ba+ and ab+ ladder aa+.
+        ("[aa+, ba+] = (delta-gamma) ba+", ref_commutator(aad, bad) - bad.scale(dg)),
+        ("[aa+, ab+] = -(delta-gamma) ab+", ref_commutator(aad, abd) + abd.scale(dg)),
+        (
+            "[ba+, ab+] = 2(gamma-delta)(aa+ - delta/2)",
+            ref_commutator(bad, abd) + (aad - IDENTITY.scale(system.delta / 2)).scale(2 * dg),
+        ),
+        # Normalised forms with the 1/(delta-gamma) prefactors.
+        ("[K0, K+] = K+", ref_commutator(kops["k0"], kops["k+"]) - kops["k+"]),
+        ("[K0, K-] = -K-", ref_commutator(kops["k0"], kops["k-"]) + kops["k-"]),
+        ("[K+, K-] = -2 K0", ref_commutator(kops["k+"], kops["k-"]) + kops["k0"].scale(2)),
+    ]
+    return [_prove(system, name, residual, ks) for name, residual in identities]
+
+
+def real_and_mutated_systems(n):
+    """The x^n system and its 36 single-slot mutations by 1, -1 and 1/2."""
+    base = make_xn_system(n)
+    return [base] + [
+        make_xn_system(n, mutate=(*slot, delta))
+        for slot in mutation_slots(base)
+        for delta in (Fraction(1), Fraction(-1), Fraction(1, 2))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_table_reports_match_hand_written_identities(n):
+    for system in real_and_mutated_systems(n):
+        for window in (None, range(-3, 6)):
+            got = verify_coupled_susy(system, window) + verify_su11(system, window)
+            want = ref_verify_coupled_susy(system, window) + ref_verify_su11(system, window)
+            assert [r.identity for r in got] == [r.identity for r in want]
+            assert [(r.passed, r.first_failure) for r in got] == [(r.passed, r.first_failure) for r in want]
+            assert got == want
+        assert k_operators(system) == ref_k_operators(system)
+
+
+#: The words of each pair, (H, partner, raising, lowering), generator by generator.
+PAIR_ORACLE = (
+    ((ADAG, A), (BDAG, B), RAISING_WORD, LOWERING_WORD),
+    ((A, ADAG), (B, BDAG), (B, ADAG), (A, BDAG)),
+)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pair_words_match_generator_by_generator_application(n):
+    system = make_xn_system(n, mutate=(B, 1, "beta", Fraction(1, 3)))
+    assert [p.names for p in system.pairs] == [
+        ("a+a", "b+b", "a+b", "b+a", "gamma"), ("aa+", "bb+", "ba+", "ab+", "delta")]
+    assert [p.shift for p in system.pairs] == [-1, 2 * n - 1]
+    for pair, oracle in zip(system.pairs, PAIR_ORACLE):
+        for word, generators in zip((pair.hamiltonian, pair.partner, pair.raising, pair.lowering), oracle):
+            for k in range(-2 * n, 4 * n):
+                mono = monomial_state(n, k)
+                assert word.apply(mono) == apply_word(system, generators, mono)

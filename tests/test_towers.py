@@ -338,6 +338,29 @@ def test_tilde_sectors_orthogonal_too():
             assert gram[i][j].is_zero == (i != j)
 
 
+def test_odd_parity_products_that_vanish_exactly_are_zero():
+    # untilded and tilde states differ in sqrt(2) half power; where every
+    # term pair has an odd exponent sum the product is exactly 0, not irrational
+    sys1 = make_xn_system(1)
+    gram = gram_matrix([eigenstate(sys1, PSI, 1), eigenstate(sys1, PSI_T, 1)])
+    assert gram[0][1] == gram[1][0] == GammaVector(1, {})
+    assert not gram[0][0].is_zero and not gram[1][1].is_zero
+    sys3 = make_xn_system(3)
+    phi, phi_t = eigenstate(sys3, PHI, 2).state, eigenstate(sys3, PHI_T, 2).state
+    assert (phi.half_power + phi_t.half_power) % 2 == 1
+    assert inner_product(phi, phi_t) == inner_product(phi_t, phi) == GammaVector(3, {})
+
+
+def test_odd_parity_products_that_do_not_vanish_still_raise():
+    sys2 = make_xn_system(2)
+    psi = eigenstate(sys2, PSI, 1).state
+    with pytest.raises(ValueError, match="odd combined sqrt"):
+        inner_product(psi, psi.scale_sqrt2(1))  # an even power survives
+    odd = GaussPolyState(2, {-3: 1}, half_power=1)
+    with pytest.raises(ValueError, match="odd combined sqrt"):
+        inner_product(odd, monomial_state(2, 0))  # a negative exponent sum
+
+
 # ---------------------------------------------------------------------------
 # numeric export
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from coupledsusy.calculus import (
     inner_product,
     monomial_state,
 )
-from coupledsusy.systems import CoupledSusySystem, make_xn_system
+from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
 from coupledsusy import uncertainty
 from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
 from coupledsusy.uncertainty import (
@@ -706,3 +706,49 @@ def test_two_symbol_state_takes_certified_route(monkeypatch, n, want):
     assert bits and set(bits) == {64}
     assert result.passed and result.product > result.bound
     assert result.product == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# observables from the pair table against their hand-written words
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+
+def ref_observable_L(system):
+    a, ad, b, bd = system.generators
+    return OperatorExpression("L", (ad @ b + bd @ a).scale(-HALF), sector=1)
+
+
+def ref_observable_A(system):
+    a, ad, b, bd = system.generators
+    return OperatorExpression("A", (ad @ b - bd @ a).scale(HALF), True, sector=1)
+
+
+def ref_observable_L_tilde(system):
+    a, ad, b, bd = system.generators
+    return OperatorExpression("L~", (b @ ad + a @ bd).scale(-HALF), sector=2)
+
+
+def ref_observable_A_tilde(system):
+    a, ad, b, bd = system.generators
+    return OperatorExpression("A~", (b @ ad - a @ bd).scale(HALF), True, sector=2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_table_observables_match_hand_written_words(n):
+    base = make_xn_system(n)
+    systems = [base] + [
+        make_xn_system(n, mutate=(*slot, delta))
+        for slot in mutation_slots(base)
+        for delta in (Fraction(1), Fraction(-1), HALF)
+    ]
+    builders = [
+        (observable_L, ref_observable_L),
+        (observable_A, ref_observable_A),
+        (observable_L_tilde, ref_observable_L_tilde),
+        (observable_A_tilde, ref_observable_A_tilde),
+    ]
+    for system in systems:
+        for build, ref in builders:
+            assert build(system) == ref(system)
