@@ -54,9 +54,10 @@ _EXPORTS = {
 __all__ = sorted([*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)])
 
 
-#: Serialises first reads from several threads: a submodule the CLI
-#: registered with LazyLoader runs on its first attribute read, and before
-#: Python 3.12 that trigger takes no lock.
+#: Serialises the first runs of submodules from several threads: this
+#: module's first public read, and the first attribute read of a submodule
+#: the CLI registered lazily (cli._LazyModule).  One reentrant lock, as
+#: running one submodule may run another.
 _LOAD_LOCK = threading.RLock()
 
 

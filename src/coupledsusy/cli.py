@@ -13,25 +13,48 @@ import argparse
 import importlib.util
 import math
 import sys
+import types
 from fractions import Fraction
 
-from . import reports
+from . import _LOAD_LOCK, reports
 from .systems import make_xn_system, verify_coupled_susy, verify_su11
 
 
+class _LazyModule(types.ModuleType):
+    """A submodule registered by _lazy: it runs on the first read of one of its attributes.
+
+    That read runs the module under the package's load lock and keeps this
+    class until the module has run, so a second thread waits for it
+    instead of reading a half-run module.  importlib's LazyLoader takes
+    such a lock only from Python 3.12.  Reads made while the module runs,
+    by the import system or by a module it imports, pass straight through.
+    """
+
+    def __getattribute__(self, attr):
+        read = types.ModuleType.__getattribute__
+        with _LOAD_LOCK:
+            spec = read(self, "__spec__")
+            if type(self) is _LazyModule and spec.loader_state != "running":
+                spec.loader_state = "running"
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    spec.loader_state = None
+                self.__class__ = types.ModuleType
+        return read(self, attr)
+
+
 def _lazy(name):
-    """Submodule `name`, registered with LazyLoader (the importlib recipe) unless already imported.
+    """Submodule `name`, registered as a _LazyModule unless already imported.
 
     The module runs on the first read of one of its attributes, so a
     command compiles only the modules it calls.
     """
     fullname = f"{__package__}.{name}"
     if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
+        module = importlib.util.module_from_spec(importlib.util.find_spec(fullname))
+        module.__class__ = _LazyModule
         sys.modules[fullname] = module
-        spec.loader.exec_module(module)
     return sys.modules[fullname]
 
 
@@ -97,6 +120,24 @@ def _parse_grid(text):
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid bounds and their span hi - lo must be finite, got {text!r}")
     return lo, hi, count
+
+
+def _grid_points(lo, hi, count):
+    """np.linspace(lo, hi, count) as a list of floats, bit for bit: point i is i * step + lo, the last hi.
+
+    Where the step underflows to 0, point i is i / (count - 1) * (hi - lo)
+    + lo, as in numpy.  The list is allocated first, so a count no list
+    can hold is an error before any point is computed.
+    """
+    try:
+        xs = [hi] * count
+    except (OverflowError, MemoryError) as exc:
+        raise ConfigError(f"grid count {count} is too large to sample") from exc
+    div, span = count - 1, hi - lo
+    step = span / div
+    for i in range(div):
+        xs[i] = i * step + lo if step else i / div * span + lo
+    return xs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,19 +283,13 @@ def cmd_eigenfunctions(args, config) -> int:
     n = _common_values(args, config)
     sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi")])
     m = _merge(args, config, "m", int, 0)
-    grid = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
-    import numpy as np
-
+    lo, hi, count = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
     system = make_xn_system(n)
     try:
         record = towers.eigenstate(system, sector, m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lo, hi, count = grid
-    try:
-        xs = np.linspace(lo, hi, count)
-    except (ValueError, IndexError, MemoryError) as exc:  # numpy cannot index or allocate count points
-        raise ConfigError(f"grid count {count} is too large to sample") from exc
+    xs = _grid_points(lo, hi, count)
     values = towers.normalized_samples(record, xs)
     payload = None
     if _merge(args, config, "format", str, "json") != "csv":
@@ -266,9 +301,9 @@ def cmd_eigenfunctions(args, config) -> int:
         payload = {
             "record": exact,
             "grid": {"lo": lo, "hi": hi, "count": count},
-            "values": [float(v) for v in values],
+            "values": values,
         }
-    rows = [(float(x), float(v)) for x, v in zip(xs, values)]
+    rows = list(zip(xs, values))
     _emit(args, config, payload, csv_header=("x", "value"), csv_rows=rows)
     return 0
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 
@@ -428,6 +429,62 @@ def _libm(fn, values):
     return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
+def _sampling_plan(record: EigenstateRecord, points: list):
+    """What both sampling routes share, for a flat list of float points.
+
+    Returns t and the log scale at each point, in plain floats with
+    x^(2n) and log from libm; the recurrence schedule, one (alpha_i,
+    gamma_i, rescale) per step, rescale marking the steps before which the
+    bound on P would pass _GROWTH_LIMIT; and the sign rule (negate every
+    value, negate where x < 0).
+    """
+    p, a, j = _laguerre_parameters(record)
+    n = record.state.n
+    beta = a / (2 * n)
+    power = float(2 * n)
+    # t is at the cap from this bound on, so x = +-inf samples 0, and the power stays finite
+    x_cap = (n * _T_CAP) ** (1 / (2 * n)) * (1 + 1 / n)
+    log_norm = 0.5 * (math.lgamma(j + 1) + math.lgamma(j + beta + 1) + beta * math.log(n))
+    axs = [x_cap if ax > x_cap else ax for ax in map(abs, points)]  # min(|x|, x_cap), NaN kept
+    ts = [_T_CAP if t > _T_CAP else t for t in [ax ** power / n for ax in axs]]
+    if p:
+        log, inf = math.log, math.inf
+        scales = [-0.5 * t + p * (log(ax) if ax != 0 else -inf) - log_norm for t, ax in zip(ts, axs)]
+    else:
+        scales = [-0.5 * t - log_norm for t in ts]
+    t_max = max([t for t in ts if t == t], default=0.0)  # a NaN x leaves the bound alone
+    schedule, bound = [], 1.0
+    for i in range(j):
+        alpha, gamma = 2 * i + 1 + beta, i * (i + beta)
+        growth = t_max + alpha + gamma  # |P_(i+1)| <= growth * max(|P_i|, |P_(i-1)|)
+        rescale = bound * growth > _GROWTH_LIMIT
+        schedule.append((alpha, gamma, rescale))
+        bound = growth if rescale else bound * growth
+    negate = (record.state.nums[p] < 0) != (j % 2 == 1)  # P_j carries (-1)^j
+    return ts, scales, schedule, negate, p % 2 == 1
+
+
+def _array_samples(record: EigenstateRecord, xs):
+    """The recurrence vectorised over a numpy array of any shape; an array of that shape."""
+    import numpy as np
+
+    x = np.asarray(xs, dtype=float)
+    ts, scales, schedule, negate, odd = _sampling_plan(record, x.ravel().tolist())
+    t, log_scale = np.array(ts).reshape(x.shape), np.array(scales).reshape(x.shape)
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    for alpha, gamma, rescale in schedule:
+        if rescale:
+            peak = np.maximum(np.abs(prev), np.abs(cur))
+            peak = np.where(peak > 0, peak, 1.0)
+            prev, cur = prev / peak, cur / peak
+            log_scale += _libm(math.log, peak)
+        prev, cur = cur, (t - alpha) * cur - gamma * prev
+    values = cur * _libm(math.exp, log_scale)
+    if negate:
+        values = -values
+    return np.where(x < 0, -values, values) if odd else values
+
+
 def normalized_samples(record: EigenstateRecord, xs):
     """Values of the L2-normalised eigenfunction on the grid xs.
 
@@ -435,45 +492,39 @@ def normalized_samples(record: EigenstateRecord, xs):
     (_laguerre_parameters), with squared norm n^beta Gamma(j+beta+1) / j!.
     P_i = (-1)^i i! L_i^beta(t) runs the three-term recurrence
 
-        P_(i+1) = (t - 2i - 1 - beta) P_i - i (i + beta) P_(i-1),
+        P_(i+1) = (t - 2i - 1 - beta) P_i - i (i + beta) P_(i-1).
 
-    vectorised over the grid.  The weight, x^p and the norm ride along as
-    a log scale per point, and P is divided back to at most 1 (its log
-    added to the scale) before a bound on its growth could pass 1e300, so
-    every finite grid gives finite values.  x^(2n), the logs and exp are
-    taken from libm point by point (_libm), so the values do not depend on
-    the CPU that numpy dispatches to.  The sign is that of the record's
-    lowest coefficient; no Gamma value is evaluated.
+    The weight, x^p and the norm ride along as a log scale per point, and
+    P is divided back to at most 1 (its log added to the scale) before a
+    bound on its growth could pass 1e300, so every finite grid gives
+    finite values.  x^(2n), the logs and exp are taken from libm point by
+    point, so the values do not depend on the CPU that numpy dispatches
+    to.  The sign is that of the record's lowest coefficient; no Gamma
+    value is evaluated.
+
+    The route follows the type of xs.  A numpy array runs the recurrence
+    vectorised over the array and returns an array of its shape; any
+    other sequence of floats runs it point by point in plain floats and
+    returns a list, without importing numpy.  Both routes share t, the
+    log scale, the rescale schedule and the sign rule (_sampling_plan),
+    and do the same correctly rounded operations in the same order, so
+    their values are the same bits.
     """
-    import numpy as np
-
-    p, a, j = _laguerre_parameters(record)
-    n = record.state.n
-    beta = a / (2 * n)
-    x = np.asarray(xs, dtype=float)
-    # t is at the cap from this bound on, so x = +-inf samples 0, and the power stays finite
-    ax = np.minimum(np.abs(x), (n * _T_CAP) ** (1 / (2 * n)) * (1 + 1 / n))
-    t = np.minimum(_libm(float(2 * n).__rpow__, ax) / n, _T_CAP)
-    log_scale = -0.5 * t
-    if p:
-        nonzero = ax != 0
-        log_ax = np.full_like(ax, -math.inf)  # log 0
-        log_ax[nonzero] = _libm(math.log, ax[nonzero])
-        log_scale += p * log_ax
-    log_scale -= 0.5 * (math.lgamma(j + 1) + math.lgamma(j + beta + 1) + beta * math.log(n))
-    t_max = float(np.fmax.reduce(t, axis=None, initial=0.0))  # fmax: a NaN x leaves the bound alone
-    prev, cur, bound = np.zeros_like(t), np.ones_like(t), 1.0
-    for i in range(j):
-        alpha, gamma = 2 * i + 1 + beta, i * (i + beta)
-        growth = t_max + alpha + gamma  # |P_(i+1)| <= growth * max(|P_i|, |P_(i-1)|)
-        if bound * growth > _GROWTH_LIMIT:
-            peak = np.maximum(np.abs(prev), np.abs(cur))
-            peak = np.where(peak > 0, peak, 1.0)
-            prev, cur, bound = prev / peak, cur / peak, 1.0
-            log_scale += _libm(math.log, peak)
-        prev, cur = cur, (t - alpha) * cur - gamma * prev
-        bound *= growth
-    values = cur * _libm(math.exp, log_scale)
-    if (record.state.nums[p] < 0) != (j % 2 == 1):  # P_j carries (-1)^j
-        values = -values
-    return np.where(x < 0, -values, values) if p % 2 else values
+    numpy = sys.modules.get("numpy")  # an ndarray means numpy is already loaded
+    if numpy is not None and isinstance(xs, numpy.ndarray):
+        return _array_samples(record, xs)
+    points = [float(x) for x in xs]
+    ts, scales, schedule, negate, odd = _sampling_plan(record, points)
+    values = []
+    for x, t, scale in zip(points, ts, scales):
+        prev, cur = 0.0, 1.0
+        for alpha, gamma, rescale in schedule:
+            if rescale:
+                peak = max(abs(cur), abs(prev))  # NaN when cur is, as with np.maximum
+                peak = peak if peak > 0 else 1.0
+                prev, cur = prev / peak, cur / peak
+                scale += math.log(peak)
+            prev, cur = cur, (t - alpha) * cur - gamma * prev
+        value = cur * math.exp(scale)
+        values.append(-value if negate != (odd and x < 0) else value)
+    return values

@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coupledsusy import cli
+from coupledsusy import cli, reports, towers
 from coupledsusy.cli import main
 from coupledsusy.reports import format_float
 from coupledsusy.systems import make_xn_system
@@ -391,7 +393,7 @@ def test_non_finite_grid_is_config_error(grid, capsys):
     assert captured.err.count("\n") == 1
 
 
-# counts from 2^60 up: numpy refuses them before it allocates anything
+# counts from 2^60 up: a list of that length fails its size check before anything is allocated
 @pytest.mark.parametrize("count", ["100000000000000000000", str(2**63 - 1), str(2**60)])
 def test_unsampleable_grid_count_is_config_error(count, capsys):
     code = main(["eigenfunctions", "--n", "2", "--grid", f"0:1:{count}"])
@@ -399,6 +401,53 @@ def test_unsampleable_grid_count_is_config_error(count, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: grid count {count} is too large to sample\n"
+
+
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [(-4.0, 4.0, 401), (-0.0, 1.0, 7), (0.1, 0.7, 3), (-1e300, 1e300, 9), (-3.3, 1e-9, 1000),
+     (1.0, 1.0 + 2 ** -52, 10), (0.0, 5e-324, 3), (-5e-324, 5e-324, 9), (1e-310, 1.0000001e-310, 1000)],
+)
+def test_grid_points_match_linspace_bit_for_bit(lo, hi, count):
+    assert np.array(cli._grid_points(lo, hi, count)).tobytes() == np.linspace(lo, hi, count).tobytes()
+
+
+def test_grid_points_match_linspace_on_random_grids():
+    rng = random.Random(20)
+    underflows = 0
+    for _ in range(3000):
+        subnormal = rng.randint(-10 ** 4, 10 ** 4) * 5e-324
+        lo = rng.choice([rng.uniform(-10, 10), rng.uniform(-1e300, 1e300), subnormal])
+        hi = lo + abs(rng.choice([rng.uniform(0, 10), rng.uniform(0, 1e300), 5e-324 * rng.randint(1, 9)]))
+        count = rng.randint(2, 60)
+        if not hi > lo or not math.isfinite(hi - lo):
+            continue
+        underflows += (hi - lo) / (count - 1) == 0
+        assert np.array(cli._grid_points(lo, hi, count)).tobytes() == np.linspace(lo, hi, count).tobytes()
+    assert underflows > 100  # numpy's step == 0 branch is covered
+
+
+def array_route_report(n, sector, m, out_format):
+    """The eigenfunctions report on the default grid, sampled by np.linspace and the array route."""
+    record = towers.eigenstate(make_xn_system(n), towers.SectorLabel(cli._SECTORS[sector]), m)
+    xs = np.linspace(-4.0, 4.0, 401)
+    values = towers.normalized_samples(record, xs)
+    if out_format == "csv":
+        return reports.csv_text(("x", "value"), [(float(x), float(v)) for x, v in zip(xs, values)])
+    payload = {"record": record.to_json_dict(), "grid": {"lo": -4.0, "hi": 4.0, "count": 401},
+               "values": [float(v) for v in values]}
+    return reports.dumps(payload)
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenfunctions_report_equals_the_array_route(n, out_format, capsys):
+    for sector in ("psi", "phi", "psitilde", "phitilde"):
+        for m in range(sector == "psitilde", 6):
+            argv = ["eigenfunctions", "--n", str(n), "--sector", sector, "--m", str(m), "--format", out_format]
+            code, out = run_cli(argv, capsys)
+            assert code == 0
+            assert out == array_route_report(n, sector, m, out_format), (sector, m)
 
 
 @pytest.mark.parametrize("sector", ["psi", "phi", "psitilde", "phitilde"])

@@ -2,12 +2,11 @@
 
 ``import coupledsusy`` runs no submodule and each CLI command runs only
 the submodules it calls, since a cold CLI process otherwise spends most
-of its time compiling the package's source.  numpy and mpmath load only
-on the routes that compute with them, scipy never.  The package itself
-loads neither dataclasses nor inspect, which cost a cold CLI process tens
-of milliseconds; numpy imports inspect on the sampling route that needs
-it.  Each check runs in a fresh interpreter, since the test process itself
-has long since imported them.
+of its time compiling the package's source.  mpmath loads only on the
+routes that compute with it, numpy and scipy on no CLI route.  The
+package itself loads neither dataclasses nor inspect, which cost a cold
+CLI process tens of milliseconds.  Each check runs in a fresh
+interpreter, since the test process itself has long since imported them.
 """
 
 import os
@@ -79,16 +78,16 @@ def test_uncertainty_and_coherent_commands_run_without_mpmath():
         assert loaded_after(cli_code(argv)) == set(), argv
 
 
-def test_eigenfunctions_command_loads_only_numpy():
+def test_eigenfunctions_command_loads_none_of_the_watched_modules():
     argv = ["eigenfunctions", "--n", "2", "--m", "3", "--grid", "-4:4:401", "--format", "csv"]
-    assert loaded_after(cli_code(argv)) == {"numpy", "inspect"}
+    assert loaded_after(cli_code(argv)) == set()
 
 
 PACKAGE_DIR = os.path.join(SRC, "coupledsusy")
 SUBMODULES = {"calculus", "coherent", "spectral", "systems", "towers", "uncertainty"}
 
 #: Records, by file stem, every package module whose code runs; a module
-#: registered with LazyLoader and never read does not run.
+#: registered lazily (cli._LazyModule) and never read does not run.
 _RAN_HOOK = f"""
 import os, sys
 _ran = set()
@@ -182,15 +181,16 @@ def test_after_cli_import_every_submodule_is_registered_and_exposes_its_function
     assert ran_after(code) == SUBMODULES | {"cli", "reports"}
 
 
-@pytest.mark.parametrize("first", ["coupledsusy", "coupledsusy.cli"])
-def test_concurrent_first_reads_of_a_public_name_all_succeed(first):
-    code = (
-        f"import threading, {first}\n"
+def four_threads(setup, statement):
+    """Code that runs `setup`, then `statement` in four threads released at once; none may raise."""
+    return (
+        f"import threading\n{setup}\n"
+        "sys.setswitchinterval(1e-6)\n"
         "barrier, errors = threading.Barrier(4), []\n"
         "def read():\n"
         "    barrier.wait()\n"
         "    try:\n"
-        "        coupledsusy.make_xn_system, coupledsusy.eigenstate\n"
+        f"        {statement}\n"
         "    except Exception as exc:\n"
         "        errors.append(exc)\n"
         "threads = [threading.Thread(target=read) for _ in range(4)]\n"
@@ -201,4 +201,25 @@ def test_concurrent_first_reads_of_a_public_name_all_succeed(first):
         "assert not any(thread.is_alive() for thread in threads)\n"
         "assert not errors, errors\n"
     )
+
+
+@pytest.mark.parametrize("first", ["coupledsusy", "coupledsusy.cli"])
+def test_concurrent_first_reads_of_a_public_name_all_succeed(first):
+    code = four_threads(f"import {first}", "coupledsusy.make_xn_system, coupledsusy.eigenstate")
     assert SUBMODULES <= ran_after(code)
+
+
+#: The submodules the CLI registers lazily, each with a function to import from it.
+LAZY_SUBMODULES = {
+    "coherent": "coherent_state",
+    "spectral": "fd_spectrum",
+    "towers": "eigenstate",
+    "uncertainty": "direct_sum",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_SUBMODULES))
+def test_concurrent_first_imports_from_a_lazy_submodule_all_succeed(name):
+    # each thread's import is the module's first attribute read: one runs it, the others wait
+    code = four_threads("import coupledsusy.cli", f"from coupledsusy.{name} import {LAZY_SUBMODULES[name]}")
+    assert name in ran_after(code)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from coupledsusy import coherent, towers, uncertainty
@@ -411,6 +412,38 @@ def test_samples_unit_norm_at_level_2000():
     vals = normalized_samples(rec, xs)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     assert trapezoid(vals ** 2, xs) == pytest.approx(1.0, rel=1e-8)
+
+
+#: Points where the two sampling routes could part: NaN, infinities, signed
+#: zeros, subnormals and values near the ends of the float range.
+SPECIAL_POINTS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def sampling_cases(draw):
+    """(n, sector, m, points): any family and tower to m = 160, fewer points at higher m."""
+    n = draw(st.integers(1, 8))
+    sector = draw(st.sampled_from(list(SectorLabel)))
+    m = draw(st.integers(sector.first_level, 160))
+    scale = 10.0 ** draw(st.integers(-3, 300))
+    point = st.one_of(st.floats(-scale, scale), st.sampled_from(SPECIAL_POINTS), st.floats())
+    return n, sector, m, draw(st.lists(point, min_size=1, max_size=max(4, 1200 // (m + 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampling_cases())
+def test_list_route_is_bit_identical_to_the_array_route(case):
+    n, sector, m, points = case
+    rec = eigenstate(make_xn_system(n), sector, m)
+    listed = normalized_samples(rec, points)
+    grid = np.array(points)
+    if len(points) % 2 == 0:
+        grid = grid.reshape(2, -1)  # the array route keeps any shape
+    arrayed = normalized_samples(rec, grid)
+    assert type(listed) is list and all(type(v) is float for v in listed)
+    assert isinstance(arrayed, np.ndarray) and arrayed.shape == grid.shape
+    assert np.array(listed).tobytes() == arrayed.tobytes()
 
 
 def laguerre_beta(sector, n):
