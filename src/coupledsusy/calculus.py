@@ -58,12 +58,47 @@ if TYPE_CHECKING:  # pragma: no cover
 class Record:
     """Base of the immutable result records: field-wise ==, hash and repr.
 
-    A subclass names its fields in `_fields`, holds them in `__slots__` and
-    stores them through object.__setattr__; == holds only within one class.
+    A subclass names its fields in `_fields` and holds them in `__slots__`;
+    `_defaults` maps a field that may be omitted to its default, or to a
+    factory (any callable, such as dict) called once per record.  == holds
+    only within one class.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        """Bind the arguments to `_fields` in order, like a signature of those names and defaults.
+
+        A call that gives every field by position skips the binding step, so
+        the records built on every library call are built that way.
+        """
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """One value per field, omitted ones from `_defaults`; TypeError where a signature raises it."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key not in fields[len(args):]:
+                problem = "multiple values for argument" if key in fields else "an unexpected keyword argument"
+                raise TypeError(f"{name}() got {problem} {key!r}")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs[field])
+            elif field in self._defaults:
+                default = self._defaults[field]
+                values.append(default() if callable(default) else default)
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        return values
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

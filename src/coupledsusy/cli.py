@@ -70,6 +70,9 @@ class ConfigError(Exception):
 
 #: Flag name -> SectorLabel value.
 _SECTORS = {"psi": "psi", "phi": "phi", "psitilde": "psi~", "phitilde": "phi~"}
+#: The choices of --format and --pair; a config file value is held to them too.
+_FORMATS = ("json", "csv")
+_PAIRS = ("la", "tilde", "xp", "all")
 
 
 def _load_config_file(path):
@@ -89,16 +92,20 @@ def _load_config_file(path):
     return values
 
 
-def _merge(args, config, key, cast, default):
-    """flags > config file > defaults"""
+def _merge(args, config, key, cast, default, choices=None):
+    """flags > config file > defaults; a config value is held to the flag's choices"""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
     if key in config:
         try:
-            return cast(config[key])
+            value = cast(config[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
+        if choices is not None and value not in choices:
+            raise ConfigError(f"config key {key}: invalid choice {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+        return value
     return default
 
 
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="family index (default 2)")
         p.add_argument("--tol", type=float, default=None, help="coherent tolerance (default 1e-12)")
         p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
     p_verify = sub.add_parser("verify", help="check the defining and su(1,1) identities")
@@ -187,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ground | <sector>:<m> | mixed (equal psi0 / phi~0 mixture)",
     )
-    p_unc.add_argument("--pair", choices=("la", "tilde", "xp", "all"), default=None)
+    p_unc.add_argument("--pair", choices=_PAIRS, default=None)
 
     return parser
 
 
 def _emit(args, config, payload, csv_header=None, csv_rows=None):
-    out_format = _merge(args, config, "format", str, "json")
+    out_format = _merge(args, config, "format", str, "json", _FORMATS)
     out_path = _merge(args, config, "out", str, None)
     if out_format == "csv":
         if csv_header is None:
@@ -253,8 +260,9 @@ def cmd_spectrum(args, config) -> int:
         raise ConfigError("galerkin-size must be >= 1")
     fd = None
     if args.fd or str(config.get("fd", "")).lower() in ("1", "true", "yes"):
-        half_width = _merge(args, config, "fd_half_width", float, {1: 12.0, 2: 6.0}.get(n, 6.0))
-        grid = _merge(args, config, "fd_grid", int, {1: 2000, 2: 4000}.get(n, 1000))
+        default_width, default_grid = spectral.FD_REFERENCE_GRID[min(n, 3)]
+        half_width = _merge(args, config, "fd_half_width", float, default_width)
+        grid = _merge(args, config, "fd_grid", int, default_grid)
         try:  # before the Galerkin solve, so a bad FD input costs nothing
             fd = spectral.fd_spectrum(n, half_width, grid, count=count)
         except ValueError as exc:
@@ -281,7 +289,7 @@ def cmd_spectrum(args, config) -> int:
 
 def cmd_eigenfunctions(args, config) -> int:
     n = _common_values(args, config)
-    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi")])
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi", _SECTORS)])
     m = _merge(args, config, "m", int, 0)
     lo, hi, count = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
     system = make_xn_system(n)
@@ -292,7 +300,7 @@ def cmd_eigenfunctions(args, config) -> int:
     xs = _grid_points(lo, hi, count)
     values = towers.normalized_samples(record, xs)
     payload = None
-    if _merge(args, config, "format", str, "json") != "csv":
+    if _merge(args, config, "format", str, "json", _FORMATS) != "csv":
         try:
             exact = record.to_json_dict()
         except ValueError as exc:  # an int past Python's int-to-text digit limit
@@ -313,7 +321,7 @@ def cmd_coherent(args, config) -> int:
     tol = _merge(args, config, "tol", float, 1e-12)
     if not tol > 0:
         raise ConfigError("tolerance must be positive")
-    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi")])
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi", _SECTORS)])
     z = _parse_complex(_merge(args, config, "z", str, "0.5"))
     system = make_xn_system(n)
     # RuntimeError: the truncation of the state, or of the state its
@@ -366,7 +374,7 @@ def cmd_uncertainty(args, config) -> int:
     system = make_xn_system(n)
     descriptor = _merge(args, config, "state", str, "ground")
     kind, state = _resolve_state(system, descriptor)
-    pair = _merge(args, config, "pair", str, None)
+    pair = _merge(args, config, "pair", str, None, _PAIRS)
     if pair is None:
         pair = "xp" if kind == "xp" else "auto"
     results = []

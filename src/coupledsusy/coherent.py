@@ -57,15 +57,6 @@ class CoherentState(Record):
 
     __slots__ = _fields = ("sector", "k", "z", "m_start", "coefficients", "tail_bound")
 
-    def __init__(self, sector: SectorLabel, k: Fraction, z: complex, m_start: int,
-                 coefficients: tuple, tail_bound: float):
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "m_start", m_start)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "tail_bound", tail_bound)
-
     @property
     def truncation_level(self) -> int:
         return self.m_start + len(self.coefficients) - 1
@@ -96,20 +87,6 @@ class HalfLoweringCheck(Record):
 
     __slots__ = _fields = ("sector", "operator", "target_sector", "target_k", "scalar", "best_fit_scalar",
                            "residual", "compared_levels", "tail_bound_source", "tail_bound_target")
-
-    def __init__(self, sector: SectorLabel, operator: str, target_sector: SectorLabel,
-                 target_k: Fraction, scalar: complex, best_fit_scalar: complex, residual: float,
-                 compared_levels: int, tail_bound_source: float, tail_bound_target: float):
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "target_sector", target_sector)
-        object.__setattr__(self, "target_k", target_k)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "best_fit_scalar", best_fit_scalar)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "compared_levels", compared_levels)
-        object.__setattr__(self, "tail_bound_source", tail_bound_source)
-        object.__setattr__(self, "tail_bound_target", tail_bound_target)
 
     @property
     def total_mismatch_bound(self) -> float:

@@ -37,19 +37,23 @@ from __future__ import annotations
 import math
 import sys
 
-from .calculus import Generator, Record, apply_generator, inner_product, monomial_state
+from .calculus import Generator, Record, apply_generator, monomial_state
 from .systems import CoupledSusySystem, make_xn_system
-from .towers import SectorLabel, merged_spectrum, tower_eigenvalue
+from .towers import SectorLabel, _gram, merged_spectrum, tower_eigenvalue
 
+
+#: The reference grid (half width L, grid count N) per family index: the
+#: grids the tolerances below were swept at, and the CLI's --fd defaults
+#: (other n take the n = 3 grid).
+FD_REFERENCE_GRID = {1: (12.0, 2000), 2: (6.0, 4000), 3: (6.0, 1000)}
 
 #: Documented tolerances on the lowest eight eigenvalues (relative, with the
 #: zero eigenvalue measured absolutely), per family index, for the refined
-#: finite-difference route at the reference grids (L=12, N=2000 for n=1;
-#: L=6, N=4000 for n=2; L=6, N=1000 for n=3).  Values come from a refinement
-#: sweep over N = 500..8000 and counts 1..8, not from an assumed convergence
-#: order: each is at least 10x the worst error at its reference grid (2.0e-8,
-#: 1.0e-8 and 2.0e-6).  For n >= 3 the useful grid window is bounded on both
-#: sides (see the module docstring).
+#: finite-difference route at the grids of FD_REFERENCE_GRID.  Values come
+#: from a refinement sweep over N = 500..8000 and counts 1..8, not from an
+#: assumed convergence order: each is at least 10x the worst error at its
+#: reference grid (2.0e-8, 1.0e-8 and 2.0e-6).  For n >= 3 the useful grid
+#: window is bounded on both sides (see the module docstring).
 FD_DOCUMENTED_TOLERANCE = {1: 1e-6, 2: 1e-6, 3: 1e-4}
 
 
@@ -57,13 +61,6 @@ class GalerkinProblem(Record):
     """Exact weak-form matrices of a+a over one residue-class monomial basis."""
 
     __slots__ = _fields = ("n", "residue", "exponents", "h_matrix", "s_matrix")
-
-    def __init__(self, n: int, residue: int, exponents: tuple, h_matrix: tuple, s_matrix: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "h_matrix", h_matrix)
-        object.__setattr__(self, "s_matrix", s_matrix)
 
     @property
     def size(self) -> int:
@@ -80,16 +77,7 @@ class SpectrumReport(Record):
     """
 
     __slots__ = _fields = ("method", "n", "computed", "theory", "rel_errors", "details", "passed")
-
-    def __init__(self, method: str, n: int, computed: tuple, theory: tuple, rel_errors: tuple,
-                 details: dict | None = None, *, passed: bool):
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "rel_errors", rel_errors)
-        object.__setattr__(self, "details", {} if details is None else details)
-        object.__setattr__(self, "passed", passed)
+    _defaults = {"details": dict}
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +110,7 @@ def _untilded_sector(n: int, residue: int) -> SectorLabel:
 def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> GalerkinProblem:
     """Assemble exact H and S for the residue-class basis of the given size.
 
-    Both are Gram matrices, so the upper triangles are computed and mirrored.
+    Both are Gram matrices, of the lowered basis and of the basis (towers._gram).
     """
     n = system.n
     if size < 1:
@@ -131,18 +119,12 @@ def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> Galerk
     exponents = tuple(residue + 2 * n * t for t in range(size))
     basis = [monomial_state(n, k) for k in exponents]
     lowered = [apply_generator(system, Generator.A, b) for b in basis]
-    h_rows = [[None] * size for _ in range(size)]
-    s_rows = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            h_rows[i][j] = h_rows[j][i] = inner_product(lowered[i], lowered[j])
-            s_rows[i][j] = s_rows[j][i] = inner_product(basis[i], basis[j])
     return GalerkinProblem(
         n=n,
         residue=residue,
         exponents=exponents,
-        h_matrix=tuple(map(tuple, h_rows)),
-        s_matrix=tuple(map(tuple, s_rows)),
+        h_matrix=tuple(map(tuple, _gram(lowered))),
+        s_matrix=tuple(map(tuple, _gram(basis))),
     )
 
 

@@ -75,23 +75,19 @@ class CoupledSusySystem(Record):
 
     _fields = ("n", "gamma", "delta", "generators", "mutation")
     __slots__ = _fields + ("pairs", "_hash")
+    _defaults = {"mutation": None}
 
-    def __init__(self, n: int, gamma: Fraction, delta: Fraction, generators: tuple,
-                 mutation: str | None = None):
-        if gamma > 0 or delta < 0:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.gamma > 0 or self.delta < 0:
             raise ValueError("positivity requires gamma <= 0 <= delta")
-        if not gamma < delta:
+        if not self.gamma < self.delta:
             raise ValueError("a coupled SUSY system needs gamma < delta")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "mutation", mutation)
         object.__setattr__(self, "pairs", tuple(
-            PartnerPair(row, *[_compose(generators, w) for w in row[:4]], getattr(self, row[4]))
+            PartnerPair(row, *[_compose(self.generators, w) for w in row[:4]], getattr(self, row[4]))
             for row in _PAIRS
         ))
-        object.__setattr__(self, "_hash", hash((n, gamma, delta, generators, mutation)))
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self):
         return self._hash
@@ -199,16 +195,7 @@ class VerificationReport(Record):
     """
 
     __slots__ = _fields = ("identity", "n", "k_range", "passed", "first_failure", "checked", "note")
-
-    def __init__(self, identity: str, n: int, k_range: tuple, passed: bool,
-                 first_failure: dict | None = None, checked: int = 0, note: str = ""):
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k_range", k_range)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_failure", first_failure)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "note", note)
+    _defaults = {"first_failure": None, "checked": 0, "note": ""}
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -236,13 +223,7 @@ def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -
             "residual_operator": residual.serialize(),
         }
     return VerificationReport(
-        identity=name,
-        n=system.n,
-        k_range=(min(ks), max(ks)),
-        passed=residual.is_zero,
-        first_failure=first_failure,
-        checked=len(ks),
-        note=_PROOF_NOTE,
+        name, system.n, (min(ks), max(ks)), residual.is_zero, first_failure, len(ks), _PROOF_NOTE
     )
 
 

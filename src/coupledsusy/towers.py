@@ -102,14 +102,6 @@ class EigenstateRecord(Record):
 
     __slots__ = _fields = ("sector", "m", "state", "norm_sq", "eigenvalue")
 
-    def __init__(self, sector: SectorLabel, m: int, state: GaussPolyState, norm_sq: GammaVector,
-                 eigenvalue: Fraction):
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "norm_sq", norm_sq)
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-
     def to_json_dict(self) -> dict:
         """ValueError once an int passes the int-to-text digit limit (n = 1: from level 800)."""
         return {
@@ -265,13 +257,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     value = tower_eigenvalue(system, sector, m)
     if state.is_zero or system.pairs[sector.is_tilde].hamiltonian.apply(state) != state.scale(value):
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(
-        sector=sector,
-        m=m,
-        state=state,
-        norm_sq=_norm_sq(system, sector, state, value),
-        eigenvalue=value,
-    )
+    return EigenstateRecord(sector, m, state, _norm_sq(system, sector, state, value), value)
 
 
 def ground_states(system: CoupledSusySystem):
@@ -384,14 +370,19 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
 
 
 def gram_matrix(records) -> list:
-    """Exact pairwise inner products of the given records: one triangle, mirrored, as <b, a> = <a, b>."""
-    records = list(records)
-    if len({r.state.n for r in records}) > 1:
+    """Exact pairwise inner products of the given records."""
+    states = [r.state for r in records]
+    if len({s.n for s in states}) > 1:
         raise FamilyMismatchError("records belong to different families")
-    rows = [[None] * len(records) for _ in records]
-    for i, a in enumerate(records):
-        for j in range(i, len(records)):
-            rows[i][j] = rows[j][i] = inner_product(a.state, records[j].state)
+    return _gram(states)
+
+
+def _gram(states: list) -> list:
+    """Rows of <a, b> over the states: one triangle, mirrored, as <b, a> = <a, b>."""
+    rows = [[None] * len(states) for _ in states]
+    for i, a in enumerate(states):
+        for j in range(i, len(states)):
+            rows[i][j] = rows[j][i] = inner_product(a, states[j])
     return rows
 
 

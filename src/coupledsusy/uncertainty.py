@@ -49,7 +49,6 @@ from .calculus import (
     FamilyMismatchError,
     GammaVector,
     GaussPolyState,
-    Operator,
     Record,
     evaluate_gamma_vector_mp,
     inner_product,
@@ -73,12 +72,7 @@ class OperatorExpression(Record):
     """
 
     __slots__ = _fields = ("name", "op", "imaginary", "sector")
-
-    def __init__(self, name: str, op: Operator, imaginary: bool = False, sector: int | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "imaginary", imaginary)
-        object.__setattr__(self, "sector", sector)
+    _defaults = {"imaginary": False, "sector": None}
 
     def compose(self, other: "OperatorExpression") -> "OperatorExpression":
         """Operator product self . other (other acts first); i . i = -1."""
@@ -109,7 +103,7 @@ def _ladder_observables(system: CoupledSusySystem, sector: int) -> tuple:
     """(L, A) of sector 1, or (L~, A~) of sector 2: -(R + L)/2 and i(R - L)/2 over its pair's words."""
     pair, tilde = system.pairs[sector - 1], "~" * (sector == 2)
     return (
-        OperatorExpression(f"L{tilde}", (pair.raising + pair.lowering).scale(-_HALF), sector=sector),
+        OperatorExpression(f"L{tilde}", (pair.raising + pair.lowering).scale(-_HALF), False, sector),
         OperatorExpression(f"A{tilde}", (pair.raising - pair.lowering).scale(_HALF), True, sector),
     )
 
@@ -139,7 +133,7 @@ def x_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
         op = a + b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"X{which}", op.scale_sqrt2(-1))
+    return OperatorExpression(f"X{which}", op.scale_sqrt2(-1), False, None)
 
 
 def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
@@ -151,7 +145,7 @@ def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
         op = a - b
     else:
         raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"P{which}", op.scale_sqrt2(-1), True)
+    return OperatorExpression(f"P{which}", op.scale_sqrt2(-1), True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +287,7 @@ def sigma(system, expr, state) -> float:
 
 class UncertaintyResult(Record):
     __slots__ = _fields = ("pair", "sigma1", "sigma2", "product", "bound", "passed", "details")
-
-    def __init__(self, pair: str, sigma1: float, sigma2: float, product: float, bound: float,
-                 passed: bool, details: dict | None = None):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "sigma1", sigma1)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "details", {} if details is None else details)
+    _defaults = {"details": dict}
 
     @property
     def equality_gap(self) -> float:
@@ -336,7 +321,7 @@ def _sector_product(system, state, sector: int) -> UncertaintyResult:
     """
     row = system.pairs[sector - 1]
     obs_l, obs_a = _ladder_observables(system, sector)
-    number_op = OperatorExpression(row.names[0], row.hamiltonian, sector=sector)
+    number_op = OperatorExpression(row.names[0], row.hamiltonian, False, sector)
     exprs = (obs_l, obs_l.compose(obs_l), obs_a, obs_a.compose(obs_a), obs_l.commutator_with(obs_a), number_op)
     mean_l, second_l, mean_a, second_a, comm, number = (expectation_exact(system, e, state) for e in exprs)
     norm = _norm_sq(state)
@@ -375,24 +360,19 @@ class DirectSumState(Record):
 
     __slots__ = _fields = ("component1", "component2", "weight1", "weight2")
 
-    def __init__(self, component1: GaussPolyState | EigenstateRecord | None,
-                 component2: GaussPolyState | EigenstateRecord | None, weight1: Fraction,
-                 weight2: Fraction):
-        w1, w2 = Fraction(weight1), Fraction(weight2)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        w1, w2 = Fraction(self.weight1), Fraction(self.weight2)
         if w1 < 0 or w2 < 0 or w1 + w2 != 1:
             raise ValueError("squared weights must be nonnegative and sum to 1 exactly")
-        if (w1 > 0) != (component1 is not None):
+        if (w1 > 0) != (self.component1 is not None):
             raise ValueError("component 1 must be present iff weight1 > 0")
-        if (w2 > 0) != (component2 is not None):
+        if (w2 > 0) != (self.component2 is not None):
             raise ValueError("component 2 must be present iff weight2 > 0")
-        if component1 is not None and _as_state(component1).is_zero:
+        if self.component1 is not None and _as_state(self.component1).is_zero:
             raise ValueError("component 1 is the zero state")
-        if component2 is not None and _as_state(component2).is_zero:
+        if self.component2 is not None and _as_state(self.component2).is_zero:
             raise ValueError("component 2 is the zero state")
-        object.__setattr__(self, "component1", component1)
-        object.__setattr__(self, "component2", component2)
-        object.__setattr__(self, "weight1", weight1)
-        object.__setattr__(self, "weight2", weight2)
 
 
 def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:

@@ -963,3 +963,92 @@ def test_record_base_semantics():
     assert not hasattr(pair, "__dict__")
     assert repr(pair) == "_Pair(left=1, right=Fraction(1, 2))"
     assert repr(_OtherPair(0, "x")) == "_OtherPair(left=0, right='x')"
+
+
+#: Every Record subclass the package defines.
+_RECORD_CLASSES = (
+    "CoupledSusySystem", "VerificationReport", "EigenstateRecord", "CoherentState", "HalfLoweringCheck",
+    "GalerkinProblem", "SpectrumReport", "OperatorExpression", "UncertaintyResult", "DirectSumState",
+)
+
+
+@pytest.fixture(scope="module")
+def package_records() -> dict:
+    """Class name -> one record of that class, built by the library."""
+    from coupledsusy import coherent, spectral, towers, uncertainty
+
+    sys2 = make_xn_system(2)
+    psi0, phi0 = towers.ground_states(sys2)
+    samples = [
+        sys2,
+        verify_coupled_susy(sys2, range(-2, 3))[0],
+        eigenstate(sys2, SectorLabel.PHI, 3),
+        coherent.coherent_state(sys2, SectorLabel.PSI, 0.3 + 0.2j, 1e-8),
+        coherent.verify_half_lowering(sys2, SectorLabel.PSI, 0.3, 1e-8),
+        spectral.build_galerkin(sys2, 0, 3),
+        spectral.galerkin_spectrum(make_xn_system(1), 0, 4),
+        uncertainty.observable_A(sys2),
+        uncertainty.uncertainty_product_LA(sys2, psi0),
+        uncertainty.direct_sum(psi0, Fraction(1, 4), phi0, Fraction(3, 4)),
+    ]
+    return {type(r).__name__: r for r in samples}
+
+
+def test_every_package_record_class_is_sampled(package_records):
+    pending, defined = [Record], set()
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("coupledsusy."):
+                defined.add(cls.__name__)
+    assert defined == set(_RECORD_CLASSES) == set(package_records)
+
+
+@pytest.mark.parametrize("name", _RECORD_CLASSES)
+def test_record_constructor_binds_positions_and_keywords_alike(name, package_records):
+    record = package_records[name]
+    cls, values = type(record), record._values()
+    by_keyword = dict(zip(cls._fields, values))
+    assert cls(*values) == record == cls(**by_keyword)
+    assert cls(*values[:2], **dict(list(by_keyword.items())[2:])) == record
+    assert repr(cls(**by_keyword)) == repr(record)
+    # omitted fields take their defaults, positionally and by keyword alike
+    required = [f for f in cls._fields if f not in cls._defaults]
+    short = cls(**{f: by_keyword[f] for f in required})
+    if cls._fields[:len(required)] == tuple(required):
+        assert cls(*values[:len(required)]) == short
+    for field, default in cls._defaults.items():
+        assert getattr(short, field) == (default() if callable(default) else default)
+
+
+@pytest.mark.parametrize("name", _RECORD_CLASSES)
+def test_record_constructor_rejects_what_a_signature_rejects(name, package_records):
+    cls, values = type(package_records[name]), package_records[name]._values()
+    fields = cls._fields
+    first, last = fields[0], [f for f in fields if f not in cls._defaults][-1]
+    cases = [
+        (lambda: cls(**dict(zip(fields[1:], values[1:]))), f"missing required argument '{first}'"),
+        (lambda: cls(*values[:fields.index(last)]), f"missing required argument '{last}'"),
+        (lambda: cls(*values, bogus=1), "got an unexpected keyword argument 'bogus'"),
+        (lambda: cls(*values, **{first: values[0]}), f"got multiple values for argument '{first}'"),
+        (lambda: cls(*values, None), f"takes {len(fields)} arguments but {len(fields) + 1} were given"),
+    ]
+    for build, message in cases:
+        with pytest.raises(TypeError, match=f"^{name}\\(\\) {message}$"):
+            build()
+
+
+def test_omitted_details_is_a_fresh_dict_per_record(package_records):
+    factories = 0
+    for record in package_records.values():
+        cls = type(record)
+        if "details" not in cls._defaults:
+            continue
+        factories += 1
+        given = {f: v for f, v in zip(cls._fields, record._values()) if f != "details"}
+        first, second = cls(**given), cls(**given)
+        assert first.details == {} == second.details
+        assert first.details is not second.details
+        first.details["grid"] = 2
+        assert second.details == {} and cls(**given).details == {}
+    assert factories == 2  # SpectrumReport and UncertaintyResult

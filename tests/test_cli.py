@@ -359,6 +359,64 @@ def test_config_file_precedence(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("sector", ["eigenfunctions", "--n", "2"]),
+        ("sector", ["coherent", "--n", "2"]),
+        ("format", ["verify", "--n", "1"]),
+        ("format", ["eigenfunctions", "--n", "1"]),
+        ("pair", ["uncertainty", "--n", "1"]),
+    ],
+)
+def test_config_values_are_held_to_the_flag_choices(key, argv, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = bogus\n")
+    code = main(argv + ["--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key {key}: invalid choice 'bogus' (choose from ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, argv",
+    [
+        ("sector", "phitilde", ["eigenfunctions", "--n", "2", "--m", "1"]),
+        ("sector", "phi", ["coherent", "--n", "2"]),
+        ("format", "csv", ["coherent", "--n", "2"]),
+        ("pair", "all", ["uncertainty", "--n", "1"]),
+    ],
+)
+def test_valid_config_choices_act_as_their_flags(key, value, argv, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    from_config = run_cli(argv + ["--config", str(config)], capsys)
+    assert from_config == run_cli(argv + [f"--{key}", value], capsys)
+    assert from_config[0] == 0
+    # a flag still beats a bad config value
+    config.write_text(f"{key} = bogus\n")
+    assert run_cli(argv + ["--config", str(config), f"--{key}", value], capsys) == from_config
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fd_defaults_are_the_reference_grids(n, monkeypatch, capsys):
+    from coupledsusy import spectral
+
+    class Called(Exception):
+        pass
+
+    def fd_spectrum(n, half_width, grid_count, count):
+        raise Called(half_width, grid_count)
+
+    monkeypatch.setattr(spectral, "fd_spectrum", fd_spectrum)
+    with pytest.raises(Called) as called:
+        main(["spectrum", "--n", str(n), "--fd"])
+    assert called.value.args == spectral.FD_REFERENCE_GRID[min(n, 3)]
+    assert sorted(spectral.FD_REFERENCE_GRID) == sorted(spectral.FD_DOCUMENTED_TOLERANCE)
+
+
 def test_atomic_output_no_partial_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run_cli(["verify", "--n", "0", "--out", str(target)], capsys)
@@ -521,15 +579,29 @@ def test_mutated_verify_bytes_are_pinned(tag, digest, capsys):
 _AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
+#: Samples the README eigenfunctions record on np.linspace(-4, 4, 401) by the array route, as float hex.
+_ARRAY_ROUTE_SAMPLES = """
+import numpy as np
+from coupledsusy.systems import make_xn_system
+from coupledsusy.towers import SectorLabel, eigenstate, normalized_samples
+record = eigenstate(make_xn_system(2), SectorLabel.PSI, 3)
+values = normalized_samples(record, np.linspace(-4.0, 4.0, 401))
+assert isinstance(values, np.ndarray)
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
 @pytest.mark.parametrize("disabled", [None, _AVX512], ids=["default", "no-avx512"])
-def test_eigenfunction_bytes_do_not_depend_on_numpy_dispatch(disabled, tmp_path):
-    command, digest = next(pin for pin in README_GOLDEN if pin[0].startswith("eigenfunctions"))
-    argv = command.split()
-    out_file = tmp_path / argv[argv.index("--out") + 1]
-    argv[argv.index("--out") + 1] = str(out_file)
+def test_eigenfunction_bytes_do_not_depend_on_numpy_dispatch(disabled):
+    command, _ = next(pin for pin in README_GOLDEN if pin[0].startswith("eigenfunctions"))
+    assert command.split()[:5] == ["eigenfunctions", "--n", "2", "--m", "3"] and "-4:4:401" in command
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    subprocess.run([sys.executable, "-m", "coupledsusy.cli", *argv], env=env, check=True, timeout=120)
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    result = subprocess.run([sys.executable, "-c", _ARRAY_ROUTE_SAMPLES], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    record = towers.eigenstate(make_xn_system(2), towers.SectorLabel.PSI, 3)
+    listed = towers.normalized_samples(record, cli._grid_points(-4.0, 4.0, 401))
+    assert isinstance(listed, list)
+    assert result.stdout.split() == [v.hex() for v in listed]
