@@ -11,12 +11,7 @@ combination of shifted monomials, times a global 1/sqrt(2).  Those sqrt(2)
 factors are tracked separately as an integer "half power" so that all
 coefficient arithmetic stays in Q: a state represents
 
-    2^(-w/2) * sum_k (c_k / d) x^k * exp(-x^(2n)/(2n)),
-
-with w canonicalised into {0, 1} (even parts are folded into the
-coefficients) and int numerators c_k over one int denominator d > 0,
-reduced so that gcd(d, c_k...) = 1.  The {k: Fraction} map `terms` is
-derived from them on first read.
+    2^(-w/2) * sum_k (c_k / d) x^k * exp(-x^(2n)/(2n)).
 
 Operators live in the same exact world.  An Operator sends each monomial
 x^k to sum_s p_s(k) x^(k+s), where every p_s is a polynomial in k with
@@ -33,11 +28,17 @@ n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
     int_R x^j exp(-x^(2n)/n) dx = G_r * prod_{i<t} (r + 2ni) / (n 2^t).
 
 A GammaVector stores such a combination exactly; numeric values come out of
-an arbitrary-precision evaluator with a certified error bound.  An Operator
-stores its polynomials like a state: int coefficients over one int
-denominator, reduced once per result.  Applying operators, composing,
-adding and scaling them, and the inner product all run on those ints with
-no Fraction in between.
+an arbitrary-precision evaluator with a certified error bound.
+
+States, operators and GammaVectors share one exact int form (_IntForm):
+nonzero int numerators over one int denominator d > 0, reduced so that
+gcd(d, every numerator) = 1, with the half power w folded into {0, 1}
+(even parts go into the ints; a GammaVector's w is 0).  A state's ints
+are the c_k above, an operator's the coefficients of its p_s, a
+GammaVector's those of its G_r.  Applying and composing operators,
+adding and scaling any of them, comparing them, exact ratios and the
+inner product all run on those ints with no Fraction in between; the
+Fraction maps `terms` and `coeffs` are derived on first read.
 
 Negative exponents are legal in intermediate states (some generators leave
 the polynomial towers); integrability is only enforced when an inner
@@ -144,67 +145,197 @@ RAISING_WORD = (Generator.ADAG, Generator.B)
 LOWERING_WORD = (Generator.BDAG, Generator.A)
 
 
-class GaussPolyState:
-    """A sparse exact state q(x) * exp(-x^(2n)/(2n)) with a sqrt(2) half power.
+class _IntForm:
+    """Base of the exact forms: 2^(-half/2) * (int numerators over one int den).
 
-    Immutable.  The coefficients are nonzero int numerators `nums` {k: c_k}
-    over one int denominator `den` > 0 with gcd(den, *c_k) == 1, and even
-    half powers of 2 are folded into them, so two states are equal iff their
-    n, half_power, den and nums are.  `terms`, the same map as {k: Fraction}
-    in the same key order, is derived on first read.
+    This is the one canonical store.  It keeps nonzero ints over one den > 0
+    with gcd(den, every int) == 1 and folds even half powers of 2 into
+    them, so the half power is 0 or 1 (0 for the zero form); two forms of
+    one class are equal iff their family, half power, den and ints are.  A
+    subclass holds its ints in `_data`, in its own shape, and names its
+    plural for error messages in `_KIND`.  The store reaches the ints only
+    through whole-map hooks on that shape, so it runs no call per
+    coefficient: `_canon` (zeros dropped, canonical order), `_times`,
+    `_floordiv`, `_ints` (every int), `_combine` (a * one map + b * another)
+    and `_fractions` (the Fraction view).  The hooks here are those of a
+    map {key: int}; Operator overrides them for its polynomials.
+    Immutable; the Fraction view and the hash are computed on first use.
     """
 
-    __slots__ = ("n", "half_power", "nums", "den", "_terms")
+    __slots__ = ("_family", "_data", "_den", "_half", "_hash", "_view")
+
+    def _set(self, family, data, den: int, half: int):
+        """Store data, in the subclass's raw shape, canonically over den > 0."""
+        data = self._canon(data)
+        fold = half >> 1  # floor division, works for negatives
+        if fold > 0:
+            den <<= fold
+        elif fold < 0:
+            data = self._times(data, 1 << -fold)
+        g = math.gcd(den, *self._ints(data))
+        if g != 1:
+            data, den = self._floordiv(data, g), den // g
+        store = object.__setattr__  # _hash and _view stay unset until first use
+        store(self, "_family", family)
+        store(self, "_data", data)
+        store(self, "_den", den)
+        store(self, "_half", half & 1 if data else 0)  # one zero form
+
+    @classmethod
+    def _from_ints(cls, family, data, den: int, half: int):
+        """The form 2^(-half/2) * data / den of a family; data in the raw shape, den > 0."""
+        form = object.__new__(cls)
+        form._set(family, data, den, half)
+        return form
+
+    def _set_fractions(self, family, fracs, half: int):
+        """Store data whose entries are Fractions: over their lcm den, c // (1/den) is the int c * den."""
+        den = math.lcm(*[c.denominator for c in self._ints(fracs)])
+        self._set(family, self._floordiv(fracs, Fraction(1, den)), den, half)
+
+    @staticmethod
+    def _canon(data: dict) -> dict:
+        return {k: c for k, c in data.items() if c}
+
+    @staticmethod
+    def _times(data: dict, factor) -> dict:
+        return {k: c * factor for k, c in data.items()}
+
+    @staticmethod
+    def _floordiv(data: dict, divisor) -> dict:
+        return {k: c // divisor for k, c in data.items()}
+
+    @staticmethod
+    def _ints(data: dict):
+        return data.values()
+
+    @staticmethod
+    def _combine(data: dict, a: int, other: dict, b: int) -> dict:
+        out = {k: c * a for k, c in data.items()}
+        for k, c in other.items():
+            out[k] = out.get(k, 0) + c * b
+        return out
+
+    @staticmethod
+    def _fractions(data: dict, den: int) -> dict:
+        return {k: Fraction(c, den) for k, c in data.items()}
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fraction_view(self):
+        try:
+            return self._view
+        except AttributeError:
+            object.__setattr__(self, "_view", self._fractions(self._data, self._den))
+            return self._view
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._data
+
+    def scale(self, r):
+        r = Fraction(r)
+        data = self._times(self._data, r.numerator)
+        return self._from_ints(self._family, data, self._den * r.denominator, self._half)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, for sign in {1, -1}."""
+        if self._family != other._family:
+            raise FamilyMismatchError(f"cannot add {self._KIND} with different n")
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other if sign == 1 else other.scale(-1)
+        if self._half != other._half:
+            raise ValueError(
+                f"cannot add {self._KIND} of mismatched sqrt(2) parity exactly; "
+                "rescale one side with scale_sqrt2 first"
+            )
+        den = math.lcm(self._den, other._den)
+        data = self._combine(self._data, den // self._den, other._data, sign * (den // other._den))
+        return self._from_ints(self._family, data, den, self._half)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._family, self._half, self._den, self._data) == (
+            other._family, other._half, other._den, other._data)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            ints = frozenset(dict(self._data).items())  # a map's items, or an operator's pairs
+            object.__setattr__(self, "_hash", hash((self._family, self._half, self._den, ints)))
+            return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.serialize()!r})"
+
+    def _ratio(self, other):
+        """(q, j) with self == q * 2^(j/2) * other for a rational q, or None; for map forms.
+
+        Zero is 0 times anything, and nothing nonzero is a multiple of zero.
+        Otherwise the keys must agree and the ints be proportional, checked
+        in ints against the pair at the largest key.
+        """
+        if self._family != other._family:
+            raise FamilyMismatchError(f"{self._KIND} belong to different families")
+        mine, theirs = self._data, other._data
+        if not mine:
+            return Fraction(0), 0
+        if mine.keys() != theirs.keys():
+            return None
+        lead = max(theirs)
+        p, q = mine[lead], theirs[lead]  # self = (p/q) (other den / self den) other, termwise
+        for k, c in theirs.items():
+            if mine[k] * q != p * c:
+                return None
+        return Fraction(p * other._den, q * self._den), other._half - self._half
+
+
+class _HalfPowerForm(_IntForm):
+    """An int form that scales by powers of sqrt(2) and negates: states and operators."""
+
+    __slots__ = ()
+
+    def scale_sqrt2(self, j: int):
+        """Multiply by 2^(j/2) exactly."""
+        return self._from_ints(self._family, self._data, self._den, self._half - j)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+
+class GaussPolyState(_HalfPowerForm):
+    """A sparse exact state q(x) * exp(-x^(2n)/(2n)) with a sqrt(2) half power.
+
+    An int form (_IntForm) of family n: nonzero int numerators `nums`
+    {k: c_k} over `den`, so two states are equal iff their n, half_power,
+    den and nums are.  `terms`, the same map as {k: Fraction} in the same
+    key order, is derived on first read.
+    """
+
+    __slots__ = ()
+    _KIND = "states"
+    n, nums, den, half_power = _IntForm._family, _IntForm._data, _IntForm._den, _IntForm._half
 
     def __init__(self, n: int, terms: Mapping[int, object], half_power: int = 0):
         if n < 1:
             raise ValueError("family index n must be a positive integer")
-        fracs = {int(k): Fraction(c) for k, c in terms.items()}
-        fracs = {k: c for k, c in fracs.items() if c}
-        den = math.lcm(*[c.denominator for c in fracs.values()])
-        nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
-        self._set(int(n), nums, den, half_power)
+        self._set_fractions(int(n), {int(k): Fraction(c) for k, c in terms.items()}, half_power)
 
-    def _set(self, n: int, nums: dict, den: int, half_power: int):
-        """Store nonzero int numerators over den > 0, folding the half power and reducing."""
-        fold = half_power >> 1  # floor division, works for negatives
-        if fold > 0:
-            den <<= fold
-        elif fold < 0:
-            nums = {k: c << -fold for k, c in nums.items()}
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: c // g for k, c in nums.items()}
-            den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "half_power", half_power & 1 if nums else 0)  # one zero state
-        object.__setattr__(self, "_terms", None)
-
-    @classmethod
-    def _from_ints(cls, n: int, nums: dict, den: int, half_power: int) -> "GaussPolyState":
-        """The state 2^(-half_power/2) * sum_k nums[k]/den x^k ...; nums nonzero, den > 0."""
-        state = object.__new__(cls)
-        state._set(n, nums, den, half_power)
-        return state
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussPolyState is immutable")
-
-    @property
-    def terms(self) -> dict:
-        """The coefficients as {k: Fraction}, in the key order of `nums`."""
-        if self._terms is None:
-            den = self.den
-            object.__setattr__(self, "_terms", {k: Fraction(c, den) for k, c in self.nums.items()})
-        return self._terms
+    terms = property(_IntForm._fraction_view,
+                     doc="The coefficients as {k: Fraction}, in the key order of `nums`.")
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def min_exponent(self):
         return min(self.nums) if self.nums else None
@@ -213,60 +344,6 @@ class GaussPolyState:
         """Residue classes mod 2n occupied by the exponents."""
         mod = 2 * self.n
         return {k % mod for k in self.nums}
-
-    # -- algebra -----------------------------------------------------------
-
-    def scale(self, r) -> "GaussPolyState":
-        r = Fraction(r)
-        p = r.numerator
-        nums = {k: c * p for k, c in self.nums.items()} if p else {}
-        return GaussPolyState._from_ints(self.n, nums, self.den * r.denominator, self.half_power)
-
-    def scale_sqrt2(self, j: int) -> "GaussPolyState":
-        """Multiply the state by 2^(j/2) exactly."""
-        return GaussPolyState._from_ints(self.n, self.nums, self.den, self.half_power - j)
-
-    def __add__(self, other: "GaussPolyState") -> "GaussPolyState":
-        if self.n != other.n:
-            raise FamilyMismatchError("cannot add states with different n")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.half_power != other.half_power:
-            raise ValueError(
-                "cannot add states of mismatched sqrt(2) parity exactly; "
-                "rescale one side with scale_sqrt2 first"
-            )
-        den = math.lcm(self.den, other.den)
-        mine, theirs = den // self.den, den // other.den
-        out = {k: c * mine for k, c in self.nums.items()}
-        for k, c in other.nums.items():
-            out[k] = out.get(k, 0) + c * theirs
-        nums = {k: c for k, c in out.items() if c}
-        return GaussPolyState._from_ints(self.n, nums, den, self.half_power)
-
-    def __neg__(self) -> "GaussPolyState":
-        return self.scale(-1)
-
-    def __sub__(self, other: "GaussPolyState") -> "GaussPolyState":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussPolyState):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.half_power == other.half_power
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.half_power, self.den, frozenset(self.nums.items())))
-
-    def __repr__(self):
-        return f"GaussPolyState({self.serialize()!r})"
 
     # -- canonical text form ------------------------------------------------
 
@@ -328,74 +405,63 @@ def _poly_shift(p, s: int) -> list:
     return out
 
 
-class Operator:
+class Operator(_HalfPowerForm):
     """An exact linear map x^k -> 2^(-w/2) * sum_s p_s(k) x^(k+s).
 
-    The polynomials p_s(k) = (c0 + c1 k + ...) / den are stored like a
-    GaussPolyState: `polys` holds (s, (c0, c1, ...)) with int c_i in
-    ascending shift order, trailing zero coefficients and zero polynomials
-    dropped, over one int `den` > 0 with gcd(den, every c_i) == 1, and even
-    half powers w are folded into the ints.  Two operators are therefore
-    equal iff they act identically on x^k for every integer k.  `terms`,
-    the same map as {s: (Fraction, ...)}, is derived on first read.
-
-    Immutable; the hash is computed once, because the systems that hold
-    generator operators key the tower-state cache.
+    An int form (_IntForm) with no family: `polys` holds (s, (c0, c1, ...))
+    for p_s(k) = (c0 + c1 k + ...) / den, in ascending shift order with
+    trailing zero coefficients and zero polynomials dropped.  Two operators
+    are therefore equal iff they act identically on x^k for every integer
+    k.  `terms`, the same map as {s: (Fraction, ...)}, is derived on first
+    read.  The systems that hold generator operators key the tower-state
+    cache, so the hash, computed once, matters.
     """
 
-    __slots__ = ("polys", "den", "half_power", "_hash", "_terms")
+    __slots__ = ()
+    _KIND = "operators"
+    polys, den, half_power = _IntForm._data, _IntForm._den, _IntForm._half
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
-        fracs = {int(s): [Fraction(c) for c in p] for s, p in terms.items()}
-        den = math.lcm(*[c.denominator for p in fracs.values() for c in p])
-        polys = {s: [c.numerator * (den // c.denominator) for c in p] for s, p in fracs.items()}
-        self._set(polys, den, half_power)
+        fracs = [(int(s), [Fraction(c) for c in p]) for s, p in terms.items()]
+        self._set_fractions(None, fracs, half_power)
 
-    def _set(self, polys: dict, den: int, half_power: int):
-        """Store {s: int list} over den > 0 canonically, with one gcd; trims the lists in place."""
-        fold = half_power >> 1  # floor division, works for negatives
-        if fold > 0:
-            den <<= fold
+    terms = property(_IntForm._fraction_view,
+                     doc="The polynomials as {s: (Fraction, ...)}, in ascending shift order.")
+
+    # The store's hooks on (s, coefficients) pairs with distinct s, in place of the map ones.
+
+    @staticmethod
+    def _canon(pairs) -> tuple:
         canon = []
-        for s in sorted(polys):
-            p = polys[s]
+        for s, p in sorted(pairs):
             while p and not p[-1]:
-                p.pop()
+                p = p[:-1]
             if p:
-                canon.append((s, [c << -fold for c in p] if fold < 0 else p))
-        g = math.gcd(den, *[c for _, p in canon for c in p])
-        if g != 1:
-            canon = [(s, [c // g for c in p]) for s, p in canon]
-            den //= g
-        polys = tuple([(s, tuple(p)) for s, p in canon])
-        half_power = half_power & 1 if polys else 0  # the zero operator has one canonical form
-        object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "half_power", half_power)
-        object.__setattr__(self, "_hash", hash((half_power, den, polys)))
-        object.__setattr__(self, "_terms", None)
+                canon.append((s, tuple(p)))
+        return tuple(canon)
 
-    @classmethod
-    def _from_ints(cls, polys: dict, den: int, half_power: int) -> "Operator":
-        """The operator 2^(-half_power/2) * {s: polys[s] / den}; fresh int lists, den > 0."""
-        op = object.__new__(cls)
-        op._set(polys, den, half_power)
-        return op
+    @staticmethod
+    def _times(pairs, factor) -> tuple:
+        return tuple([(s, tuple([c * factor for c in p])) for s, p in pairs])
 
-    def __setattr__(self, *_):
-        raise AttributeError("Operator is immutable")
+    @staticmethod
+    def _floordiv(pairs, divisor) -> tuple:
+        return tuple([(s, tuple([c // divisor for c in p])) for s, p in pairs])
 
-    @property
-    def terms(self) -> dict:
-        """The polynomials as {s: (Fraction, ...)}, in ascending shift order."""
-        if self._terms is None:
-            terms = {s: tuple([Fraction(c, self.den) for c in p]) for s, p in self.polys}
-            object.__setattr__(self, "_terms", terms)
-        return self._terms
+    @staticmethod
+    def _ints(pairs) -> list:
+        return [c for _, p in pairs for c in p]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.polys
+    @staticmethod
+    def _combine(pairs, a: int, other, b: int):
+        out = {s: [c * a for c in p] for s, p in pairs}
+        for s, p in other:
+            out[s] = _poly_add(out.get(s, ()), [c * b for c in p])
+        return out.items()
+
+    @staticmethod
+    def _fractions(pairs, den: int) -> dict:
+        return {s: tuple([Fraction(c, den) for c in p]) for s, p in pairs}
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
         """The image of a state, built shift by shift in ascending order, in ints."""
@@ -411,9 +477,8 @@ class Operator:
                 if coeff:
                     kk = k + shift
                     out[kk] = out.get(kk, 0) + coeff
-        nums = {k: c for k, c in out.items() if c}
         return GaussPolyState._from_ints(
-            state.n, nums, state.den * self.den, state.half_power + self.half_power
+            state.n, out, state.den * self.den, state.half_power + self.half_power
         )
 
     def __matmul__(self, other: "Operator") -> "Operator":
@@ -427,55 +492,8 @@ class Operator:
             for s1, p1 in self.polys:
                 s = s1 + s2
                 out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
-        return Operator._from_ints(out, self.den * other.den, self.half_power + other.half_power)
-
-    def scale(self, r) -> "Operator":
-        r = Fraction(r)
-        p = r.numerator
-        polys = {s: [c * p for c in poly] for s, poly in self.polys}
-        return Operator._from_ints(polys, self.den * r.denominator, self.half_power)
-
-    def scale_sqrt2(self, j: int) -> "Operator":
-        """Multiply the operator by 2^(j/2) exactly."""
-        return Operator._from_ints({s: list(p) for s, p in self.polys}, self.den, self.half_power - j)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return self._sum(other, 1)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self._sum(other, -1)
-
-    def _sum(self, other: "Operator", sign: int) -> "Operator":
-        """self + sign * other, for sign in {1, -1}."""
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other if sign == 1 else -other
-        if self.half_power != other.half_power:
-            raise ValueError(
-                "cannot add operators of mismatched sqrt(2) parity exactly; "
-                "rescale one side with scale_sqrt2 first"
-            )
-        den = math.lcm(self.den, other.den)
-        mine, theirs = den // self.den, sign * (den // other.den)
-        out = {s: [c * mine for c in p] for s, p in self.polys}
-        for s, p in other.polys:
-            out[s] = _poly_add(out.get(s, ()), [c * theirs for c in p])
-        return Operator._from_ints(out, den, self.half_power)
-
-    def __neg__(self) -> "Operator":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return (self.half_power, self.den, self.polys) == (other.half_power, other.den, other.polys)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Operator({self.serialize()!r})"
+        half = self.half_power + other.half_power
+        return Operator._from_ints(None, out.items(), self.den * other.den, half)
 
     def serialize(self) -> str:
         """Canonical text `w; s1:[c0 c1 ...], s2:[...]` (c_i multiply k^i)."""
@@ -517,21 +535,7 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
     the states are not exactly proportional.  Leading terms are compared at
     the largest exponent.
     """
-    if f.n != g.n:
-        raise FamilyMismatchError("states belong to different families")
-    if g.is_zero:
-        return (Fraction(0), 0) if f.is_zero else None
-    if f.is_zero:
-        return (Fraction(0), 0)
-    fn, gn = f.nums, g.nums
-    if fn.keys() != gn.keys():
-        return None
-    lead = max(gn)
-    p, q = fn[lead], gn[lead]  # f = (p/q) (g.den/f.den) g termwise
-    for k, c in gn.items():
-        if fn[k] * q != p * c:
-            return None
-    return Fraction(p * g.den, q * f.den), g.half_power - f.half_power
+    return f._ratio(g)
 
 
 # ---------------------------------------------------------------------------
@@ -539,64 +543,35 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
 # ---------------------------------------------------------------------------
 
 
-class GammaVector:
-    """Exact value sum_r coeffs[r] * Gamma(r/(2n)) * n^(r/(2n)), odd r in 1..2n-1."""
+class GammaVector(_IntForm):
+    """Exact value sum_r coeffs[r] * Gamma(r/(2n)) * n^(r/(2n)), odd r in 1..2n-1.
 
-    __slots__ = ("n", "coeffs")
+    An int form (_IntForm) of family n with half power 0: int numerators
+    {r: c_r} over one den.  `coeffs`, the same map as {r: Fraction} in the
+    same key order, is derived on first read.
+    """
+
+    __slots__ = ()
+    _KIND = "GammaVectors"
+    n = _IntForm._family
 
     def __init__(self, n: int, coeffs: Mapping[int, object]):
         if n < 1:
             raise ValueError("family index n must be a positive integer")
-        canon = {}
+        fracs = {}
         for r, c in coeffs.items():
             r = int(r)
             if r % 2 == 0 or not (1 <= r <= 2 * n - 1):
                 raise ValueError(f"residue {r} is not an odd integer in 1..{2*n-1}")
-            c = Fraction(c)
-            if c != 0:
-                canon[r] = c
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "coeffs", canon)
+            fracs[r] = Fraction(c)
+        self._set_fractions(int(n), fracs, 0)
 
-    def __setattr__(self, *_):
-        raise AttributeError("GammaVector is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, r) -> "GammaVector":
-        r = Fraction(r)
-        return GammaVector(self.n, {k: c * r for k, c in self.coeffs.items()})
-
-    def __add__(self, other: "GammaVector") -> "GammaVector":
-        if self.n != other.n:
-            raise FamilyMismatchError("cannot add GammaVectors with different n")
-        out = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            out[r] = out.get(r, Fraction(0)) + c
-        return GammaVector(self.n, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaVector):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return f"GammaVector({self.serialize()!r})"
+    coeffs = property(_IntForm._fraction_view, doc="The coefficients as {r: Fraction}, in key order.")
 
     def rational_ratio(self, other: "GammaVector"):
         """Rational q with self == q * other, or None if no exact ratio exists."""
-        if self.n != other.n:
-            raise FamilyMismatchError("GammaVectors belong to different families")
-        if self.is_zero or other.is_zero:
-            return Fraction(0) if self.is_zero else None
-        r = max(other.coeffs)
-        q = self.coeffs.get(r, Fraction(0)) / other.coeffs[r]
-        return q if self == other.scale(q) else None
+        ratio = self._ratio(other)
+        return None if ratio is None else ratio[0]
 
     def serialize(self) -> str:
         """Canonical text `n; r1:c1, ...`; ValueError past the int-to-text digit limit, as for states."""
@@ -628,7 +603,8 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     The term pairs collect, in ints over one denominator, into
     sum_j d_j x^j exp(-x^(2n)/n): j <= -1 diverges, odd j vanishes, and each
     residue class r sums d_j prod_{i<t} (r + 2ni) / (n 2^t), j + 1 = r + 2nt,
-    with one running product over t into one Fraction.
+    with one running product over t into one int over the common
+    denominator n f.den g.den 2^(T + w/2), T the largest t.
 
     When no exponent sum can be negative (min f + min g >= 0), only terms of
     equal parity are paired, since odd powers integrate to zero, and <f, f>
@@ -678,22 +654,23 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
                 raise ValueError(_ODD_PARITY)
             return GammaVector(n, {})
     by_residue: dict = {}  # r -> {t: d_j}
+    top = 0
     for j, d in sorted(collected.items()):
         if d == 0:
             continue
         if j <= -1:
             raise DivergenceError(f"integrand term x^{j} is not integrable")
         if j % 2 == 0:
-            t, r = divmod(j + 1, two_n)
-            by_residue.setdefault(r, {})[t] = d
-    coeffs: dict = {}
+            top, r = divmod(j + 1, two_n)  # t grows with j, so the last is the largest
+            by_residue.setdefault(r, {})[top] = d
+    nums: dict = {}
     for r, ds in by_residue.items():
-        top, total, product = max(ds), 0, 1
-        for t in range(top + 1):
+        total, product = 0, 1
+        for t in range(max(ds) + 1):
             total += ds.get(t, 0) * product << (top - t)
             product *= r + two_n * t
-        coeffs[r] = Fraction(total, n * f.den * g.den << (top + total_half // 2))
-    return GammaVector(n, coeffs)
+        nums[r] = total
+    return GammaVector._from_ints(n, nums, n * f.den * g.den << (top + total_half // 2), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,8 @@ _FORMATS = ("json", "csv")
 _PAIRS = ("la", "tilde", "xp", "all")
 
 
-def _load_config_file(path):
+def _load_config_file(path, keys):
+    """The key=value lines of a config file; a key outside `keys` is a typo."""
     values = {}
     try:
         with open(path) as handle:
@@ -86,7 +87,10 @@ def _load_config_file(path):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in keys:
+                    raise ConfigError(f"config key {key}: no command reads it")
+                values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -446,7 +450,9 @@ def main(argv=None) -> int:
     config = {}
     if getattr(args, "config", None):
         try:
-            config = _load_config_file(args.config)
+            # any command's keys, so one file can serve several commands
+            keys = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}
+            config = _load_config_file(args.config, keys - {"command"})
         except ConfigError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2

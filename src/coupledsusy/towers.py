@@ -163,7 +163,7 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
         num, den = num // g, den // g
         levels.append((k, num, den))
     common = math.lcm(*[d for _, _, d in levels])
-    nums = {k: c * (common // d) for k, c, d in reversed(levels) if c}
+    nums = {k: c * (common // d) for k, c, d in reversed(levels)}
     return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
 
 

@@ -6,8 +6,8 @@ and inner products against adaptive mpmath quadrature over the real line.
 The integer hot loops (apply, composition, inner product) are also checked
 for exact equality, key order included, against straightforward Fraction
 reference implementations kept at the end of this file, and the int
-numerator state and operator against the Fraction-map forms they replaced
-(RefState, RefOperator).
+numerator state, operator and GammaVector against the Fraction-map forms
+they replaced (RefState, RefOperator, RefGammaVector).
 """
 
 import math
@@ -466,8 +466,9 @@ def ref_monomial_integral(n, j):
 
 
 def ref_inner_product(f, g):
+    """<f, g> as a RefGammaVector, summed in Fractions monomial by monomial."""
     if f.is_zero or g.is_zero:
-        return GammaVector(f.n, {})
+        return RefGammaVector(f.n, {})
     total_half = f.half_power + g.half_power
     scale = Fraction(1, 2) ** (total_half // 2)
     collected = {}
@@ -478,14 +479,14 @@ def ref_inner_product(f, g):
     if total_half % 2 != 0:  # irrational unless f g is an odd integrand with no negative power
         if min(f.terms) + min(g.terms) < 0 or any(d for j, d in collected.items() if j % 2 == 0):
             raise ValueError("odd combined sqrt(2) parity")
-        return GammaVector(f.n, {})
+        return RefGammaVector(f.n, {})
     coeffs = {}
     for j, d in sorted(collected.items()):
         if d == 0:
             continue
         for r, c in ref_monomial_integral(f.n, j).items():
             coeffs[r] = coeffs.get(r, Fraction(0)) + d * c * scale
-    return GammaVector(f.n, coeffs)
+    return RefGammaVector(f.n, coeffs)
 
 
 NON_DYADIC = (Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(-11, 6))
@@ -582,9 +583,7 @@ def test_inner_product_matches_fraction_reference(inputs):
             with pytest.raises(ValueError, match="odd combined sqrt"):
                 inner_product(left, right)
             continue
-        got = inner_product(left, right)
-        assert got == want
-        assert list(got.coeffs) == list(want.coeffs)
+        assert_matches_ref_gamma(inner_product(left, right), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -599,9 +598,7 @@ def test_tower_states_match_fraction_reference(n):
             for gen in Generator:
                 op = system.generator(gen)
                 assert_matches_ref(op.apply(state), ref.apply(op))
-            got, want = inner_product(state, state), ref_inner_product(state, state)
-            assert got == want
-            assert list(got.coeffs) == list(want.coeffs)
+            assert_matches_ref_gamma(inner_product(state, state), ref_inner_product(state, state))
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +748,106 @@ def test_equal_states_by_different_routes(state, r):
     if not state.is_zero:
         assert proportionality_ratio(state.scale(r), state) == (r, 0)
         assert proportionality_ratio(state, state.scale(r)) == (1 / r, 0)
+
+
+# ---------------------------------------------------------------------------
+# the GammaVector representation: int numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+class RefGammaVector:
+    """The Fraction-map GammaVector the integer representation replaced, kept as an oracle."""
+
+    def __init__(self, n, coeffs):
+        self.n, self.coeffs = n, {}
+        for r, c in coeffs.items():
+            c = Fraction(c)
+            if c != 0:
+                self.coeffs[int(r)] = c
+
+    def scale(self, r):
+        r = Fraction(r)
+        return RefGammaVector(self.n, {k: c * r for k, c in self.coeffs.items()})
+
+    def add(self, other):
+        out = dict(self.coeffs)
+        for r, c in other.coeffs.items():
+            out[r] = out.get(r, Fraction(0)) + c
+        return RefGammaVector(self.n, out)
+
+    def rational_ratio(self, other):
+        if not self.coeffs or not other.coeffs:
+            return Fraction(0) if not self.coeffs else None
+        r = max(other.coeffs)
+        q = self.coeffs.get(r, Fraction(0)) / other.coeffs[r]
+        return q if self.coeffs == other.scale(q).coeffs else None
+
+    def serialize(self):
+        body = ", ".join(f"{r}:{c.numerator}/{c.denominator}" for r, c in sorted(self.coeffs.items()))
+        return f"{self.n}; {body}"
+
+
+def assert_matches_ref_gamma(vector, ref):
+    """Canonical ints (private to a GammaVector), and the Fraction map and text of the reference."""
+    nums, den = list(vector._data.values()), vector._den
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1 and all(nums) and vector._half == 0
+    assert vector.n == ref.n
+    assert vector.coeffs == ref.coeffs
+    assert list(vector.coeffs) == list(ref.coeffs)
+    assert vector.coeffs is vector.coeffs  # derived once
+    assert vector.serialize() == ref.serialize()
+
+
+@st.composite
+def raw_gamma_inputs(draw, n):
+    """A Fraction-like map on odd residues 1..2n-1, zeros and ints included."""
+    residues = draw(st.lists(st.sampled_from(range(1, 2 * n, 2)), max_size=n, unique=True))
+    coeff = st.one_of(oracle_coefficients(), st.integers(-9, 9), st.just(Fraction(0)))
+    return dict(zip(residues, draw(st.lists(coeff, min_size=len(residues), max_size=len(residues)))))
+
+
+@st.composite
+def gamma_programs(draw):
+    """A start vector and up to six steps: scale, + a vector, and the ratio to a vector or to a multiple."""
+    n = draw(st.integers(1, 4))
+    start = draw(raw_gamma_inputs(n))
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["scale", "add", "ratio", "multiple"]))
+        if kind in ("scale", "multiple"):
+            arg = draw(st.one_of(oracle_coefficients(), st.integers(-4, 4)))
+        else:
+            arg = draw(raw_gamma_inputs(n))
+        steps.append((kind, arg))
+    return n, start, steps
+
+
+@given(gamma_programs())
+@settings(max_examples=200, deadline=None)
+def test_gamma_vector_representation_matches_fraction_reference(program):
+    n, coeffs, steps = program
+    vector, ref = GammaVector(n, coeffs), RefGammaVector(n, coeffs)
+    assert_matches_ref_gamma(vector, ref)
+    for kind, arg in steps:
+        if kind == "scale":
+            vector, ref = vector.scale(arg), ref.scale(arg)
+        elif kind == "add":
+            vector, ref = vector + GammaVector(n, arg), ref.add(RefGammaVector(n, arg))
+        else:
+            if kind == "multiple":
+                other, ref_other = vector.scale(arg), ref.scale(arg)
+            else:
+                other, ref_other = GammaVector(n, arg), RefGammaVector(n, arg)
+            assert_matches_ref_gamma(other, ref_other)
+            pairs = ((vector, ref), (other, ref_other))
+            for (a, ref_a), (b, ref_b) in (pairs, pairs[::-1]):
+                got, want = a.rational_ratio(b), ref_a.rational_ratio(ref_b)
+                assert got == want and type(got) is type(want)
+            assert (vector == other) == (ref.coeffs == ref_other.coeffs)
+        assert_matches_ref_gamma(vector, ref)
+        parsed = GammaVector.parse(vector.serialize())
+        assert parsed == vector and hash(parsed) == hash(vector)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -357,6 +358,42 @@ def test_config_file_precedence(tmp_path, capsys):
     assert json.loads(out)["theory"] == [0, 3, 4]
     code, _ = run_cli(["spectrum", "--config", str(tmp_path / "missing.cfg")], capsys)
     assert code == 2
+
+
+def test_config_key_no_command_reads_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 1\ncout = 3\n")
+    code = main(["spectrum", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: config key cout: no command reads it\n"
+
+
+#: The dests of every command's flags: a config file may set any of them.
+CONFIG_KEYS = [
+    "config", "count", "fd", "fd_grid", "fd_half_width", "format", "galerkin_size", "grid", "m",
+    "mutate", "n", "out", "pair", "sector", "state", "tol", "window_hi", "window_lo", "z",
+]
+
+
+def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in commands.choices.values() for a in p._actions} - {"help"}
+    assert sorted(dests) == CONFIG_KEYS
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = x\n" for key in CONFIG_KEYS) + "fd-grid = y\n")
+    seen = {}
+
+    def record(args, values):
+        seen[args.command] = values
+        return 0
+
+    for name in cli._COMMANDS:  # each command accepts the keys of the others
+        monkeypatch.setitem(cli._COMMANDS, name, record)
+        assert main([name, "--config", str(config)]) == 0
+    assert seen == dict.fromkeys(cli._COMMANDS, {**dict.fromkeys(CONFIG_KEYS, "x"), "fd_grid": "y"})
 
 
 @pytest.mark.parametrize(

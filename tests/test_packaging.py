@@ -48,3 +48,37 @@ def test_star_import_and_dir_give_the_pinned_names():
     assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_API
     assert dir(coupledsusy) == PUBLIC_API
     assert "__version__" in vars(coupledsusy)  # read without loading a submodule
+
+
+#: The public attributes and methods of the three exact forms, dunder methods included.  They
+#: share one int-form base, which must neither add a name to a class nor drop one.
+CLASS_SURFACES = {
+    "GammaVector": [
+        "__add__", "__eq__", "__hash__", "__init__", "__repr__", "__setattr__", "coeffs", "is_zero",
+        "n", "parse", "rational_ratio", "scale", "serialize",
+    ],
+    "GaussPolyState": [
+        "__add__", "__eq__", "__hash__", "__init__", "__neg__", "__repr__", "__setattr__", "__sub__",
+        "den", "half_power", "is_zero", "min_exponent", "n", "nums", "parse", "residues", "scale",
+        "scale_sqrt2", "serialize", "terms",
+    ],
+    "Operator": [
+        "__add__", "__eq__", "__hash__", "__init__", "__matmul__", "__neg__", "__repr__",
+        "__setattr__", "__sub__", "apply", "den", "half_power", "is_zero", "polys", "scale",
+        "scale_sqrt2", "serialize", "terms",
+    ],
+}
+
+
+def _surface(cls) -> list:
+    """Public names, and the dunder methods defined below object."""
+    names = {name for name in dir(cls) if not name.startswith("_")}
+    for klass in cls.__mro__[:-1]:
+        names |= {name for name, value in vars(klass).items() if name.startswith("__")
+                  and (callable(value) or isinstance(value, (classmethod, staticmethod)))}
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SURFACES))
+def test_exact_form_surfaces_are_pinned(name):
+    assert _surface(getattr(coupledsusy, name)) == CLASS_SURFACES[name]
