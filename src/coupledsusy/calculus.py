@@ -223,6 +223,8 @@ class _IntForm:
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    __delattr__ = __setattr__
+
     def _fraction_view(self):
         try:
             return self._view

@@ -16,13 +16,6 @@ it.  A tilde state is a applied to its partner.  States are kept
 unnormalised with their exact squared norm attached; normalisation only
 happens at numeric export, because the norms are irrational Gamma values.
 
-The norm takes O(m) exact steps rather than a product over all term
-pairs.  Where H (a+a, or aa+ for a tilde state) provably pairs
-symmetrically, a level-m state psi is orthogonal to every lower monomial
-of its chain, so ||psi||^2 = c_top <x^top, psi>: one pairing against the
-top term (see _norm_sq for the proof and its conditions).  Any state the
-proof does not cover gets the full product <psi, psi>.
-
 For the x^n family the kernels of a and b+ on smooth whole-line states are
 one dimensional (exp(-x^(2n)/(2n)) and x^(n-1) exp(-x^(2n)/(2n))), so the
 tower index sets are singletons.  SectorLabel holds the only per-sector
@@ -38,8 +31,11 @@ n^beta Gamma(j+beta+1) / j!, where
 
     p = residue,   beta = (2p + 1 - 2n) / (2n),   j = m - first level.
 
-Numeric samples come from the Laguerre recurrence (normalized_samples);
-the exact state only fixes the sign and is checked against the closed form.
+The norm is computed from that closed form in O(m) exact steps once the
+state's own coefficients are checked against it (_laguerre_form); any other
+state gets the full product <psi, psi>.  Numeric samples come from the
+Laguerre recurrence (normalized_samples); the exact state only fixes the
+sign and passes the same check.
 """
 
 from __future__ import annotations
@@ -167,67 +163,46 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
 
 
-@functools.lru_cache(maxsize=64)
-def _symmetric_diagonal(system: CoupledSusySystem, tilde: bool):
-    """(den, d) for H = aa+ (tilde) or a+a if H pairs monomials symmetrically, else None.
+def _laguerre_form(state: GaussPolyState):
+    """(p, a, j) if the state is a constant times x^p L_j^beta(t) exp(-t/2), beta = a/(2n); else None.
 
-    H must send x^k to (d(k) x^k + l(k) x^(k-2n)) / den with int
-    polynomials d, l and half power 0.  A pairing's weight exp(-x^(2n)/n)
-    gives mu(s) = (s-2n+1)/2 mu(s-2n) for mu(s) = <x^s, 1>, so
-    <x^i, H x^j> = <H x^i, x^j> for all i + j >= 2n if
+    L_j^beta(t) = sum_i (-1)^i binom(j+beta, j-i) t^i / i! and t^i = x^(2ni) / n^i,
+    so the exponents must be exactly p + 2ni for i = 0..j with p >= 0, and
+    with a = 2p + 1 - 2n every coefficient must satisfy, in ints,
 
-        (d(j) - d(i)) (i + j - 2n + 1) + 2 (l(j) - l(i)) = 0.
-
-    The residual has degree at most N = max(len d, len l) in each of i and
-    j, so it is identically zero iff it vanishes on (N+1)^2 points.  Its
-    i j^a coefficient for a >= 2 is that of k^a in d, so a symmetric d is affine.
+        c_(i+1) (i+1) (a + 2n(i+1)) = -2 (j-i) c_i.
     """
-    hamiltonian = system.pairs[tilde].hamiltonian
-    two_n = 2 * system.n
-    den, polys = hamiltonian.den, dict(hamiltonian.polys)
-    diag, low = polys.pop(0, [0]), polys.pop(-two_n, [0])
-    if polys or hamiltonian.half_power:
+    nums, two_n = state.nums, 2 * state.n
+    p, j = min(nums, default=-1), len(nums) - 1
+    if p < 0:
         return None
-    points = range(max(len(diag), len(low)) + 1)
-    for i in points:
-        for j in points:
-            residual = (_poly_at(diag, j) - _poly_at(diag, i)) * (i + j - two_n + 1)
-            if residual + 2 * (_poly_at(low, j) - _poly_at(low, i)):
-                return None
-    return den, diag
+    a = 2 * p + 1 - two_n
+    for i in range(j):
+        c = nums.get(p + two_n * (i + 1))
+        if c is None or c * (i + 1) * (a + two_n * (i + 1)) != -2 * (j - i) * nums[p + two_n * i]:
+            return None
+    return p, a, j
 
 
-def _norm_sq(
-    system: CoupledSusySystem, sector: SectorLabel, state: GaussPolyState, value: Fraction
-) -> GammaVector:
-    """<psi, psi> for a nonzero psi with H psi = value psi, already checked exactly.
+def _norm_sq(state: GaussPolyState) -> GammaVector:
+    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product.
 
-    Let H pair symmetrically (_symmetric_diagonal), psi = sum c_k x^k have
-    exponents from bottom >= 0 to top, and value != d(k) at every k =
-    bottom, bottom+2n, ... below top.  Then ||psi||^2 = c_top <x^top, psi>,
-    the same GammaVector as the full product, from O(m) term pairs:
-
-    * psi lies in one residue class mod 2n.  H keeps the classes apart, so
-      each class part is an eigenvector whose top t has d(t) = value; d is
-      affine, so two such tops would make d constant and the gaps zero.
-    * At each k of the chain, value <x^k, psi> = <x^k, H psi> = <H x^k, psi>,
-      so (value - d(k)) <x^k, psi> = l(k) <x^(k-2n), psi>; every pairing
-      converges, and the symmetry covers it since distinct exponents of
-      one class sum to at least 2n.  l(bottom) = 0, as l(bottom) c_bottom
-      is the x^(bottom-2n) coefficient of H psi = value psi, so induction
-      upwards from bottom gives <x^k, psi> = 0 for every k below top.
-
-    Any other state gets the full product <psi, psi>.
+    psi = K x^p L_j^beta(t) exp(-t/2) with K = c_top (-1)^j j! n^j, c_top
+    the top int over den 2^(w/2), so ||psi||^2 = K^2 n^beta Gamma(j+beta+1)
+    / j! (DLMF 18.3).  With
+    2p + 1 + 2nj = r + 2nT, r odd in 1..2n-1, n^beta Gamma(j+beta+1) =
+    G_r prod_{i<T} (r + 2ni) / (2^T n^(j+1)): one symbol, the same
+    GammaVector as the full product, from O(j) int steps.
     """
-    proof = _symmetric_diagonal(system, sector.is_tilde)
-    top, bottom = max(state.nums), min(state.nums)
-    if proof is not None and bottom >= 0:
-        den, diag = proof
-        p, q = value.numerator * den, value.denominator  # value - d(k) = (p - q D(k)) / (q den)
-        if all(p != q * _poly_at(diag, k) for k in range(bottom, top, 2 * state.n)):
-            lead = GaussPolyState._from_ints(state.n, {top: state.nums[top]}, state.den, state.half_power)
-            return inner_product(lead, state)
-    return inner_product(state, state)
+    form = _laguerre_form(state)
+    if form is None:
+        return inner_product(state, state)
+    p, _, j = form
+    n = state.n
+    top, r = divmod(2 * p + 1 + 2 * n * j, 2 * n)
+    c = state.nums[p + 2 * n * j]
+    num = c * c * math.factorial(j) * n ** j * math.prod(range(r, r + 2 * n * top, 2 * n))
+    return GammaVector._from_ints(n, {r: num}, n * state.den ** 2 << (top + state.half_power), 0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -245,9 +220,8 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
 
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
     The eigenvalue equation is re-verified exactly on construction; a zero state fails it.
-    Once it holds, norm_sq is the single top pairing c_top <x^top, psi>
-    where the symmetry of H proves the lower pairings vanish (_norm_sq),
-    and the full product <psi, psi> otherwise; both are exact and equal.
+    norm_sq is the Laguerre closed form where the state has it, and the full
+    product <psi, psi> otherwise (_norm_sq); both are exact and equal.
     """
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
@@ -257,7 +231,7 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     value = tower_eigenvalue(system, sector, m)
     if state.is_zero or system.pairs[sector.is_tilde].hamiltonian.apply(state) != state.scale(value):
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(sector, m, state, _norm_sq(system, sector, state, value), value)
+    return EigenstateRecord(sector, m, state, _norm_sq(state), value)
 
 
 def ground_states(system: CoupledSusySystem):
@@ -314,7 +288,7 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors, with T =
     b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
     from m = 0).  The norms are keyed by (sector, level), and every tower
-    state's norm is the full product <s, s>, computed once.  The image a psi_m
+    state's norm is computed once, by _norm_sq.  The image a psi_m
     is the tower state psi~_m (a phi_m is phi~_m), so its norm is that
     state's.  The image b+ psi~_m is an exact multiple q 2^(j/2) psi_(m-1) of
     the level below, checked termwise by proportionality_ratio, so its norm
@@ -328,8 +302,7 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
 
     def norm_sq(sector: SectorLabel, level: int) -> GammaVector:
         if (sector, level) not in norms:
-            state = _tower_state(system, sector, level)
-            norms[sector, level] = inner_product(state, state)
+            norms[sector, level] = _norm_sq(_tower_state(system, sector, level))
         return norms[sector, level]
 
     lamsq = {sector: half_lowering_factor_squared(system, sector, 0) for sector in _LEMMA_SECTORS}
@@ -389,24 +362,16 @@ def _gram(states: list) -> list:
 def _laguerre_parameters(record: EigenstateRecord):
     """(p, a, j) with the record's state a constant times x^p L_j^beta(t) exp(-t/2), beta = a/(2n).
 
-    Checked exactly against the record: its lowest exponent is p, its top
-    exponent p + 2nj, and the ratio of the two coefficients is that of the
-    Laguerre polynomial, (-1)^j / (n^j prod_{i=1..j} (i + beta)), that is
-    c_top prod_{i=1..j} (2ni + a) = (-2)^j c_p.  Any other state raises
-    RuntimeError.
+    The state must have the closed form (_laguerre_form) of its sector and
+    level: p the sector's residue, j the level above the first.  Any other
+    state raises RuntimeError.
     """
-    n, nums = record.state.n, record.state.nums
+    n = record.state.n
     p, j = record.sector.residue(n), record.m - record.sector.first_level
-    a = 2 * p + 1 - 2 * n
-    top = p + 2 * n * j
-    if (
-        j < 0
-        or min(nums, default=None) != p
-        or max(nums) != top
-        or nums[top] * math.prod(2 * n * i + a for i in range(1, j + 1)) != (-2) ** j * nums[p]
-    ):
+    form = (p, 2 * p + 1 - 2 * n, j)
+    if _laguerre_form(record.state) != form:
         raise RuntimeError(f"{record.sector.value} level {record.m} is not the closed form x^{p} L_{j}")
-    return p, a, j
+    return form
 
 
 _T_CAP = 1e200  # exp(-t/2) is 0 in floats long before t reaches it, at any level

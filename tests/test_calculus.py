@@ -1062,6 +1062,23 @@ def test_record_base_semantics():
     assert repr(_OtherPair(0, "x")) == "_OtherPair(left=0, right='x')"
 
 
+@pytest.mark.parametrize(
+    "form",
+    [GammaVector(2, {1: Fraction(1, 3), 3: 2}), GaussPolyState(1, {0: 1, 2: Fraction(-1, 2)}, 1),
+     Operator({-1: (1, 2), 1: (Fraction(1, 2),)}, 1)],
+    ids=["GammaVector", "GaussPolyState", "Operator"],
+)
+def test_exact_forms_refuse_deletion(form):
+    copy = form.scale(1)  # an equal form, built anew
+    cls = type(form)
+    names = [name for name in dir(cls) if not name.startswith("__") and not callable(getattr(cls, name))]
+    assert {"_data", "_den", "_half", "_hash", "is_zero"} <= set(names)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(form, name)
+    assert form == form and form == copy and hash(form) == hash(copy)
+
+
 #: Every Record subclass the package defines.
 _RECORD_CLASSES = (
     "CoupledSusySystem", "VerificationReport", "EigenstateRecord", "CoherentState", "HalfLoweringCheck",

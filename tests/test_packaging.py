@@ -54,16 +54,16 @@ def test_star_import_and_dir_give_the_pinned_names():
 #: share one int-form base, which must neither add a name to a class nor drop one.
 CLASS_SURFACES = {
     "GammaVector": [
-        "__add__", "__eq__", "__hash__", "__init__", "__repr__", "__setattr__", "coeffs", "is_zero",
-        "n", "parse", "rational_ratio", "scale", "serialize",
+        "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__repr__", "__setattr__", "coeffs",
+        "is_zero", "n", "parse", "rational_ratio", "scale", "serialize",
     ],
     "GaussPolyState": [
-        "__add__", "__eq__", "__hash__", "__init__", "__neg__", "__repr__", "__setattr__", "__sub__",
-        "den", "half_power", "is_zero", "min_exponent", "n", "nums", "parse", "residues", "scale",
-        "scale_sqrt2", "serialize", "terms",
+        "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__neg__", "__repr__", "__setattr__",
+        "__sub__", "den", "half_power", "is_zero", "min_exponent", "n", "nums", "parse", "residues",
+        "scale", "scale_sqrt2", "serialize", "terms",
     ],
     "Operator": [
-        "__add__", "__eq__", "__hash__", "__init__", "__matmul__", "__neg__", "__repr__",
+        "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__matmul__", "__neg__", "__repr__",
         "__setattr__", "__sub__", "apply", "den", "half_power", "is_zero", "polys", "scale",
         "scale_sqrt2", "serialize", "terms",
     ],

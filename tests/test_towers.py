@@ -3,7 +3,7 @@
 The direct top-down solve of the untilded levels is checked against the
 ladder it replaced, (a+b)^m applied to the ground state, kept at the end of
 this file as a test-local oracle (ladder_state, ladder_record).  Record
-norms, a single top pairing where the symmetry of H proves it, are checked
+norms, the Laguerre closed form wherever the state has it, are checked
 against the full product inner_product(state, state).
 """
 
@@ -36,8 +36,8 @@ from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slot
 from coupledsusy.towers import (
     EigenstateRecord,
     SectorLabel,
+    _laguerre_form,
     _norm_sq,
-    _symmetric_diagonal,
     _tower_state,
     eigenstate,
     gram_matrix,
@@ -163,20 +163,23 @@ def test_closed_form_hermite_n1():
     assert proportionality_ratio(got3, GaussPolyState(1, {1: -3, 3: 2})) is not None
 
 
-def laguerre_state(n, sector, m):
-    """x^p L_j^beta(t) with t = x^(2n)/n, in Fractions from the explicit sum.
+def laguerre_terms(n, p, beta, j):
+    """x^p L_j^beta(t) with t = x^(2n)/n, as {exponent: Fraction} from the explicit sum.
 
     L_j^beta(t) = sum_i (-1)^i binom(j + beta, j - i) t^i / i!, where
-    binom(j + beta, j - i) = prod_{l=i+1..j} (beta + l) / (j - i)!.  The
-    (p, beta, j) table is the one in the towers docstring.
+    binom(j + beta, j - i) = prod_{l=i+1..j} (beta + l) / (j - i)!.
     """
-    p, j = {PSI: (0, m), PHI: (2 * n - 1, m), PSI_T: (n, m - 1), PHI_T: (n - 1, m)}[sector]
-    beta = laguerre_beta(sector, n)
     terms = {}
     for i in range(j + 1):
         binom = math.prod([beta + l for l in range(i + 1, j + 1)], start=Fraction(1))
         terms[p + 2 * n * i] = (-1) ** i * binom / (math.factorial(j - i) * math.factorial(i) * n ** i)
-    return GaussPolyState(n, terms)
+    return terms
+
+
+def laguerre_state(n, sector, m):
+    """The sector's level m from the (p, beta, j) table in the towers docstring."""
+    p, j = {PSI: (0, m), PHI: (2 * n - 1, m), PSI_T: (n, m - 1), PHI_T: (n - 1, m)}[sector]
+    return GaussPolyState(n, laguerre_terms(n, p, laguerre_beta(sector, n), j))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -217,21 +220,27 @@ def test_lemma_factors_exact(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lemma_pairs_each_state_once(monkeypatch, n):
-    # one full product per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at
-    # m = 0); a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 products
+    # one norm per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at m = 0);
+    # a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 norms, each
+    # from the closed form, so no full product at all
     system = make_xn_system(n)
     want = verify_lemma_half_lowering(system, 6)
-    calls = []
-    real = towers.inner_product
+    norms, products = [], []
+    real_norm, real_product = towers._norm_sq, towers.inner_product
 
-    def counting(f, g):
-        calls.append(f is g)
-        return real(f, g)
+    def counting_norm(state):
+        norms.append(state)
+        return real_norm(state)
 
-    monkeypatch.setattr(towers, "inner_product", counting)
+    def counting_product(f, g):
+        products.append(f is g)
+        return real_product(f, g)
+
+    monkeypatch.setattr(towers, "_norm_sq", counting_norm)
+    monkeypatch.setattr(towers, "inner_product", counting_product)
     report = verify_lemma_half_lowering(system, 6)
     assert report == want and report.checked == want.checked
-    assert len(calls) == 4 * 6 + 3 and all(calls)
+    assert len(norms) == len(set(norms)) == 4 * 6 + 3 and not products
 
 
 def reference_lemma(system, m_max):
@@ -488,9 +497,10 @@ def test_samples_refuse_records_off_the_closed_form():
     wrong_top = with_state(monomial_state(2, 3 + 4 * 4))
     wrong_bottom = with_state(monomial_state(2, -1))
     wrong_ratio = with_state(monomial_state(2, 3))
+    wrong_middle = with_state(monomial_state(2, 3 + 4))  # both ends as in the closed form
     wrong_sector = EigenstateRecord(PHI_T, rec.m, rec.state, rec.norm_sq, rec.eigenvalue)
     wrong_level = EigenstateRecord(rec.sector, 2, rec.state, rec.norm_sq, rec.eigenvalue)
-    for bad in (wrong_top, wrong_bottom, wrong_ratio, wrong_sector, wrong_level):
+    for bad in (wrong_top, wrong_bottom, wrong_ratio, wrong_middle, wrong_sector, wrong_level):
         with pytest.raises(RuntimeError, match="closed form"):
             normalized_samples(bad, [0.5])
 
@@ -679,7 +689,7 @@ def test_mutated_generators_fail_like_the_ladder(n, delta):
 
 
 # ---------------------------------------------------------------------------
-# norms from the top pairing
+# norms from the Laguerre closed form
 # ---------------------------------------------------------------------------
 
 
@@ -689,11 +699,10 @@ def top_pairing(state):
     return inner_product(GaussPolyState(state.n, {top: state.terms[top]}, state.half_power), state)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("sector", [PSI, PHI, PSI_T, PHI_T])
 def test_norms_equal_the_full_product(n, sector):
     system = make_xn_system(n)
-    assert _symmetric_diagonal(system, sector.is_tilde) is not None
     for m in range(1 if sector is PSI_T else 0, 61):
         rec = eigenstate(system, sector, m)
         assert rec.norm_sq == inner_product(rec.state, rec.state), m
@@ -706,6 +715,43 @@ def test_deep_norm_equals_the_full_product(sector):
     assert rec.norm_sq == inner_product(rec.state, rec.state)
 
 
+def laguerre_shaped(n, p, j, half_power=0, scale=1):
+    """scale 2^(-half_power/2) x^p L_j^beta(t) exp(-t/2) for any p >= 0, beta = (2p + 1 - 2n)/(2n)."""
+    terms = laguerre_terms(n, p, Fraction(2 * p + 1 - 2 * n, 2 * n), j)
+    return GaussPolyState(n, {k: scale * c for k, c in terms.items()}, half_power)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_laguerre_shaped_states_take_the_closed_form(n):
+    # any p >= 0, not only the four residues, at either sqrt(2) parity and any scale
+    for p in range(0, 3 * n + 2):
+        for j in range(0, 9):
+            for half_power, scale in ((0, 1), (1, Fraction(-7, 3))):
+                state = laguerre_shaped(n, p, j, half_power, scale)
+                assert _laguerre_form(state) == (p, 2 * p + 1 - 2 * n, j)
+                assert _norm_sq(state) == inner_product(state, state), (p, j, half_power)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_laguerre_near_misses_take_the_full_product(n):
+    for p in range(0, 2 * n + 1):
+        for j in range(2, 7):
+            state = laguerre_shaped(n, p, j, j % 2)
+            middle = p + 2 * n * (j // 2)
+            misses = (
+                state + GaussPolyState(n, {middle: state.terms[middle]}, j % 2),  # one middle coefficient
+                state + GaussPolyState(n, {p + n: 1}, j % 2),  # an exponent from another residue class
+                state + GaussPolyState(n, {p + 2 * n * (j + 2): 1}, j % 2),  # an exponent past a gap
+            )
+            for miss in misses:
+                assert _laguerre_form(miss) is None
+                assert _norm_sq(miss) == inner_product(miss, miss), (p, j)
+            # a negative exponent, on the shape or off it
+            for negative in (state + GaussPolyState(n, {-2 * n: 1}, j % 2), laguerre_shaped(n, -1 - p, j)):
+                with pytest.raises(DivergenceError):
+                    _norm_sq(negative)
+
+
 def test_asymmetric_hamiltonian_takes_the_full_product():
     # a+ sends x^k to (1 - k) x^(k-1) + 2 x^(k+1) instead of -k x^(k-1) + ...:
     # l(k) = k (2 - k) / 2 in H = a+a is off the symmetric -k (k - 1) / 2 + const,
@@ -713,11 +759,11 @@ def test_asymmetric_hamiltonian_takes_the_full_product():
     a, _, b, bdag = make_xn_system(1).generators
     adag = Operator({-1: (1, -1), 1: (2,)}, 1)
     system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(1), generators=(a, adag, b, bdag))
-    assert _symmetric_diagonal(system, False) is None and _symmetric_diagonal(system, True) is None
     for sector in (PSI, PSI_T):
         for m in range(2, 7):
             rec = eigenstate(system, sector, m)
             full = inner_product(rec.state, rec.state)
+            assert _laguerre_form(rec.state) is None, (sector, m)
             assert rec.norm_sq == full and top_pairing(rec.state) != full, (sector, m)
 
 
@@ -730,10 +776,10 @@ def test_zero_gap_takes_the_full_product():
     system = CoupledSusySystem(
         n=1, gamma=Fraction(-1), delta=Fraction(0), generators=(a, Operator({}), b, bdag)
     )
-    assert _symmetric_diagonal(system, True) is not None
     rec = eigenstate(system, PHI_T, 0)
     assert rec.state == GaussPolyState(1, {0: 1, 2: 1}, 1)
     full = inner_product(rec.state, rec.state)
+    assert _laguerre_form(rec.state) is None
     assert rec.norm_sq == full and top_pairing(rec.state) != full
 
 
@@ -744,12 +790,11 @@ def test_negative_exponents_diverge_like_the_full_product():
     b, bdag = make_xn_system(1).generators[2:]
     a, adag = Operator({-1: (-2, 1)}, 1), Operator({-1: (-2, -1), 1: (2,)}, 1)
     system = CoupledSusySystem(n=1, gamma=Fraction(-1), delta=Fraction(1), generators=(a, adag, b, bdag))
-    assert _symmetric_diagonal(system, True) is not None
     psi = GaussPolyState(1, {2: 1, 0: 1, -2: Fraction(3, 4)})
     assert apply_word(system, (Generator.A, Generator.ADAG), psi) == psi
     assert not top_pairing(psi).is_zero
     with pytest.raises(DivergenceError):
-        _norm_sq(system, PSI_T, psi, Fraction(1))
+        _norm_sq(psi)
 
 
 # ---------------------------------------------------------------------------
