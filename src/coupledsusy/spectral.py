@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .calculus import Generator, Record, apply_generator, monomial_state
+from .calculus import Generator, Record, apply_generator, inner_product, monomial_state
 from .systems import CoupledSusySystem, make_xn_system
 from .towers import SectorLabel, _gram, merged_spectrum, tower_eigenvalue
 
@@ -110,7 +110,7 @@ def _untilded_sector(n: int, residue: int) -> SectorLabel:
 def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> GalerkinProblem:
     """Assemble exact H and S for the residue-class basis of the given size.
 
-    Both are Gram matrices, of the lowered basis and of the basis (towers._gram).
+    Both are Gram matrices (towers._gram), of the lowered basis and of the basis.
     """
     n = system.n
     if size < 1:
@@ -123,8 +123,8 @@ def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> Galerk
         n=n,
         residue=residue,
         exponents=exponents,
-        h_matrix=tuple(map(tuple, _gram(lowered))),
-        s_matrix=tuple(map(tuple, _gram(basis))),
+        h_matrix=tuple(map(tuple, _gram(lowered, [inner_product(s, s) for s in lowered]))),
+        s_matrix=tuple(map(tuple, _gram(basis, [inner_product(s, s) for s in basis]))),
     )
 
 

@@ -69,12 +69,13 @@ class CoupledSusySystem(Record):
     """The quadruple (a, b, gamma, delta) with its four generator Operators.
 
     `generators` holds the Operators of a, a+, b, b+ in Generator order,
-    `pairs` the rows of _PAIRS composed from them (not in == or the hash).
-    The hash is computed once, because systems key the tower-state cache.
+    `pairs` the rows of _PAIRS composed from them and `spacing` = delta -
+    gamma (2n for the x^n family), neither in == or the hash.  The hash is
+    computed once, because systems key the tower-state cache.
     """
 
     _fields = ("n", "gamma", "delta", "generators", "mutation")
-    __slots__ = _fields + ("pairs", "_hash")
+    __slots__ = _fields + ("pairs", "spacing", "_hash")
     _defaults = {"mutation": None}
 
     def __init__(self, *args, **kwargs):
@@ -87,6 +88,7 @@ class CoupledSusySystem(Record):
             PartnerPair(row, *[_compose(self.generators, w) for w in row[:4]], getattr(self, row[4]))
             for row in _PAIRS
         ))
+        object.__setattr__(self, "spacing", self.delta - self.gamma)
         object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self):
@@ -94,11 +96,6 @@ class CoupledSusySystem(Record):
 
     def generator(self, gen: Generator) -> Operator:
         return self.generators[_GENERATOR_INDEX[gen]]
-
-    @property
-    def spacing(self) -> Fraction:
-        """Ladder spacing delta - gamma (equal to 2n for the x^n family)."""
-        return self.delta - self.gamma
 
 
 def _xn_generators(n: int) -> tuple:

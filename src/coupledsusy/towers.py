@@ -12,9 +12,13 @@ The raising word R = a+b raises m by one inside each untilded family, so a
 level-m state is R^m applied to the ground state.  It is solved directly:
 H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
 top-down from the top coefficient of R^m, and R must send level m-1 onto
-it.  A tilde state is a applied to its partner.  States are kept
-unnormalised with their exact squared norm attached; normalisation only
-happens at numeric export, because the norms are irrational Gamma values.
+it.  That solve forces H s = E s at every exponent but the one below the
+seed, which it checks, so the eigenvalue equation is proved in ints; a
+tilde state a s then has aa+ (a s) = a (a+a s) = E a s, aa+ being the
+composed a . a+, and only a s != 0 is checked.  Each level's record (state,
+exact squared norm, eigenvalue) is built once per system (_tower_state).
+States are kept unnormalised; normalisation only happens at numeric
+export, because the norms are irrational Gamma values.
 
 For the x^n family the kernels of a and b+ on smooth whole-line states are
 one dimensional (exp(-x^(2n)/(2n)) and x^(n-1) exp(-x^(2n)/(2n))), so the
@@ -114,10 +118,8 @@ _EIGEN_FAILURE = "eigenvalue equation failed for {} m={}; system generators are 
 
 
 def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
-    base = m * system.spacing
-    if sector.base is SectorLabel.PHI:
-        base += system.delta
-    return Fraction(base)
+    value = m * system.spacing
+    return Fraction(value + system.delta if sector.base is SectorLabel.PHI else value)
 
 
 def _poly_at(poly, k: int) -> int:
@@ -134,7 +136,9 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
     d(K) = E and E != d(k) below K.  The top coefficient is that of R^m seed,
     prod_{i<m} u(seed + 2ni) for R's +2n polynomial u; below it
-    c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.
+    c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.  That makes
+    (H s)_k = E c_k at every exponent from the seed to K, so H s = E s is
+    proved once the one term below the seed, l(seed) c_seed, is zero.
     """
     two_n = 2 * system.n
     seed = sector.residue(system.n)
@@ -158,6 +162,8 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
         g = math.gcd(num, den)  # den may turn negative; lcm and // below keep the sign
         num, den = num // g, den // g
         levels.append((k, num, den))
+    if num and _poly_at(low, seed):  # the one term H sends below the seed
+        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     common = math.lcm(*[d for _, _, d in levels])
     nums = {k: c * (common // d) for k, c, d in reversed(levels)}
     return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
@@ -206,32 +212,34 @@ def _norm_sq(state: GaussPolyState) -> GammaVector:
 
 
 @functools.lru_cache(maxsize=4096)
-def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
+def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
+    """The checked, normed record of level m: a s on a tilde level, else the solved level R reaches."""
     if sector.is_tilde:
-        return apply_generator(system, Generator.A, _tower_state(system, sector.base, m))
-    state = _solve_level(system, sector, m)
-    if m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state:
+        base = _tower_state(system, sector.base, m)
+        state, value = apply_generator(system, Generator.A, base.state), base.eigenvalue
+        failed = state.is_zero
+    else:
+        state, value = _solve_level(system, sector, m), tower_eigenvalue(system, sector, m)
+        failed = m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state
+    if failed:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return state
+    return EigenstateRecord(sector, m, state, _norm_sq(state), value)
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """Level-m eigenstate record of the given tower.
 
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
-    The eigenvalue equation is re-verified exactly on construction; a zero state fails it.
-    norm_sq is the Laguerre closed form where the state has it, and the full
-    product <psi, psi> otherwise (_norm_sq); both are exact and equal.
+    The record is memoised (_tower_state), so a call applies no operator:
+    the eigenvalue equation is proved exactly where the state is built, by
+    the solve or by aa+ (a s) = a (a+a s), and a zero state is refused there.
+    norm_sq is _norm_sq: the Laguerre closed form or the full product.
     """
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
     if m < sector.first_level:
         raise ValueError("the tilde image of the PSI ground state vanishes (m >= 1)")
-    state = _tower_state(system, sector, m)
-    value = tower_eigenvalue(system, sector, m)
-    if state.is_zero or system.pairs[sector.is_tilde].hamiltonian.apply(state) != state.scale(value):
-        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(sector, m, state, _norm_sq(state), value)
+    return _tower_state(system, sector, m)
 
 
 def ground_states(system: CoupledSusySystem):
@@ -287,8 +295,8 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     Each relation is verified without division: for unnormalised states,
     <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors, with T =
     b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
-    from m = 0).  The norms are keyed by (sector, level), and every tower
-    state's norm is computed once, by _norm_sq.  The image a psi_m
+    from m = 0).  Every tower norm is the norm_sq of its memoised record
+    (_tower_state), computed once per level.  The image a psi_m
     is the tower state psi~_m (a phi_m is phi~_m), so its norm is that
     state's.  The image b+ psi~_m is an exact multiple q 2^(j/2) psi_(m-1) of
     the level below, checked termwise by proportionality_ratio, so its norm
@@ -298,13 +306,6 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    norms: dict = {}  # (sector, level) -> <state, state>
-
-    def norm_sq(sector: SectorLabel, level: int) -> GammaVector:
-        if (sector, level) not in norms:
-            norms[sector, level] = _norm_sq(_tower_state(system, sector, level))
-        return norms[sector, level]
-
     lamsq = {sector: half_lowering_factor_squared(system, sector, 0) for sector in _LEMMA_SECTORS}
     failures = []
     checked = 0
@@ -313,20 +314,20 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
         for sector in _LEMMA_SECTORS:
             if m == 0 and sector is not SectorLabel.PHI:
                 continue  # a psi_0 and b+ phi~_0 vanish, and psi~_0 is no state
+            source = _tower_state(system, sector, m)
             if sector.is_tilde:  # b+ lowers to level m-1 of the partner tower
-                image = apply_generator(system, Generator.BDAG, _tower_state(system, sector, m))
-                source_norm = norm_sq(sector, m)
-                ratio = proportionality_ratio(image, _tower_state(system, sector.base, m - 1))
+                image = apply_generator(system, Generator.BDAG, source.state)
+                below = _tower_state(system, sector.base, m - 1)
+                ratio = proportionality_ratio(image, below.state)
                 if ratio is None:
                     lhs = inner_product(image, image)
                 else:
                     q, j = ratio
-                    lhs = norm_sq(sector.base, m - 1).scale(q * q * Fraction(2) ** j)
+                    lhs = below.norm_sq.scale(q * q * Fraction(2) ** j)
             else:
-                source_norm = norm_sq(sector, m)
-                lhs = norm_sq(_A_IMAGE[sector], m)
+                lhs = _tower_state(system, _A_IMAGE[sector], m).norm_sq
             checked += 1
-            if lhs != source_norm.scale(lamsq[sector] + step):
+            if lhs != source.norm_sq.scale(lamsq[sector] + step):
                 failures.append({"sector": sector.value, "m": m})
     return VerificationReport(
         identity="half-lowering norm relations",
@@ -343,18 +344,19 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
 
 
 def gram_matrix(records) -> list:
-    """Exact pairwise inner products of the given records."""
+    """Exact pairwise inner products of the given records; <r, r> is r.norm_sq as given."""
     states = [r.state for r in records]
     if len({s.n for s in states}) > 1:
         raise FamilyMismatchError("records belong to different families")
-    return _gram(states)
+    return _gram(states, [r.norm_sq for r in records])
 
 
-def _gram(states: list) -> list:
-    """Rows of <a, b> over the states: one triangle, mirrored, as <b, a> = <a, b>."""
+def _gram(states: list, diagonal: list) -> list:
+    """Rows of <a, b> over the states, diagonal[i] at (i, i): one triangle off it, mirrored."""
     rows = [[None] * len(states) for _ in states]
     for i, a in enumerate(states):
-        for j in range(i, len(states)):
+        rows[i][i] = diagonal[i]
+        for j in range(i + 1, len(states)):
             rows[i][j] = rows[j][i] = inner_product(a, states[j])
     return rows
 

@@ -120,6 +120,17 @@ def test_eigen_equation_exact(n, sector):
         assert rec.eigenvalue == tower_eigenvalue(sysn, sector, m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_records_satisfy_the_eigenvalue_equation(n):
+    # H applied to every record, as an oracle independent of the solve that proves H s = E s
+    system = make_xn_system(n)
+    for sector in SectorLabel:
+        for m in range(sector.first_level, 21):
+            rec = eigenstate(system, sector, m)
+            hamiltonian = system.pairs[sector.is_tilde].hamiltonian
+            assert hamiltonian.apply(rec.state) == rec.state.scale(rec.eigenvalue), (sector, m)
+
+
 def test_psi_tilde_level_zero_rejected():
     with pytest.raises(ValueError):
         eigenstate(make_xn_system(2), PSI_T, 0)
@@ -222,9 +233,11 @@ def test_lemma_factors_exact(n):
 def test_lemma_pairs_each_state_once(monkeypatch, n):
     # one norm per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at m = 0);
     # a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 norms, each
-    # from the closed form, so no full product at all
+    # from the closed form, so no full product at all; counted with the tower caches cleared
     system = make_xn_system(n)
     want = verify_lemma_half_lowering(system, 6)
+    towers._tower_state.cache_clear()
+    towers._solve_level.cache_clear()
     norms, products = [], []
     real_norm, real_product = towers._norm_sq, towers.inner_product
 
@@ -258,7 +271,7 @@ def reference_lemma(system, m_max):
             cases.append((PHI_T, Generator.BDAG, m))
         cases.append((PHI, Generator.A, m))
         for sector, op, level in cases:
-            source = _tower_state(system, sector, level)
+            source = _tower_state(system, sector, level).state
             image = apply_generator(system, op, source)
             lamsq = half_lowering_factor_squared(system, sector, level)
             for state in (source, image):
@@ -319,6 +332,23 @@ def test_gram_8x8_exactly_diagonal_n2():
                 assert not gram[i][j].is_zero
             else:
                 assert gram[i][j].is_zero
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_gram_takes_the_diagonal_from_the_records(monkeypatch, k):
+    # k(k-1)/2 products off the diagonal, none on it: <r, r> is r.norm_sq
+    records = [eigenstate(make_xn_system(2), sector, m) for m in range(4) for sector in (PSI, PHI)][:k]
+    pairs = []
+    real_product = towers.inner_product
+
+    def counting_product(f, g):
+        pairs.append((f, g))
+        return real_product(f, g)
+
+    monkeypatch.setattr(towers, "inner_product", counting_product)
+    gram = gram_matrix(records)
+    assert len(pairs) == k * (k - 1) // 2 and all(f is not g for f, g in pairs)
+    assert [gram[i][i] for i in range(k)] == [r.norm_sq for r in records]
 
 
 def test_gram_n1_hermite_norms():
@@ -526,11 +556,26 @@ def test_eigenstate_record_semantics():
     )
 
 
-def test_equal_systems_share_the_tower_cache():
-    eigenstate(make_xn_system(3), PSI, 4)
+def test_equal_systems_share_the_tower_cache(monkeypatch):
+    first = eigenstate(make_xn_system(3), PSI, 4)
     hits = _tower_state.cache_info().hits
-    eigenstate(make_xn_system(3), PSI, 4)
+    calls = []
+    real_apply, real_norm = Operator.apply, towers._norm_sq
+
+    def counting_apply(op, state):
+        calls.append("apply")
+        return real_apply(op, state)
+
+    def counting_norm(state):
+        calls.append("norm")
+        return real_norm(state)
+
+    monkeypatch.setattr(Operator, "apply", counting_apply)
+    monkeypatch.setattr(towers, "_norm_sq", counting_norm)
+    # a hit returns the checked record itself: no operator applied, no norm built
+    assert eigenstate(make_xn_system(3), PSI, 4) is first
     assert _tower_state.cache_info().hits == hits + 1
+    assert calls == []
 
 
 def test_record_json_dict_exact_strings():
@@ -593,13 +638,13 @@ def test_solved_levels_match_ladder(n, sector):
     system = make_xn_system(n)
     state = monomial_state(n, 0 if sector is PSI else 2 * n - 1)
     for m in range(61):
-        assert_same_state(_tower_state(system, sector, m), state)
+        assert_same_state(_tower_state(system, sector, m).state, state)
         state = apply_word(system, RAISING_WORD, state)
 
 
 def test_deep_level_has_no_recursion_limit():
     system = make_xn_system(1)
-    state = _tower_state(system, PSI, 2000)
+    state = _tower_state(system, PSI, 2000).state
     assert max(state.nums) == 4000 and len(state.nums) == 2001
     hamiltonian = apply_word(system, (Generator.ADAG, Generator.A), state)
     assert hamiltonian == state.scale(tower_eigenvalue(system, PSI, 2000))
@@ -637,8 +682,14 @@ def test_zero_tilde_state_is_rejected():
         # a +3 shift in a+ gives H a +2 shift, which moves the PHI ground state x
         (Operator({-1: (0, 1)}, 1), Operator({-1: (0, -1), 1: (2,), 3: (1,)}, 1), PHI, 0),
         (Operator({-1: (0, 1)}, 1), Operator({-1: (0, -1), 1: (2,), 3: (1,)}, 1), PHI, 2),
+        # H sends x^k to k x^k + k (2 - k)/2 x^(k-2): every gap of PHI level 0 (the state x,
+        # d(1) = 1 = E) holds, and only the term below the seed, l(1) x^-1 = x^-1 / 2, is left
+        (Operator({-1: (0, 1)}, 1), Operator({-1: (1, -1), 1: (2,)}, 1), PHI, 0),
     ],
-    ids=["gap-below-top", "ground-off-eigenvalue", "plus-2-shift-ground", "plus-2-shift-level-2"],
+    ids=[
+        "gap-below-top", "ground-off-eigenvalue", "plus-2-shift-ground", "plus-2-shift-level-2",
+        "term-below-the-seed",
+    ],
 )
 def test_hamiltonian_outside_the_solve_fails_loudly(a, adag, sector, m):
     b, bdag = make_xn_system(1).generators[2:]
