@@ -155,11 +155,12 @@ class _IntForm:
     subclass holds its ints in `_data`, in its own shape, and names its
     plural for error messages in `_KIND`.  The store reaches the ints only
     through whole-map hooks on that shape, so it runs no call per
-    coefficient: `_canon` (zeros dropped, canonical order), `_times`,
+    coefficient: `_canon` (zeros dropped, canonical order), `_times` (ints,
+    or Fractions whose denominators divide the factor, times it, as ints),
     `_floordiv`, `_ints` (every int), `_combine` (a * one map + b * another)
     and `_fractions` (the Fraction view).  The hooks here are those of a
     map {key: int}; Operator overrides them for its polynomials.
-    Immutable; the Fraction view and the hash are computed on first use.
+    Immutable; the Fraction view and the hash are None until first use.
     """
 
     __slots__ = ("_family", "_data", "_den", "_half", "_hash", "_view")
@@ -175,11 +176,13 @@ class _IntForm:
         g = math.gcd(den, *self._ints(data))
         if g != 1:
             data, den = self._floordiv(data, g), den // g
-        store = object.__setattr__  # _hash and _view stay unset until first use
+        store = object.__setattr__
         store(self, "_family", family)
         store(self, "_data", data)
         store(self, "_den", den)
         store(self, "_half", half & 1 if data else 0)  # one zero form
+        store(self, "_hash", None)
+        store(self, "_view", None)
 
     @classmethod
     def _from_ints(cls, family, data, den: int, half: int):
@@ -189,17 +192,17 @@ class _IntForm:
         return form
 
     def _set_fractions(self, family, fracs, half: int):
-        """Store data whose entries are Fractions: over their lcm den, c // (1/den) is the int c * den."""
+        """Store data whose entries are Fractions, as their ints over the lcm of their denominators."""
         den = math.lcm(*[c.denominator for c in self._ints(fracs)])
-        self._set(family, self._floordiv(fracs, Fraction(1, den)), den, half)
+        self._set(family, self._times(fracs, den), den, half)
 
     @staticmethod
     def _canon(data: dict) -> dict:
         return {k: c for k, c in data.items() if c}
 
     @staticmethod
-    def _times(data: dict, factor) -> dict:
-        return {k: c * factor for k, c in data.items()}
+    def _times(data: dict, factor: int) -> dict:
+        return {k: c.numerator * (factor // c.denominator) for k, c in data.items()}
 
     @staticmethod
     def _floordiv(data: dict, divisor) -> dict:
@@ -226,11 +229,9 @@ class _IntForm:
     __delattr__ = __setattr__
 
     def _fraction_view(self):
-        try:
-            return self._view
-        except AttributeError:
+        if self._view is None:
             object.__setattr__(self, "_view", self._fractions(self._data, self._den))
-            return self._view
+        return self._view
 
     @property
     def is_zero(self) -> bool:
@@ -268,18 +269,16 @@ class _IntForm:
             other._family, other._half, other._den, other._data)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        if self._hash is None:
             ints = frozenset(dict(self._data).items())  # a map's items, or an operator's pairs
             object.__setattr__(self, "_hash", hash((self._family, self._half, self._den, ints)))
-            return self._hash
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({self.serialize()!r})"
 
     def _ratio(self, other):
-        """(q, j) with self == q * 2^(j/2) * other for a rational q, or None; for map forms.
+        """(p, q, j) with self == (p/q) * 2^(j/2) * other for ints p and q != 0, or None; for map forms.
 
         Zero is 0 times anything, and nothing nonzero is a multiple of zero.
         Otherwise the keys must agree and the ints be proportional, checked
@@ -289,7 +288,7 @@ class _IntForm:
             raise FamilyMismatchError(f"{self._KIND} belong to different families")
         mine, theirs = self._data, other._data
         if not mine:
-            return Fraction(0), 0
+            return 0, 1, 0
         if mine.keys() != theirs.keys():
             return None
         lead = max(theirs)
@@ -297,7 +296,7 @@ class _IntForm:
         for k, c in theirs.items():
             if mine[k] * q != p * c:
                 return None
-        return Fraction(p * other._den, q * self._den), other._half - self._half
+        return p * other._den, q * self._den, other._half - self._half
 
 
 class _HalfPowerForm(_IntForm):
@@ -443,8 +442,8 @@ class Operator(_HalfPowerForm):
         return tuple(canon)
 
     @staticmethod
-    def _times(pairs, factor) -> tuple:
-        return tuple([(s, tuple([c * factor for c in p])) for s, p in pairs])
+    def _times(pairs, factor: int) -> tuple:
+        return tuple([(s, tuple([c.numerator * (factor // c.denominator) for c in p])) for s, p in pairs])
 
     @staticmethod
     def _floordiv(pairs, divisor) -> tuple:
@@ -467,7 +466,21 @@ class Operator(_HalfPowerForm):
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
         """The image of a state, built shift by shift in ascending order, in ints."""
-        items = state.nums.items()
+        half = state.half_power + self.half_power
+        return GaussPolyState._from_ints(state.n, self._image(state.nums), state.den * self.den, half)
+
+    def _sends(self, state: GaussPolyState, image: GaussPolyState) -> bool:
+        """Whether self.apply(state) == image, in cross-multiplied ints without building the image."""
+        out, nums = {k: c for k, c in self._image(state.nums).items() if c}, image.nums
+        fold, odd = divmod(state.half_power + self.half_power - image.half_power, 2)
+        if state.n != image.n or (odd and out) or out.keys() != nums.keys():
+            return False  # an odd power of sqrt(2) is no rational factor
+        a, b = image.den << max(-fold, 0), state.den * self.den << max(fold, 0)
+        return all(c * a == nums[k] * b for k, c in out.items())
+
+    def _image(self, nums: dict) -> dict:
+        """{k + s: sum of p_s(k) c_k} over the ints c_k of a state; a sum may be zero."""
+        items = nums.items()
         out: dict = {}
         for shift, poly in self.polys:
             top, rest = poly[-1], poly[-2::-1]
@@ -479,9 +492,7 @@ class Operator(_HalfPowerForm):
                 if coeff:
                     kk = k + shift
                     out[kk] = out.get(kk, 0) + coeff
-        return GaussPolyState._from_ints(
-            state.n, out, state.den * self.den, state.half_power + self.half_power
-        )
+        return out
 
     def __matmul__(self, other: "Operator") -> "Operator":
         """The product self . other (other acts first).
@@ -537,7 +548,8 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
     the states are not exactly proportional.  Leading terms are compared at
     the largest exponent.
     """
-    return f._ratio(g)
+    ratio = f._ratio(g)
+    return None if ratio is None else (Fraction(ratio[0], ratio[1]), ratio[2])
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +585,7 @@ class GammaVector(_IntForm):
     def rational_ratio(self, other: "GammaVector"):
         """Rational q with self == q * other, or None if no exact ratio exists."""
         ratio = self._ratio(other)
-        return None if ratio is None else ratio[0]
+        return None if ratio is None else Fraction(ratio[0], ratio[1])
 
     def serialize(self) -> str:
         """Canonical text `n; r1:c1, ...`; ValueError past the int-to-text digit limit, as for states."""

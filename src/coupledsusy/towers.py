@@ -58,7 +58,6 @@ from .calculus import (
     Record,
     apply_generator,
     inner_product,
-    proportionality_ratio,
 )
 from .systems import CoupledSusySystem, VerificationReport
 
@@ -118,8 +117,13 @@ _EIGEN_FAILURE = "eigenvalue equation failed for {} m={}; system generators are 
 
 
 def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
-    value = m * system.spacing
-    return Fraction(value + system.delta if sector.base is SectorLabel.PHI else value)
+    return Fraction(*_eigenvalue_ints(system, sector, m))
+
+
+def _eigenvalue_ints(system: CoupledSusySystem, sector: SectorLabel, m: int) -> tuple:
+    """E = m spacing, plus delta on the PHI towers, as ints (num, den > 0), not reduced."""
+    (s, t), (d, e) = system.spacing.as_integer_ratio(), system.delta.as_integer_ratio()
+    return m * s * e + d * t * (sector.base is SectorLabel.PHI), t * e
 
 
 def _poly_at(poly, k: int) -> int:
@@ -134,7 +138,8 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     """Untilded level m: the eigenvector of H with eigenvalue E and top exponent K.
 
     K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
-    d(K) = E and E != d(k) below K.  The top coefficient is that of R^m seed,
+    d(K) = E and E != d(k) below K, E an int over one den (_eigenvalue_ints),
+    so the whole solve runs in ints.  The top coefficient is that of R^m seed,
     prod_{i<m} u(seed + 2ni) for R's +2n polynomial u; below it
     c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.  That makes
     (H s)_k = E c_k at every exponent from the seed to K, so H s = E s is
@@ -147,8 +152,8 @@ def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Gaus
     h_den, r_den = hamiltonian.den, raising.den
     polys = dict(hamiltonian.polys)
     diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(raising.polys).get(two_n, [0])
-    value = tower_eigenvalue(system, sector, m)
-    p, q = value.numerator * h_den, value.denominator  # E - d(k) = (p - q D(k)) / (q h_den)
+    p, q = _eigenvalue_ints(system, sector, m)
+    p *= h_den  # E - d(k) = (p - q D(k)) / (q h_den)
     num, den = math.prod(_poly_at(up, seed + two_n * i) for i in range(m)), r_den ** m
     if polys or hamiltonian.half_power or not num:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
@@ -213,14 +218,15 @@ def _norm_sq(state: GaussPolyState) -> GammaVector:
 
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
-    """The checked, normed record of level m: a s on a tilde level, else the solved level R reaches."""
+    """The checked, normed record of level m, its Fraction eigenvalue built once: a s on a tilde
+    level, else the solved level that R s_(m-1) reaches, compared in ints (Operator._sends)."""
     if sector.is_tilde:
         base = _tower_state(system, sector.base, m)
         state, value = apply_generator(system, Generator.A, base.state), base.eigenvalue
         failed = state.is_zero
     else:
         state, value = _solve_level(system, sector, m), tower_eigenvalue(system, sector, m)
-        failed = m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state
+        failed = m and not system.pairs[0].raising._sends(_solve_level(system, sector, m - 1), state)
     if failed:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     return EigenstateRecord(sector, m, state, _norm_sq(state), value)
@@ -292,42 +298,46 @@ _A_IMAGE = {SectorLabel.PSI: SectorLabel.PSI_TILDE, SectorLabel.PHI: SectorLabel
 def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> VerificationReport:
     """Exact check of the four half-lowering norm relations up to level m_max.
 
-    Each relation is verified without division: for unnormalised states,
-    <T s, T s> must equal lambda^2 <s, s> as identical GammaVectors, with T =
+    Each relation is verified in ints, without division or Fraction: for
+    unnormalised states, <T s, T s> must equal lambda^2 <s, s>, with T =
     b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
     from m = 0).  Every tower norm is the norm_sq of its memoised record
     (_tower_state), computed once per level.  The image a psi_m
     is the tower state psi~_m (a phi_m is phi~_m), so its norm is that
-    state's.  The image b+ psi~_m is an exact multiple q 2^(j/2) psi_(m-1) of
-    the level below, checked termwise by proportionality_ratio, so its norm
-    is q^2 2^j <psi_(m-1), psi_(m-1)>, the same GammaVector as its full
-    product; an image with no such ratio gets the full product.  lambda^2 is
-    affine in m: its level-0 value plus m times the spacing.
+    state's.  A nonzero image b+ psi~_m is an exact multiple (p/q) 2^(j/2)
+    psi_(m-1) of the level below, checked termwise, so its norm is
+    (p/q)^2 2^j <psi_(m-1), psi_(m-1)>, the same value as its full
+    product; any other image gets the full product.  lambda^2, its level-0
+    value plus m times the spacing, is an int over one den, and each norm
+    is compared with <s, s> > 0 by their exact int ratio.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    lamsq = {sector: half_lowering_factor_squared(system, sector, 0) for sector in _LEMMA_SECTORS}
+    lamsq = {s: half_lowering_factor_squared(system, s, 0).as_integer_ratio() for s in _LEMMA_SECTORS}
+    step, step_den = system.spacing.as_integer_ratio()
     failures = []
     checked = 0
     for m in range(0, m_max + 1):
-        step = m * system.spacing
         for sector in _LEMMA_SECTORS:
             if m == 0 and sector is not SectorLabel.PHI:
                 continue  # a psi_0 and b+ phi~_0 vanish, and psi~_0 is no state
             source = _tower_state(system, sector, m)
+            base, den = lamsq[sector]
+            num, den = base * step_den + m * step * den, den * step_den  # lambda^2 = num / den
             if sector.is_tilde:  # b+ lowers to level m-1 of the partner tower
                 image = apply_generator(system, Generator.BDAG, source.state)
                 below = _tower_state(system, sector.base, m - 1)
-                ratio = proportionality_ratio(image, below.state)
-                if ratio is None:
+                ratio = image._ratio(below.state)
+                if ratio is None or not ratio[0]:
                     lhs = inner_product(image, image)
-                else:
-                    q, j = ratio
-                    lhs = below.norm_sq.scale(q * q * Fraction(2) ** j)
+                else:  # image = (p/q) 2^(j/2) below: <below, below> is lambda^2 / ((p/q)^2 2^j) <s, s>
+                    p, q, j = ratio
+                    lhs, num, den = below.norm_sq, num * q * q << max(-j, 0), den * p * p << max(j, 0)
             else:
                 lhs = _tower_state(system, _A_IMAGE[sector], m).norm_sq
             checked += 1
-            if lhs != source.norm_sq.scale(lamsq[sector] + step):
+            norms = lhs._ratio(source.norm_sq)  # lhs = (u/v) <s, s>
+            if norms is None or norms[0] * den != num * norms[1]:
                 failures.append({"sector": sector.value, "m": m})
     return VerificationReport(
         identity="half-lowering norm relations",

@@ -557,6 +557,20 @@ def test_apply_matches_fraction_reference(inputs):
             assert_same_state(op.apply(state), ref_apply(op, state))
 
 
+@given(algebra_inputs(), st.sampled_from(NON_DYADIC))
+@settings(max_examples=200, deadline=None)
+def test_sends_agrees_with_apply(inputs, r):
+    ops, states = inputs
+    for op in ops:
+        for state in states:
+            image = op.apply(state)
+            others = [image.scale(r), image.scale(-1), states[0], states[1], GaussPolyState(state.n, {}),
+                      monomial_state(state.n + 1, 0), *[image.scale_sqrt2(j) for j in (-2, -1, 1, 2)]]
+            assert op._sends(state, image)
+            for other in others:
+                assert op._sends(state, other) == (image == other), (op, state, other)
+
+
 @given(algebra_inputs())
 @settings(max_examples=200, deadline=None)
 def test_composition_matches_fraction_reference(inputs):
@@ -1033,6 +1047,34 @@ def test_operator_algebra_builds_no_fraction_per_coefficient(monkeypatch):
         counts.append(len(built))
     monkeypatch.undo()
     assert len(set(counts)) == 1 and counts[0] < 40, counts
+
+
+def test_fraction_constructors_build_no_fraction_of_their_own(monkeypatch):
+    # each Fraction input is converted once, Fraction(c); its ints over the common den are ints
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    third, sixth, quarter, half, three_quarters = (Fraction(c) for c in ("1/3", "-5/6", "1/4", "1/2", "3/4"))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    forms = [GaussPolyState(2, {0: third, 4: sixth}, 1), GammaVector(2, {1: quarter}),
+             Operator({0: (half, 2), 6: (three_quarters,)}, 1)]
+    monkeypatch.undo()
+    assert len(built) == 2 + 1 + 3
+    assert [f._den for f in forms] == [6, 4, 4]
+    assert forms[0].nums == {0: 2, 4: -5} and forms[2].polys == ((0, (2, 8)), (6, (3,)))
+
+
+def test_fresh_forms_leave_hash_and_view_unset():
+    # None until first use, so the first hash and the first view read raise nothing
+    for form in (monomial_state(3, 5), GammaVector(2, {1: 1}), Operator({0: (1, 2), 6: (3,)})):
+        assert form._hash is None and form._view is None
+        assert hash(form) == form._hash == hash(form.scale(1))
+        view = form.coeffs if isinstance(form, GammaVector) else form.terms
+        assert form._view is view
 
 
 class _Pair(Record):

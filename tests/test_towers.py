@@ -32,7 +32,9 @@ from coupledsusy.calculus import (
     monomial_state,
     proportionality_ratio,
 )
-from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
+from coupledsusy.systems import (
+    CoupledSusySystem, all_reports_pass, make_xn_system, mutation_slots, verify_coupled_susy, verify_su11,
+)
 from coupledsusy.towers import (
     EigenstateRecord,
     SectorLabel,
@@ -256,6 +258,45 @@ def test_lemma_pairs_each_state_once(monkeypatch, n):
     assert len(norms) == len(set(norms)) == 4 * 6 + 3 and not products
 
 
+def test_cold_lemma_builds_one_eigenvalue_per_untilded_record(monkeypatch):
+    # m_max 14: the 30 untilded records (PSI and PHI, m = 0..14) and the four lambda^2 seeds;
+    # the solve and the lemma's checks keep the eigenvalue and lambda^2 as ints
+    system = make_xn_system(2)
+    towers._tower_state.cache_clear()
+    towers._solve_level.cache_clear()
+    calls = []
+    real = towers.tower_eigenvalue
+
+    def counting(system, sector, m):
+        calls.append((sector, m))
+        return real(system, sector, m)
+
+    monkeypatch.setattr(towers, "tower_eigenvalue", counting)
+    assert verify_lemma_half_lowering(system, 14).passed
+    assert len(calls) <= 2 * 15 + 4, len(calls)
+
+
+def test_warm_lemma_builds_no_fraction_per_check(monkeypatch):
+    # a warm call builds the same few Fractions (its four lambda^2 seeds) at every depth
+    system = make_xn_system(2)
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    counts = []
+    for m_max in (6, 14):
+        want = verify_lemma_half_lowering(system, m_max)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        built.clear()
+        assert verify_lemma_half_lowering(system, m_max) == want and want.passed
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
 def reference_lemma(system, m_max):
     """The half-lowering lemma as every image's full product, kept as the reference."""
     if m_max < 1:
@@ -294,8 +335,9 @@ def lemma_outcome(lemma, system, m_max):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lemma_matches_the_full_product_reference(n):
-    assert lemma_outcome(verify_lemma_half_lowering, make_xn_system(n), 11) == (True, None, 45)
-    assert lemma_outcome(reference_lemma, make_xn_system(n), 11) == (True, None, 45)
+    # m_max 15 is the deepest lemma the exact-session benchmark runs
+    assert lemma_outcome(verify_lemma_half_lowering, make_xn_system(n), 15) == (True, None, 61)
+    assert lemma_outcome(reference_lemma, make_xn_system(n), 15) == (True, None, 61)
     outcomes = set()
     for slot in mutation_slots(make_xn_system(n)):
         for delta in (1, -1, 2, Fraction(1, 2), -3):
@@ -305,6 +347,42 @@ def test_lemma_matches_the_full_product_reference(n):
             outcomes.add(got[0])
     assert RuntimeError in outcomes and DivergenceError in outcomes
     assert (False in outcomes) == (n == 1)  # n = 1 has failing reports, at psi~ level 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_halved_generators_give_fractional_eigenvalues(n):
+    # a/2, a+/2, b/2, b+/2 scale both Hamiltonians by 1/4: gamma = -1/4, delta = (2n-1)/4,
+    # so the eigenvalues, the spacing and lambda^2 all have the denominator 4
+    family = make_xn_system(n)
+    system = CoupledSusySystem(
+        n=n, gamma=Fraction(-1, 4), delta=Fraction(2 * n - 1, 4),
+        generators=tuple(g.scale(Fraction(1, 2)) for g in family.generators),
+    )
+    reports = verify_coupled_susy(system) + verify_su11(system)
+    assert len(reports) == 11 and all_reports_pass(reports)
+    for sector in SectorLabel:
+        for m in range(sector.first_level, 9):
+            rec = eigenstate(system, sector, m)
+            assert rec.eigenvalue == m * (system.delta - system.gamma) + system.delta * (sector.base is PHI)
+            assert rec.eigenvalue == eigenstate(family, sector, m).eigenvalue / 4
+            assert system.pairs[sector.is_tilde].hamiltonian.apply(rec.state) == rec.state.scale(rec.eigenvalue)
+    got = lemma_outcome(verify_lemma_half_lowering, system, 8)
+    assert got == lemma_outcome(reference_lemma, system, 8) == (True, None, 33)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lemma_follows_odd_half_powers(n):
+    # sqrt(2) b (or sqrt(2) b+) leaves an odd total half power on the four generators, so each
+    # b+ image is (p/q) 2^(j/2) times the level below with j odd: the lemma holds for sqrt(2) b,
+    # whose b+ is unchanged, and fails for sqrt(2) b+, whose images have twice the norm
+    a, adag, b, bdag = make_xn_system(n).generators
+    for generators, want in [((a, adag, b.scale_sqrt2(1), bdag), (True, None, 33)),
+                             ((a, adag, b, bdag.scale_sqrt2(1)), (False, {"sector": "psi~", "m": 1}, 33))]:
+        system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1), generators=generators)
+        image = apply_generator(system, Generator.BDAG, eigenstate(system, PHI_T, 2).state)
+        assert proportionality_ratio(image, eigenstate(system, PHI, 1).state)[1] in (-1, 1)
+        assert lemma_outcome(verify_lemma_half_lowering, system, 8) == want
+        assert lemma_outcome(reference_lemma, system, 8) == want
 
 
 def test_lemma_factor_direct_ratio_n2():
