@@ -31,14 +31,14 @@ A GammaVector stores such a combination exactly; numeric values come out of
 an arbitrary-precision evaluator with a certified error bound.
 
 States, operators and GammaVectors share one exact int form (_IntForm):
-nonzero int numerators over one int denominator d > 0, reduced so that
+a map {key: nonzero int} over one int denominator d > 0, reduced so that
 gcd(d, every numerator) = 1, with the half power w folded into {0, 1}
-(even parts go into the ints; a GammaVector's w is 0).  A state's ints
-are the c_k above, an operator's the coefficients of its p_s, a
-GammaVector's those of its G_r.  Applying and composing operators,
-adding and scaling any of them, comparing them, exact ratios and the
-inner product all run on those ints with no Fraction in between; the
-Fraction maps `terms` and `coeffs` are derived on first read.
+(even parts go into the ints; a GammaVector's w is 0).  A state's map is
+{k: c_k}, an operator's {(s, i): coefficient of k^i in p_s}, a
+GammaVector's {r: coefficient of G_r}.  Applying and composing
+operators, adding and scaling any of them, comparing them, exact ratios
+and the inner product all run on those ints with no Fraction in between;
+the Fraction maps `terms` and `coeffs` are derived on first read.
 
 Negative exponents are legal in intermediate states (some generators leave
 the polynomial towers); integrability is only enforced when an inner
@@ -148,34 +148,28 @@ LOWERING_WORD = (Generator.BDAG, Generator.A)
 class _IntForm:
     """Base of the exact forms: 2^(-half/2) * (int numerators over one int den).
 
-    This is the one canonical store.  It keeps nonzero ints over one den > 0
-    with gcd(den, every int) == 1 and folds even half powers of 2 into
-    them, so the half power is 0 or 1 (0 for the zero form); two forms of
-    one class are equal iff their family, half power, den and ints are.  A
-    subclass holds its ints in `_data`, in its own shape, and names its
-    plural for error messages in `_KIND`.  The store reaches the ints only
-    through whole-map hooks on that shape, so it runs no call per
-    coefficient: `_canon` (zeros dropped, canonical order), `_times` (ints,
-    or Fractions whose denominators divide the factor, times it, as ints),
-    `_floordiv`, `_ints` (every int), `_combine` (a * one map + b * another)
-    and `_fractions` (the Fraction view).  The hooks here are those of a
-    map {key: int}; Operator overrides them for its polynomials.
-    Immutable; the Fraction view and the hash are None until first use.
+    This is the one canonical store: a map `_data` {key: nonzero int} over
+    one den > 0 with gcd(den, every int) == 1, even half powers of 2 folded
+    into the ints, so the half power is 0 or 1 (0 for the zero form); two
+    forms of one class are equal iff their family, half power, den and maps
+    are.  A subclass picks its keys and names its plural for error messages
+    in `_KIND`.  Immutable; the Fraction view and the hash are None until
+    first use.
     """
 
     __slots__ = ("_family", "_data", "_den", "_half", "_hash", "_view")
 
-    def _set(self, family, data, den: int, half: int):
-        """Store data, in the subclass's raw shape, canonically over den > 0."""
-        data = self._canon(data)
+    def _set(self, family, data: dict, den: int, half: int):
+        """Store data {key: int} canonically over den > 0."""
+        data = {k: c for k, c in data.items() if c}
         fold = half >> 1  # floor division, works for negatives
         if fold > 0:
             den <<= fold
         elif fold < 0:
-            data = self._times(data, 1 << -fold)
-        g = math.gcd(den, *self._ints(data))
+            data = {k: c << -fold for k, c in data.items()}
+        g = math.gcd(den, *data.values())
         if g != 1:
-            data, den = self._floordiv(data, g), den // g
+            data, den = {k: c // g for k, c in data.items()}, den // g
         store = object.__setattr__
         store(self, "_family", family)
         store(self, "_data", data)
@@ -185,43 +179,16 @@ class _IntForm:
         store(self, "_view", None)
 
     @classmethod
-    def _from_ints(cls, family, data, den: int, half: int):
-        """The form 2^(-half/2) * data / den of a family; data in the raw shape, den > 0."""
+    def _from_ints(cls, family, data: dict, den: int, half: int):
+        """The form 2^(-half/2) * data / den of a family, den > 0."""
         form = object.__new__(cls)
         form._set(family, data, den, half)
         return form
 
-    def _set_fractions(self, family, fracs, half: int):
-        """Store data whose entries are Fractions, as their ints over the lcm of their denominators."""
-        den = math.lcm(*[c.denominator for c in self._ints(fracs)])
-        self._set(family, self._times(fracs, den), den, half)
-
-    @staticmethod
-    def _canon(data: dict) -> dict:
-        return {k: c for k, c in data.items() if c}
-
-    @staticmethod
-    def _times(data: dict, factor: int) -> dict:
-        return {k: c.numerator * (factor // c.denominator) for k, c in data.items()}
-
-    @staticmethod
-    def _floordiv(data: dict, divisor) -> dict:
-        return {k: c // divisor for k, c in data.items()}
-
-    @staticmethod
-    def _ints(data: dict):
-        return data.values()
-
-    @staticmethod
-    def _combine(data: dict, a: int, other: dict, b: int) -> dict:
-        out = {k: c * a for k, c in data.items()}
-        for k, c in other.items():
-            out[k] = out.get(k, 0) + c * b
-        return out
-
-    @staticmethod
-    def _fractions(data: dict, den: int) -> dict:
-        return {k: Fraction(c, den) for k, c in data.items()}
+    def _set_fractions(self, family, fracs: dict, half: int):
+        """Store {key: Fraction} as its ints over the lcm of the denominators."""
+        den = math.lcm(*[c.denominator for c in fracs.values()])
+        self._set(family, {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}, den, half)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -230,7 +197,8 @@ class _IntForm:
 
     def _fraction_view(self):
         if self._view is None:
-            object.__setattr__(self, "_view", self._fractions(self._data, self._den))
+            den = self._den
+            object.__setattr__(self, "_view", {k: Fraction(c, den) for k, c in self._data.items()})
         return self._view
 
     @property
@@ -239,7 +207,7 @@ class _IntForm:
 
     def scale(self, r):
         r = Fraction(r)
-        data = self._times(self._data, r.numerator)
+        data = {k: c * r.numerator for k, c in self._data.items()}
         return self._from_ints(self._family, data, self._den * r.denominator, self._half)
 
     def __add__(self, other):
@@ -259,7 +227,10 @@ class _IntForm:
                 "rescale one side with scale_sqrt2 first"
             )
         den = math.lcm(self._den, other._den)
-        data = self._combine(self._data, den // self._den, other._data, sign * (den // other._den))
+        a, b = den // self._den, sign * (den // other._den)
+        data = {k: c * a for k, c in self._data.items()}
+        for k, c in other._data.items():
+            data[k] = data.get(k, 0) + c * b
         return self._from_ints(self._family, data, den, self._half)
 
     def __eq__(self, other) -> bool:
@@ -270,7 +241,7 @@ class _IntForm:
 
     def __hash__(self):
         if self._hash is None:
-            ints = frozenset(dict(self._data).items())  # a map's items, or an operator's pairs
+            ints = frozenset(self._data.items())
             object.__setattr__(self, "_hash", hash((self._family, self._half, self._den, ints)))
         return self._hash
 
@@ -278,7 +249,7 @@ class _IntForm:
         return f"{type(self).__name__}({self.serialize()!r})"
 
     def _ratio(self, other):
-        """(p, q, j) with self == (p/q) * 2^(j/2) * other for ints p and q != 0, or None; for map forms.
+        """(p, q, j) with self == (p/q) * 2^(j/2) * other for ints p and q != 0, or None.
 
         Zero is 0 times anything, and nothing nonzero is a multiple of zero.
         Otherwise the keys must agree and the ints be proportional, checked
@@ -379,90 +350,53 @@ def zero_state(n: int) -> GaussPolyState:
 
 
 # ---------------------------------------------------------------------------
-# Operators: {shift -> polynomial in k} with a sqrt(2) half power
+# Operators: {(shift, power) -> int} with a sqrt(2) half power
 # ---------------------------------------------------------------------------
-
-
-def _poly_add(p, q) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    return [c + q[i] if i < len(q) else c for i, c in enumerate(p)]
-
-
-def _poly_mul(p, q) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return out
-
-
-def _poly_shift(p, s: int) -> list:
-    """Coefficients of k -> p(k + s), by repeated synthetic division in place."""
-    out = list(p)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += s * out[j + 1]
-    return out
 
 
 class Operator(_HalfPowerForm):
     """An exact linear map x^k -> 2^(-w/2) * sum_s p_s(k) x^(k+s).
 
-    An int form (_IntForm) with no family: `polys` holds (s, (c0, c1, ...))
-    for p_s(k) = (c0 + c1 k + ...) / den, in ascending shift order with
-    trailing zero coefficients and zero polynomials dropped.  Two operators
-    are therefore equal iff they act identically on x^k for every integer
-    k.  `terms`, the same map as {s: (Fraction, ...)}, is derived on first
-    read.  The systems that hold generator operators key the tower-state
-    cache, so the hash, computed once, matters.
+    An int form (_IntForm) with no family whose map holds {(s, i): c} for
+    the coefficient c / den of k^i in p_s(k), so two operators are equal
+    iff they act identically on x^k for every integer k.  `polys`, the same
+    coefficients as (s, (c0, c1, ...)) in ascending shift order with no
+    trailing zero, and `terms`, those as {s: (Fraction, ...)}, are derived
+    on first read.  The systems that hold generator operators key the
+    tower-state cache, so the hash, computed once, matters.
     """
 
-    __slots__ = ()
+    __slots__ = ("_polys",)
     _KIND = "operators"
-    polys, den, half_power = _IntForm._data, _IntForm._den, _IntForm._half
+    den, half_power = _IntForm._den, _IntForm._half
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
-        fracs = [(int(s), [Fraction(c) for c in p]) for s, p in terms.items()]
+        fracs = {(int(s), i): Fraction(c) for s, p in terms.items() for i, c in enumerate(p)}
         self._set_fractions(None, fracs, half_power)
 
-    terms = property(_IntForm._fraction_view,
-                     doc="The polynomials as {s: (Fraction, ...)}, in ascending shift order.")
+    def _set(self, family, data: dict, den: int, half: int):
+        super()._set(family, data, den, half)
+        object.__setattr__(self, "_polys", None)
 
-    # The store's hooks on (s, coefficients) pairs with distinct s, in place of the map ones.
+    @property
+    def polys(self) -> tuple:
+        """The int coefficients as ((s, (c0, c1, ...)), ...), in ascending shift order."""
+        if self._polys is None:
+            by_shift: dict = {}
+            for (s, i), c in self._data.items():
+                by_shift.setdefault(s, {})[i] = c
+            object.__setattr__(self, "_polys", tuple([
+                (s, tuple([p.get(i, 0) for i in range(max(p) + 1)])) for s, p in sorted(by_shift.items())
+            ]))
+        return self._polys
 
-    @staticmethod
-    def _canon(pairs) -> tuple:
-        canon = []
-        for s, p in sorted(pairs):
-            while p and not p[-1]:
-                p = p[:-1]
-            if p:
-                canon.append((s, tuple(p)))
-        return tuple(canon)
-
-    @staticmethod
-    def _times(pairs, factor: int) -> tuple:
-        return tuple([(s, tuple([c.numerator * (factor // c.denominator) for c in p])) for s, p in pairs])
-
-    @staticmethod
-    def _floordiv(pairs, divisor) -> tuple:
-        return tuple([(s, tuple([c // divisor for c in p])) for s, p in pairs])
-
-    @staticmethod
-    def _ints(pairs) -> list:
-        return [c for _, p in pairs for c in p]
-
-    @staticmethod
-    def _combine(pairs, a: int, other, b: int):
-        out = {s: [c * a for c in p] for s, p in pairs}
-        for s, p in other:
-            out[s] = _poly_add(out.get(s, ()), [c * b for c in p])
-        return out.items()
-
-    @staticmethod
-    def _fractions(pairs, den: int) -> dict:
-        return {s: tuple([Fraction(c, den) for c in p]) for s, p in pairs}
+    @property
+    def terms(self) -> dict:
+        """The polynomials as {s: (Fraction, ...)}, in ascending shift order."""
+        if self._view is None:
+            den = self._den
+            object.__setattr__(self, "_view", {s: tuple([Fraction(c, den) for c in p]) for s, p in self.polys})
+        return self._view
 
     def apply(self, state: GaussPolyState) -> GaussPolyState:
         """The image of a state, built shift by shift in ascending order, in ints."""
@@ -497,16 +431,20 @@ class Operator(_HalfPowerForm):
     def __matmul__(self, other: "Operator") -> "Operator":
         """The product self . other (other acts first).
 
-        x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2), summed over the
-        shifts s1 of self and s2 of other.
+        x^k -> c2 k^j x^(k+s2) -> c1 (k+s2)^i c2 k^j x^(k+s1+s2) for each
+        term c1 k^i at shift s1 of self and c2 k^j at shift s2 of other,
+        expanded by the binomial theorem into sum_l C(i, l) s2^(i-l) c1 c2
+        k^(l+j).
         """
         out: dict = {}
-        for s2, p2 in other.polys:
-            for s1, p1 in self.polys:
-                s = s1 + s2
-                out[s] = _poly_add(out.get(s, ()), _poly_mul(_poly_shift(p1, s2), p2))
+        for (s2, j), c2 in other._data.items():
+            for (s1, i), c1 in self._data.items():
+                s, c = s1 + s2, c1 * c2
+                for l in range(i + 1):
+                    key = (s, l + j)
+                    out[key] = out.get(key, 0) + math.comb(i, l) * s2 ** (i - l) * c
         half = self.half_power + other.half_power
-        return Operator._from_ints(None, out.items(), self.den * other.den, half)
+        return Operator._from_ints(None, out, self.den * other.den, half)
 
     def serialize(self) -> str:
         """Canonical text `w; s1:[c0 c1 ...], s2:[...]` (c_i multiply k^i)."""

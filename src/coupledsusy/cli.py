@@ -362,15 +362,15 @@ def _resolve_state(system, text):
         psi0, _ = towers.ground_states(system)
         phi_t0 = towers.eigenstate(system, towers.SectorLabel.PHI_TILDE, 0)
         return ("xp", uncertainty.direct_sum(psi0, Fraction(1, 2), phi_t0, Fraction(1, 2)))
-    if ":" in text:
-        name, _, level = text.partition(":")
-        if name in _SECTORS:
-            try:
-                sector = towers.SectorLabel(_SECTORS[name])
-                return ("la", towers.eigenstate(system, sector, int(level)))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"cannot parse state descriptor {text!r}")
+    name, _, level = text.partition(":")
+    try:
+        sector, m = towers.SectorLabel(_SECTORS[name]), int(level)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse state descriptor {text!r}") from None
+    try:
+        return ("la", towers.eigenstate(system, sector, m))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_uncertainty(args, config) -> int:

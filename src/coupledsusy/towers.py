@@ -70,6 +70,8 @@ class SectorLabel(Enum):
     PSI_TILDE = "psi~"
     PHI_TILDE = "phi~"
 
+    __hash__ = object.__hash__  # members are singletons; the cache keys hash them on every lookup
+
     @property
     def is_tilde(self) -> bool:
         return self in (SectorLabel.PSI_TILDE, SectorLabel.PHI_TILDE)

@@ -348,6 +348,19 @@ def test_uncertainty_rejects_unknown_state(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("state, message", [
+    ("psi:abc", "cannot parse state descriptor 'psi:abc'"),
+    ("phi:", "cannot parse state descriptor 'phi:'"),
+    ("psitilde:0", "the tilde image of the PSI ground state vanishes (m >= 1)"),
+    ("psi:-1", "tower level m must be nonnegative"),
+])
+def test_uncertainty_bad_state_names_the_descriptor(state, message, capsys):
+    code = main(["uncertainty", "--n", "2", "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("n=1\ncount=3\n")

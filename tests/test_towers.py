@@ -8,6 +8,7 @@ against the full product inner_product(state, state).
 """
 
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -131,6 +132,13 @@ def test_records_satisfy_the_eigenvalue_equation(n):
             rec = eigenstate(system, sector, m)
             hamiltonian = system.pairs[sector.is_tilde].hamiltonian
             assert hamiltonian.apply(rec.state) == rec.state.scale(rec.eigenvalue), (sector, m)
+
+
+def test_sector_labels_hash_by_identity():
+    # the tower caches hash a label on every lookup; the members are singletons, pickled ones too
+    for sector in SectorLabel:
+        assert hash(sector) == object.__hash__(sector)
+        assert pickle.loads(pickle.dumps(sector)) is sector
 
 
 def test_psi_tilde_level_zero_rejected():
