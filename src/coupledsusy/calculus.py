@@ -145,6 +145,13 @@ RAISING_WORD = (Generator.ADAG, Generator.B)
 LOWERING_WORD = (Generator.BDAG, Generator.A)
 
 
+def _integer(value, name: str) -> int:
+    """int(value); ValueError naming the value unless that int equals it (True and 2.0 pass)."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 class _IntForm:
     """Base of the exact forms: 2^(-half/2) * (int numerators over one int den).
 
@@ -154,7 +161,8 @@ class _IntForm:
     forms of one class are equal iff their family, half power, den and maps
     are.  A subclass picks its keys and names its plural for error messages
     in `_KIND`.  Immutable; the Fraction view and the hash are None until
-    first use.
+    first use.  States and GammaVectors share one text writer (_text) and
+    reader (_read) of the body `k1:p1/q1, ...`.
     """
 
     __slots__ = ("_family", "_data", "_den", "_half", "_hash", "_view")
@@ -248,6 +256,21 @@ class _IntForm:
     def __repr__(self):
         return f"{type(self).__name__}({self.serialize()!r})"
 
+    def _text(self) -> str:
+        """The text `k1:p1/q1, ...` over sorted int keys, each term reduced by its gcd with den."""
+        den = self._den
+        parts = []
+        for k, c in sorted(self._data.items()):
+            g = math.gcd(c, den)
+            parts.append(f"{k}:{c // g}/{den // g}")
+        return ", ".join(parts)
+
+    @staticmethod
+    def _read(body: str) -> dict:
+        """{int key: Fraction} of a `_text` body."""
+        pairs = [chunk.split(":") for chunk in body.split(",")] if body else []
+        return {int(k): Fraction(c.strip()) for k, c in pairs}
+
     def _ratio(self, other):
         """(p, q, j) with self == (p/q) * 2^(j/2) * other for ints p and q != 0, or None.
 
@@ -300,9 +323,9 @@ class GaussPolyState(_HalfPowerForm):
     n, nums, den, half_power = _IntForm._family, _IntForm._data, _IntForm._den, _IntForm._half
 
     def __init__(self, n: int, terms: Mapping[int, object], half_power: int = 0):
-        if n < 1:
+        if _integer(n, "family index n") < 1:
             raise ValueError("family index n must be a positive integer")
-        self._set_fractions(int(n), {int(k): Fraction(c) for k, c in terms.items()}, half_power)
+        self._set_fractions(int(n), {_integer(k, "exponent"): Fraction(c) for k, c in terms.items()}, half_power)
 
     terms = property(_IntForm._fraction_view,
                      doc="The coefficients as {k: Fraction}, in the key order of `nums`.")
@@ -320,24 +343,14 @@ class GaussPolyState(_HalfPowerForm):
     # -- canonical text form ------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text `n; w; k1:c1, ...`; raises ValueError for an int past Python's
-        int-to-text digit limit (4300 by default), which the library never raises."""
-        den = self.den
-        parts = []
-        for k, c in sorted(self.nums.items()):
-            g = math.gcd(c, den)
-            parts.append(f"{k}:{c // g}/{den // g}")
-        return f"{self.n}; {self.half_power}; {', '.join(parts)}"
+        """Canonical text `n; w; k1:c1, ...`; ValueError for an int past Python's int-to-text
+        digit limit (4300 by default), which the library never raises."""
+        return f"{self.n}; {self.half_power}; {self._text()}"
 
     @classmethod
     def parse(cls, text: str) -> "GaussPolyState":
         head, w, body = (part.strip() for part in text.split(";", 2))
-        terms = {}
-        if body:
-            for chunk in body.split(","):
-                k, c = chunk.split(":")
-                terms[int(k)] = Fraction(c.strip())
-        return cls(int(head), terms, int(w))
+        return cls(int(head), cls._read(body), int(w))
 
 
 def monomial_state(n: int, k: int, coeff=1) -> GaussPolyState:
@@ -371,7 +384,7 @@ class Operator(_HalfPowerForm):
     den, half_power = _IntForm._den, _IntForm._half
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
-        fracs = {(int(s), i): Fraction(c) for s, p in terms.items() for i, c in enumerate(p)}
+        fracs = {(_integer(s, "shift"), i): Fraction(c) for s, p in terms.items() for i, c in enumerate(p)}
         self._set_fractions(None, fracs, half_power)
 
     def _set(self, family, data: dict, den: int, half: int):
@@ -508,15 +521,15 @@ class GammaVector(_IntForm):
     n = _IntForm._family
 
     def __init__(self, n: int, coeffs: Mapping[int, object]):
-        if n < 1:
+        if _integer(n, "family index n") < 1:
             raise ValueError("family index n must be a positive integer")
-        fracs = {}
+        n, fracs = int(n), {}
         for r, c in coeffs.items():
-            r = int(r)
+            r = _integer(r, "residue")
             if r % 2 == 0 or not (1 <= r <= 2 * n - 1):
                 raise ValueError(f"residue {r} is not an odd integer in 1..{2*n-1}")
             fracs[r] = Fraction(c)
-        self._set_fractions(int(n), fracs, 0)
+        self._set_fractions(n, fracs, 0)
 
     coeffs = property(_IntForm._fraction_view, doc="The coefficients as {r: Fraction}, in key order.")
 
@@ -527,20 +540,12 @@ class GammaVector(_IntForm):
 
     def serialize(self) -> str:
         """Canonical text `n; r1:c1, ...`; ValueError past the int-to-text digit limit, as for states."""
-        body = ", ".join(
-            f"{r}:{c.numerator}/{c.denominator}" for r, c in sorted(self.coeffs.items())
-        )
-        return f"{self.n}; {body}"
+        return f"{self.n}; {self._text()}"
 
     @classmethod
     def parse(cls, text: str) -> "GammaVector":
         head, body = (part.strip() for part in text.split(";", 1))
-        coeffs = {}
-        if body:
-            for chunk in body.split(","):
-                r, c = chunk.split(":")
-                coeffs[int(r)] = Fraction(c.strip())
-        return cls(int(head), coeffs)
+        return cls(int(head), cls._read(body))
 
 
 _ODD_PARITY = (
@@ -558,12 +563,11 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     with one running product over t into one int over the common
     denominator n f.den g.den 2^(T + w/2), T the largest t.
 
-    When no exponent sum can be negative (min f + min g >= 0), only terms of
-    equal parity are paired, since odd powers integrate to zero, and <f, f>
-    on one object pairs each unordered term pair once (c_k^2, and
-    2 c_k c_l for k before l).  Otherwise every pair is summed, so the
-    lowest divergent power is the one named.  Either way the even-power sums
-    d_j, and so the value and its key order, are the same.
+    When no exponent sum can be negative (min f + min g >= 0), each term of
+    f pairs only with the terms of g of its parity, since odd powers
+    integrate to zero.  Otherwise it pairs with every term of g, so the
+    lowest divergent power is the one named, odd ones included.  Either way
+    the even-power sums d_j, and so the value and its key order, are the same.
 
     The combined sqrt(2) half power of the two states must be even (every
     pairing arising from the operator algebra is); an odd total would leave
@@ -578,33 +582,21 @@ def inner_product(f: GaussPolyState, g: GaussPolyState) -> GammaVector:
     total_half = f.half_power + g.half_power
     odd_parity = total_half % 2 != 0
     n, two_n = f.n, 2 * f.n
-    collected: dict = {}
     if min(f.nums) + min(g.nums) < 0:  # every pair, so the sweep below names the first divergent term
         if odd_parity:
             raise ValueError(_ODD_PARITY)
-        g_items = g.nums.items()
-        for k, c in f.nums.items():
-            for l, d in g_items:
-                j = k + l
-                collected[j] = collected.get(j, 0) + c * d
-    else:
-        same_parity = ([], [])  # odd powers integrate to zero
-        if f is not g:
-            for l, d in g.nums.items():
-                same_parity[l & 1].append((l, d))
-        for k, c in f.nums.items():
-            partners = same_parity[k & 1]
-            weight = c << 1 if f is g else c  # <f, f>: each unordered pair once
-            for l, d in partners:
-                j = k + l
-                collected[j] = collected.get(j, 0) + weight * d
-            if f is g:
-                collected[2 * k] = collected.get(2 * k, 0) + c * c
-                partners.append((k, c))
-        if odd_parity:  # collected holds the even powers only
-            if any(collected.values()):
-                raise ValueError(_ODD_PARITY)
-            return GammaVector(n, {})
+        partners = (list(g.nums.items()),) * 2
+    else:  # odd powers integrate to zero: pair equal parities only
+        partners = tuple([(l, d) for l, d in g.nums.items() if l & 1 == parity] for parity in (0, 1))
+    collected: dict = {}
+    for k, c in f.nums.items():
+        for l, d in partners[k & 1]:
+            j = k + l
+            collected[j] = collected.get(j, 0) + c * d
+    if odd_parity:  # no exponent sum is negative, and collected holds the even powers only
+        if any(collected.values()):
+            raise ValueError(_ODD_PARITY)
+        return GammaVector(n, {})
     by_residue: dict = {}  # r -> {t: d_j}
     top = 0
     for j, d in sorted(collected.items()):

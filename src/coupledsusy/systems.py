@@ -125,13 +125,8 @@ def mutation_slots(system: CoupledSusySystem):
 
     Term index 0 is the shift -n term and index 1 the shift +n term.
     """
-    slots = []
-    for gen, op in zip(Generator, system.generators):
-        for shift in op.terms:
-            idx = 0 if shift < 0 else 1
-            slots.append((gen, idx, "alpha"))
-            slots.append((gen, idx, "beta"))
-    return slots
+    return [(gen, int(shift >= 0), field) for gen, op in zip(Generator, system.generators)
+            for shift, _ in op.polys for field in _FIELDS]
 
 
 def make_xn_system(n: int, mutate=None) -> CoupledSusySystem:
@@ -159,11 +154,9 @@ def make_xn_system(n: int, mutate=None) -> CoupledSusySystem:
             raise ValueError("mutation field must be 'alpha' or 'beta'")
         op = generators[_GENERATOR_INDEX[gen]]
         shift = (-n, n)[idx]
-        if shift not in op.terms:
+        if shift not in dict(op.polys):
             raise ValueError(f"generator {gen.value} has no term {idx}")
-        poly = list(op.terms[shift]) + [0] * (2 - len(op.terms[shift]))
-        poly[_FIELDS[which]] += Fraction(delta)
-        mutated = Operator({**op.terms, shift: poly}, op.half_power)
+        mutated = op + Operator({shift: [0] * _FIELDS[which] + [delta]}, op.half_power)
         generators = tuple(mutated if g is gen else o for g, o in zip(Generator, generators))
         note = f"{gen.value}[{idx}].{which} += {delta}"
     return CoupledSusySystem(

@@ -56,6 +56,7 @@ from .calculus import (
     GaussPolyState,
     Generator,
     Record,
+    _integer,
     apply_generator,
     inner_product,
 )
@@ -242,7 +243,9 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     the eigenvalue equation is proved exactly where the state is built, by
     the solve or by aa+ (a s) = a (a+a s), and a zero state is refused there.
     norm_sq is _norm_sq: the Laguerre closed form or the full product.
+    An integral m (2.0, True) is taken as that int; any other m is a ValueError.
     """
+    m = _integer(m, "tower level m")
     if m < 0:
         raise ValueError("tower level m must be nonnegative")
     if m < sector.first_level:
@@ -313,6 +316,7 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     value plus m times the spacing, is an int over one den, and each norm
     is compared with <s, s> > 0 by their exact int ratio.
     """
+    m_max = _integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     lamsq = {s: half_lowering_factor_squared(system, s, 0).as_integer_ratio() for s in _LEMMA_SECTORS}

@@ -35,6 +35,7 @@ from coupledsusy.calculus import (
     inner_product,
     monomial_state,
     proportionality_ratio,
+    zero_state,
 )
 from coupledsusy.systems import make_xn_system, mutation_slots, verify_coupled_susy, verify_su11
 from coupledsusy.towers import SectorLabel, eigenstate
@@ -172,6 +173,45 @@ def test_raising_word_closed_form():
 def test_family_mismatch_rejected():
     with pytest.raises(FamilyMismatchError):
         apply_generator(make_xn_system(2), A, monomial_state(3, 0))
+
+
+def test_family_mismatch_guards_of_the_int_forms():
+    f, g = monomial_state(1, 0), monomial_state(2, 0)
+    u, v = GammaVector(1, {1: 1}), GammaVector(2, {1: 1})
+    calls = (lambda: inner_product(f, g), lambda: f + g, lambda: f - g, lambda: u + v,
+             lambda: proportionality_ratio(f, g), lambda: u.rational_ratio(v))
+    for call in calls:
+        with pytest.raises(FamilyMismatchError):
+            call()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussPolyState(1, {0.5: 1}), "exponent must be an integer, not 0.5"),
+    (lambda: monomial_state(1, 2.5), "exponent must be an integer, not 2.5"),
+    (lambda: Operator({1.7: (1,)}), "shift must be an integer, not 1.7"),
+    (lambda: GammaVector(2, {1.5: 1}), "residue must be an integer, not 1.5"),
+    (lambda: GaussPolyState(2.9, {0: 1}), "family index n must be an integer, not 2.9"),
+    (lambda: GammaVector(1.5, {1: 1}), "family index n must be an integer, not 1.5"),
+], ids=["exponent", "monomial", "shift", "residue", "state-n", "gamma-n"])
+def test_constructors_refuse_non_integral_keys(build, message):
+    # int() would truncate these; an integral value of any type is taken as its int
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_constructors_take_integral_keys_as_ints():
+    state = GaussPolyState(2.0, {Fraction(4): 1, True: 2, 6.0: 3})
+    assert state == GaussPolyState(2, {4: 1, 1: 2, 6: 3})
+    assert type(state.n) is int and all(type(k) is int for k in state.nums)
+    assert Operator({2.0: (1,)}) == Operator({2: (1,)})
+    assert GammaVector(2.0, {3.0: 1}) == GammaVector(2, {3: 1})
+
+
+def test_zero_state_is_the_empty_form():
+    zero = zero_state(3)
+    assert zero.is_zero and zero == GaussPolyState(3, {}) and zero.n == 3
+    assert zero.serialize() == "3; 0; " and GaussPolyState.parse("3; 0; ") == zero
+    assert inner_product(zero, monomial_state(3, 2)) == GammaVector(3, {})
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +426,7 @@ def test_gamma_vector_rational_ratio():
 def test_gamma_vector_roundtrip_and_validation():
     v = GammaVector(3, {1: Fraction(1, 3), 5: Fraction(-7, 2)})
     assert GammaVector.parse(v.serialize()) == v
+    assert GammaVector.parse(GammaVector(3, {}).serialize()) == GammaVector(3, {})
     with pytest.raises(ValueError):
         GammaVector(2, {2: 1})
     with pytest.raises(ValueError):
@@ -580,10 +621,22 @@ def test_composition_matches_fraction_reference(inputs):
     assert (a @ b) @ c == a @ (b @ c)
 
 
+def product_outcome(f, g):
+    """The value of <f, g> and its key order, or the type and message of what it raises."""
+    try:
+        value = inner_product(f, g)
+    except ValueError as exc:  # DivergenceError included
+        return type(exc), str(exc)
+    return value, list(value.coeffs)
+
+
 @given(algebra_inputs())
 @settings(max_examples=200, deadline=None)
 def test_inner_product_matches_fraction_reference(inputs):
     ops, (f, g) = inputs
+    for state in (f, g):  # the product cannot depend on whether both arguments are one object
+        copy = GaussPolyState.parse(state.serialize())
+        assert copy is not state and product_outcome(state, state) == product_outcome(state, copy)
     pairs = ((f, g), (f, f), (g, g), (f, ops[0].apply(g)), (ops[1].apply(f), ops[2].apply(g)))
     for left, right in pairs:
         try:
@@ -1064,6 +1117,24 @@ def test_fraction_constructors_build_no_fraction_of_their_own(monkeypatch):
     assert len(built) == 2 + 1 + 3
     assert [f._den for f in forms] == [6, 4, 4]
     assert forms[0].nums == {0: 2, 4: -5} and forms[2].polys == ((0, (2, 8)), (6, (3,)))
+
+
+def test_text_forms_build_no_fraction_on_write(monkeypatch):
+    # one writer over the ints for states and GammaVectors; the Fraction view stays unset
+    forms = [GaussPolyState(2, {0: Fraction(1, 3), 4: Fraction(-5, 6)}, 1),
+             GammaVector(3, {1: Fraction(1, 4), 5: Fraction(-7, 6)})]
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    texts = [form.serialize() for form in forms]
+    monkeypatch.undo()
+    assert built == [] and all(form._view is None for form in forms)
+    assert texts == ["2; 1; 0:1/3, 4:-5/6", "3; 1:1/4, 5:-7/6"]
 
 
 def test_fresh_forms_leave_hash_and_view_unset():

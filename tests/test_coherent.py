@@ -99,6 +99,19 @@ def test_z_zero_is_ground_state():
     assert state.tail_bound == 0.0
 
 
+def test_tolerance_must_be_positive():
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            coherent_state(make_xn_system(2), PSI, 0.5, tol)
+
+
+def test_coefficients_outside_the_series_are_zero():
+    state = coherent_state(make_xn_system(2), PSI_T, 0.5)
+    assert state.m_start == 1 and state.coefficient_at_level(1) == state.coefficients[0]
+    for m in (0, state.truncation_level + 1):
+        assert state.coefficient_at_level(m) == 0.0
+
+
 def test_z_on_unit_circle_rejected():
     with pytest.raises(ValueError):
         coherent_state(make_xn_system(2), PSI, 1.0)
@@ -232,6 +245,11 @@ def test_half_lowering_n1_scalars():
 def test_full_lowering_word_does_not_fix_state():
     best, rel_residual = full_lowering_misfit(make_xn_system(2), 0.5, tol=1e-12)
     assert rel_residual > 0.01
+
+
+def test_full_lowering_misfit_at_zero_displacement():
+    # z = 0 keeps only psi_0, which b+a annihilates: no image to fit
+    assert full_lowering_misfit(make_xn_system(2), 0.0) == (0j, 0.0)
 
 
 def test_full_lowering_word_oracle_consistency():

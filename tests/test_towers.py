@@ -7,6 +7,7 @@ norms, the Laguerre closed form wherever the state has it, are checked
 against the full product inner_product(state, state).
 """
 
+import json
 import math
 import pickle
 import sys
@@ -20,6 +21,7 @@ from mpmath import mp
 from coupledsusy import coherent, towers, uncertainty
 from coupledsusy.calculus import (
     DivergenceError,
+    FamilyMismatchError,
     GammaVector,
     GaussPolyState,
     Generator,
@@ -144,6 +146,21 @@ def test_sector_labels_hash_by_identity():
 def test_psi_tilde_level_zero_rejected():
     with pytest.raises(ValueError):
         eigenstate(make_xn_system(2), PSI_T, 0)
+
+
+def test_tower_levels_are_ints():
+    # True == 1 and hash(True) == hash(1): a level True must not become the cached record of level 1
+    system = make_xn_system(2)
+    towers._tower_state.cache_clear()
+    assert type(eigenstate(system, PSI, True).m) is int
+    rec = eigenstate(system, PSI, 1)
+    assert rec.m == 1 and json.dumps(rec.to_json_dict()["m"]) == "1"
+    assert eigenstate(system, PHI, 2.0) is eigenstate(system, PHI, 2)
+    assert verify_lemma_half_lowering(system, 2.0).k_range == (0, 2)
+    for call, name in ((lambda: eigenstate(system, PSI, 2.5), "tower level m"),
+                       (lambda: verify_lemma_half_lowering(system, 2.5), "m_max")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not 2.5$"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -621,6 +638,24 @@ def test_samples_refuse_records_off_the_closed_form():
             normalized_samples(bad, [0.5])
 
 
+@pytest.mark.parametrize("sector", list(SectorLabel))
+@pytest.mark.parametrize("m", [3, 4])
+def test_both_sample_routes_follow_a_negated_record(sector, m):
+    # the sign rule reads the lowest coefficient: the state scaled by -1 samples exactly negated
+    rec = eigenstate(make_xn_system(2), sector, m)
+    flipped = EigenstateRecord(rec.sector, rec.m, rec.state.scale(-1), rec.norm_sq, rec.eigenvalue)
+    points = [-2.5, -1.1, -0.3, 0.0, 0.4, 1.3, 2.2]
+    assert normalized_samples(flipped, points) == [-v for v in normalized_samples(rec, points)]
+    grid = np.array(points).reshape(7, 1)
+    assert np.array_equal(normalized_samples(flipped, grid), -normalized_samples(rec, grid))
+
+
+def test_gram_matrix_refuses_mixed_families():
+    records = [eigenstate(make_xn_system(n), PSI, 0) for n in (1, 2)]
+    with pytest.raises(FamilyMismatchError):
+        gram_matrix(records)
+
+
 def test_eigenstate_record_semantics():
     rec = eigenstate(make_xn_system(2), PHI, 3)
     fields = (rec.sector, rec.m, rec.state, rec.norm_sq, rec.eigenvalue)
@@ -743,6 +778,23 @@ def test_zero_state_is_rejected():
     assert ladder_record(system, PSI, 3)[0].is_zero
     with pytest.raises(RuntimeError, match="eigenvalue equation failed"):
         eigenstate(system, PSI, 3)
+
+
+def test_ground_state_guards_on_hand_built_systems():
+    # each system solves PSI and PHI level 0, x^0 and x^1, and breaks one kernel condition
+    b, bdag = make_xn_system(1).generators[2:]
+    off_ker_a = CoupledSusySystem(1, Fraction(-1), Fraction(1, 2),
+                                  (Operator({-1: (1,)}, 1), Operator({1: (1, 1)}, 1), b, bdag))
+    both_in_ker_a = CoupledSusySystem(1, Fraction(-1), Fraction(0),
+                                      (Operator({-1: (0, -1, 1)}, 1), Operator({1: (1,)}, 1), b, bdag))
+    cases = ((off_ker_a, "PSI ground state is not annihilated by a"),
+             (make_xn_system(1, mutate="bdag-coeff"), "PHI ground state is not annihilated by b\\+a"),
+             (both_in_ker_a, "PHI ground state must not lie in ker a"))
+    for system, message in cases:
+        assert eigenstate(system, PSI, 0).state == monomial_state(1, 0)
+        assert eigenstate(system, PHI, 0).state == monomial_state(1, 1)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            ground_states(system)
 
 
 def test_zero_tilde_state_is_rejected():

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 from coupledsusy.calculus import (
+    FamilyMismatchError,
     GammaVector,
     Generator,
     apply_word,
@@ -185,6 +186,21 @@ def test_sector_guard_rejects_tilde_states():
     tilde = eigenstate(sys2, PSI_T, 1)
     with pytest.raises(SectorDomainError):
         uncertainty_product_LA(sys2, tilde)
+
+
+def test_sigma_is_the_root_of_the_variance():
+    sys2 = make_xn_system(2)
+    rec = eigenstate(sys2, PSI, 1)
+    for expr in (observable_L(sys2), observable_A(sys2)):
+        assert uncertainty.sigma(sys2, expr, rec) == math.sqrt(variance(sys2, expr, rec)) > 0
+
+
+def test_matrix_element_refuses_other_families():
+    sys2 = make_xn_system(2)
+    obs = observable_L(sys2)
+    for f, g in ((monomial_state(1, 0), monomial_state(2, 0)), (monomial_state(2, 0), monomial_state(3, 0))):
+        with pytest.raises(FamilyMismatchError):
+            matrix_element(sys2, obs, f, g)
 
 
 def test_variance_nonnegative_and_imag_parts_cancel():
