@@ -30,12 +30,13 @@ n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
 A GammaVector stores such a combination exactly; numeric values come out of
 an arbitrary-precision evaluator with a certified error bound.
 
-States, operators and GammaVectors share one exact int form (_IntForm):
-a map {key: nonzero int} over one int denominator d > 0, reduced so that
-gcd(d, every numerator) = 1, with the half power w folded into {0, 1}
-(even parts go into the ints; a GammaVector's w is 0).  A state's map is
-{k: c_k}, an operator's {(s, i): coefficient of k^i in p_s}, a
-GammaVector's {r: coefficient of G_r}.  Applying and composing
+States, operators, GammaVectors and polynomials share one exact int form
+(_IntForm): a map {key: nonzero int} over one int denominator d > 0,
+reduced so that gcd(d, every numerator) = 1, with the half power w folded
+into {0, 1} (even parts go into the ints; a GammaVector's and a
+polynomial's w is 0).  A state's map is {k: c_k}, an operator's {(s, i):
+coefficient of k^i in p_s}, a GammaVector's {r: coefficient of G_r}, a
+polynomial's {exponent tuple: coefficient}.  Applying and composing
 operators, adding and scaling any of them, comparing them, exact ratios
 and the inner product all run on those ints with no Fraction in between;
 the Fraction maps `terms` and `coeffs` are derived on first read.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,9 +149,12 @@ LOWERING_WORD = (Generator.BDAG, Generator.A)
 
 def _integer(value, name: str) -> int:
     """int(value); ValueError naming the value unless that int equals it (True and 2.0 pass)."""
-    if int(value) != value:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "abc", inf
+        pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class _IntForm:
@@ -300,6 +305,7 @@ class _HalfPowerForm(_IntForm):
 
     def scale_sqrt2(self, j: int):
         """Multiply by 2^(j/2) exactly."""
+        j = _integer(j, "sqrt(2) power j")
         return self._from_ints(self._family, self._data, self._den, self._half - j)
 
     def __neg__(self):
@@ -325,7 +331,8 @@ class GaussPolyState(_HalfPowerForm):
     def __init__(self, n: int, terms: Mapping[int, object], half_power: int = 0):
         if _integer(n, "family index n") < 1:
             raise ValueError("family index n must be a positive integer")
-        self._set_fractions(int(n), {_integer(k, "exponent"): Fraction(c) for k, c in terms.items()}, half_power)
+        fracs = {_integer(k, "exponent"): Fraction(c) for k, c in terms.items()}
+        self._set_fractions(int(n), fracs, _integer(half_power, "half power"))
 
     terms = property(_IntForm._fraction_view,
                      doc="The coefficients as {k: Fraction}, in the key order of `nums`.")
@@ -385,7 +392,7 @@ class Operator(_HalfPowerForm):
 
     def __init__(self, terms: Mapping[int, Iterable], half_power: int = 0):
         fracs = {(_integer(s, "shift"), i): Fraction(c) for s, p in terms.items() for i, c in enumerate(p)}
-        self._set_fractions(None, fracs, half_power)
+        self._set_fractions(None, fracs, _integer(half_power, "half power"))
 
     def _set(self, family, data: dict, den: int, half: int):
         super()._set(family, data, den, half)
@@ -501,6 +508,30 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
     """
     ratio = f._ratio(g)
     return None if ratio is None else (Fraction(ratio[0], ratio[1]), ratio[2])
+
+
+class _Polynomial(_IntForm):
+    """An exact polynomial in several variables: a map {exponent tuple: int} over one den.
+
+    The key (e_1, e_2, ...) stands for the monomial v_1^e_1 v_2^e_2 ...;
+    every key of one polynomial has the same length.  An identity among
+    polynomials holds for every value of the variables exactly when its two
+    sides are equal.
+    """
+
+    __slots__ = ()
+    _KIND = "polynomials"
+
+    def __init__(self, terms: Mapping[tuple, int], den: int = 1):
+        self._set(None, terms, den, 0)
+
+    def __mul__(self, other: "_Polynomial") -> "_Polynomial":
+        out: dict = {}
+        for e, c in self._data.items():
+            for f, d in other._data.items():
+                key = tuple(map(add, e, f))
+                out[key] = out.get(key, 0) + c * d
+        return _Polynomial(out, self._den * other._den)
 
 
 # ---------------------------------------------------------------------------

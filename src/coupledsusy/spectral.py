@@ -39,7 +39,7 @@ import sys
 
 from .calculus import Generator, Record, apply_generator, inner_product, monomial_state
 from .systems import CoupledSusySystem, make_xn_system
-from .towers import SectorLabel, _gram, merged_spectrum, tower_eigenvalue
+from .towers import SectorLabel, _gram, _tower_eigenvalue, merged_spectrum
 
 
 #: The reference grid (half width L, grid count N) per family index: the
@@ -130,7 +130,7 @@ def build_galerkin(system: CoupledSusySystem, residue: int, size: int) -> Galerk
 
 def _galerkin_theory(system, residue, size):
     sector = _untilded_sector(system.n, residue)
-    return tuple(tower_eigenvalue(system, sector, m) for m in range(size))
+    return tuple(_tower_eigenvalue(system, sector, m) for m in range(size))
 
 
 def _rational_matrices(problem: GalerkinProblem):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .calculus import IDENTITY, Generator, Operator, Record, monomial_state
+from .calculus import IDENTITY, Generator, Operator, Record, _integer, monomial_state
 
 _GENERATOR_INDEX = {gen: i for i, gen in enumerate(Generator)}
 
@@ -137,9 +137,11 @@ def make_xn_system(n: int, mutate=None) -> CoupledSusySystem:
     term_index, "alpha"|"beta", delta) tuple; term index 0 is the shift -n
     term, 1 the shift +n term, alpha the constant and beta the k
     coefficient.  Mutated systems exist so the verifiers can prove they are
-    not vacuous.
+    not vacuous.  An integral n (2.0, True) is taken as that int; any other
+    n is a ValueError.
     """
-    if not isinstance(n, int) or n < 1:
+    n = _integer(n, "family index n")
+    if n < 1:
         raise ValueError("family index n must be a positive integer")
     generators = _xn_generators(n)
     note = None

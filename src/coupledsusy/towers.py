@@ -40,6 +40,16 @@ state's own coefficients are checked against it (_laguerre_form); any other
 state gets the full product <psi, psi>.  Numeric samples come from the
 Laguerre recurrence (normalized_samples); the exact state only fixes the
 sign and passes the same check.
+
+The half-lowering lemma is proved for every level at once, once per
+system (_half_lowering_proved): [H, R] = (delta-gamma) R, the closed
+form's coefficient ratio in the solve and the norm ratios of the a and b+
+images are identities among polynomials in the level
+(calculus._Polynomial).  From them the solve, the raising check and every
+norm relation hold at every level, so the lemma builds no record, and a
+record skips the raising check and _laguerre_form.  A system where they do
+not hold, such as a mutated one, is checked level by level on its records,
+as before (_lemma_by_level), with the same failures and exceptions.
 """
 
 from __future__ import annotations
@@ -55,8 +65,10 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
+    IDENTITY,
     Record,
     _integer,
+    _Polynomial,
     apply_generator,
     inner_product,
 )
@@ -120,6 +132,12 @@ _EIGEN_FAILURE = "eigenvalue equation failed for {} m={}; system generators are 
 
 
 def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
+    """E = m(delta-gamma), plus delta on the PHI towers; an integral m (2.0, True) is taken as that
+    int, and any other m is a ValueError."""
+    return _tower_eigenvalue(system, sector, _integer(m, "tower level m"))
+
+
+def _tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
     return Fraction(*_eigenvalue_ints(system, sector, m))
 
 
@@ -198,8 +216,9 @@ def _laguerre_form(state: GaussPolyState):
     return p, a, j
 
 
-def _norm_sq(state: GaussPolyState) -> GammaVector:
-    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product.
+def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
+    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product;
+    a form (p, a, j) the caller has proved skips that check.
 
     psi = K x^p L_j^beta(t) exp(-t/2) with K = c_top (-1)^j j! n^j, c_top
     the top int over den 2^(w/2), so ||psi||^2 = K^2 n^beta Gamma(j+beta+1)
@@ -208,7 +227,7 @@ def _norm_sq(state: GaussPolyState) -> GammaVector:
     G_r prod_{i<T} (r + 2ni) / (2^T n^(j+1)): one symbol, the same
     GammaVector as the full product, from O(j) int steps.
     """
-    form = _laguerre_form(state)
+    form = form or _laguerre_form(state)
     if form is None:
         return inner_product(state, state)
     p, _, j = form
@@ -222,17 +241,23 @@ def _norm_sq(state: GaussPolyState) -> GammaVector:
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """The checked, normed record of level m, its Fraction eigenvalue built once: a s on a tilde
-    level, else the solved level that R s_(m-1) reaches, compared in ints (Operator._sends)."""
+    level, else the solved level that R s_(m-1) reaches, compared in ints (Operator._sends).
+    Where the half-lowering proof holds (_half_lowering_proved), R s_(m-1) = s_m and the closed
+    form of every level are proved, so neither is checked again."""
+    proved = _half_lowering_proved(system)
     if sector.is_tilde:
         base = _tower_state(system, sector.base, m)
         state, value = apply_generator(system, Generator.A, base.state), base.eigenvalue
         failed = state.is_zero
     else:
-        state, value = _solve_level(system, sector, m), tower_eigenvalue(system, sector, m)
-        failed = m and not system.pairs[0].raising._sends(_solve_level(system, sector, m - 1), state)
+        state, value = _solve_level(system, sector, m), _tower_eigenvalue(system, sector, m)
+        raising = system.pairs[0].raising
+        failed = m and not proved and not raising._sends(_solve_level(system, sector, m - 1), state)
     if failed:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(sector, m, state, _norm_sq(state), value)
+    p = sector.residue(system.n)
+    form = (p, 2 * p + 1 - 2 * system.n, m - sector.first_level) if proved else None
+    return EigenstateRecord(sector, m, state, _norm_sq(state, form), value)
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
@@ -273,7 +298,7 @@ def ground_states(system: CoupledSusySystem):
 def merged_spectrum(system: CoupledSusySystem, count: int):
     """Lowest `count` eigenvalues of a+a from both towers, ascending."""
     sectors = (SectorLabel.PSI, SectorLabel.PHI)
-    return sorted(tower_eigenvalue(system, s, m) for m in range(count) for s in sectors)[:count]
+    return sorted(_tower_eigenvalue(system, s, m) for m in range(count) for s in sectors)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +328,53 @@ _A_IMAGE = {SectorLabel.PSI: SectorLabel.PSI_TILDE, SectorLabel.PHI: SectorLabel
 def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> VerificationReport:
     """Exact check of the four half-lowering norm relations up to level m_max.
 
-    Each relation is verified in ints, without division or Fraction: for
-    unnormalised states, <T s, T s> must equal lambda^2 <s, s>, with T =
-    b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
-    from m = 0).  Every tower norm is the norm_sq of its memoised record
-    (_tower_state), computed once per level.  The image a psi_m
-    is the tower state psi~_m (a phi_m is phi~_m), so its norm is that
-    state's.  A nonzero image b+ psi~_m is an exact multiple (p/q) 2^(j/2)
-    psi_(m-1) of the level below, checked termwise, so its norm is
-    (p/q)^2 2^j <psi_(m-1), psi_(m-1)>, the same value as its full
-    product; any other image gets the full product.  lambda^2, its level-0
-    value plus m times the spacing, is an int over one den, and each norm
-    is compared with <s, s> > 0 by their exact int ratio.
+    For unnormalised states, <T s, T s> must equal lambda^2 <s, s>, with T
+    = b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
+    from m = 0).  The relations are first proved for every level at once,
+    once per system (_half_lowering_proved): the solved PSI and PHI levels
+    are the Laguerre closed form, a s_m and b+ s~_m are nonzero multiples
+    of the partner levels' closed forms, and those forms' norms give
+    lambda^2 exactly.  Then the report passes with every case counted and
+    no tower record is built.  When the proof does not hold (a mutated or
+    hand-built system), the per-level run (_lemma_by_level) decides, with
+    its failures and exceptions.
     """
     m_max = _integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if _half_lowering_proved(system):
+        return _lemma_report(system, m_max, [], 4 * m_max + 1)
+    return _lemma_by_level(system, m_max)
+
+
+def _lemma_report(system: CoupledSusySystem, m_max: int, failures: list, checked: int):
+    return VerificationReport(
+        identity="half-lowering norm relations",
+        n=system.n,
+        k_range=(0, m_max),
+        passed=not failures,
+        first_failure=failures[0] if failures else None,
+        checked=checked,
+        note=(
+            "lambda^2 values: m(d-g) for PSI and PHI_TILDE, m(d-g)+delta for "
+            "PHI, m(d-g)-delta for PSI_TILDE"
+        ),
+    )
+
+
+def _lemma_by_level(system: CoupledSusySystem, m_max: int) -> VerificationReport:
+    """The half-lowering relations checked level by level on the tower records, in ints.
+
+    Every tower norm is the norm_sq of its memoised record (_tower_state),
+    computed once per level.  The image a psi_m is the tower state psi~_m
+    (a phi_m is phi~_m), so its norm is that state's.  A nonzero image b+
+    psi~_m is an exact multiple (p/q) 2^(j/2) psi_(m-1) of the level below,
+    checked termwise, so its norm is (p/q)^2 2^j <psi_(m-1), psi_(m-1)>,
+    the same value as its full product; any other image gets the full
+    product.  lambda^2, its level-0 value plus m times the spacing, is an
+    int over one den, and each norm is compared with <s, s> > 0 by their
+    exact int ratio, without division or Fraction.
+    """
     lamsq = {s: half_lowering_factor_squared(system, s, 0).as_integer_ratio() for s in _LEMMA_SECTORS}
     step, step_den = system.spacing.as_integer_ratio()
     failures = []
@@ -345,18 +401,86 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
             norms = lhs._ratio(source.norm_sq)  # lhs = (u/v) <s, s>
             if norms is None or norms[0] * den != num * norms[1]:
                 failures.append({"sector": sector.value, "m": m})
-    return VerificationReport(
-        identity="half-lowering norm relations",
-        n=system.n,
-        k_range=(0, m_max),
-        passed=not failures,
-        first_failure=failures[0] if failures else None,
-        checked=checked,
-        note=(
-            "lambda^2 values: m(d-g) for PSI and PHI_TILDE, m(d-g)+delta for "
-            "PHI, m(d-g)-delta for PSI_TILDE"
-        ),
-    )
+    return _lemma_report(system, m_max, failures, checked)
+
+
+def _at(poly: tuple, den: int, origin: int, step: int) -> _Polynomial:
+    """p(origin + step v) / den in one variable v, for an operator's int polynomial p."""
+    out: dict = {}
+    for l, c in enumerate(poly):
+        for t in range(l + 1):
+            out[(t,)] = out.get((t,), 0) + c * math.comb(l, t) * origin ** (l - t) * step ** t
+    return _Polynomial(out, den)
+
+
+def _lowers(op, n: int, p: int, q: int, lamsq: _Polynomial) -> bool:
+    """Whether op, x^k -> P(k) x^(k-n), sends the closed form of seed p at every level j to a
+    nonzero multiple of the closed form of seed q = p - n + 2no at level j - o, o in {0, 1},
+    whose squared norm is lamsq(j) times the source's.
+
+    The image's top is P(p + 2nj) / den 2^(-h/2) times the source's, so by
+    the norm formula of _norm_sq the ratio is 2 P(p + 2nj)^2 / (2^h den^2
+    (2nj + a(1-o))), a = 2p + 1 - 2n.  As lamsq is linear, that identity
+    makes P(p + 2nv) a multiple of 2nv + a(1-o), so P(k) a multiple of k -
+    p (o = 1) or of k + p + 1 - 2n (o = 0), which sends the closed form of
+    seed p to that of seed q.
+    """
+    (_, poly), = op.polys
+    two_n = 2 * n
+    o, a = (q - p + n) // two_n, 2 * p + 1 - two_n
+    top, h = _at(poly, op.den, p, two_n), op.half_power
+    return top * top == lamsq * _Polynomial({(1,): two_n << h, (0,): a * (1 - o) << h}, 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _half_lowering_proved(system: CoupledSusySystem) -> bool:
+    """Whether the half-lowering relations hold at every level; proved once per system, in ints.
+
+    H = a+a must send x^k to d(k) x^k + l(k) x^(k-2n), R = a+b have shifts
+    0 and +-2n with a +2n term, and each of a and b+ one shift -n.  Then,
+    with p a tower's seed and E(v) = v(delta-gamma) (+delta on PHI), three
+    identities among polynomials in one variable v (_Polynomial) are
+    checked, each true at every level when its two sides are equal:
+
+    - [H, R] = (delta-gamma) R; its +2n part makes d(k+2n) - d(k) =
+      delta-gamma, its -4n part makes R's -2n polynomial c l and its -2n
+      part R's 0 polynomial linear, so with l as below R's +2n polynomial
+      is a nonzero constant (a degree D >= 1 would give the 0 part degree
+      D + 1);
+    - (delta-gamma)(v+1)(2p + 1 + 2nv) = -2 l(p + 2n(v+1)): the closed
+      form's coefficient ratio, which fixes l and at v = -1 makes l(p) = 0;
+    - the a and b+ norm ratios of _lowers, which make a a multiple of k,
+      so d(k) = (delta-gamma) k / (2n), and delta = d(2n-1).
+
+    So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero below the top, and
+    the solve (_solve_level) builds the closed form with nothing below the
+    seed.  R s_(m-1) = s_m: it is an eigenvector of H with eigenvalue E(m)
+    by the commutator, has s_m's top and nothing below the seed (the -2n
+    part is 2(delta-gamma) r_-(k) = l(k)(r_0(k) - r_0(k-2n))), so the
+    difference would be an eigenvector with a lower top, where E(m) - d is
+    not zero.  The norms are the images' own, so a+ = a-dagger is never
+    assumed.
+    """
+    n, two_n = system.n, 2 * system.n
+    hamiltonian, raising = system.pairs[0].hamiltonian, system.pairs[0].raising
+    h, r = dict(hamiltonian.polys), dict(raising.polys)
+    a_op, bdag = system.generator(Generator.A), system.generator(Generator.BDAG)
+    if (hamiltonian.half_power or not h.keys() <= {0, -two_n} or not r.keys() <= {-two_n, 0, two_n}
+            or two_n not in r or dict(a_op.polys).keys() != {-n} or dict(bdag.polys).keys() != {-n}
+            or hamiltonian @ raising != raising @ (hamiltonian + IDENTITY.scale(system.spacing))):
+        return False
+    low = h.get(-two_n, (0,))
+    (s, t), (d, e) = system.spacing.as_integer_ratio(), system.delta.as_integer_ratio()
+    for sector, tilde in _A_IMAGE.items():
+        p, q, phi = sector.residue(n), tilde.residue(n), sector is SectorLabel.PHI
+        # l(p + 2n(v+1)) = -(delta-gamma)/2 (v+1)(2p + 1 + 2nv), the closed form's ratio
+        ratio = _Polynomial({(2,): -two_n * s, (1,): -(2 * p + 1 + two_n) * s, (0,): -(2 * p + 1) * s}, 2 * t)
+        energy = _Polynomial({(1,): s * e, (0,): d * t * phi}, t * e)
+        lowered = _Polynomial({(1,): s * e, (0,): s * e * tilde.first_level + d * t * (phi - 1)}, t * e)
+        if (ratio != _at(low, hamiltonian.den, p + two_n, two_n)
+                or not _lowers(a_op, n, p, q, energy) or not _lowers(bdag, n, q, p, lowered)):
+            return False
+    return True
 
 
 def gram_matrix(records) -> list:

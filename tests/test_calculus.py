@@ -207,6 +207,20 @@ def test_constructors_take_integral_keys_as_ints():
     assert GammaVector(2.0, {3.0: 1}) == GammaVector(2, {3: 1})
 
 
+def test_half_powers_follow_the_integer_rule():
+    # a float half power used to raise TypeError from >>; an integral one is taken as its int
+    state, op = GaussPolyState(1, {0: 1}), Operator({0: (1,)})
+    assert GaussPolyState(1, {0: 1}, 1.0) == GaussPolyState(1, {0: 1}, True) == state.scale_sqrt2(-1)
+    assert Operator({0: (1,)}, 1.0) == op.scale_sqrt2(-1) and type(Operator({0: (1,)}, 3.0).half_power) is int
+    assert state.scale_sqrt2(2.0) == state.scale(2) and op.scale_sqrt2(1.0) == op.scale_sqrt2(1)
+    for call, name in ((lambda: GaussPolyState(1, {0: 1}, 0.5), "half power"),
+                       (lambda: Operator({0: (1,)}, 0.5), "half power"),
+                       (lambda: state.scale_sqrt2(0.5), "sqrt(2) power j"),
+                       (lambda: op.scale_sqrt2(0.5), "sqrt(2) power j")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, not 0\.5$"):
+            call()
+
+
 def test_zero_state_is_the_empty_form():
     zero = zero_state(3)
     assert zero.is_zero and zero == GaussPolyState(3, {}) and zero.n == 3

@@ -39,6 +39,17 @@ def test_invalid_family_index_rejected():
         make_xn_system(-2)
 
 
+def test_family_index_is_an_int():
+    # True == 1 and 2.0 == 2 are taken as those ints, so no report says "n": true
+    for n, want in ((True, 1), (2.0, 2)):
+        system = make_xn_system(n)
+        assert type(system.n) is int and system == make_xn_system(want)
+        assert json.dumps(verify_coupled_susy(system)[0].to_json_dict()["n"]) == str(want)
+    for n in (2.5, "2", None, float("inf")):
+        with pytest.raises(ValueError, match=f"^family index n must be an integer, not {n!r}$"):
+            make_xn_system(n)
+
+
 def test_qmho_collapse_b_equals_adag():
     # for n=1 the operators of b and a+ (and of b+ and a) coincide term by term
     sys1 = make_xn_system(1)

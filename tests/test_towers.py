@@ -25,6 +25,7 @@ from coupledsusy.calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
+    IDENTITY,
     LOWERING_WORD,
     Operator,
     RAISING_WORD,
@@ -163,6 +164,18 @@ def test_tower_levels_are_ints():
             call()
 
 
+def test_eigenvalues_take_integral_levels_only():
+    # Fraction(m) used to raise TypeError for a float level; an integral one is taken as its int
+    system = make_xn_system(2)
+    assert tower_eigenvalue(system, PHI, 2.0) == tower_eigenvalue(system, PHI, 2) == 11
+    assert half_lowering_factor_squared(system, PSI_T, True) == 1
+    assert half_lowering_factor_squared(system, PSI_T, 1.0) == half_lowering_factor_squared(system, PSI_T, 1)
+    for call in (lambda: tower_eigenvalue(system, PSI, 2.5),
+                 lambda: half_lowering_factor_squared(system, PSI, 2.5)):
+        with pytest.raises(ValueError, match="^tower level m must be an integer, not 2.5$"):
+            call()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_residue_class_confinement_and_positivity(n):
     sysn = make_xn_system(n)
@@ -260,7 +273,8 @@ def test_lemma_factors_exact(n):
 def test_lemma_pairs_each_state_once(monkeypatch, n):
     # one norm per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at m = 0);
     # a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 norms, each
-    # from the closed form, so no full product at all; counted with the tower caches cleared
+    # from the closed form, so no full product at all; counted with the tower caches cleared, in the
+    # per-level run that the lemma falls back to where its proof for every level does not hold
     system = make_xn_system(n)
     want = verify_lemma_half_lowering(system, 6)
     towers._tower_state.cache_clear()
@@ -268,9 +282,9 @@ def test_lemma_pairs_each_state_once(monkeypatch, n):
     norms, products = [], []
     real_norm, real_product = towers._norm_sq, towers.inner_product
 
-    def counting_norm(state):
+    def counting_norm(state, form=None):
         norms.append(state)
-        return real_norm(state)
+        return real_norm(state, form)
 
     def counting_product(f, g):
         products.append(f is g)
@@ -278,31 +292,31 @@ def test_lemma_pairs_each_state_once(monkeypatch, n):
 
     monkeypatch.setattr(towers, "_norm_sq", counting_norm)
     monkeypatch.setattr(towers, "inner_product", counting_product)
-    report = verify_lemma_half_lowering(system, 6)
+    report = towers._lemma_by_level(system, 6)
     assert report == want and report.checked == want.checked
     assert len(norms) == len(set(norms)) == 4 * 6 + 3 and not products
 
 
 def test_cold_lemma_builds_one_eigenvalue_per_untilded_record(monkeypatch):
-    # m_max 14: the 30 untilded records (PSI and PHI, m = 0..14) and the four lambda^2 seeds;
-    # the solve and the lemma's checks keep the eigenvalue and lambda^2 as ints
+    # m_max 14, per level: the 30 untilded records (PSI and PHI, m = 0..14) and the four lambda^2
+    # seeds; the solve and the lemma's checks keep the eigenvalue and lambda^2 as ints
     system = make_xn_system(2)
     towers._tower_state.cache_clear()
     towers._solve_level.cache_clear()
     calls = []
-    real = towers.tower_eigenvalue
+    real = towers._tower_eigenvalue
 
     def counting(system, sector, m):
         calls.append((sector, m))
         return real(system, sector, m)
 
-    monkeypatch.setattr(towers, "tower_eigenvalue", counting)
-    assert verify_lemma_half_lowering(system, 14).passed
+    monkeypatch.setattr(towers, "_tower_eigenvalue", counting)
+    assert towers._lemma_by_level(system, 14).passed
     assert len(calls) <= 2 * 15 + 4, len(calls)
 
 
 def test_warm_lemma_builds_no_fraction_per_check(monkeypatch):
-    # a warm call builds the same few Fractions (its four lambda^2 seeds) at every depth
+    # a warm per-level run builds the same few Fractions (its four lambda^2 seeds) at every depth
     system = make_xn_system(2)
     built = []
     real_new = Fraction.__new__
@@ -313,10 +327,10 @@ def test_warm_lemma_builds_no_fraction_per_check(monkeypatch):
 
     counts = []
     for m_max in (6, 14):
-        want = verify_lemma_half_lowering(system, m_max)
+        want = towers._lemma_by_level(system, m_max)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         built.clear()
-        assert verify_lemma_half_lowering(system, m_max) == want and want.passed
+        assert towers._lemma_by_level(system, m_max) == want and want.passed
         monkeypatch.undo()
         counts.append(len(built))
     assert counts[0] == counts[1], counts
@@ -408,6 +422,95 @@ def test_lemma_follows_odd_half_powers(n):
         assert proportionality_ratio(image, eigenstate(system, PHI, 1).state)[1] in (-1, 1)
         assert lemma_outcome(verify_lemma_half_lowering, system, 8) == want
         assert lemma_outcome(reference_lemma, system, 8) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_proved_lemma_builds_no_tower_record(n):
+    # the relations are proved for every level once per system, so no depth builds a record
+    system = make_xn_system(n)
+    assert towers._half_lowering_proved(system)  # else m_max 10 000 would run level by level
+    misses = _tower_state.cache_info().misses
+    for m_max in (15, 10_000):
+        assert lemma_outcome(verify_lemma_half_lowering, system, m_max) == (True, None, 4 * m_max + 1)
+    assert _tower_state.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_proved_lemma_matches_the_full_product_reference(n):
+    system = make_xn_system(n)
+    assert towers._half_lowering_proved(system)
+    got = lemma_outcome(verify_lemma_half_lowering, system, 6)
+    assert got == lemma_outcome(reference_lemma, system, 6) == (True, None, 25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_proof_assumes_no_adjoint(n):
+    # 2a and a+/2 leave a+a and aa+ as they are, so the system passes verify, but ||2a phi_0||^2 is
+    # four times lambda^2 ||phi_0||^2: the proof reads the images' own norms and does not hold
+    a, adag, b, bdag = make_xn_system(n).generators
+    system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
+                               generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
+    assert all_reports_pass(verify_coupled_susy(system) + verify_su11(system))
+    assert not towers._half_lowering_proved(system)
+    got = lemma_outcome(verify_lemma_half_lowering, system, 6)
+    assert got == lemma_outcome(reference_lemma, system, 6) == (False, {"sector": "phi", "m": 0}, 25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
+    # the 240 mutated systems of the full-product test, the halved one and those with sqrt(2) b or
+    # sqrt(2) b+; the halved and sqrt(2) b systems pass the lemma, and the proof holds for them.
+    # The per-level run builds its records with every check, as on a system without the proof
+    family = make_xn_system(n)
+    a, adag, b, bdag = family.generators
+    systems = [make_xn_system(n, mutate=(*slot, Fraction(delta)))
+               for slot in mutation_slots(family) for delta in (1, -1, 2, Fraction(1, 2), -3)]
+    halved = tuple(g.scale(Fraction(1, 2)) for g in family.generators)
+    scaled = {
+        "halved": (Fraction(-1, 4), Fraction(2 * n - 1, 4), halved),
+        "sqrt(2) b": (Fraction(-1), Fraction(2 * n - 1), (a, adag, b.scale_sqrt2(1), bdag)),
+        "sqrt(2) b+": (Fraction(-1), Fraction(2 * n - 1), (a, adag, b, bdag.scale_sqrt2(1))),
+    }
+    for name, (gamma, delta, generators) in scaled.items():
+        systems.append(CoupledSusySystem(n=n, gamma=gamma, delta=delta, generators=generators, mutation=name))
+    proved = [system for system in systems if towers._half_lowering_proved(system)]
+    assert {"halved", "sqrt(2) b"} <= {system.mutation for system in proved}
+    assert "sqrt(2) b+" not in {system.mutation for system in proved}
+    monkeypatch.setattr(towers, "_half_lowering_proved", lambda system: False)
+    towers._tower_state.cache_clear()
+    for system in proved:
+        assert lemma_outcome(towers._lemma_by_level, system, 6) == (True, None, 25), system.mutation
+    towers._tower_state.cache_clear()
+
+
+def test_proved_records_equal_the_checked_solve(monkeypatch):
+    # on a proved system a record skips the raising check and the closed-form check, which the
+    # proof covers; each must equal the record built with both checks
+    systems = {n: make_xn_system(n) for n in range(1, 9)}
+    keys = [(n, sector, m) for n in systems for sector in SectorLabel for m in range(sector.first_level, 121)]
+    towers._tower_state.cache_clear()
+    records = {key: _tower_state(systems[key[0]], *key[1:]) for key in keys}
+    monkeypatch.setattr(towers, "_half_lowering_proved", lambda system: False)
+    towers._tower_state.cache_clear()
+    for (n, sector, m), record in records.items():
+        assert _tower_state(systems[n], sector, m) == record, (n, sector, m)
+    towers._tower_state.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hand_built_systems_match_the_reference(n):
+    # sqrt(2) a+ leaves H an odd half power and b = 0 leaves R no +2n term, so their solves raise;
+    # so does (aa+ - 2(delta-gamma)) b: R becomes (H - 2(delta-gamma)) R, which keeps [H, R] =
+    # (delta-gamma) R but gains a -4n term and kills psi_2; -b+ passes and is proved; 2b with b+/2
+    # halves the b+ images' norms and fails
+    a, adag, b, bdag = make_xn_system(n).generators
+    cases = [((a, adag.scale_sqrt2(1), b, bdag), False), ((a, adag, Operator({}, 1), bdag), False),
+             ((a, adag, (a @ adag - IDENTITY.scale(4 * n)) @ b, bdag), False),
+             ((a, adag, b, -bdag), True), ((a, adag, b.scale(2), bdag.scale(Fraction(1, 2))), False)]
+    for generators, proved in cases:
+        system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1), generators=generators)
+        assert towers._half_lowering_proved(system) == proved
+        assert lemma_outcome(verify_lemma_half_lowering, system, 6) == lemma_outcome(reference_lemma, system, 6)
 
 
 def test_lemma_factor_direct_ratio_n2():
