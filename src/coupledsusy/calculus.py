@@ -157,6 +157,12 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _reduced(c: int, den: int) -> str:
+    """The text p/q of c/den in lowest terms (den > 0), 0 as 0/1."""
+    g = math.gcd(c, den)
+    return f"{c // g}/{den // g}"
+
+
 class _IntForm:
     """Base of the exact forms: 2^(-half/2) * (int numerators over one int den).
 
@@ -263,12 +269,7 @@ class _IntForm:
 
     def _text(self) -> str:
         """The text `k1:p1/q1, ...` over sorted int keys, each term reduced by its gcd with den."""
-        den = self._den
-        parts = []
-        for k, c in sorted(self._data.items()):
-            g = math.gcd(c, den)
-            parts.append(f"{k}:{c // g}/{den // g}")
-        return ", ".join(parts)
+        return ", ".join([f"{k}:{_reduced(c, self._den)}" for k, c in sorted(self._data.items())])
 
     @staticmethod
     def _read(body: str) -> dict:
@@ -448,30 +449,46 @@ class Operator(_HalfPowerForm):
                     out[kk] = out.get(kk, 0) + coeff
         return out
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        """The product self . other (other acts first).
+    def _products(self, other: "Operator", sign: int, out: dict) -> None:
+        """Add sign * (self . other) to out {(s, i): int} over den self.den * other.den.
 
-        x^k -> c2 k^j x^(k+s2) -> c1 (k+s2)^i c2 k^j x^(k+s1+s2) for each
-        term c1 k^i at shift s1 of self and c2 k^j at shift s2 of other,
-        expanded by the binomial theorem into sum_l C(i, l) s2^(i-l) c1 c2
-        k^(l+j).
+        x^k -> p2(k) x^(k+s2) -> p1(k+s2) p2(k) x^(k+s1+s2) for each
+        polynomial p1 at shift s1 of self and p2 at shift s2 of other; each
+        p1(k+s2) is Taylor-shifted once, by repeated synthetic division, and
+        multiplied out with p2.
         """
+        mine = self.polys
+        for s2, p2 in other.polys:
+            for s1, q in mine:
+                if s2 and len(q) > 1:
+                    q = list(q)
+                    for i in range(len(q) - 1):
+                        for j in range(len(q) - 2, i - 1, -1):
+                            q[j] += s2 * q[j + 1]
+                s = s1 + s2
+                for i, a in enumerate(q):
+                    if a:
+                        a *= sign
+                        for j, b in enumerate(p2, i):
+                            key = (s, j)
+                            out[key] = out.get(key, 0) + a * b
+
+    def __matmul__(self, other: "Operator") -> "Operator":
+        """The product self . other (other acts first)."""
         out: dict = {}
-        for (s2, j), c2 in other._data.items():
-            for (s1, i), c1 in self._data.items():
-                s, c = s1 + s2, c1 * c2
-                for l in range(i + 1):
-                    key = (s, l + j)
-                    out[key] = out.get(key, 0) + math.comb(i, l) * s2 ** (i - l) * c
-        half = self.half_power + other.half_power
-        return Operator._from_ints(None, out, self.den * other.den, half)
+        self._products(other, 1, out)
+        return Operator._from_ints(None, out, self.den * other.den, self.half_power + other.half_power)
+
+    def _commutator(self, other: "Operator") -> "Operator":
+        """[self, other] = self . other - other . self, summed in one int map and canonicalised once."""
+        out: dict = {}
+        self._products(other, 1, out)
+        other._products(self, -1, out)
+        return Operator._from_ints(None, out, self.den * other.den, self.half_power + other.half_power)
 
     def serialize(self) -> str:
-        """Canonical text `w; s1:[c0 c1 ...], s2:[...]` (c_i multiply k^i)."""
-        body = ", ".join(
-            f"{s}:[{' '.join(f'{c.numerator}/{c.denominator}' for c in p)}]"
-            for s, p in self.terms.items()
-        )
+        """Canonical text `w; s1:[c0 c1 ...], s2:[...]` (c_i multiply k^i), written from the ints."""
+        body = ", ".join([f"{s}:[{' '.join([_reduced(c, self.den) for c in p])}]" for s, p in self.polys])
         return f"{self.half_power}; {body}"
 
 

@@ -19,9 +19,9 @@ each laddered by its own quadratic words; _PAIRS is their one table:
 A system composes the eight words once (`pairs`, indexed by is_tilde) for
 every identity, tower check and observable to read.  Rescaled by
 1/(delta-gamma), each pair's words close into su(1,1).  Each identity is
-proved by composing its residual Operator lhs - rhs, a map {shift ->
-polynomial in k}, and checking that it is identically zero; that settles
-the identity for every integer exponent k.
+proved by checking that its residual Operator lhs - rhs, a map {shift ->
+polynomial in k}, is identically zero, which settles it for every integer
+exponent k.  The su(1,1) rows scale the first pair's residuals (verify_su11).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .calculus import IDENTITY, Generator, Operator, Record, _integer, monomial_state
+from .calculus import IDENTITY, GaussPolyState, Generator, Operator, Record, _integer
 
 _GENERATOR_INDEX = {gen: i for i, gen in enumerate(Generator)}
 
@@ -207,11 +207,11 @@ def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -
     if not residual.is_zero:
         # a nonzero residual has a nonzero polynomial, which has finitely many roots
         k = min(ks)
-        while (image := residual.apply(monomial_state(system.n, k))).is_zero:
+        while not any((image := residual._image({k: 1})).values()):  # x^k's image, in ints
             k += 1
         first_failure = {
             "k": k,
-            "residual": image.serialize(),
+            "residual": GaussPolyState._from_ints(system.n, image, residual.den, residual.half_power).serialize(),
             "residual_operator": residual.serialize(),
         }
     return VerificationReport(
@@ -254,35 +254,29 @@ def k_operators(system: CoupledSusySystem) -> dict:
     return {"k+": first.raising.scale(pref), "k-": first.lowering.scale(pref), "k0": k0, "k0~": k0_tilde}
 
 
-def _commutator(x: Operator, y: Operator) -> Operator:
-    return x @ y - y @ x
-
-
 def verify_su11(system: CoupledSusySystem, exponent_range=None) -> list:
     """Prove the su(1,1) ladder commutators for every exponent, pair by pair.
 
     Per pair, [H, R] = (delta-gamma) R, [H, L] = -(delta-gamma) L and
-    [R, L] = 2(gamma-delta)(H - c/2); the proofs compose each commutator
-    rather than assume it.  They come with the rescaled forms [K0, K+-] =
-    +-K+- and [K+, K-] = -2 K0, where K+- and K0 carry 1/(delta-gamma).
+    [R, L] = 2(gamma-delta)(H - c/2), each residual composed, not assumed.
+    The rescaled rows [K0, K+-] = +-K+- and [K+, K-] = -2 K0 of k_operators
+    are the first pair's three residuals over (delta-gamma)^2, scaled, not
+    composed: K0 = (H - gamma/2)/(delta-gamma), K+- = R, L/(delta-gamma) and
+    a constant commutes, so e.g. [K+, K-] + 2 K0 = ([R, L] + 2(delta-gamma)
+    (H - gamma/2))/(delta-gamma)^2, exactly, as forms are exact.
     """
     ks = _window(system, exponent_range)
     dg = system.spacing
     identities = []
     for (h, _, r, l, shift_name), H, _, R, L, c in system.pairs:
         identities += [
-            (f"[{h}, {r}] = (delta-gamma) {r}", _commutator(H, R) - R.scale(dg)),
-            (f"[{h}, {l}] = -(delta-gamma) {l}", _commutator(H, L) + L.scale(dg)),
+            (f"[{h}, {r}] = (delta-gamma) {r}", H._commutator(R) - R.scale(dg)),
+            (f"[{h}, {l}] = -(delta-gamma) {l}", H._commutator(L) + L.scale(dg)),
             (f"[{r}, {l}] = 2(gamma-delta)({h} - {shift_name}/2)",
-             _commutator(R, L) + (H - IDENTITY.scale(c / 2)).scale(2 * dg)),
+             R._commutator(L) + (H - IDENTITY.scale(c / 2)).scale(2 * dg)),
         ]
-    kops = k_operators(system)
-    identities += [
-        # Normalised forms with the 1/(delta-gamma) prefactors.
-        ("[K0, K+] = K+", _commutator(kops["k0"], kops["k+"]) - kops["k+"]),
-        ("[K0, K-] = -K-", _commutator(kops["k0"], kops["k-"]) + kops["k-"]),
-        ("[K+, K-] = -2 K0", _commutator(kops["k+"], kops["k-"]) + kops["k0"].scale(2)),
-    ]
+    k_rows = ("[K0, K+] = K+", "[K0, K-] = -K-", "[K+, K-] = -2 K0")
+    identities += [(name, residual.scale(1 / dg ** 2)) for name, (_, residual) in zip(k_rows, identities)]
     return [_prove(system, name, residual, ks) for name, residual in identities]
 
 

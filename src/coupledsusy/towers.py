@@ -65,7 +65,6 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
-    IDENTITY,
     Record,
     _integer,
     _Polynomial,
@@ -467,7 +466,7 @@ def _half_lowering_proved(system: CoupledSusySystem) -> bool:
     a_op, bdag = system.generator(Generator.A), system.generator(Generator.BDAG)
     if (hamiltonian.half_power or not h.keys() <= {0, -two_n} or not r.keys() <= {-two_n, 0, two_n}
             or two_n not in r or dict(a_op.polys).keys() != {-n} or dict(bdag.polys).keys() != {-n}
-            or hamiltonian @ raising != raising @ (hamiltonian + IDENTITY.scale(system.spacing))):
+            or hamiltonian._commutator(raising) != raising.scale(system.spacing)):
         return False
     low = h.get(-two_n, (0,))
     (s, t), (d, e) = system.spacing.as_integer_ratio(), system.delta.as_integer_ratio()

@@ -93,9 +93,11 @@ class OperatorExpression(Record):
         )
 
     def commutator_with(self, other: "OperatorExpression") -> "OperatorExpression":
-        difference = self.compose(other).minus(other.compose(self))
+        """[self, other]: i op and i op' give -[op, op'], real; one imaginary factor gives i [op, op']."""
+        bracket = self.op._commutator(other.op)
         return OperatorExpression(
-            f"[{self.name},{other.name}]", difference.op, difference.imaginary, self.sector
+            f"[{self.name},{other.name}]", -bracket if self.imaginary and other.imaginary else bracket,
+            self.imaginary != other.imaginary, self.sector,
         )
 
 

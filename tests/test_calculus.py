@@ -505,6 +505,23 @@ def ref_compose(first, second):
     return RefOperator(out, first.half_power + second.half_power)
 
 
+def ref_binomial_compose(first, second):
+    """first . second over the int maps by the binomial theorem, the Operator product the Taylor shift replaced.
+
+    x^k -> c2 k^j x^(k+s2) -> c1 (k+s2)^i c2 k^j x^(k+s1+s2) for each term
+    c1 k^i at shift s1 of first and c2 k^j at shift s2 of second, expanded
+    into sum_l C(i, l) s2^(i-l) c1 c2 k^(l+j).
+    """
+    out = {}
+    for (s2, j), c2 in second._data.items():
+        for (s1, i), c1 in first._data.items():
+            s, c = s1 + s2, c1 * c2
+            for l in range(i + 1):
+                key = (s, l + j)
+                out[key] = out.get(key, 0) + math.comb(i, l) * s2 ** (i - l) * c
+    return Operator._from_ints(None, out, first.den * second.den, first.half_power + second.half_power)
+
+
 def ref_monomial_integral(n, j):
     if j <= -1:
         raise DivergenceError(f"integrand term x^{j} is not integrable")
@@ -631,6 +648,8 @@ def test_composition_matches_fraction_reference(inputs):
     (a, b, c), (state, _) = inputs
     product = a @ b
     assert_matches_ref_operator(product, ref_compose(a, b))
+    binomial = ref_binomial_compose(a, b)
+    assert (product, product.den, product.polys) == (binomial, binomial.den, binomial.polys)
     assert product.apply(state) == a.apply(b.apply(state))
     assert (a @ b) @ c == a @ (b @ c)
 
@@ -1065,6 +1084,32 @@ def test_operator_representation_matches_fraction_reference(program):
                 else:
                     op, ref = op - other, ref.add(ref_other, -1)
         assert_matches_ref_operator(op, ref)
+
+
+@given(operator_programs())
+@settings(max_examples=100, deadline=None)
+def test_commutator_is_the_difference_of_the_two_products(program):
+    # zero, the identity and an odd half power among the operands
+    (terms, w), steps = program
+    operands = [Operator(terms, w)] + [Operator(*arg) for kind, arg in steps if type(arg) is tuple][:2]
+    operands += [Operator({}), IDENTITY, operands[0].scale_sqrt2(1)]
+    for x in operands:
+        for y in operands:
+            got, want = x._commutator(y), x @ y - y @ x
+            assert (got, got.den, got.polys, got.serialize()) == (want, want.den, want.polys, want.serialize())
+            assert_matches_ref_operator(got, ref_compose(x, y).add(ref_compose(y, x), -1))
+
+
+@given(raw_operator_inputs())
+@settings(max_examples=200, deadline=None)
+def test_operator_text_is_written_from_the_ints(raw):
+    op = Operator(*raw)
+    text = op.serialize()
+    assert op._view is None  # no Fraction view is built to write it
+    body = ", ".join(
+        f"{s}:[{' '.join(f'{c.numerator}/{c.denominator}' for c in p)}]" for s, p in op.terms.items()
+    )
+    assert text == f"{op.half_power}; {body}"
 
 
 @given(algebra_inputs(), st.sampled_from(NON_DYADIC))

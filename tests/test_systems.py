@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coupledsusy import reports
-from coupledsusy.calculus import IDENTITY, LOWERING_WORD, RAISING_WORD, Generator, apply_word, monomial_state
+from coupledsusy.calculus import IDENTITY, LOWERING_WORD, RAISING_WORD, Generator, Operator, apply_word, monomial_state
 from coupledsusy.systems import (
     CoupledSusySystem,
     VerificationReport,
-    _prove,
+    _PROOF_NOTE,
     _window,
     all_reports_pass,
     default_window,
@@ -299,12 +299,25 @@ def test_verification_report_record_semantics():
 # ---------------------------------------------------------------------------
 
 
+def ref_prove(system, name, residual, ks):
+    """_prove with the failing k found on monomial states, the route it replaced."""
+    first_failure = None
+    if not residual.is_zero:
+        k = min(ks)
+        while (image := residual.apply(monomial_state(system.n, k))).is_zero:
+            k += 1
+        first_failure = {"k": k, "residual": image.serialize(), "residual_operator": residual.serialize()}
+    return VerificationReport(
+        name, system.n, (min(ks), max(ks)), residual.is_zero, first_failure, len(ks), _PROOF_NOTE
+    )
+
+
 def ref_verify_coupled_susy(system, exponent_range=None):
     ks = _window(system, exponent_range)
     a, ad, b, bd = system.generators
     return [
-        _prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
-        _prove(system, "aa+ = bb+ + delta", a @ ad - b @ bd - IDENTITY.scale(system.delta), ks),
+        ref_prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
+        ref_prove(system, "aa+ = bb+ + delta", a @ ad - b @ bd - IDENTITY.scale(system.delta), ks),
     ]
 
 
@@ -354,21 +367,22 @@ def ref_verify_su11(system, exponent_range=None):
         ("[K0, K-] = -K-", ref_commutator(kops["k0"], kops["k-"]) + kops["k-"]),
         ("[K+, K-] = -2 K0", ref_commutator(kops["k+"], kops["k-"]) + kops["k0"].scale(2)),
     ]
-    return [_prove(system, name, residual, ks) for name, residual in identities]
+    return [ref_prove(system, name, residual, ks) for name, residual in identities]
 
 
 def real_and_mutated_systems(n):
-    """The x^n system and its 36 single-slot mutations by 1, -1 and 1/2."""
+    """The x^n system and its 60 single-slot mutations by 1, -1, 1/2, 2 and -3."""
     base = make_xn_system(n)
     return [base] + [
         make_xn_system(n, mutate=(*slot, delta))
         for slot in mutation_slots(base)
-        for delta in (Fraction(1), Fraction(-1), Fraction(1, 2))
+        for delta in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-3))
     ]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_pair_table_reports_match_hand_written_identities(n):
+    # the su(1,1) rows come from the first pair's residuals; the oracle composes each K commutator
     for system in real_and_mutated_systems(n):
         for window in (None, range(-3, 6)):
             got = verify_coupled_susy(system, window) + verify_su11(system, window)
@@ -377,6 +391,28 @@ def test_pair_table_reports_match_hand_written_identities(n):
             assert [(r.passed, r.first_failure) for r in got] == [(r.passed, r.first_failure) for r in want]
             assert got == want
         assert k_operators(system) == ref_k_operators(system)
+
+
+def test_verify_composes_each_pair_commutator_once(monkeypatch):
+    # a system composes its eight words; verify composes the six pair commutators, two products each,
+    # in one pass apiece, and no K commutator
+    calls = []
+    real = Operator._products
+
+    def counting(self, other, sign, out):
+        calls.append(sign)
+        return real(self, other, sign, out)
+
+    monkeypatch.setattr(Operator, "_products", counting)
+    for n in (1, 2, 5, 8):
+        for mutate in (None, "b-coeff", (ADAG, 0, "beta", Fraction(-3))):
+            calls.clear()
+            system = make_xn_system(n, mutate=mutate)
+            assert calls == [1] * 8, (n, mutate, len(calls))
+            calls.clear()
+            reports = verify_coupled_susy(system) + verify_su11(system)
+            assert all_reports_pass(reports) == (mutate is None)
+            assert calls == [1, -1] * 6, (n, mutate, len(calls))
 
 
 #: The words of each pair, (H, partner, raising, lowering), generator by generator.

@@ -134,6 +134,19 @@ def test_commutator_LA_is_scaled_number_operator():
             assert exact == expected
 
 
+def test_commutator_matches_the_difference_of_the_two_compositions():
+    # i op and i op' give the real -[op, op']; one imaginary factor gives i [op, op']
+    for n in (1, 2):
+        sysn = make_xn_system(n, mutate="b-coeff") if n == 2 else make_xn_system(n)
+        exprs = [observable_L(sysn), observable_A(sysn), observable_A_tilde(sysn),
+                 x_block(sysn, "12"), p_block(sysn, "21")]
+        for x in exprs:
+            for y in exprs:
+                got, want = x.commutator_with(y), x.compose(y).minus(y.compose(x))
+                assert (got.name, got.sector) == (f"[{x.name},{y.name}]", x.sector)
+                assert got.op == want.op and got.imaginary == want.imaginary == (x.imaginary != y.imaginary)
+
+
 # ---------------------------------------------------------------------------
 # first-sector product
 # ---------------------------------------------------------------------------
