@@ -424,15 +424,6 @@ class Operator(_HalfPowerForm):
         half = state.half_power + self.half_power
         return GaussPolyState._from_ints(state.n, self._image(state.nums), state.den * self.den, half)
 
-    def _sends(self, state: GaussPolyState, image: GaussPolyState) -> bool:
-        """Whether self.apply(state) == image, in cross-multiplied ints without building the image."""
-        out, nums = {k: c for k, c in self._image(state.nums).items() if c}, image.nums
-        fold, odd = divmod(state.half_power + self.half_power - image.half_power, 2)
-        if state.n != image.n or (odd and out) or out.keys() != nums.keys():
-            return False  # an odd power of sqrt(2) is no rational factor
-        a, b = image.den << max(-fold, 0), state.den * self.den << max(fold, 0)
-        return all(c * a == nums[k] * b for k, c in out.items())
-
     def _image(self, nums: dict) -> dict:
         """{k + s: sum of p_s(k) c_k} over the ints c_k of a state; a sum may be zero."""
         items = nums.items()

@@ -17,7 +17,7 @@ import types
 from fractions import Fraction
 
 from . import _LOAD_LOCK, reports
-from .systems import make_xn_system, verify_coupled_susy, verify_su11
+from .systems import default_window, make_xn_system, verify_coupled_susy, verify_su11
 
 
 class _LazyModule(types.ModuleType):
@@ -73,6 +73,8 @@ _SECTORS = {"psi": "psi", "phi": "phi", "psitilde": "psi~", "phitilde": "phi~"}
 #: The choices of --format and --pair; a config file value is held to them too.
 _FORMATS = ("json", "csv")
 _PAIRS = ("la", "tilde", "xp", "all")
+#: The values of the switch fd, taken case-insensitively: the first three turn it on.
+_SWITCH = ("1", "true", "yes", "0", "false", "no")
 
 
 def _load_config_file(path, keys):
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_spec)
     p_spec.add_argument("--count", type=int, default=None, help="number of eigenvalues")
     p_spec.add_argument("--galerkin-size", type=int, default=None, help="basis size per sector")
-    p_spec.add_argument("--fd", action="store_true", help="also run the finite-difference check")
+    p_spec.add_argument("--fd", action="store_const", const="yes", help="also run the finite-difference check")
     p_spec.add_argument("--fd-half-width", type=float, default=None)
     p_spec.add_argument("--fd-grid", type=int, default=None)
 
@@ -235,10 +237,10 @@ def cmd_verify(args, config) -> int:
         system = make_xn_system(n, mutate=mutate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lo = _merge(args, config, "window_lo", int, None)
-    hi = _merge(args, config, "window_hi", int, None)
-    window = None if lo is None or hi is None else range(lo, hi + 1)
-    if window is not None and len(window) == 0:
+    lo, hi = default_window(n)  # a bound not given keeps its default
+    lo, hi = _merge(args, config, "window_lo", int, lo), _merge(args, config, "window_hi", int, hi)
+    window = range(lo, hi + 1)
+    if not window:
         raise ConfigError("verification window is empty")
     all_reports = verify_coupled_susy(system, window) + verify_su11(system, window)
     passed = all(r.passed for r in all_reports)
@@ -263,7 +265,7 @@ def cmd_spectrum(args, config) -> int:
     if size < 1:
         raise ConfigError("galerkin-size must be >= 1")
     fd = None
-    if args.fd or str(config.get("fd", "")).lower() in ("1", "true", "yes"):
+    if _merge(args, config, "fd", str.lower, "no", _SWITCH) in _SWITCH[:3]:
         default_width, default_grid = spectral.FD_REFERENCE_GRID[min(n, 3)]
         half_width = _merge(args, config, "fd_half_width", float, default_width)
         grid = _merge(args, config, "fd_grid", int, default_grid)

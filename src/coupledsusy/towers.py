@@ -48,8 +48,9 @@ images are identities among polynomials in the level
 (calculus._Polynomial).  From them the solve, the raising check and every
 norm relation hold at every level, so the lemma builds no record, and a
 record skips the raising check and _laguerre_form.  A system where they do
-not hold, such as a mutated one, is checked level by level on its records,
-as before (_lemma_by_level), with the same failures and exceptions.
+not hold, such as a mutated one, is checked level by level (_lemma_by_level):
+each record's a or b+ image by its full product, against lambda^2 times the
+record's norm.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ def _poly_at(poly, k: int) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=4096)
 def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
     """Untilded level m: the eigenvector of H with eigenvalue E and top exponent K.
 
@@ -240,7 +240,7 @@ def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """The checked, normed record of level m, its Fraction eigenvalue built once: a s on a tilde
-    level, else the solved level that R s_(m-1) reaches, compared in ints (Operator._sends).
+    level, else the solved level, which must equal R s_(m-1) (R.apply on the level below).
     Where the half-lowering proof holds (_half_lowering_proved), R s_(m-1) = s_m and the closed
     form of every level are proved, so neither is checked again."""
     proved = _half_lowering_proved(system)
@@ -251,7 +251,7 @@ def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eige
     else:
         state, value = _solve_level(system, sector, m), _tower_eigenvalue(system, sector, m)
         raising = system.pairs[0].raising
-        failed = m and not proved and not raising._sends(_solve_level(system, sector, m - 1), state)
+        failed = m and not proved and raising.apply(_solve_level(system, sector, m - 1)) != state
     if failed:
         raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     p = sector.residue(system.n)
@@ -362,20 +362,12 @@ def _lemma_report(system: CoupledSusySystem, m_max: int, failures: list, checked
 
 
 def _lemma_by_level(system: CoupledSusySystem, m_max: int) -> VerificationReport:
-    """The half-lowering relations checked level by level on the tower records, in ints.
+    """The half-lowering relations checked level by level on the tower records.
 
-    Every tower norm is the norm_sq of its memoised record (_tower_state),
-    computed once per level.  The image a psi_m is the tower state psi~_m
-    (a phi_m is phi~_m), so its norm is that state's.  A nonzero image b+
-    psi~_m is an exact multiple (p/q) 2^(j/2) psi_(m-1) of the level below,
-    checked termwise, so its norm is (p/q)^2 2^j <psi_(m-1), psi_(m-1)>,
-    the same value as its full product; any other image gets the full
-    product.  lambda^2, its level-0 value plus m times the spacing, is an
-    int over one den, and each norm is compared with <s, s> > 0 by their
-    exact int ratio, without division or Fraction.
+    Each case applies T to the source's memoised record (_tower_state), a
+    on an untilded tower and b+ on a tilde one, and compares the image's
+    full product <T s, T s> with lambda^2 times the record's norm_sq.
     """
-    lamsq = {s: half_lowering_factor_squared(system, s, 0).as_integer_ratio() for s in _LEMMA_SECTORS}
-    step, step_den = system.spacing.as_integer_ratio()
     failures = []
     checked = 0
     for m in range(0, m_max + 1):
@@ -383,22 +375,11 @@ def _lemma_by_level(system: CoupledSusySystem, m_max: int) -> VerificationReport
             if m == 0 and sector is not SectorLabel.PHI:
                 continue  # a psi_0 and b+ phi~_0 vanish, and psi~_0 is no state
             source = _tower_state(system, sector, m)
-            base, den = lamsq[sector]
-            num, den = base * step_den + m * step * den, den * step_den  # lambda^2 = num / den
-            if sector.is_tilde:  # b+ lowers to level m-1 of the partner tower
-                image = apply_generator(system, Generator.BDAG, source.state)
-                below = _tower_state(system, sector.base, m - 1)
-                ratio = image._ratio(below.state)
-                if ratio is None or not ratio[0]:
-                    lhs = inner_product(image, image)
-                else:  # image = (p/q) 2^(j/2) below: <below, below> is lambda^2 / ((p/q)^2 2^j) <s, s>
-                    p, q, j = ratio
-                    lhs, num, den = below.norm_sq, num * q * q << max(-j, 0), den * p * p << max(j, 0)
-            else:
-                lhs = _tower_state(system, _A_IMAGE[sector], m).norm_sq
+            lowering = Generator.BDAG if sector.is_tilde else Generator.A
+            image = apply_generator(system, lowering, source.state)
+            lamsq = half_lowering_factor_squared(system, sector, m)
             checked += 1
-            norms = lhs._ratio(source.norm_sq)  # lhs = (u/v) <s, s>
-            if norms is None or norms[0] * den != num * norms[1]:
+            if inner_product(image, image) != source.norm_sq.scale(lamsq):
                 failures.append({"sector": sector.value, "m": m})
     return _lemma_report(system, m_max, failures, checked)
 

@@ -417,6 +417,7 @@ def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
         ("format", ["verify", "--n", "1"]),
         ("format", ["eigenfunctions", "--n", "1"]),
         ("pair", ["uncertainty", "--n", "1"]),
+        ("fd", ["spectrum", "--n", "1"]),
     ],
 )
 def test_config_values_are_held_to_the_flag_choices(key, argv, tmp_path, capsys):
@@ -448,6 +449,51 @@ def test_valid_config_choices_act_as_their_flags(key, value, argv, tmp_path, cap
     # a flag still beats a bad config value
     config.write_text(f"{key} = bogus\n")
     assert run_cli(argv + ["--config", str(config), f"--{key}", value], capsys) == from_config
+
+
+@pytest.mark.parametrize("value, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                       ("0", False), ("false", False), ("NO", False), ("tru", None)])
+def test_fd_config_value_is_a_switch(value, on, tmp_path, monkeypatch, capsys):
+    # 1/true/yes and 0/false/no in any case; any other value is an invalid choice, not "off"
+    from coupledsusy import spectral
+
+    class Called(Exception):
+        pass
+
+    def fd_spectrum(n, half_width, grid_count, count):
+        raise Called
+
+    monkeypatch.setattr(spectral, "fd_spectrum", fd_spectrum)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"fd = {value}\n")
+    argv = ["spectrum", "--n", "1", "--config", str(config)]
+    if on:
+        with pytest.raises(Called):
+            main(argv)
+    elif on is False:
+        assert run_cli(argv, capsys) == run_cli(["spectrum", "--n", "1"], capsys)
+    else:
+        assert main(argv) == 2
+        err = "error: config key fd: invalid choice 'tru' (choose from '1', 'true', 'yes', '0', 'false', 'no')\n"
+        assert capsys.readouterr() == ("", err)
+    with pytest.raises(Called):  # the flag beats the config file
+        main(argv + ["--fd"])
+
+
+@pytest.mark.parametrize("key, value, want", [("window_lo", 5, [5, 34]), ("window_hi", 3, [-12, 3])])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_verify_fills_a_lone_window_bound_from_the_default(key, value, want, by_config, tmp_path, capsys):
+    # default_window(1) is (-12, 34); the bound not given keeps its default
+    argv = ["verify", "--n", "1"]
+    if by_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert {tuple(r["range"]) for r in json.loads(out)["identities"]} == {tuple(want)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -269,73 +269,6 @@ def test_lemma_factors_exact(n):
     assert report.checked == 6 * 3 + 7  # three m>=1 relations plus PHI at m=0..6
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_lemma_pairs_each_state_once(monkeypatch, n):
-    # one norm per tower state: psi_0, then psi_m, psi~_m, phi~_m, phi_m (phi~_0, phi_0 at m = 0);
-    # a psi_m is psi~_m, and b+ psi~_m is an exact multiple of psi_(m-1): 4 m_max + 3 norms, each
-    # from the closed form, so no full product at all; counted with the tower caches cleared, in the
-    # per-level run that the lemma falls back to where its proof for every level does not hold
-    system = make_xn_system(n)
-    want = verify_lemma_half_lowering(system, 6)
-    towers._tower_state.cache_clear()
-    towers._solve_level.cache_clear()
-    norms, products = [], []
-    real_norm, real_product = towers._norm_sq, towers.inner_product
-
-    def counting_norm(state, form=None):
-        norms.append(state)
-        return real_norm(state, form)
-
-    def counting_product(f, g):
-        products.append(f is g)
-        return real_product(f, g)
-
-    monkeypatch.setattr(towers, "_norm_sq", counting_norm)
-    monkeypatch.setattr(towers, "inner_product", counting_product)
-    report = towers._lemma_by_level(system, 6)
-    assert report == want and report.checked == want.checked
-    assert len(norms) == len(set(norms)) == 4 * 6 + 3 and not products
-
-
-def test_cold_lemma_builds_one_eigenvalue_per_untilded_record(monkeypatch):
-    # m_max 14, per level: the 30 untilded records (PSI and PHI, m = 0..14) and the four lambda^2
-    # seeds; the solve and the lemma's checks keep the eigenvalue and lambda^2 as ints
-    system = make_xn_system(2)
-    towers._tower_state.cache_clear()
-    towers._solve_level.cache_clear()
-    calls = []
-    real = towers._tower_eigenvalue
-
-    def counting(system, sector, m):
-        calls.append((sector, m))
-        return real(system, sector, m)
-
-    monkeypatch.setattr(towers, "_tower_eigenvalue", counting)
-    assert towers._lemma_by_level(system, 14).passed
-    assert len(calls) <= 2 * 15 + 4, len(calls)
-
-
-def test_warm_lemma_builds_no_fraction_per_check(monkeypatch):
-    # a warm per-level run builds the same few Fractions (its four lambda^2 seeds) at every depth
-    system = make_xn_system(2)
-    built = []
-    real_new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(cls)
-        return real_new(cls, *args, **kwargs)
-
-    counts = []
-    for m_max in (6, 14):
-        want = towers._lemma_by_level(system, m_max)
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        built.clear()
-        assert towers._lemma_by_level(system, m_max) == want and want.passed
-        monkeypatch.undo()
-        counts.append(len(built))
-    assert counts[0] == counts[1], counts
-
-
 def reference_lemma(system, m_max):
     """The half-lowering lemma as every image's full product, kept as the reference."""
     if m_max < 1:
@@ -458,13 +391,14 @@ def test_the_proof_assumes_no_adjoint(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
-    # the 240 mutated systems of the full-product test, the halved one and those with sqrt(2) b or
-    # sqrt(2) b+; the halved and sqrt(2) b systems pass the lemma, and the proof holds for them.
+    # the family itself, the 240 mutated systems of the full-product test, the halved one and those
+    # with sqrt(2) b or sqrt(2) b+; the family, the halved and sqrt(2) b systems pass the lemma, and
+    # the proof holds for them.
     # The per-level run builds its records with every check, as on a system without the proof
     family = make_xn_system(n)
     a, adag, b, bdag = family.generators
-    systems = [make_xn_system(n, mutate=(*slot, Fraction(delta)))
-               for slot in mutation_slots(family) for delta in (1, -1, 2, Fraction(1, 2), -3)]
+    systems = [family] + [make_xn_system(n, mutate=(*slot, Fraction(delta)))
+                          for slot in mutation_slots(family) for delta in (1, -1, 2, Fraction(1, 2), -3)]
     halved = tuple(g.scale(Fraction(1, 2)) for g in family.generators)
     scaled = {
         "halved": (Fraction(-1, 4), Fraction(2 * n - 1, 4), halved),
