@@ -41,16 +41,23 @@ state gets the full product <psi, psi>.  Numeric samples come from the
 Laguerre recurrence (normalized_samples); the exact state only fixes the
 sign and passes the same check.
 
-The half-lowering lemma is proved for every level at once, once per
-system (_half_lowering_proved): [H, R] = (delta-gamma) R, the closed
-form's coefficient ratio in the solve and the norm ratios of the a and b+
-images are identities among polynomials in the level
-(calculus._Polynomial).  From them the solve, the raising check and every
-norm relation hold at every level, so the lemma builds no record, and a
-record skips the raising check and _laguerre_form.  A system where they do
-not hold, such as a mutated one, is checked level by level (_lemma_by_level):
-each record's a or b+ image by its full product, against lambda^2 times the
-record's norm.
+One proof per system, run on first use and never by a constructor
+(_proved), covers every level at once: H = a+a is the closed form's
+operator, [H, R] = (delta-gamma) R, and the norm ratios of the a and b+
+images and the b+ row b+ s~_m = rho_m s_(m-1), rho_m = E_m(E_m - delta),
+are identities among polynomials in the level (calculus._Polynomial).
+From them the solve, the raising check and every norm relation hold at
+every level, so the lemma builds no record, and a record skips the raising
+check and _laguerre_form.  They also make the four generators weighted
+shifts on the towers, with weights from E and delta alone:
+
+    a s_m = s~_m,                  a+ s~_m = E_m s_m,
+    b s_m = s~_(m+1) / E_(m+1),    b+ s~_m = rho_m s_(m-1),
+
+the table the uncertainty products read on a proved system's records.  A
+system where the proof does not hold, such as a mutated one, is checked
+level by level (_lemma_by_level): each record's a or b+ image by its full
+product, against lambda^2 times the record's norm.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .calculus import (
     GammaVector,
     GaussPolyState,
     Generator,
+    Operator,
     Record,
     _integer,
     _Polynomial,
@@ -241,9 +249,9 @@ def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """The checked, normed record of level m, its Fraction eigenvalue built once: a s on a tilde
     level, else the solved level, which must equal R s_(m-1) (R.apply on the level below).
-    Where the half-lowering proof holds (_half_lowering_proved), R s_(m-1) = s_m and the closed
-    form of every level are proved, so neither is checked again."""
-    proved = _half_lowering_proved(system)
+    Where the tower proof holds (_proved), R s_(m-1) = s_m and the closed form of every
+    level are proved, so neither is checked again."""
+    proved = _proved(system)
     if sector.is_tilde:
         base = _tower_state(system, sector.base, m)
         state, value = apply_generator(system, Generator.A, base.state), base.eigenvalue
@@ -330,8 +338,8 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     For unnormalised states, <T s, T s> must equal lambda^2 <s, s>, with T
     = b+ on a tilde tower and a on an untilded one (levels m >= 1, and PHI
     from m = 0).  The relations are first proved for every level at once,
-    once per system (_half_lowering_proved): the solved PSI and PHI levels
-    are the Laguerre closed form, a s_m and b+ s~_m are nonzero multiples
+    once per system (_proved): the solved PSI and PHI levels are the
+    Laguerre closed form, a s_m and b+ s~_m are nonzero multiples
     of the partner levels' closed forms, and those forms' norms give
     lambda^2 exactly.  Then the report passes with every case counted and
     no tower record is built.  When the proof does not hold (a mutated or
@@ -341,7 +349,7 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     m_max = _integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if _half_lowering_proved(system):
+    if _proved(system):
         return _lemma_report(system, m_max, [], 4 * m_max + 1)
     return _lemma_by_level(system, m_max)
 
@@ -413,52 +421,72 @@ def _lowers(op, n: int, p: int, q: int, lamsq: _Polynomial) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def _half_lowering_proved(system: CoupledSusySystem) -> bool:
-    """Whether the half-lowering relations hold at every level; proved once per system, in ints.
+def _proved(system: CoupledSusySystem) -> bool:
+    """Whether the tower proof holds: the closed forms, the half-lowering relations and the
+    weighted-shift table at every level; proved once per system, in ints, never by a constructor.
 
-    H = a+a must send x^k to d(k) x^k + l(k) x^(k-2n), R = a+b have shifts
-    0 and +-2n with a +2n term, and each of a and b+ one shift -n.  Then,
-    with p a tower's seed and E(v) = v(delta-gamma) (+delta on PHI), three
-    identities among polynomials in one variable v (_Polynomial) are
-    checked, each true at every level when its two sides are equal:
+    With v a level, p a tower's seed, E(v) = v(delta-gamma) (+delta on PHI)
+    and rho(v) = E(v)(E(v) - delta), it checks that a and b+ have one
+    shift -n each and these identities among polynomials (_Polynomial, or
+    Operators for the first two), each true at every level when its two
+    sides are equal:
 
-    - [H, R] = (delta-gamma) R; its +2n part makes d(k+2n) - d(k) =
-      delta-gamma, its -4n part makes R's -2n polynomial c l and its -2n
-      part R's 0 polynomial linear, so with l as below R's +2n polynomial
-      is a nonzero constant (a degree D >= 1 would give the 0 part degree
-      D + 1);
-    - (delta-gamma)(v+1)(2p + 1 + 2nv) = -2 l(p + 2n(v+1)): the closed
-      form's coefficient ratio, which fixes l and at v = -1 makes l(p) = 0;
-    - the a and b+ norm ratios of _lowers, which make a a multiple of k,
-      so d(k) = (delta-gamma) k / (2n), and delta = d(2n-1).
+    - H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n) with d(k) =
+      (delta-gamma) k / (2n) and l(k) = -(delta-gamma) k (k + 1 - 2n) / (4n),
+      the closed form's coefficient ratio (l(p) = 0 for both seeds);
+    - [H, R] = (delta-gamma) R, R = a+b;
+    - per family, the a and b+ norm ratios of _lowers: a s_m and b+ s~_m
+      are nonzero multiples of the partner levels' closed forms, with
+      squared norms E(m) and E(m) - delta times the source's;
+    - per family, the b+ row: b+ s~_m = rho(m) s_(m-1).  _lowers makes
+      it a multiple of s_(m-1), and the tops pin the multiple: with K the
+      top exponent of s_m, P_b+(K-n) P_a(K) r_+(K-2n) = rho(m), r_+ R's
+      +2n polynomial.
 
-    So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero below the top, and
-    the solve (_solve_level) builds the closed form with nothing below the
-    seed.  R s_(m-1) = s_m: it is an eigenvector of H with eigenvalue E(m)
-    by the commutator, has s_m's top and nothing below the seed (the -2n
-    part is 2(delta-gamma) r_-(k) = l(k)(r_0(k) - r_0(k-2n))), so the
-    difference would be an eigenvector with a lower top, where E(m) - d is
-    not zero.  The norms are the images' own, so a+ = a-dagger is never
-    assumed.
+    The a and b+ ratios make P_a and P_b+ linear, P_a a multiple of k and
+    delta = d(2n-1), so the b+ row makes r_+ a nonzero constant.  A nonzero
+    T with [H, T] = (delta-gamma) T has its highest shift w at +2n, as
+    (delta-gamma) w / (2n) = delta-gamma there; so R equals r_+ times the
+    operator with shifts 0 and +-2n and +2n polynomial 1 that this H
+    admits, their difference having no +2n part.  Its -4n part makes R's
+    -2n polynomial a multiple of l and its -2n part R's 0 polynomial
+    linear.  So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero
+    below the top, and the solve (_solve_level) builds the closed form with
+    nothing below the seed.  R s_(m-1) = s_m: it is an eigenvector of H
+    with eigenvalue E(m) by the commutator, has s_m's top and nothing below
+    the seed (the -2n part is 2(delta-gamma) r_-(k) = l(k)(r_0(k) -
+    r_0(k-2n))), so the difference would be an eigenvector with a lower
+    top, where E(m) - d is not zero.
+
+    The b row needs no check of its own: b s_m = s~_(m+1) / E(m+1), as a+
+    sends both sides to s_(m+1) (a+b = R, a+a = H) and is injective, its +n
+    polynomial being the nonzero constant d(k) / P_a(k).  The norms are
+    the images' own, so a+ = a-dagger is never assumed.
     """
     n, two_n = system.n, 2 * system.n
-    hamiltonian, raising = system.pairs[0].hamiltonian, system.pairs[0].raising
-    h, r = dict(hamiltonian.polys), dict(raising.polys)
+    first = system.pairs[0]
+    hamiltonian, raising = first.hamiltonian, first.raising
     a_op, bdag = system.generator(Generator.A), system.generator(Generator.BDAG)
-    if (hamiltonian.half_power or not h.keys() <= {0, -two_n} or not r.keys() <= {-two_n, 0, two_n}
-            or two_n not in r or dict(a_op.polys).keys() != {-n} or dict(bdag.polys).keys() != {-n}
+    s, t = system.spacing.as_integer_ratio()
+    d, e = system.delta.as_integer_ratio()
+    # d(k) = (delta-gamma) k / (2n) and l(k) = -(delta-gamma) k (k + 1 - 2n) / (4n), over den 4n
+    closed = {(0, 1): 2 * s, (-two_n, 1): (two_n - 1) * s, (-two_n, 2): -s}
+    if (hamiltonian != Operator._from_ints(None, closed, 2 * two_n * t, 0)
+            or dict(a_op.polys).keys() != {-n} or dict(bdag.polys).keys() != {-n}
             or hamiltonian._commutator(raising) != raising.scale(system.spacing)):
         return False
-    low = h.get(-two_n, (0,))
-    (s, t), (d, e) = system.spacing.as_integer_ratio(), system.delta.as_integer_ratio()
+    ((_, pa),), ((_, pb),) = a_op.polys, bdag.polys
+    up = dict(raising.polys).get(two_n, (0,))
+    half = a_op.half_power + bdag.half_power + raising.half_power
     for sector, tilde in _A_IMAGE.items():
         p, q, phi = sector.residue(n), tilde.residue(n), sector is SectorLabel.PHI
-        # l(p + 2n(v+1)) = -(delta-gamma)/2 (v+1)(2p + 1 + 2nv), the closed form's ratio
-        ratio = _Polynomial({(2,): -two_n * s, (1,): -(2 * p + 1 + two_n) * s, (0,): -(2 * p + 1) * s}, 2 * t)
         energy = _Polynomial({(1,): s * e, (0,): d * t * phi}, t * e)
         lowered = _Polynomial({(1,): s * e, (0,): s * e * tilde.first_level + d * t * (phi - 1)}, t * e)
-        if (ratio != _at(low, hamiltonian.den, p + two_n, two_n)
-                or not _lowers(a_op, n, p, q, energy) or not _lowers(bdag, n, q, p, lowered)):
+        rho = energy * _Polynomial({(1,): s * e, (0,): d * t * (phi - 1)}, t * e)
+        tops = _at(pb, bdag.den, p - n, two_n) * _at(pa, a_op.den, p, two_n)
+        tops = tops * _at(up, raising.den, p - two_n, two_n)
+        if (not _lowers(a_op, n, p, q, energy) or not _lowers(bdag, n, q, p, lowered)
+                or half % 2 or tops != rho.scale(1 << half // 2)):
             return False
     return True
 

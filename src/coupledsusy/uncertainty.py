@@ -24,19 +24,32 @@ sigma_F sigma_G >= |<[F, G]>| / 2 then yields
 with the per-state X-P Robertson bound equal to the exact convex
 combination (|gamma| ||psi1||^2 + delta ||psi2||^2) / 2.
 
-Each observable is an exact real Operator composed from the system's
-generators, times 1 or i; so is every product and commutator built from
-them.  On the package's real states every matrix element is therefore one
-GammaVector, times the observable's phase.  On a tower record, or any
-state on one Gamma symbol, it is a rational multiple of the squared norm:
-variances and the squared bound are Fractions, `pass` (sigma1^2 sigma2^2
->= bound^2) is exact, and floats appear only in the result, where an
-exactly saturated bound gives product == bound.  A bare state whose norm
-spans two Gamma symbols runs the same formulas over certified mpmath
-intervals (_decide).  No tolerance is involved.  Quantities that vanish
-identically on real-coefficient states, like <A>, are still routed
-through the full computation so that a wrong sign in any word would
-surface.
+Each product takes one of two routes, with the same Fractions either way.
+
+- The table route: every component is an EigenstateRecord of its sector,
+  the system's own (towers._tower_state returns it), the system is proved
+  (towers._proved), and an X,P cross term is rational (the two states'
+  sqrt(2) powers differ by an odd number).  There each generator is a weighted shift on
+  the towers with a weight from E and delta alone, the levels are
+  orthogonal, and the moments are closed forms in E_m, delta and, for the
+  X,P cross terms, the two records' norm_sq ratio (_table_sector,
+  _table_xp).  No operator is composed or applied.
+- The composition route, for bare states and unproved systems: each
+  observable is an exact real Operator composed from the system's
+  generators, times 1 or i; so is every product and commutator built
+  from them.  On the package's real states every matrix element is
+  therefore one GammaVector, times the observable's phase.  On a state on
+  one Gamma symbol it is a rational multiple of the squared norm.  A bare
+  state whose norm spans two Gamma symbols runs the same formulas over
+  certified mpmath intervals (_decide).  Quantities that vanish
+  identically on real-coefficient states, like <A>, are still computed,
+  so that a wrong sign in any word would surface; this route is the
+  table's test oracle.
+
+Either way variances and the squared bound are Fractions, `pass`
+(sigma1^2 sigma2^2 >= bound^2) is exact, and floats appear only in the
+result (_result), where an exactly saturated bound gives product ==
+bound.  No tolerance is involved.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from .calculus import (
     inner_product,
 )
 from .systems import CoupledSusySystem
-from .towers import EigenstateRecord, SectorLabel
+from .towers import EigenstateRecord, SectorLabel, _proved, _tower_eigenvalue, _tower_state
 
 
 class SectorDomainError(ValueError):
@@ -314,13 +327,34 @@ def _result(pair, passed, var1, var2, bound_sq, details) -> UncertaintyResult:
                              passed, details)
 
 
-def _sector_product(system, state, sector: int) -> UncertaintyResult:
-    """sigma_L sigma_A of one sector against its Robertson bound.
+def _own(system, state, sector: int) -> bool:
+    """Whether the shift table serves the state in sector 1 or 2: the system is proved and the
+    state is its own tower record of that sector (_tower_state equals it)."""
+    return (isinstance(state, EigenstateRecord) and state.sector.is_tilde == (sector == 2)
+            and type(state.m) is int and state.m >= state.sector.first_level and _proved(system)
+            and _tower_state(system, state.sector, state.m) == state)
 
-    The closed form is (d-g)|2<N> - c|/4 with N the sector's H and c its
-    shift: a+a and gamma in the first sector, aa+ and delta in the second.
-    The state's norm is taken once, for all six expectations.
+
+def _table_sector(system, record) -> tuple:
+    """(passed, (var_L, var_A, bound^2, <N>)) of the record's sector from the shift table.
+
+    On its tower the sector's raising and lowering words R and D are
+    weighted shifts (towers._proved), so R D and D R act on level m as the
+    numbers lo and hi: rho_m and rho_(m+1) untilded, E_(m-1)(E_m - delta)
+    and E_m(E_(m+1) - delta) on a tilde tower, rho_m = E_m(E_m - delta).
+    Levels are orthogonal, so <L> = <A> = 0, sigma_L^2 = sigma_A^2 = (lo +
+    hi)/4, <[L, A]> = i(lo - hi)/2 and <N> = E_m.
     """
+    m, t, delta = record.m, record.sector.is_tilde, system.delta
+    energy = [_tower_eigenvalue(system, record.sector, j) for j in (m - 1, m, m + 1)]
+    lo, hi = (energy[i + 1 - t] * (energy[i + 1] - delta) for i in (0, 1))
+    var, bound_sq = (lo + hi) / 4, (lo - hi) ** 2 / 16
+    return var * var >= bound_sq, [var, var, bound_sq, energy[1]]
+
+
+def _composed_sector(system, state, sector: int) -> tuple:
+    """(passed, (var_L, var_A, bound^2, <N>)) from the composed observables, six expectations
+    over one norm."""
     row = system.pairs[sector - 1]
     obs_l, obs_a = _ladder_observables(system, sector)
     number_op = OperatorExpression(row.names[0], row.hamiltonian, False, sector)
@@ -334,10 +368,25 @@ def _sector_product(system, state, sector: int) -> UncertaintyResult:
         bound_sq = ratio(comm, norm) ** 2 / 4
         return var_l * var_a - bound_sq, var_l, var_a, bound_sq, ratio(number, norm)
 
-    passed, (var_l, var_a, bound_sq, number) = _decide(formula)
+    return _decide(formula)
+
+
+def _sector_product(system, state, sector: int) -> UncertaintyResult:
+    """sigma_L sigma_A of one sector against its Robertson bound.
+
+    The closed form is (d-g)|2<N> - c|/4 with N the sector's H and c its
+    shift: a+a and gamma in the first sector, aa+ and delta in the second.
+    A proved system's own record reads the shift table (_table_sector);
+    any other state takes the composed observables (_composed_sector).
+    """
+    if _own(system, state, sector):
+        passed, (var_l, var_a, bound_sq, number) = _table_sector(system, state)
+    else:
+        passed, (var_l, var_a, bound_sq, number) = _composed_sector(system, state, sector)
     number = _float(number)
-    closed_form = float(system.spacing) / 4 * abs(2 * number - float(row.shift))
-    return _result(f"{obs_l.name},{obs_a.name}", passed, var_l, var_a, bound_sq,
+    closed_form = float(system.spacing) / 4 * abs(2 * number - float(system.pairs[sector - 1].shift))
+    tilde = "~" * (sector == 2)
+    return _result(f"L{tilde},A{tilde}", passed, var_l, var_a, bound_sq,
                    {"mean_number": number, "bound_closed_form": closed_form})
 
 
@@ -421,14 +470,45 @@ def _block_moments(system, upper, lower, components, norms):
     return moments
 
 
-def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
-    """sigma_X sigma_P on a direct-sum state, with the exact Robertson bound.
+def _table_xp(system, dstate: DirectSumState) -> tuple:
+    """(passed, values) of X,P from the shift table, values as _composed_xp gives them.
 
-    The commutator [X, P] is block diagonal and acts as -gamma on the first
-    component and delta on the second, so the per-state bound is the convex
-    combination (|gamma| w1 + delta w2)/2; the global minimum over states is
-    min(|gamma|, delta)/2.
+    Each block word is a weighted shift on the records (towers._proved): a s_i
+    = s~_i, b s_i = s~_(i+1)/E_(i+1), a+ s~_j = E_j s_j and b+ s~_j = rho_j
+    s_(j-1).  So with weights w1, w2, <X^2> = <P^2> = w1 (E_i + E_(i+1) -
+    delta)/2 + w2 (2E_j - delta)/2, and the commutator blocks a+a - b+b and
+    bb+ - aa+ act as gamma and -delta.  Only s~_i and s~_(i+1) of s_i's
+    family give a cross term; it takes the records' own norm_sq ratio r =
+    ||s~_j||^2 / ||s_i||^2, and the sqrt(2) powers of the two states, whose
+    difference is odd here (_table_serves_xp).
     """
+    one, two = dstate.component1, dstate.component2
+    w1, w2 = Fraction(dstate.weight1), Fraction(dstate.weight2)
+    delta, second, comm, means = system.delta, 0, 0, [(0, 0), (0, 0)]
+    if one is not None:
+        second += w1 * (_tower_eigenvalue(system, one.sector, one.m)
+                        + _tower_eigenvalue(system, one.sector, one.m + 1) - delta) / 2
+        comm += w1 * system.gamma
+    if two is not None:
+        energy = _tower_eigenvalue(system, two.sector, two.m)
+        second += w2 * (2 * energy - delta) / 2
+        comm -= w2 * delta
+        if one is not None and two.sector.base is one.sector and two.m - one.m in (0, 1):
+            # <s_i|(a+ + b+)|s~_j> / ||s_i||^2 = t and <s~_j|(a + b)|s_i> / ||s~_j||^2 = u; P flips a sign
+            adjacent, ratio = two.m - one.m, two.norm_sq.rational_ratio(one.norm_sq)
+            t, u = (energy * (energy - delta), 1 / energy) if adjacent else (energy, 1)
+            h1, h2 = one.state.half_power, two.state.half_power
+            scale_sq, factor = Fraction(2) ** (h1 - h2) * w2 / (w1 * ratio), w1 * Fraction(2) ** ((h2 - h1 - 1) // 2)
+            for k, cross in enumerate((t + u * ratio, (t - u * ratio) * (1 if adjacent else -1))):
+                if cross:
+                    means[k] = (scale_sq, factor * cross)
+    var_x, var_p = (second - scale_sq * mean ** 2 for scale_sq, mean in means)
+    bound_sq = comm ** 2 / 4
+    return var_x * var_p >= bound_sq, [var_x, var_p, bound_sq, *means, second, second]
+
+
+def _composed_xp(system, dstate: DirectSumState) -> tuple:
+    """(passed, values) of X,P from the composed blocks, one matrix element per block and component."""
     components, norms = zip(_xp_component(system, 1, dstate.component1, dstate.weight1),
                             _xp_component(system, 2, dstate.component2, dstate.weight2))
     x12, x21 = x_block(system, "12"), x_block(system, "21")
@@ -446,10 +526,32 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
         bound_sq = sum(ratio(e, norm) for e, norm in comms) ** 2 / 4
         return var_x * var_p - bound_sq, var_x, var_p, bound_sq, mean_x, mean_p, second_x, second_p
 
-    passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = _decide(formula)
-    # s mean, rounded once: the root of the exact s^2 mean^2, with mean's sign (0.0 for 0)
-    mean_x, mean_p = (_phased(math.copysign(_root(scale_sq * mean ** 2), _float(mean)), block.imaginary)
-                      for (scale_sq, mean), block in zip(means, (x12, p12)))
+    return _decide(formula)
+
+
+def _table_serves_xp(system, dstate: DirectSumState) -> bool:
+    """Whether each component is the proved system's own record of its sector (_own), and two
+    components differ by an odd sqrt(2) power, so their cross terms are rational."""
+    one, two = dstate.component1, dstate.component2
+    return (all(c is None or _own(system, c, sector) for c, sector in ((one, 1), (two, 2)))
+            and (one is None or two is None or (two.state.half_power - one.state.half_power) % 2 == 1))
+
+
+def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
+    """sigma_X sigma_P on a direct-sum state, with the exact Robertson bound.
+
+    The commutator [X, P] is block diagonal and acts as -gamma on the first
+    component and delta on the second, so the per-state bound is the convex
+    combination (|gamma| w1 + delta w2)/2; the global minimum over states is
+    min(|gamma|, delta)/2.  Components that are a proved system's own records
+    read the shift table (_table_xp); any other state takes the composed
+    blocks (_composed_xp).
+    """
+    route = _table_xp if _table_serves_xp(system, dstate) else _composed_xp
+    passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = route(system, dstate)
+    # s mean, rounded once: the root of the exact s^2 mean^2, with mean's sign (0.0 for 0); P is i times
+    mean_x, mean_p = (_phased(math.copysign(_root(scale_sq * mean ** 2), _float(mean)), imaginary)
+                      for (scale_sq, mean), imaginary in zip(means, (False, True)))
     convex = 0.5 * float(abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2)
     return _result("X,P", passed, var_x, var_p, bound_sq, {
         "mean_x": (mean_x.real, mean_x.imag),

@@ -244,6 +244,18 @@ def test_tol_is_checked_only_where_it_is_read(capsys):
     assert captured.err == "error: tolerance must be positive\n"
 
 
+def test_fd_flags_are_checked_only_with_fd(capsys):
+    # spectrum reads --fd-grid only with --fd: without it a grid that is no multiple of 4 gives the
+    # report of the run without the flag, and with it the grid exits 2 with one line
+    want = run_cli(["spectrum", "--n", "1"], capsys)
+    assert want[0] == 0 and "fd" not in json.loads(want[1])
+    assert run_cli(["spectrum", "--n", "1", "--fd-grid", "7"], capsys) == want
+    code = main(["spectrum", "--n", "1", "--fd", "--fd-grid", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_spectrum_large_count_is_exact(capsys):
     # basis size 42 per residue: the exact solve has no precision to run out of
     code, out = run_cli(["spectrum", "--n", "2", "--count", "80"], capsys)

@@ -361,7 +361,7 @@ def test_lemma_follows_odd_half_powers(n):
 def test_proved_lemma_builds_no_tower_record(n):
     # the relations are proved for every level once per system, so no depth builds a record
     system = make_xn_system(n)
-    assert towers._half_lowering_proved(system)  # else m_max 10 000 would run level by level
+    assert towers._proved(system)  # else m_max 10 000 would run level by level
     misses = _tower_state.cache_info().misses
     for m_max in (15, 10_000):
         assert lemma_outcome(verify_lemma_half_lowering, system, m_max) == (True, None, 4 * m_max + 1)
@@ -371,7 +371,7 @@ def test_proved_lemma_builds_no_tower_record(n):
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_proved_lemma_matches_the_full_product_reference(n):
     system = make_xn_system(n)
-    assert towers._half_lowering_proved(system)
+    assert towers._proved(system)
     got = lemma_outcome(verify_lemma_half_lowering, system, 6)
     assert got == lemma_outcome(reference_lemma, system, 6) == (True, None, 25)
 
@@ -384,7 +384,7 @@ def test_the_proof_assumes_no_adjoint(n):
     system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
                                generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
     assert all_reports_pass(verify_coupled_susy(system) + verify_su11(system))
-    assert not towers._half_lowering_proved(system)
+    assert not towers._proved(system)
     got = lemma_outcome(verify_lemma_half_lowering, system, 6)
     assert got == lemma_outcome(reference_lemma, system, 6) == (False, {"sector": "phi", "m": 0}, 25)
 
@@ -393,8 +393,9 @@ def test_the_proof_assumes_no_adjoint(n):
 def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
     # the family itself, the 240 mutated systems of the full-product test, the halved one and those
     # with sqrt(2) b or sqrt(2) b+; the family, the halved and sqrt(2) b systems pass the lemma, and
-    # the proof holds for them.
-    # The per-level run builds its records with every check, as on a system without the proof
+    # the proof holds for the first two.  sqrt(2) b fails its b+ row only: b+ s~_m is sqrt(2) rho_m
+    # s_(m-1) there.  The per-level run builds its records with every check, as on a system
+    # without the proof
     family = make_xn_system(n)
     a, adag, b, bdag = family.generators
     systems = [family] + [make_xn_system(n, mutate=(*slot, Fraction(delta)))
@@ -407,10 +408,10 @@ def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
     }
     for name, (gamma, delta, generators) in scaled.items():
         systems.append(CoupledSusySystem(n=n, gamma=gamma, delta=delta, generators=generators, mutation=name))
-    proved = [system for system in systems if towers._half_lowering_proved(system)]
-    assert {"halved", "sqrt(2) b"} <= {system.mutation for system in proved}
-    assert "sqrt(2) b+" not in {system.mutation for system in proved}
-    monkeypatch.setattr(towers, "_half_lowering_proved", lambda system: False)
+    proved = [system for system in systems if towers._proved(system)]
+    assert "halved" in {system.mutation for system in proved}
+    assert not {"sqrt(2) b", "sqrt(2) b+"} & {system.mutation for system in proved}
+    monkeypatch.setattr(towers, "_proved", lambda system: False)
     towers._tower_state.cache_clear()
     for system in proved:
         assert lemma_outcome(towers._lemma_by_level, system, 6) == (True, None, 25), system.mutation
@@ -424,7 +425,7 @@ def test_proved_records_equal_the_checked_solve(monkeypatch):
     keys = [(n, sector, m) for n in systems for sector in SectorLabel for m in range(sector.first_level, 121)]
     towers._tower_state.cache_clear()
     records = {key: _tower_state(systems[key[0]], *key[1:]) for key in keys}
-    monkeypatch.setattr(towers, "_half_lowering_proved", lambda system: False)
+    monkeypatch.setattr(towers, "_proved", lambda system: False)
     towers._tower_state.cache_clear()
     for (n, sector, m), record in records.items():
         assert _tower_state(systems[n], sector, m) == record, (n, sector, m)
@@ -435,16 +436,48 @@ def test_proved_records_equal_the_checked_solve(monkeypatch):
 def test_hand_built_systems_match_the_reference(n):
     # sqrt(2) a+ leaves H an odd half power and b = 0 leaves R no +2n term, so their solves raise;
     # so does (aa+ - 2(delta-gamma)) b: R becomes (H - 2(delta-gamma)) R, which keeps [H, R] =
-    # (delta-gamma) R but gains a -4n term and kills psi_2; -b+ passes and is proved; 2b with b+/2
-    # halves the b+ images' norms and fails
+    # (delta-gamma) R but gains a -4n term and kills psi_2; -b+ passes the lemma but is not proved,
+    # its b+ row being -rho_m; 2b with b+/2 halves the b+ images' norms and fails
     a, adag, b, bdag = make_xn_system(n).generators
     cases = [((a, adag.scale_sqrt2(1), b, bdag), False), ((a, adag, Operator({}, 1), bdag), False),
              ((a, adag, (a @ adag - IDENTITY.scale(4 * n)) @ b, bdag), False),
-             ((a, adag, b, -bdag), True), ((a, adag, b.scale(2), bdag.scale(Fraction(1, 2))), False)]
+             ((a, adag, b, -bdag), False), ((a, adag, b.scale(2), bdag.scale(Fraction(1, 2))), False)]
     for generators, proved in cases:
         system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1), generators=generators)
-        assert towers._half_lowering_proved(system) == proved
+        assert towers._proved(system) == proved
         assert lemma_outcome(verify_lemma_half_lowering, system, 6) == lemma_outcome(reference_lemma, system, 6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_proof_condition_fails_alone(n):
+    # one hand-built system per check of the tower proof, each passing every other check: the proof
+    # fails, and the lemma's per-level run gives the reference's outcome
+    family = make_xn_system(n)
+    a, adag, b, bdag = family.generators
+    up, down = Operator({2 * n: (1,)}), Operator({-2 * n: (1,)})  # x^k -> x^(k+2n), x^(k-2n)
+    cases = {
+        # a+ gains x^(k-n)/sqrt(2): l gains k/2, and [H, R] = (delta-gamma) R still holds
+        "H = a+a is the closed form's operator": (a, adag + Operator({-n: (1,)}, 1), b, bdag),
+        # a and b move to shift -3n and a+ to +3n: H, R and a's polynomial stay as they are
+        "a has one shift -n": (down @ a, adag @ up, down @ b, bdag),
+        "b+ has one shift -n": (a, adag, b, down @ bdag),
+        # R gains a+a, which keeps its +2n polynomial
+        "[H, R] = (delta-gamma) R": (a, adag, b + a, bdag),
+        # ||2a s_m||^2 = 4 E_m ||s_m||^2, and ||2b+ s~_m||^2 = 4 (E_m - delta) ||s~_m||^2
+        "the a norm ratio": (a.scale(2), adag.scale(Fraction(1, 2)), b, bdag),
+        "the b+ norm ratio": (a, adag, b.scale(Fraction(1, 2)), bdag.scale(2)),
+        # b+ s~_m = 2 rho_m s_(m-1) with 2b, -rho_m s_(m-1) with -b+ and rho_m / sqrt(2) s_(m-1) with
+        # b / sqrt(2), whose tops have an odd total sqrt(2) power
+        "the b+ row": (a, adag, b.scale(2), bdag),
+        "the b+ row's sign": (a, adag, b, -bdag),
+        "the b+ row's sqrt(2) power": (a, adag, b.scale_sqrt2(-1), bdag),
+    }
+    assert towers._proved(family)
+    for name, generators in cases.items():
+        system = CoupledSusySystem(n=n, gamma=family.gamma, delta=family.delta, generators=generators)
+        assert not towers._proved(system), name
+        got = lemma_outcome(verify_lemma_half_lowering, system, 4)
+        assert got == lemma_outcome(reference_lemma, system, 4), name
 
 
 def test_lemma_factor_direct_ratio_n2():

@@ -10,13 +10,14 @@ from coupledsusy.calculus import (
     FamilyMismatchError,
     GammaVector,
     Generator,
+    Operator,
     apply_word,
     evaluate_gamma_vector_mp,
     inner_product,
     monomial_state,
 )
 from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
-from coupledsusy import uncertainty
+from coupledsusy import towers, uncertainty
 from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
 from coupledsusy.uncertainty import (
     DirectSumState,
@@ -516,14 +517,17 @@ def test_odd_half_power_observable_is_rejected(n):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("sector", [PSI, PHI, PSI_T, PHI_T])
 def test_record_and_bare_state_give_identical_floats(n, sector):
-    # a record brings its exact norm_sq; a bare state pays one inner product
+    # a record of a proved system reads the shift table; its bare state takes the composed
+    # observables, the oracle, at every level to 40 and for n = 1 past float range
     system = make_xn_system(n)
-    rec = eigenstate(system, sector, 4)
     product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
-    assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
+    for m in [*range(sector.first_level, 41), *[85, 90, 100][:3 * (n == 1)]]:
+        rec = eigenstate(system, sector, m)
+        assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict(), m
+    rec = eigenstate(system, sector, 4)
     if not sector.is_tilde:
         obs = observable_L(system)
         assert expectation(system, obs, rec) == expectation(system, obs, rec.state)
@@ -537,6 +541,138 @@ def test_record_and_bare_state_give_identical_floats(n, sector):
         with_records = uncertainty_product_XP(system, direct_sum(*records))
         with_states = uncertainty_product_XP(system, direct_sum(*bare))
         assert with_records.to_json_dict() == with_states.to_json_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_xp_records_and_bare_states_give_identical_floats(n):
+    # every first-sector and tilde tower to level 8, one component alone or both at three weights:
+    # the table's cross terms, from the two records' norm_sq ratio, against the composed blocks
+    system = make_xn_system(n)
+    for first, second in [(PSI, PSI_T), (PSI, PHI_T), (PHI, PSI_T), (PHI, PHI_T)]:
+        for i in range(9):
+            for j in range(second.first_level, 9):
+                for w1 in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                    one = eigenstate(system, first, i) if w1 else None
+                    two = eigenstate(system, second, j) if w1 < 1 else None
+                    records = uncertainty_product_XP(system, direct_sum(one, w1, two, 1 - w1))
+                    bare = direct_sum(one and one.state, w1, two and two.state, 1 - w1)
+                    assert records.to_json_dict() == uncertainty_product_XP(system, bare).to_json_dict()
+
+
+def test_records_of_a_proved_system_compose_and_apply_nothing(monkeypatch):
+    # the records and the proof are memoised, so the table route reads E, delta and norm_sq only
+    systems = [make_xn_system(n) for n in (1, 2, 3)]
+    records = {(system.n, sector, m): eigenstate(system, sector, m)
+               for system in systems for sector in SectorLabel for m in range(sector.first_level, 6)}
+
+    def refuse(*_):
+        raise AssertionError("an operator was composed or applied, or an inner product taken")
+
+    for name in ("apply", "__matmul__", "_commutator"):
+        monkeypatch.setattr(Operator, name, refuse)
+    monkeypatch.setattr(uncertainty, "inner_product", refuse)
+    for system in systems:
+        for (n, sector, m), rec in records.items():
+            if n == system.n:
+                product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
+                assert product(system, rec).passed
+        for i, j in [(0, 0), (2, 2), (2, 3), (4, 1)]:
+            for first, second in [(PSI, PSI_T), (PHI, PHI_T), (PSI, PHI_T)]:
+                one, two = records[system.n, first, i], records[system.n, second, max(j, second.first_level)]
+                assert uncertainty_product_XP(system, direct_sum(one, Fraction(1, 3), two, Fraction(2, 3))).passed
+                assert uncertainty_product_XP(system, direct_sum(one, 1, None, 0)).passed
+
+
+def test_records_not_the_systems_own_take_the_composition_route(monkeypatch):
+    # a record of the family handed over with mutated generators or with the halved system's, and
+    # hand-built records at a float level or below the tower: the composed observables decide
+    # each, as they do its bare state
+    family = make_xn_system(2)
+    halved = CoupledSusySystem(n=2, gamma=Fraction(-1, 4), delta=Fraction(3, 4),
+                               generators=tuple(g.scale(Fraction(1, 2)) for g in family.generators))
+    records = {sector: eigenstate(family, sector, 3) for sector in SectorLabel}
+    psi_t = eigenstate(family, PSI_T, 1)
+    hand_built = [EigenstateRecord(PHI, 3.0, *[getattr(records[PHI], f) for f in ("state", "norm_sq", "eigenvalue")]),
+                  EigenstateRecord(PSI_T, 0, psi_t.state, psi_t.norm_sq, psi_t.eigenvalue)]
+
+    def refuse(*_):
+        raise AssertionError("the shift table was read")
+
+    monkeypatch.setattr(uncertainty, "_table_sector", refuse)
+    monkeypatch.setattr(uncertainty, "_table_xp", refuse)
+    for system in (make_xn_system(2, mutate="a-coeff"), halved):
+        for rec in [*records.values(), *hand_built * (system is halved)]:
+            product = uncertainty_product_tilde if rec.sector.is_tilde else uncertainty_product_LA
+            assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
+        one, two = records[PHI], records[PHI_T]
+        assert (uncertainty_product_XP(system, direct_sum(one, HALF, two, HALF)).to_json_dict()
+                == uncertainty_product_XP(system, direct_sum(one.state, HALF, two.state, HALF)).to_json_dict())
+    for rec in hand_built:
+        product = uncertainty_product_tilde if rec.sector.is_tilde else uncertainty_product_LA
+        assert product(family, rec).to_json_dict() == product(family, rec.state).to_json_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_odd_sqrt2_cross_terms_take_the_composition_route(n):
+    # sqrt(2) times every generator, gamma and delta doubled: proved, with first-sector and tilde
+    # states of one sqrt(2) parity, so a cross term of one family is irrational and raises by
+    # either route, while the sector products and cross terms of two families read the table
+    family = make_xn_system(n)
+    system = CoupledSusySystem(n=n, gamma=2 * family.gamma, delta=2 * family.delta,
+                               generators=tuple(g.scale_sqrt2(1) for g in family.generators))
+    assert towers._proved(system)
+    for sector in SectorLabel:
+        rec = eigenstate(system, sector, 2)
+        product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
+        assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
+    psi, psi_t, phi_t = (eigenstate(system, sector, 1) for sector in (PSI, PSI_T, PHI_T))
+    for one, two in [(psi, psi_t), (psi.state, psi_t.state)]:
+        with pytest.raises(ValueError, match="odd combined sqrt"):
+            uncertainty_product_XP(system, direct_sum(one, HALF, two, HALF))
+    assert (uncertainty_product_XP(system, direct_sum(psi, HALF, phi_t, HALF)).to_json_dict()
+            == uncertainty_product_XP(system, direct_sum(psi.state, HALF, phi_t.state, HALF)).to_json_dict())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_table_assumes_no_adjoint(n):
+    # 2a and a+/2 pass verify, but the a images have four times the norm the lemma needs, so the
+    # system is not proved and its records take the composed observables.  They are weighted
+    # shifts with the same weights all the same (a+ 2a s_m = E_m s_m, b+ 2a s_m = rho_m s_(m-1)
+    # with s_m halved per level), so the table's Fractions equal the composed ones
+    a, adag, b, bdag = make_xn_system(n).generators
+    system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
+                               generators=(a.scale(2), adag.scale(HALF), b, bdag))
+    assert not towers._proved(system)
+    for sector in SectorLabel:
+        for m in range(sector.first_level, 7):
+            rec = eigenstate(system, sector, m)
+            composed = uncertainty._composed_sector(system, rec, 1 + sector.is_tilde)
+            assert uncertainty._table_sector(system, rec) == composed
+    for i in range(5):
+        for first, second in [(PSI, PSI_T), (PHI, PHI_T), (PSI, PHI_T)]:
+            for j in range(second.first_level, 5):
+                state = direct_sum(eigenstate(system, first, i), Fraction(1, 3), eigenstate(system, second, j),
+                                   Fraction(2, 3))
+                assert uncertainty._table_xp(system, state) == uncertainty._composed_xp(system, state)
+    if n == 2:  # the bare psi_0 + psi_1 still misses its bound: a+ is not the adjoint of 2a
+        bare = eigenstate(system, PSI, 0).state + eigenstate(system, PSI, 1).state
+        result = uncertainty_product_LA(system, bare)
+        assert not result.passed
+        assert result.product == pytest.approx(4.912118305782, rel=1e-12) and result.bound == 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_table_needs_the_b_dagger_row(n):
+    # 2b leaves every check of the tower proof but the b+ row (b+ s~_m = 2 rho_m s_(m-1) there):
+    # the system is not proved, and the table's weights would misread its records
+    a, adag, b, bdag = make_xn_system(n).generators
+    system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
+                               generators=(a, adag, b.scale(2), bdag))
+    assert not towers._proved(system)
+    rec = eigenstate(system, PHI, 2)
+    assert uncertainty._table_sector(system, rec) != uncertainty._composed_sector(system, rec, 1)
+    composed = uncertainty_product_LA(system, rec.state).to_json_dict()
+    assert uncertainty_product_LA(system, rec).to_json_dict() == composed
 
 
 @pytest.mark.parametrize("as_records", [True, False])
