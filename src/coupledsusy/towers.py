@@ -9,7 +9,11 @@ Four families of eigenfunctions are generated from two ground states:
 
 H and its ladder words are read from the pair table, system.pairs[is_tilde].
 The raising word R = a+b raises m by one inside each untilded family, so a
-level-m state is R^m applied to the ground state.  It is solved directly:
+level-m state is R^m applied to the ground state.  On a proved system
+(below) every level of the four towers is built as its closed form in O(j)
+ints (_closed_state): the top coefficient of R^m on the seed, times a's on a
+tilde tower, and the Laguerre ratio below it.  Elsewhere, as on a mutated
+system, an untilded level is solved directly, the closed form's oracle:
 H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
 top-down from the top coefficient of R^m, and R must send level m-1 onto
 it.  That solve forces H s = E s at every exponent but the one below the
@@ -47,9 +51,10 @@ operator, [H, R] = (delta-gamma) R, and the norm ratios of the a and b+
 images and the b+ row b+ s~_m = rho_m s_(m-1), rho_m = E_m(E_m - delta),
 are identities among polynomials in the level (calculus._Polynomial).
 From them the solve, the raising check and every norm relation hold at
-every level, so the lemma builds no record, and a record skips the raising
-check and _laguerre_form.  They also make the four generators weighted
-shifts on the towers, with weights from E and delta alone:
+every level, so the lemma builds no record, and a record is its closed
+form, built with no solve, raising check or _laguerre_form.  They also
+make the four generators weighted shifts on the towers, with weights from
+E and delta alone:
 
     a s_m = s~_m,                  a+ s~_m = E_m s_m,
     b s_m = s~_(m+1) / E_(m+1),    b+ s~_m = rho_m s_(m-1),
@@ -163,7 +168,8 @@ def _poly_at(poly, k: int) -> int:
 
 
 def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
-    """Untilded level m: the eigenvector of H with eigenvalue E and top exponent K.
+    """Untilded level m of an unproved system: the eigenvector of H with eigenvalue E and top
+    exponent K; on a proved system it is the oracle of _closed_state.
 
     K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
     d(K) = E and E != d(k) below K, E an int over one den (_eigenvalue_ints),
@@ -245,35 +251,75 @@ def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
     return GammaVector._from_ints(n, {r: num}, n * state.den ** 2 << (top + state.half_power), 0)
 
 
+def _closed_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> tuple:
+    """Level m of a proved system's tower, built as its closed form in O(j) int steps, with the
+    form (p, a, j) of _laguerre_form.
+
+    The top coefficient at p + 2nj is T = r_+^m / r_den^m (R's +2n polynomial,
+    a nonzero constant by the proof), times P_a(K) / a_den and a's half power
+    on a tilde tower, K = p_base + 2nm the base level's top exponent, where
+    the a norm ratio makes P_a(K)^2 a positive multiple of E_m > 0.  R's
+    half power is 0: the a and b+ norm ratios give a and b+ half powers of
+    one parity, and the b+ row adds R's to theirs to an even sum.  Below the
+    top the Laguerre ratio of _laguerre_form gives c_i = T w_i / 2^j with
+    ints w_j = 2^j and w_i = -w_(i+1) (i+1) (a + 2n(i+1)) / (2(j-i)), each
+    step an exact division, as w_i = (-1)^(j-i) 2^i binom(j, i)
+    prod_(l>i) (a + 2nl).  w_0 is odd, so the ints have gcd 1 and the state,
+    over T_den 2^j, is reduced once T_num and that den are.
+    """
+    n, two_n = system.n, 2 * system.n
+    p, j = sector.residue(n), m - sector.first_level
+    a = 2 * p + 1 - two_n
+    raising = system.pairs[0].raising
+    num, den, half = dict(raising.polys)[two_n][0] ** m, raising.den ** m, 0
+    if sector.is_tilde:
+        a_op = system.generator(Generator.A)
+        ((_, pa),) = a_op.polys
+        num *= _poly_at(pa, sector.base.residue(n) + two_n * m)
+        den, half = den * a_op.den, a_op.half_power
+    den <<= j
+    g = math.gcd(num, den)
+    w, den = (num // g) << j, den // g
+    levels = [w]
+    for i in range(j - 1, -1, -1):
+        w = -w * (i + 1) * (a + two_n * (i + 1)) // (2 * (j - i))
+        levels.append(w)
+    nums = {p + two_n * i: c for i, c in enumerate(reversed(levels))}
+    return GaussPolyState._from_ints(n, nums, den, half), (p, a, j)
+
+
 @functools.lru_cache(maxsize=4096)
 def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
-    """The checked, normed record of level m, its Fraction eigenvalue built once: a s on a tilde
-    level, else the solved level, which must equal R s_(m-1) (R.apply on the level below).
-    Where the tower proof holds (_proved), R s_(m-1) = s_m and the closed form of every
-    level are proved, so neither is checked again."""
-    proved = _proved(system)
-    if sector.is_tilde:
-        base = _tower_state(system, sector.base, m)
-        state, value = apply_generator(system, Generator.A, base.state), base.eigenvalue
-        failed = state.is_zero
+    """The record of level m with its norm and Fraction eigenvalue, built once.
+
+    Where the tower proof holds (_proved), every level of the four towers is
+    its closed form, built directly (_closed_state), and its norm read from
+    that form.  Elsewhere a tilde level is a s on the base record, refused
+    when zero, and an untilded one the solved level (_solve_level), which
+    must equal R s_(m-1) (R.apply on the level below); that route is the
+    closed form's oracle."""
+    if _proved(system):
+        state, form = _closed_state(system, sector, m)
+    elif sector.is_tilde:
+        state, form = apply_generator(system, Generator.A, _tower_state(system, sector.base, m).state), None
+        if state.is_zero:
+            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     else:
-        state, value = _solve_level(system, sector, m), _tower_eigenvalue(system, sector, m)
-        raising = system.pairs[0].raising
-        failed = m and not proved and raising.apply(_solve_level(system, sector, m - 1)) != state
-    if failed:
-        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    p = sector.residue(system.n)
-    form = (p, 2 * p + 1 - 2 * system.n, m - sector.first_level) if proved else None
-    return EigenstateRecord(sector, m, state, _norm_sq(state, form), value)
+        state, form = _solve_level(system, sector, m), None
+        if m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state:
+            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
+    return EigenstateRecord(sector, m, state, _norm_sq(state, form), _tower_eigenvalue(system, sector, m))
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
     """Level-m eigenstate record of the given tower.
 
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
-    The record is memoised (_tower_state), so a call applies no operator:
-    the eigenvalue equation is proved exactly where the state is built, by
-    the solve or by aa+ (a s) = a (a+a s), and a zero state is refused there.
+    The record is memoised (_tower_state), so a call applies no operator.
+    On a proved system (_proved) the state is the level's closed form,
+    built directly, and the proof covers the eigenvalue equation; elsewhere
+    the equation is proved where the state is built, by the solve or by
+    aa+ (a s) = a (a+a s), and a zero state is refused there.
     norm_sq is _norm_sq: the Laguerre closed form or the full product.
     An integral m (2.0, True) is taken as that int; any other m is a ValueError.
     """
@@ -452,11 +498,11 @@ def _proved(system: CoupledSusySystem) -> bool:
     -2n polynomial a multiple of l and its -2n part R's 0 polynomial
     linear.  So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero
     below the top, and the solve (_solve_level) builds the closed form with
-    nothing below the seed.  R s_(m-1) = s_m: it is an eigenvector of H
-    with eigenvalue E(m) by the commutator, has s_m's top and nothing below
-    the seed (the -2n part is 2(delta-gamma) r_-(k) = l(k)(r_0(k) -
-    r_0(k-2n))), so the difference would be an eigenvector with a lower
-    top, where E(m) - d is not zero.
+    nothing below the seed, which _closed_state builds directly.  R s_(m-1)
+    = s_m: it is an eigenvector of H with eigenvalue E(m) by the
+    commutator, has s_m's top and nothing below the seed (the -2n part is
+    2(delta-gamma) r_-(k) = l(k)(r_0(k) - r_0(k-2n))), so the difference
+    would be an eigenvector with a lower top, where E(m) - d is not zero.
 
     The b row needs no check of its own: b s_m = s~_(m+1) / E(m+1), as a+
     sends both sides to s_(m+1) (a+b = R, a+a = H) and is injective, its +n

@@ -1,15 +1,19 @@
 """Eigenstate towers: eigenvalues, orthogonality, closed forms, ladder factors.
 
-The direct top-down solve of the untilded levels is checked against the
-ladder it replaced, (a+b)^m applied to the ground state, kept at the end of
-this file as a test-local oracle (ladder_state, ladder_record).  Record
+The tower levels, built as closed forms on a proved system and by the
+top-down solve elsewhere, are checked against the ladder the solve
+replaced, (a+b)^m applied to the ground state, kept at the end of this file
+as a test-local oracle (ladder_state, ladder_record); the closed forms also
+against the solve and the a image of the solved base.  Record
 norms, the Laguerre closed form wherever the state has it, are checked
 against the full product inner_product(state, state).
 """
 
+import itertools
 import json
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -419,16 +423,123 @@ def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
 
 
 def test_proved_records_equal_the_checked_solve(monkeypatch):
-    # on a proved system a record skips the raising check and the closed-form check, which the
-    # proof covers; each must equal the record built with both checks
+    # on a proved system a record is the closed form, built directly, with no raising check and no
+    # closed-form check; its state must be the solve's (PSI, PHI) or a on the solved base (the tilde
+    # towers), key order included, and the record the one built on the unproved route with both checks
     systems = {n: make_xn_system(n) for n in range(1, 9)}
-    keys = [(n, sector, m) for n in systems for sector in SectorLabel for m in range(sector.first_level, 121)]
+    keys = [(n, sector, m) for n in systems for sector in SectorLabel for m in range(sector.first_level, 131)]
+    keys += [(n, sector, 300) for n in (1, 2, 3) for sector in SectorLabel]
+    for n, sector, m in keys:
+        solved = towers._solve_level(systems[n], sector.base, m)
+        want = apply_generator(systems[n], Generator.A, solved) if sector.is_tilde else solved
+        state, form = towers._closed_state(systems[n], sector, m)
+        assert_same_state(state, want)
+        assert form == _laguerre_form(want), (n, sector, m)
     towers._tower_state.cache_clear()
     records = {key: _tower_state(systems[key[0]], *key[1:]) for key in keys}
     monkeypatch.setattr(towers, "_proved", lambda system: False)
     towers._tower_state.cache_clear()
     for (n, sector, m), record in records.items():
-        assert _tower_state(systems[n], sector, m) == record, (n, sector, m)
+        checked = _tower_state(systems[n], sector, m)
+        assert checked == record, (n, sector, m)
+        assert_same_state(record.state, checked.state)
+        assert record.to_json_dict() == checked.to_json_dict(), (n, sector, m)
+    towers._tower_state.cache_clear()
+
+
+def sweep_system(n, picks, scaled):
+    """A system of the generator sweep: each of a, a+, b, b+ times s and sqrt(2)^h, (s, h) its pick;
+    with `scaled`, gamma and delta are multiplied by |s_a s_a+| (times 2 when both have h = 1)."""
+    family = make_xn_system(n)
+    generators = tuple(g.scale(s).scale_sqrt2(h) for g, (s, h) in zip(family.generators, picks))
+    (sa, ha), (sd, hd) = picks[:2]
+    k = abs(sa * sd) * (1 + (ha and hd)) if scaled else 1
+    return CoupledSusySystem(n=n, gamma=family.gamma * k, delta=family.delta * k, generators=generators)
+
+
+def record_outcomes(system, m_max):
+    """Each eigenstate call's JSON dict, or its exception's class and text, per sector and level."""
+    outcomes = []
+    for sector in SectorLabel:
+        for m in range(sector.first_level, m_max):
+            try:
+                outcomes.append(eigenstate(system, sector, m).to_json_dict())
+            except Exception as exc:  # the outcome compared is the exception's type and message
+                outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+def test_generator_sweep_records_equal_the_solve_route(monkeypatch):
+    # n = 1, 2, each generator times 1, -1, 2 or 1/2 and 1 or sqrt(2), gamma and delta scaled with
+    # a+a or not: 16 384 systems.  Every proved one has one |s| and one h for all four generators,
+    # which the uniform part holds (384 systems); a seeded sample of 512 covers the rest.  Records
+    # and exceptions below level 9 are the same on the closed-form route and on the solve route
+    choices = [(s, h) for s in (1, -1, 2, Fraction(1, 2)) for h in (0, 1)]
+    cases = [(n, picks, scaled) for n in (1, 2) for picks in itertools.product(choices, repeat=4)
+             for scaled in (False, True)]
+    uniform = [case for case in cases if len({(abs(s), h) for s, h in case[1]}) == 1]
+    proved = [system for system in (sweep_system(*case) for case in uniform) if towers._proved(system)]
+    assert len(proved) == 32
+    sample = [case for case in random.Random(3201).sample(cases, 512) if case not in uniform]
+    assert not any(towers._proved(sweep_system(*case)) for case in sample)
+    towers._tower_state.cache_clear()
+    outcomes = [record_outcomes(system, 9) for system in proved]
+    monkeypatch.setattr(towers, "_proved", lambda system: False)
+    towers._tower_state.cache_clear()
+    for system, want in zip(proved, outcomes):
+        assert record_outcomes(system, 9) == want, system
+    towers._tower_state.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_proved_records_solve_and_apply_nothing(monkeypatch, n):
+    # a cold record of a proved system is its closed form: no solve, no operator applied, no
+    # closed-form check; a tilde record builds no base record
+    system = make_xn_system(n)
+    assert towers._proved(system)
+
+    def refuse(*args):
+        raise AssertionError("a proved system's record took the solve route")
+
+    def reduced(cls, family, data, den, half):
+        # the closed form's ints arrive in lowest terms, so the store's gcd pass divides nothing
+        assert math.gcd(den, *data.values()) == 1 and half in (0, 1)
+        return from_ints(family, data, den, half)
+
+    for name in ("_solve_level", "apply_generator", "_laguerre_form"):
+        monkeypatch.setattr(towers, name, refuse)
+    monkeypatch.setattr(Operator, "apply", refuse)
+    from_ints = GaussPolyState._from_ints
+    monkeypatch.setattr(GaussPolyState, "_from_ints", classmethod(reduced))
+    for sector in SectorLabel:
+        for m in (sector.first_level, 1, 7, 60):
+            towers._tower_state.cache_clear()
+            eigenstate(system, sector, m)
+            assert towers._tower_state.cache_info().currsize == 1, (sector, m)
+    towers._tower_state.cache_clear()
+
+
+def test_unproved_systems_keep_the_solve_route(monkeypatch):
+    # (2a, a+/2, b, b+) passes verify but not the proof: a record solves its level and the level below
+    # for the raising check, and a tilde record is a on its base, which stays cached.  The a-coeff
+    # mutation's solve refuses PSI level 3, for the tilde record through its base
+    a, adag, b, bdag = make_xn_system(2).generators
+    doubled_a = CoupledSusySystem(n=2, gamma=Fraction(-1), delta=Fraction(3),
+                                  generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
+    mutated = make_xn_system(2, mutate="a-coeff")
+    solved = []
+    real_solve = towers._solve_level
+    monkeypatch.setattr(towers, "_solve_level", lambda *key: solved.append(key[1:]) or real_solve(*key))
+    assert not towers._proved(doubled_a) and not towers._proved(mutated)
+    for sector, cached in ((PSI, 1), (PSI_T, 2)):
+        solved.clear()
+        towers._tower_state.cache_clear()
+        eigenstate(doubled_a, sector, 3)
+        assert solved == [(PSI, 3), (PSI, 2)] and towers._tower_state.cache_info().currsize == cached
+        solved.clear()
+        with pytest.raises(RuntimeError, match="eigenvalue equation failed for SectorLabel.PSI m=3"):
+            eigenstate(mutated, sector, 3)
+        assert solved == [(PSI, 3)]
     towers._tower_state.cache_clear()
 
 
