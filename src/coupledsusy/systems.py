@@ -21,7 +21,11 @@ every identity, tower check and observable to read.  Rescaled by
 1/(delta-gamma), each pair's words close into su(1,1).  Each identity is
 proved by checking that its residual Operator lhs - rhs, a map {shift ->
 polynomial in k}, is identically zero, which settles it for every integer
-exponent k.  The su(1,1) rows scale the first pair's residuals (verify_su11).
+exponent k.  Each su(1,1) row's residual is a two-sided combination of the
+two defining residuals, for any four operators (verify_su11), so a system
+whose defining residuals vanish passes every su(1,1) row with no product
+composed; any other system, such as a mutated one, has each row composed,
+the rescaled K rows scaled from the first pair's.
 """
 
 from __future__ import annotations
@@ -202,11 +206,12 @@ class VerificationReport(Record):
         return payload
 
 
-def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -> VerificationReport:
+def _prove(system: CoupledSusySystem, name: str, residual: Operator, window: tuple) -> VerificationReport:
+    k_range, checked = window
     first_failure = None
     if not residual.is_zero:
         # a nonzero residual has a nonzero polynomial, which has finitely many roots
-        k = min(ks)
+        k = k_range[0]
         while not any((image := residual._image({k: 1})).values()):  # x^k's image, in ints
             k += 1
         first_failure = {
@@ -214,19 +219,27 @@ def _prove(system: CoupledSusySystem, name: str, residual: Operator, ks: list) -
             "residual": GaussPolyState._from_ints(system.n, image, residual.den, residual.half_power).serialize(),
             "residual_operator": residual.serialize(),
         }
-    return VerificationReport(
-        name, system.n, (min(ks), max(ks)), residual.is_zero, first_failure, len(ks), _PROOF_NOTE
-    )
+    return VerificationReport(name, system.n, k_range, residual.is_zero, first_failure, checked, _PROOF_NOTE)
 
 
-def _window(system, exponent_range) -> list:
+def _window(system, exponent_range) -> tuple:
+    """((lo, hi), count) of the exponent window, taken once per verify call."""
     if exponent_range is None:
         lo, hi = default_window(system.n)
-        exponent_range = range(lo, hi + 1)
+        return (lo, hi), hi - lo + 1
     ks = list(exponent_range)
     if not ks:
         raise ValueError("exponent range must be nonempty")
-    return ks
+    return (min(ks), max(ks)), len(ks)
+
+
+#: The defining identity of each pair of _PAIRS, as verify_coupled_susy names it.
+_DEFINING_ROWS = tuple(f"{h} = {partner} + {shift_name}" for h, partner, _, _, shift_name in _PAIRS)
+
+
+def _defining_residual(pair: PartnerPair) -> Operator:
+    """H - partner - c, zero iff the pair's defining identity H = partner + c holds."""
+    return pair.hamiltonian - pair.partner - IDENTITY.scale(pair.shift)
 
 
 def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
@@ -235,10 +248,9 @@ def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
     Returns one VerificationReport per identity; both must pass for the
     system to satisfy the coupled SUSY definition.
     """
-    ks = _window(system, exponent_range)
+    window = _window(system, exponent_range)
     return [
-        _prove(system, f"{h} = {partner} + {shift_name}", H - P - IDENTITY.scale(c), ks)
-        for (h, partner, _, _, shift_name), H, P, _, _, c in system.pairs
+        _prove(system, name, _defining_residual(pair), window) for name, pair in zip(_DEFINING_ROWS, system.pairs)
     ]
 
 
@@ -254,30 +266,74 @@ def k_operators(system: CoupledSusySystem) -> dict:
     return {"k+": first.raising.scale(pref), "k-": first.lowering.scale(pref), "k0": k0, "k0~": k0_tilde}
 
 
+#: The nine su(1,1) rows of verify_su11: three per pair of _PAIRS, then the rescaled K rows.
+_SU11_ROWS = tuple(
+    name
+    for h, _, r, l, shift_name in _PAIRS
+    for name in (
+        f"[{h}, {r}] = (delta-gamma) {r}",
+        f"[{h}, {l}] = -(delta-gamma) {l}",
+        f"[{r}, {l}] = 2(gamma-delta)({h} - {shift_name}/2)",
+    )
+) + ("[K0, K+] = K+", "[K0, K-] = -K-", "[K+, K-] = -2 K0")
+
+_ZERO = Operator({})
+
+
+def _satisfies_definition(system: CoupledSusySystem) -> bool:
+    """Whether both defining residuals are zero; False where forming one raises on mixed
+    sqrt(2) parities, so that the composed rows raise exactly where they always did."""
+    try:
+        return all(_defining_residual(pair).is_zero for pair in system.pairs)
+    except ValueError:
+        return False
+
+
+def _composed_su11(system: CoupledSusySystem) -> list:
+    """The residuals of the _SU11_ROWS, each pair commutator composed in one pass.
+
+    The K rows are the first pair's three residuals over (delta-gamma)^2,
+    scaled, not composed: K0 = (H - gamma/2)/(delta-gamma), K+- = R, L/(delta-
+    gamma) and a constant commutes, so e.g. [K+, K-] + 2 K0 = ([R, L] +
+    2(delta-gamma)(H - gamma/2))/(delta-gamma)^2, exactly, as forms are exact.
+    """
+    dg = system.spacing
+    residuals = []
+    for _, H, _, R, L, c in system.pairs:
+        residuals += [
+            H._commutator(R) - R.scale(dg),
+            H._commutator(L) + L.scale(dg),
+            R._commutator(L) + (H - IDENTITY.scale(c / 2)).scale(2 * dg),
+        ]
+    return residuals + [residual.scale(1 / dg ** 2) for residual in residuals[:3]]
+
+
 def verify_su11(system: CoupledSusySystem, exponent_range=None) -> list:
     """Prove the su(1,1) ladder commutators for every exponent, pair by pair.
 
     Per pair, [H, R] = (delta-gamma) R, [H, L] = -(delta-gamma) L and
-    [R, L] = 2(gamma-delta)(H - c/2), each residual composed, not assumed.
-    The rescaled rows [K0, K+-] = +-K+- and [K+, K-] = -2 K0 of k_operators
-    are the first pair's three residuals over (delta-gamma)^2, scaled, not
-    composed: K0 = (H - gamma/2)/(delta-gamma), K+- = R, L/(delta-gamma) and
-    a constant commutes, so e.g. [K+, K-] + 2 K0 = ([R, L] + 2(delta-gamma)
-    (H - gamma/2))/(delta-gamma)^2, exactly, as forms are exact.
+    [R, L] = 2(gamma-delta)(H - c/2), then the rescaled rows [K0, K+-] =
+    +-K+- and [K+, K-] = -2 K0 of k_operators.  With D1 = a+a - b+b - gamma
+    and D2 = aa+ - bb+ - delta, the defining residuals, each pair row's
+    residual is a two-sided combination of D1 and D2 for any four operators
+    (P = b+b, P~ = bb+, R = a+b, L = b+a, R~ = ba+, L~ = ab+):
+
+        [H, R] - dg R              = a+ D2 b - R D1
+        [H, L] + dg L              = D1 L - b+ D2 a
+        [R, L] + 2 dg (H - g/2)    = P D1 + D1 P + D1^2 + d D1 - a+ D2 a - b+ D2 b
+        [H~, R~] - dg R~           = D2 R~ - b D1 a+
+        [H~, L~] + dg L~           = a D1 b+ - L~ D2
+        [R~, L~] + 2 dg (H~ - d/2) = a D1 a+ + b D1 b+ - P~ D2 - D2 P~ - D2^2 - g D2
+
+    (dg = delta-gamma, g = gamma, d = delta) and the K rows are the first
+    three over dg^2.  So when both defining residuals are zero every row is
+    the zero Operator, and its passing report needs no product.  Otherwise,
+    as on a mutated system, every row is composed (_composed_su11), which
+    locates its first failure.
     """
-    ks = _window(system, exponent_range)
-    dg = system.spacing
-    identities = []
-    for (h, _, r, l, shift_name), H, _, R, L, c in system.pairs:
-        identities += [
-            (f"[{h}, {r}] = (delta-gamma) {r}", H._commutator(R) - R.scale(dg)),
-            (f"[{h}, {l}] = -(delta-gamma) {l}", H._commutator(L) + L.scale(dg)),
-            (f"[{r}, {l}] = 2(gamma-delta)({h} - {shift_name}/2)",
-             R._commutator(L) + (H - IDENTITY.scale(c / 2)).scale(2 * dg)),
-        ]
-    k_rows = ("[K0, K+] = K+", "[K0, K-] = -K-", "[K+, K-] = -2 K0")
-    identities += [(name, residual.scale(1 / dg ** 2)) for name, (_, residual) in zip(k_rows, identities)]
-    return [_prove(system, name, residual, ks) for name, residual in identities]
+    window = _window(system, exponent_range)
+    residuals = [_ZERO] * len(_SU11_ROWS) if _satisfies_definition(system) else _composed_su11(system)
+    return [_prove(system, name, residual, window) for name, residual in zip(_SU11_ROWS, residuals)]
 
 
 def all_reports_pass(reports: Iterable[VerificationReport]) -> bool:

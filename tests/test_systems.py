@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from coupledsusy import reports
@@ -12,7 +13,6 @@ from coupledsusy.systems import (
     CoupledSusySystem,
     VerificationReport,
     _PROOF_NOTE,
-    _window,
     all_reports_pass,
     default_window,
     k_operators,
@@ -299,6 +299,14 @@ def test_verification_report_record_semantics():
 # ---------------------------------------------------------------------------
 
 
+def ref_window(system, exponent_range):
+    """The exponents of the window, the default one when none is given."""
+    if exponent_range is None:
+        lo, hi = default_window(system.n)
+        exponent_range = range(lo, hi + 1)
+    return list(exponent_range)
+
+
 def ref_prove(system, name, residual, ks):
     """_prove with the failing k found on monomial states, the route it replaced."""
     first_failure = None
@@ -313,7 +321,7 @@ def ref_prove(system, name, residual, ks):
 
 
 def ref_verify_coupled_susy(system, exponent_range=None):
-    ks = _window(system, exponent_range)
+    ks = ref_window(system, exponent_range)
     a, ad, b, bd = system.generators
     return [
         ref_prove(system, "a+a = b+b + gamma", ad @ a - bd @ b - IDENTITY.scale(system.gamma), ks),
@@ -341,7 +349,7 @@ def ref_commutator(x, y):
 
 
 def ref_verify_su11(system, exponent_range=None):
-    ks = _window(system, exponent_range)
+    ks = ref_window(system, exponent_range)
     a, ad, b, bd = system.generators
     dg = system.spacing
     ada, adb, bda = ad @ a, ad @ b, bd @ a  # each quadratic word composed once
@@ -394,8 +402,9 @@ def test_pair_table_reports_match_hand_written_identities(n):
 
 
 def test_verify_composes_each_pair_commutator_once(monkeypatch):
-    # a system composes its eight words; verify composes the six pair commutators, two products each,
-    # in one pass apiece, and no K commutator
+    # a system composes its eight words; where both defining residuals vanish, verify composes no
+    # product, and otherwise the six pair commutators, two products each, in one pass apiece, and no
+    # K commutator
     calls = []
     real = Operator._products
 
@@ -412,7 +421,138 @@ def test_verify_composes_each_pair_commutator_once(monkeypatch):
             calls.clear()
             reports = verify_coupled_susy(system) + verify_su11(system)
             assert all_reports_pass(reports) == (mutate is None)
-            assert calls == [1, -1] * 6, (n, mutate, len(calls))
+            assert calls == ([] if mutate is None else [1, -1] * 6), (n, mutate, len(calls))
+
+
+# ---------------------------------------------------------------------------
+# The theorem verify_su11 rests on: every pair row is a two-sided combination
+# of the defining residuals D1 = a+a - b+b - gamma and D2 = aa+ - bb+ - delta
+# ---------------------------------------------------------------------------
+
+
+class Alg:
+    """An Operator under *, + and -, a scalar read as that multiple of the identity, so one
+    expression of the free algebra reads as sympy and as Operators."""
+
+    def __init__(self, op):
+        self.op = op
+
+    @staticmethod
+    def lift(x):
+        return x.op if isinstance(x, Alg) else IDENTITY.scale(x)
+
+    def __add__(self, other):
+        return Alg(self.op + Alg.lift(other))
+
+    def __sub__(self, other):
+        return Alg(self.op - Alg.lift(other))
+
+    def __mul__(self, other):
+        return Alg(self.op @ other.op) if isinstance(other, Alg) else Alg(self.op.scale(other))
+
+    def __rmul__(self, scalar):
+        return Alg(self.op.scale(scalar))
+
+
+def su11_theorem(a, ad, b, bd, g, d):
+    """(the su(1,1) residual, its combination of D1 and D2) for each of the six pair rows."""
+    D1, D2 = ad * a - bd * b - g, a * ad - b * bd - d
+    H, P, R, L = ad * a, bd * b, ad * b, bd * a
+    Ht, Pt, Rt, Lt = a * ad, b * bd, b * ad, a * bd
+    dg = d - g
+
+    def comm(x, y):
+        return x * y - y * x
+
+    return [
+        (comm(H, R) - dg * R, ad * D2 * b - R * D1),
+        (comm(H, L) + dg * L, D1 * L - bd * D2 * a),
+        (comm(R, L) + 2 * dg * (H - g / 2), P * D1 + D1 * P + D1 * D1 + d * D1 - ad * D2 * a - bd * D2 * b),
+        (comm(Ht, Rt) - dg * Rt, D2 * Rt - b * D1 * ad),
+        (comm(Ht, Lt) + dg * Lt, a * D1 * bd - Lt * D2),
+        (comm(Rt, Lt) + 2 * dg * (Ht - d / 2), a * D1 * ad + b * D1 * bd - Pt * D2 - D2 * Pt - D2 * D2 - g * D2),
+    ]
+
+
+def test_su11_rows_are_combinations_of_the_defining_residuals_in_the_free_algebra():
+    a, ad, b, bd = sp.symbols("a ad b bd", commutative=False)
+    g, d = sp.symbols("gamma delta")
+    rows = su11_theorem(a, ad, b, bd, g, d)
+    assert len(rows) == 6
+    for lhs, rhs in rows:
+        assert sp.expand(lhs - rhs) == 0
+    # the combinations are not vacuous: each residual is a nonzero word sum
+    assert all(sp.expand(lhs) != 0 for lhs, _ in rows)
+
+
+def operator_theorem(generators, gamma, delta):
+    return [(lhs.op, rhs.op) for lhs, rhs in su11_theorem(*map(Alg, generators), gamma, delta)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_su11_theorem_holds_as_operators_on_real_and_mutated_systems(n):
+    for system in real_and_mutated_systems(n):
+        rows = operator_theorem(system.generators, system.gamma, system.delta)
+        assert all(lhs == rhs for lhs, rhs in rows), system.mutation
+        # the composed rows of the pair-table oracle are these residuals
+        composed = [r.first_failure for r in ref_verify_su11(system, range(0, 1))[:6]]
+        assert [ff and ff["residual_operator"] for ff in composed] == [
+            None if lhs.is_zero else lhs.serialize() for lhs, _ in rows]
+
+
+def operators(half_power):
+    """Operators of up to three shifts from -3..3, each polynomial of degree <= 2."""
+    poly = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=3)
+    terms = st.dictionaries(st.integers(-3, 3), poly, min_size=1, max_size=3)
+    return terms.map(lambda t: Operator(t, half_power))
+
+
+@given(st.integers(0, 1).flatmap(lambda w: st.tuples(*[operators(w)] * 4)),
+       st.fractions(-4, 4, max_denominator=3), st.fractions(-4, 4, max_denominator=3))
+@settings(max_examples=60, deadline=None)
+def test_su11_theorem_holds_for_any_operator_quadruple(generators, gamma, delta):
+    for lhs, rhs in operator_theorem(generators, gamma, delta):
+        assert lhs == rhs
+
+
+def hand_built_systems(n):
+    """Systems not built by make_xn_system whose defining identities hold: a non-adjoint one and
+    one with every generator at half power 0."""
+    base = make_xn_system(n)
+    a, ad, b, bd = base.generators
+    return [
+        CoupledSusySystem(n, base.gamma, base.delta, (a.scale(2), ad.scale(Fraction(1, 2)), b, bd)),
+        CoupledSusySystem(n, 2 * base.gamma, 2 * base.delta, tuple(g.scale_sqrt2(1) for g in base.generators)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hand_built_systems_verify_like_the_composed_oracle(n):
+    for system in hand_built_systems(n):
+        assert [g.half_power for g in system.generators] in ([1, 1, 1, 1], [0, 0, 0, 0])
+        for window in (None, range(-3, 6)):
+            assert all_reports_pass(verify_coupled_susy(system, window))
+            got = verify_su11(system, window)
+            assert got == ref_verify_su11(system, window)
+            assert all_reports_pass(got)
+    # one defining identity broken by a shifted constant: the rows are composed and fail as the oracle's
+    base = make_xn_system(n)
+    for gamma, delta in ((base.gamma - 1, base.delta), (base.gamma, base.delta + 1)):
+        system = CoupledSusySystem(n, gamma, delta, base.generators)
+        assert [r.passed for r in verify_coupled_susy(system)] == [gamma == base.gamma, delta == base.delta]
+        got = verify_su11(system)
+        assert got == ref_verify_su11(system)
+        assert not all_reports_pass(got)
+    # a system of mixed sqrt(2) parities, where H - P cannot be formed, raises as the composed rows do
+    a, ad, b, bd = base.generators
+    mixed = CoupledSusySystem(n, base.gamma, base.delta, (a.scale_sqrt2(1), ad, b, bd))
+    with pytest.raises(ValueError) as want:
+        ref_verify_su11(mixed)
+    for verify in (verify_coupled_susy, verify_su11):
+        with pytest.raises(ValueError) as got:
+            verify(mixed)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("cannot add operators of mismatched sqrt(2) parity exactly")
 
 
 #: The words of each pair, (H, partner, raising, lowering), generator by generator.
