@@ -75,11 +75,12 @@ class CoupledSusySystem(Record):
     `generators` holds the Operators of a, a+, b, b+ in Generator order,
     `pairs` the rows of _PAIRS composed from them and `spacing` = delta -
     gamma (2n for the x^n family), neither in == or the hash.  The hash is
-    computed once, because systems key the tower-state cache.
+    computed once, because systems key the tower-state cache.  `_residuals`
+    holds the two defining residuals once verify has formed them.
     """
 
     _fields = ("n", "gamma", "delta", "generators", "mutation")
-    __slots__ = _fields + ("pairs", "spacing", "_hash")
+    __slots__ = _fields + ("pairs", "spacing", "_hash", "_residuals")
     _defaults = {"mutation": None}
 
     def __init__(self, *args, **kwargs):
@@ -94,6 +95,7 @@ class CoupledSusySystem(Record):
         ))
         object.__setattr__(self, "spacing", self.delta - self.gamma)
         object.__setattr__(self, "_hash", hash(self._values()))
+        object.__setattr__(self, "_residuals", None)
 
     def __hash__(self):
         return self._hash
@@ -242,6 +244,16 @@ def _defining_residual(pair: PartnerPair) -> Operator:
     return pair.hamiltonian - pair.partner - IDENTITY.scale(pair.shift)
 
 
+def _defining_residuals(system: CoupledSusySystem) -> tuple:
+    """Both pairs' defining residuals, formed once per system for verify_coupled_susy and
+    verify_su11 and kept on it, so they live as long as the system and no longer; on mixed
+    sqrt(2) parities forming one raises ValueError, on every call."""
+    if system._residuals is None:
+        residuals = tuple(_defining_residual(pair) for pair in system.pairs)
+        object.__setattr__(system, "_residuals", residuals)
+    return system._residuals
+
+
 def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
     """Prove the two defining identities H = partner + c for every exponent.
 
@@ -250,7 +262,7 @@ def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
     """
     window = _window(system, exponent_range)
     return [
-        _prove(system, name, _defining_residual(pair), window) for name, pair in zip(_DEFINING_ROWS, system.pairs)
+        _prove(system, name, residual, window) for name, residual in zip(_DEFINING_ROWS, _defining_residuals(system))
     ]
 
 
@@ -284,7 +296,7 @@ def _satisfies_definition(system: CoupledSusySystem) -> bool:
     """Whether both defining residuals are zero; False where forming one raises on mixed
     sqrt(2) parities, so that the composed rows raise exactly where they always did."""
     try:
-        return all(_defining_residual(pair).is_zero for pair in system.pairs)
+        return all(residual.is_zero for residual in _defining_residuals(system))
     except ValueError:
         return False
 

@@ -33,7 +33,8 @@ Each product takes one of two routes, with the same Fractions either way.
   the towers with a weight from E and delta alone, the levels are
   orthogonal, and the moments are closed forms in E_m, delta and, for the
   X,P cross terms, the two records' norm_sq ratio (_table_sector,
-  _table_xp).  No operator is composed or applied.
+  _table_xp), computed in ints over the towers' one denominator with one
+  Fraction built per returned value.  No operator is composed or applied.
 - The composition route, for bare states and unproved systems: each
   observable is an exact real Operator composed from the system's
   generators, times 1 or i; so is every product and commutator built
@@ -67,7 +68,7 @@ from .calculus import (
     inner_product,
 )
 from .systems import CoupledSusySystem
-from .towers import EigenstateRecord, SectorLabel, _proved, _tower_eigenvalue, _tower_state
+from .towers import EigenstateRecord, SectorLabel, _eigenvalue_ints, _proved, _tower_state
 
 
 class SectorDomainError(ValueError):
@@ -272,6 +273,14 @@ def _root(x) -> float:
     return math.sqrt(max(_float(x), 0.0))
 
 
+def _signed_root(scale_sq, mean) -> float:
+    """s mean rounded once: the root of the exact s^2 mean^2 (in ints when rational), with mean's sign."""
+    if isinstance(mean, (int, Fraction)):
+        (s, t), (p, q) = scale_sq.as_integer_ratio(), mean.as_integer_ratio()
+        return math.copysign(math.sqrt(s * p * p / (t * q * q)), -1 if p < 0 else 1)
+    return math.copysign(_root(scale_sq * mean ** 2), _float(mean))
+
+
 def _phased(value, imaginary: bool) -> complex:
     """A real value's float times i when imaginary."""
     return complex(0.0, _float(value)) if imaginary else complex(_float(value), 0.0)
@@ -329,10 +338,10 @@ def _result(pair, passed, var1, var2, bound_sq, details) -> UncertaintyResult:
 
 def _own(system, state, sector: int) -> bool:
     """Whether the shift table serves the state in sector 1 or 2: the system is proved and the
-    state is its own tower record of that sector (_tower_state equals it)."""
+    state is its own tower record of that sector (_tower_state returns it, or one equal to it)."""
     return (isinstance(state, EigenstateRecord) and state.sector.is_tilde == (sector == 2)
             and type(state.m) is int and state.m >= state.sector.first_level and _proved(system)
-            and _tower_state(system, state.sector, state.m) == state)
+            and ((own := _tower_state(system, state.sector, state.m)) is state or own == state))
 
 
 def _table_sector(system, record) -> tuple:
@@ -343,13 +352,15 @@ def _table_sector(system, record) -> tuple:
     numbers lo and hi: rho_m and rho_(m+1) untilded, E_(m-1)(E_m - delta)
     and E_m(E_(m+1) - delta) on a tilde tower, rho_m = E_m(E_m - delta).
     Levels are orthogonal, so <L> = <A> = 0, sigma_L^2 = sigma_A^2 = (lo +
-    hi)/4, <[L, A]> = i(lo - hi)/2 and <N> = E_m.
+    hi)/4, <[L, A]> = i(lo - hi)/2 and <N> = E_m, in ints over the towers'
+    one den D (towers._eigenvalue_ints): var^2 >= bound^2 is lo hi >= 0.
     """
-    m, t, delta = record.m, record.sector.is_tilde, system.delta
-    energy = [_tower_eigenvalue(system, record.sector, j) for j in (m - 1, m, m + 1)]
-    lo, hi = (energy[i + 1 - t] * (energy[i + 1] - delta) for i in (0, 1))
-    var, bound_sq = (lo + hi) / 4, (lo - hi) ** 2 / 16
-    return var * var >= bound_sq, [var, var, bound_sq, energy[1]]
+    m, t, (d, e) = record.m, record.sector.is_tilde, system.delta.as_integer_ratio()
+    (e0, den), (e1, _), (e2, _) = (_eigenvalue_ints(system, record.sector, j) for j in (m - 1, m, m + 1))
+    delta = d * (den // e)
+    lo, hi = (e0 if t else e1) * (e1 - delta), (e1 if t else e2) * (e2 - delta)  # over D^2
+    var = Fraction(lo + hi, 4 * den * den)
+    return lo * hi >= 0, [var, var, Fraction((lo - hi) ** 2, 16 * den ** 4), Fraction(e1, den)]
 
 
 def _composed_sector(system, state, sector: int) -> tuple:
@@ -413,8 +424,8 @@ class DirectSumState(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        w1, w2 = Fraction(self.weight1), Fraction(self.weight2)
-        if w1 < 0 or w2 < 0 or w1 + w2 != 1:
+        (w1, den1), (w2, den2) = self.weight1.as_integer_ratio(), self.weight2.as_integer_ratio()
+        if w1 < 0 or w2 < 0 or w1 * den2 + w2 * den1 != den1 * den2:
             raise ValueError("squared weights must be nonnegative and sum to 1 exactly")
         if (w1 > 0) != (self.component1 is not None):
             raise ValueError("component 1 must be present iff weight1 > 0")
@@ -476,35 +487,45 @@ def _table_xp(system, dstate: DirectSumState) -> tuple:
     Each block word is a weighted shift on the records (towers._proved): a s_i
     = s~_i, b s_i = s~_(i+1)/E_(i+1), a+ s~_j = E_j s_j and b+ s~_j = rho_j
     s_(j-1).  So with weights w1, w2, <X^2> = <P^2> = w1 (E_i + E_(i+1) -
-    delta)/2 + w2 (2E_j - delta)/2, and the commutator blocks a+a - b+b and
-    bb+ - aa+ act as gamma and -delta.  Only s~_i and s~_(i+1) of s_i's
-    family give a cross term; it takes the records' own norm_sq ratio r =
-    ||s~_j||^2 / ||s_i||^2, and the sqrt(2) powers of the two states, whose
-    difference is odd here (_table_serves_xp).
+    delta)/2 + w2 (2E_j - delta)/2, and the commutator blocks act as gamma =
+    delta - (E_(i+1) - E_i) and -delta.  Only s~_i and s~_(i+1) of s_i's
+    family give a cross term c, from the records' norm_sq ratio r = p/q; with
+    h the states' sqrt(2) power difference, odd here (_table_serves_xp), s^2
+    = 2^-h w2 / (w1 r) and mean = 2^((h-1)/2) w1 c.  E and delta are ints over
+    the towers' one den D (towers._eigenvalue_ints), w1 and w2 over one den W.
     """
     one, two = dstate.component1, dstate.component2
-    w1, w2 = Fraction(dstate.weight1), Fraction(dstate.weight2)
-    delta, second, comm, means = system.delta, 0, 0, [(0, 0), (0, 0)]
-    if one is not None:
-        second += w1 * (_tower_eigenvalue(system, one.sector, one.m)
-                        + _tower_eigenvalue(system, one.sector, one.m + 1) - delta) / 2
-        comm += w1 * system.gamma
+    (w1, w), (d, e) = dstate.weight1.as_integer_ratio(), system.delta.as_integer_ratio()
+    w2, second, comm, p, q, cd, cx, cp = w - w1, 0, 0, 1, 1, 1, 0, 0
+    means = [(0, 0), (0, 0)]
+    den = _eigenvalue_ints(system, SectorLabel.PSI, 0)[1]
+    delta = d * (den // e)
+    if one is not None:  # <X^2> over 2 W D, the commutator over W D
+        e_i = _eigenvalue_ints(system, one.sector, one.m)[0]
+        e_up = _eigenvalue_ints(system, one.sector, one.m + 1)[0]
+        second, comm = w1 * (e_i + e_up - delta), w1 * (delta - e_up + e_i)
     if two is not None:
-        energy = _tower_eigenvalue(system, two.sector, two.m)
-        second += w2 * (2 * energy - delta) / 2
-        comm -= w2 * delta
+        e_j = _eigenvalue_ints(system, two.sector, two.m)[0]
+        second, comm = second + w2 * (2 * e_j - delta), comm - w2 * delta
         if one is not None and two.sector.base is one.sector and two.m - one.m in (0, 1):
-            # <s_i|(a+ + b+)|s~_j> / ||s_i||^2 = t and <s~_j|(a + b)|s_i> / ||s~_j||^2 = u; P flips a sign
-            adjacent, ratio = two.m - one.m, two.norm_sq.rational_ratio(one.norm_sq)
-            t, u = (energy * (energy - delta), 1 / energy) if adjacent else (energy, 1)
-            h1, h2 = one.state.half_power, two.state.half_power
-            scale_sq, factor = Fraction(2) ** (h1 - h2) * w2 / (w1 * ratio), w1 * Fraction(2) ** ((h2 - h1 - 1) // 2)
-            for k, cross in enumerate((t + u * ratio, (t - u * ratio) * (1 if adjacent else -1))):
-                if cross:
-                    means[k] = (scale_sq, factor * cross)
-    var_x, var_p = (second - scale_sq * mean ** 2 for scale_sq, mean in means)
-    bound_sq = comm ** 2 / 4
-    return var_x * var_p >= bound_sq, [var_x, var_p, bound_sq, *means, second, second]
+            # <s_i|(a+ + b+)|s~_j> / ||s_i||^2 = t and <s~_j|(a + b)|s_i> / ||s~_j||^2 = u r; P flips a sign
+            p, q, _ = two.norm_sq._ratio(one.norm_sq)
+            if two.m > one.m:  # t = E_j(E_j - delta) and u = 1/E_j, over cd = D^2 E_j q
+                t, u, cd = e_j * e_j * (e_j - delta) * q, den ** 3 * p, den * den * e_j * q
+            else:  # t = E_j and u = 1, over cd = D q
+                t, u, cd = e_j * q, den * p, den * q
+            cx, cp = t + u, (t - u) * (1 if two.m > one.m else -1)
+            h = two.state.half_power - one.state.half_power
+            k, scale_sq = (h - 1) // 2, Fraction(w2 * q << max(-h, 0), w1 * p << max(h, 0))
+            means = [(scale_sq, Fraction(w1 * c << max(k, 0), w * cd << max(-k, 0))) if c else (0, 0)
+                     for c in (cx, cp)]
+    # var = <X^2> - s^2 mean^2 = <X^2> - w1 w2 c^2 / (2r) over 2 W D f for X and P: one int verdict
+    f, cross = p * w * cd * cd, w1 * w2 * q * den
+    var_x, var_p = second * f - cross * cx * cx, second * f - cross * cp * cp
+    passed = var_x * var_p >= (comm * f) ** 2
+    var_den, second = 2 * w * den * f, Fraction(second, 2 * w * den)
+    values = Fraction(var_x, var_den) if cx else second, Fraction(var_p, var_den) if cp else second
+    return passed, [*values, Fraction(comm * comm, 4 * (w * den) ** 2), *means, second, second]
 
 
 def _composed_xp(system, dstate: DirectSumState) -> tuple:
@@ -533,7 +554,7 @@ def _table_serves_xp(system, dstate: DirectSumState) -> bool:
     """Whether each component is the proved system's own record of its sector (_own), and two
     components differ by an odd sqrt(2) power, so their cross terms are rational."""
     one, two = dstate.component1, dstate.component2
-    return (all(c is None or _own(system, c, sector) for c, sector in ((one, 1), (two, 2)))
+    return ((one is None or _own(system, one, 1)) and (two is None or _own(system, two, 2))
             and (one is None or two is None or (two.state.half_power - one.state.half_power) % 2 == 1))
 
 
@@ -549,15 +570,15 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
     """
     route = _table_xp if _table_serves_xp(system, dstate) else _composed_xp
     passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = route(system, dstate)
-    # s mean, rounded once: the root of the exact s^2 mean^2, with mean's sign (0.0 for 0); P is i times
-    mean_x, mean_p = (_phased(math.copysign(_root(scale_sq * mean ** 2), _float(mean)), imaginary)
-                      for (scale_sq, mean), imaginary in zip(means, (False, True)))
-    convex = 0.5 * float(abs(system.gamma) * dstate.weight1 + system.delta * dstate.weight2)
+    (scale_x, mean_x), (scale_p, mean_p) = means
+    # |gamma| w1 + delta w2 and min(|gamma|, delta) in ints; an int quotient rounds as float(Fraction) does
+    (g, h), (d, e) = system.gamma.as_integer_ratio(), system.delta.as_integer_ratio()
+    w1, w = dstate.weight1.as_integer_ratio()
     return _result("X,P", passed, var_x, var_p, bound_sq, {
-        "mean_x": (mean_x.real, mean_x.imag),
-        "mean_p": (mean_p.real, mean_p.imag),
+        "mean_x": (_signed_root(scale_x, mean_x), 0.0),
+        "mean_p": (0.0, _signed_root(scale_p, mean_p)),
         "second_x": _float(second_x),
         "second_p": _float(second_p),
-        "bound_convex_combination": convex,
-        "global_bound": 0.5 * float(min(abs(system.gamma), system.delta)),
+        "bound_convex_combination": 0.5 * ((d * h * (w - w1) - g * e * w1) / (h * e * w)),
+        "global_bound": 0.5 * (min(-g * e, d * h) / (h * e)),
     })

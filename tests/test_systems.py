@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from coupledsusy import reports
+from coupledsusy import reports, systems
 from coupledsusy.calculus import IDENTITY, LOWERING_WORD, RAISING_WORD, Generator, Operator, apply_word, monomial_state
 from coupledsusy.systems import (
     CoupledSusySystem,
@@ -404,24 +404,35 @@ def test_pair_table_reports_match_hand_written_identities(n):
 def test_verify_composes_each_pair_commutator_once(monkeypatch):
     # a system composes its eight words; where both defining residuals vanish, verify composes no
     # product, and otherwise the six pair commutators, two products each, in one pass apiece, and no
-    # K commutator
-    calls = []
-    real = Operator._products
+    # K commutator.  Each pair's defining residual is formed once per system, however often and by
+    # whichever of the two it is verified, and an equal system built anew forms its own
+    calls, formed = [], []
+    real, real_residual = Operator._products, systems._defining_residual
 
     def counting(self, other, sign, out):
         calls.append(sign)
         return real(self, other, sign, out)
 
+    def forming(pair):
+        formed.append(pair.names)
+        return real_residual(pair)
+
     monkeypatch.setattr(Operator, "_products", counting)
+    monkeypatch.setattr(systems, "_defining_residual", forming)
     for n in (1, 2, 5, 8):
         for mutate in (None, "b-coeff", (ADAG, 0, "beta", Fraction(-3))):
             calls.clear()
+            formed.clear()
             system = make_xn_system(n, mutate=mutate)
             assert calls == [1] * 8, (n, mutate, len(calls))
-            calls.clear()
-            reports = verify_coupled_susy(system) + verify_su11(system)
-            assert all_reports_pass(reports) == (mutate is None)
-            assert calls == ([] if mutate is None else [1, -1] * 6), (n, mutate, len(calls))
+            for _ in range(2):
+                calls.clear()
+                reports = verify_coupled_susy(system) + verify_su11(system)
+                assert all_reports_pass(reports) == (mutate is None)
+                assert calls == ([] if mutate is None else [1, -1] * 6), (n, mutate, len(calls))
+            assert formed == list(systems._PAIRS), (n, mutate, formed)
+            assert verify_su11(make_xn_system(n, mutate=mutate)) == verify_su11(system)
+            assert formed == list(systems._PAIRS) * 2, (n, mutate, formed)
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,80 @@ def test_records_of_a_proved_system_compose_and_apply_nothing(monkeypatch):
                 assert uncertainty_product_XP(system, direct_sum(one, 1, None, 0)).passed
 
 
+def test_the_table_builds_one_fraction_per_value_at_any_level(monkeypatch):
+    # the table route computes in ints over the towers' one den: it does no Fraction arithmetic and
+    # builds at most one Fraction per distinct value it returns, at level 1 as at n = 1 level 100
+    arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                  "__rtruediv__", "__floordiv__", "__pow__", "__neg__", "__abs__", "__lt__", "__le__",
+                  "__gt__", "__ge__", "__bool__")
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic in the table route")
+
+    for n, m in [(1, 1), (1, 9), (1, 100), (3, 1), (3, 30)]:
+        system = make_xn_system(n)
+        records = {sector: eigenstate(system, sector, m) for sector in SectorLabel}
+        states = [direct_sum(records[first], w1, records[second] if w1 < 1 else None, 1 - w1)
+                  for first, second in [(PSI, PSI_T), (PHI, PHI_T), (PSI, PHI_T)]
+                  for w1 in (Fraction(1, 3), Fraction(1))]
+        states += [direct_sum(records[PSI], Fraction(2, 5), eigenstate(system, PSI_T, m + 1), Fraction(3, 5)),
+                   direct_sum(None, 0, records[PHI_T], 1)]
+        want = ([uncertainty._table_sector(system, rec) for rec in records.values()],
+                [uncertainty._table_xp(system, state) for state in states])
+        with monkeypatch.context() as patch:
+            patch.setattr(uncertainty, "Fraction", counting)
+            for name in arithmetic:
+                patch.setattr(Fraction, name, refuse)
+            got, counts = ([], []), ([], [])
+            for k, (table, args) in enumerate([(uncertainty._table_sector, records.values()),
+                                               (uncertainty._table_xp, states)]):
+                for arg in args:
+                    built.clear()
+                    got[k].append(table(system, arg))
+                    counts[k].append(len(built))
+        assert got == want
+        assert max(counts[0]) <= 3 and max(counts[1]) <= 7, (n, m, counts)
+
+
+def _scaled(n: int, c: Fraction) -> CoupledSusySystem:
+    """The family's generators times c, gamma and delta times c^2: proved, with gamma and delta not ints."""
+    family = make_xn_system(n)
+    return CoupledSusySystem(n=n, gamma=family.gamma * c * c, delta=family.delta * c * c,
+                             generators=tuple(g.scale(c) for g in family.generators))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+def test_the_table_over_a_denominator_matches_the_composition(n, c):
+    # the towers' one den is not 1 here: the table's ints give the composed Fractions, and every
+    # report equals the bare states', at levels to 8 and weights 0, 1/3, 1/2 and 1
+    system = _scaled(n, c)
+    assert towers._proved(system) and towers._eigenvalue_ints(system, PSI, 0)[1] > 1
+    for sector in SectorLabel:
+        product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
+        for m in range(sector.first_level, 9):
+            rec = eigenstate(system, sector, m)
+            composed = uncertainty._composed_sector(system, rec, 1 + sector.is_tilde)
+            assert uncertainty._table_sector(system, rec) == composed
+            assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
+    for first, second in [(PSI, PSI_T), (PSI, PHI_T), (PHI, PSI_T), (PHI, PHI_T)]:
+        for i in range(9):
+            for j in range(second.first_level, 9):
+                for w1 in (Fraction(0), Fraction(1, 3), HALF, Fraction(1)):
+                    one = eigenstate(system, first, i) if w1 else None
+                    two = eigenstate(system, second, j) if w1 < 1 else None
+                    state = direct_sum(one, w1, two, 1 - w1)
+                    assert uncertainty._table_xp(system, state) == uncertainty._composed_xp(system, state)
+                    bare = direct_sum(one and one.state, w1, two and two.state, 1 - w1)
+                    assert (uncertainty_product_XP(system, state).to_json_dict()
+                            == uncertainty_product_XP(system, bare).to_json_dict())
+
+
 def test_records_not_the_systems_own_take_the_composition_route(monkeypatch):
     # a record of the family handed over with mutated generators or with the halved system's, and
     # hand-built records at a float level or below the tower: the composed observables decide
