@@ -30,13 +30,12 @@ n^(r/(2n)) with odd r in 1..2n-1: for even j >= 0 and j + 1 = r + 2nt,
 A GammaVector stores such a combination exactly; numeric values come out of
 an arbitrary-precision evaluator with a certified error bound.
 
-States, operators, GammaVectors and polynomials share one exact int form
-(_IntForm): a map {key: nonzero int} over one int denominator d > 0,
-reduced so that gcd(d, every numerator) = 1, with the half power w folded
-into {0, 1} (even parts go into the ints; a GammaVector's and a
-polynomial's w is 0).  A state's map is {k: c_k}, an operator's {(s, i):
-coefficient of k^i in p_s}, a GammaVector's {r: coefficient of G_r}, a
-polynomial's {exponent tuple: coefficient}.  Applying and composing
+States, operators and GammaVectors share one exact int form (_IntForm):
+a map {key: nonzero int} over one int denominator d > 0, reduced so that
+gcd(d, every numerator) = 1, with the half power w folded into {0, 1}
+(even parts go into the ints; a GammaVector's w is 0).  A state's map is
+{k: c_k}, an operator's {(s, i): coefficient of k^i in p_s} and a
+GammaVector's {r: coefficient of G_r}.  Applying and composing
 operators, adding and scaling any of them, comparing them, exact ratios
 and the inner product all run on those ints with no Fraction in between;
 the Fraction maps `terms` and `coeffs` are derived on first read.
@@ -51,7 +50,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,8 +177,10 @@ class _IntForm:
     __slots__ = ("_family", "_data", "_den", "_half", "_hash", "_view")
 
     def _set(self, family, data: dict, den: int, half: int):
-        """Store data {key: int} canonically over den > 0."""
-        data = {k: c for k, c in data.items() if c}
+        """Store data {key: int} canonically over den > 0; a map with no zero that needs no
+        reduction is kept as it is (callers pass one built for the call, or a form's own)."""
+        if 0 in data.values():
+            data = {k: c for k, c in data.items() if c}
         fold = half >> 1  # floor division, works for negatives
         if fold > 0:
             den <<= fold
@@ -516,30 +516,6 @@ def proportionality_ratio(f: GaussPolyState, g: GaussPolyState):
     """
     ratio = f._ratio(g)
     return None if ratio is None else (Fraction(ratio[0], ratio[1]), ratio[2])
-
-
-class _Polynomial(_IntForm):
-    """An exact polynomial in several variables: a map {exponent tuple: int} over one den.
-
-    The key (e_1, e_2, ...) stands for the monomial v_1^e_1 v_2^e_2 ...;
-    every key of one polynomial has the same length.  An identity among
-    polynomials holds for every value of the variables exactly when its two
-    sides are equal.
-    """
-
-    __slots__ = ()
-    _KIND = "polynomials"
-
-    def __init__(self, terms: Mapping[tuple, int], den: int = 1):
-        self._set(None, terms, den, 0)
-
-    def __mul__(self, other: "_Polynomial") -> "_Polynomial":
-        out: dict = {}
-        for e, c in self._data.items():
-            for f, d in other._data.items():
-                key = tuple(map(add, e, f))
-                out[key] = out.get(key, 0) + c * d
-        return _Polynomial(out, self._den * other._den)
 
 
 # ---------------------------------------------------------------------------

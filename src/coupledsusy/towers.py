@@ -10,9 +10,10 @@ Four families of eigenfunctions are generated from two ground states:
 H and its ladder words are read from the pair table, system.pairs[is_tilde].
 The raising word R = a+b raises m by one inside each untilded family, so a
 level-m state is R^m applied to the ground state.  On a proved system
-(below) every level of the four towers is built as its closed form in O(j)
-ints (_closed_state): the top coefficient of R^m on the seed, times a's on a
-tilde tower, and the Laguerre ratio below it.  Elsewhere, as on a mutated
+(below) every level of the four towers is its closed form, built in one
+pass of O(j) ints from the constants the proof read (_closed_record): the
+top coefficient of R^m on the seed, times a's on a tilde tower, the
+Laguerre ratio below it, the norm off its ends.  Elsewhere, as on a mutated
 system, an untilded level is solved directly, the closed form's oracle:
 H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
 top-down from the top coefficient of R^m, and R must send level m-1 onto
@@ -49,7 +50,10 @@ One proof per system, run on first use and never by a constructor
 (_proved), covers every level at once: H = a+a is the closed form's
 operator, [H, R] = (delta-gamma) R, and the norm ratios of the a and b+
 images and the b+ row b+ s~_m = rho_m s_(m-1), rho_m = E_m(E_m - delta),
-are identities among polynomials in the level (calculus._Polynomial).
+are identities among polynomials in the level, checked in ints at D + 1
+levels, D a degree bound read from the operators' polynomial lengths (a
+nonzero polynomial of degree <= D has at most D roots).  The proof returns
+the constants it read as one read-only table per system, or None.
 From them the solve, the raising check and every norm relation hold at
 every level, so the lemma builds no record, and a record is its closed
 form, built with no solve, raising check or _laguerre_form.  They also
@@ -69,7 +73,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
+import types
 from enum import Enum
 from fractions import Fraction
 
@@ -81,7 +87,6 @@ from .calculus import (
     Operator,
     Record,
     _integer,
-    _Polynomial,
     apply_generator,
     inner_product,
 )
@@ -169,7 +174,7 @@ def _poly_at(poly, k: int) -> int:
 
 def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
     """Untilded level m of an unproved system: the eigenvector of H with eigenvalue E and top
-    exponent K; on a proved system it is the oracle of _closed_state.
+    exponent K; on a proved system it is the oracle of _closed_record.
 
     K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
     d(K) = E and E != d(k) below K, E an int over one den (_eigenvalue_ints),
@@ -229,9 +234,8 @@ def _laguerre_form(state: GaussPolyState):
     return p, a, j
 
 
-def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
-    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product;
-    a form (p, a, j) the caller has proved skips that check.
+def _norm_sq(state: GaussPolyState) -> GammaVector:
+    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product.
 
     psi = K x^p L_j^beta(t) exp(-t/2) with K = c_top (-1)^j j! n^j, c_top
     the top int over den 2^(w/2), so ||psi||^2 = K^2 n^beta Gamma(j+beta+1)
@@ -240,7 +244,7 @@ def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
     G_r prod_{i<T} (r + 2ni) / (2^T n^(j+1)): one symbol, the same
     GammaVector as the full product, from O(j) int steps.
     """
-    form = form or _laguerre_form(state)
+    form = _laguerre_form(state)
     if form is None:
         return inner_product(state, state)
     p, _, j = form
@@ -251,41 +255,40 @@ def _norm_sq(state: GaussPolyState, form=None) -> GammaVector:
     return GammaVector._from_ints(n, {r: num}, n * state.den ** 2 << (top + state.half_power), 0)
 
 
-def _closed_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> tuple:
-    """Level m of a proved system's tower, built as its closed form in O(j) int steps, with the
-    form (p, a, j) of _laguerre_form.
+def _closed_record(n: int, row: tuple, sector: SectorLabel, m: int) -> EigenstateRecord:
+    """Level m of a proved system's tower as a record, in one int pass from its row of _proved.
 
-    The top coefficient at p + 2nj is T = r_+^m / r_den^m (R's +2n polynomial,
-    a nonzero constant by the proof), times P_a(K) / a_den and a's half power
-    on a tilde tower, K = p_base + 2nm the base level's top exponent, where
-    the a norm ratio makes P_a(K)^2 a positive multiple of E_m > 0.  R's
-    half power is 0: the a and b+ norm ratios give a and b+ half powers of
-    one parity, and the b+ row adds R's to theirs to an even sum.  Below the
+    The top coefficient at p + 2nj is T = r_+^m / r_den^m, times P_a(K) /
+    a_den and a's half power (P_a = 1 untilded), K = p_base + 2nm, where the
+    a norm ratio makes P_a(K)^2 a positive multiple of E_m > 0.  R's half
+    power is 0: the a and b+ norm ratios give a and b+ half powers of one
+    parity, and the b+ row adds R's to theirs to an even sum.  Below the
     top the Laguerre ratio of _laguerre_form gives c_i = T w_i / 2^j with
-    ints w_j = 2^j and w_i = -w_(i+1) (i+1) (a + 2n(i+1)) / (2(j-i)), each
-    step an exact division, as w_i = (-1)^(j-i) 2^i binom(j, i)
-    prod_(l>i) (a + 2nl).  w_0 is odd, so the ints have gcd 1 and the state,
-    over T_den 2^j, is reduced once T_num and that den are.
+    ints w_j = 2^j and w_i = -w_(i+1) (i+1) (a + 2n(i+1)) / (2(j-i)), one
+    small-int multiply and one exact division per step, as w_i = (-1)^(j-i)
+    2^i binom(j, i) prod_(l>i) (a + 2nl).  w_0 is odd, so the state, over
+    T_den 2^j, is reduced once T_num and that den are.  As a + 2nl = 2p + 1
+    + 2n(l-1), _norm_sq's c_top^2 prod_(i<T) (r + 2ni) is |T_num w_0|
+    2^(2j), times r when 2p + 1 >= 2n.
     """
-    n, two_n = system.n, 2 * system.n
-    p, j = sector.residue(n), m - sector.first_level
-    a = 2 * p + 1 - two_n
-    raising = system.pairs[0].raising
-    num, den, half = dict(raising.polys)[two_n][0] ** m, raising.den ** m, 0
-    if sector.is_tilde:
-        a_op = system.generator(Generator.A)
-        ((_, pa),) = a_op.polys
-        num *= _poly_at(pa, sector.base.residue(n) + two_n * m)
-        den, half = den * a_op.den, a_op.half_power
-    den <<= j
+    p, first, up, r_den, pa, origin, a_den, half, slope, offset, e_den = row
+    two_n, j, a = 2 * n, m - first, 2 * p + 1 - 2 * n
+    num = up ** m * _poly_at(pa, origin + two_n * m)
+    den = r_den ** m * a_den << j
     g = math.gcd(num, den)
-    w, den = (num // g) << j, den // g
+    num, den = num // g, den // g
+    w = num << j
     levels = [w]
-    for i in range(j - 1, -1, -1):
-        w = -w * (i + 1) * (a + two_n * (i + 1)) // (2 * (j - i))
+    for factor, divisor in zip(map(operator.mul, range(-j, 0), range(a + two_n * j, a, -two_n)),
+                               range(2, 2 * j + 1, 2)):
+        w = w * factor // divisor
         levels.append(w)
-    nums = {p + two_n * i: c for i, c in enumerate(reversed(levels))}
-    return GaussPolyState._from_ints(n, nums, den, half), (p, a, j)
+    levels.reverse()
+    state = GaussPolyState._from_ints(n, dict(zip(range(p, p + two_n * j + 1, two_n), levels)), den, half)
+    top, r = divmod(2 * p + 1 + two_n * j, two_n)
+    product = abs(num * w) * (r if top > j else 1) * math.factorial(j) * n ** j << 2 * j
+    norm = GammaVector._from_ints(n, {r: product}, n * den * den << (top + half), 0)
+    return EigenstateRecord(sector, m, state, norm, Fraction(m * slope + offset, e_den))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -293,22 +296,23 @@ def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eige
     """The record of level m with its norm and Fraction eigenvalue, built once.
 
     Where the tower proof holds (_proved), every level of the four towers is
-    its closed form, built directly (_closed_state), and its norm read from
-    that form.  Elsewhere a tilde level is a s on the base record, refused
-    when zero, and an untilded one the solved level (_solve_level), which
-    must equal R s_(m-1) (R.apply on the level below); that route is the
-    closed form's oracle."""
-    if _proved(system):
-        state, form = _closed_state(system, sector, m)
-    elif sector.is_tilde:
-        state, form = apply_generator(system, Generator.A, _tower_state(system, sector.base, m).state), None
+    its closed form, built in one pass from the constants the proof read
+    (_closed_record).  Elsewhere a tilde level is a s on the base record,
+    refused when zero, and an untilded one the solved level (_solve_level),
+    which must equal R s_(m-1) (R.apply on the level below); that route is
+    the closed form's oracle."""
+    table = _proved(system)
+    if table:
+        return _closed_record(system.n, table[sector], sector, m)
+    if sector.is_tilde:
+        state = apply_generator(system, Generator.A, _tower_state(system, sector.base, m).state)
         if state.is_zero:
             raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
     else:
-        state, form = _solve_level(system, sector, m), None
+        state = _solve_level(system, sector, m)
         if m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state:
             raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(sector, m, state, _norm_sq(state, form), _tower_eigenvalue(system, sector, m))
+    return EigenstateRecord(sector, m, state, _norm_sq(state), _tower_eigenvalue(system, sector, m))
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
@@ -438,19 +442,23 @@ def _lemma_by_level(system: CoupledSusySystem, m_max: int) -> VerificationReport
     return _lemma_report(system, m_max, failures, checked)
 
 
-def _at(poly: tuple, den: int, origin: int, step: int) -> _Polynomial:
-    """p(origin + step v) / den in one variable v, for an operator's int polynomial p."""
-    out: dict = {}
-    for l, c in enumerate(poly):
-        for t in range(l + 1):
-            out[(t,)] = out.get((t,), 0) + c * math.comb(l, t) * origin ** (l - t) * step ** t
-    return _Polynomial(out, den)
+def _agree(lhs: list, rhs: list) -> bool:
+    """Whether two products of int polynomials in the level v are equal as polynomials.
+
+    A factor (poly, origin, step) is poly(origin + step v), of degree below
+    len(poly); a constant is ((c,), 0, 0).  The sides differ by a polynomial
+    of degree <= D, the larger summed degree, so equality at v = 0..D proves
+    it: a nonzero polynomial of degree <= D has at most D roots.
+    """
+    degree = max(sum([len(poly) - 1 for poly, _, _ in side]) for side in (lhs, rhs))
+    return all(math.prod([_poly_at(poly, k + step * v) for poly, k, step in lhs])
+               == math.prod([_poly_at(poly, k + step * v) for poly, k, step in rhs]) for v in range(degree + 1))
 
 
-def _lowers(op, n: int, p: int, q: int, lamsq: _Polynomial) -> bool:
+def _lowers(op, n: int, p: int, q: int, lamsq: tuple, lamsq_den: int) -> bool:
     """Whether op, x^k -> P(k) x^(k-n), sends the closed form of seed p at every level j to a
     nonzero multiple of the closed form of seed q = p - n + 2no at level j - o, o in {0, 1},
-    whose squared norm is lamsq(j) times the source's.
+    whose squared norm is lamsq(j) / lamsq_den times the source's, lamsq linear ints (c0, c1).
 
     The image's top is P(p + 2nj) / den 2^(-h/2) times the source's, so by
     the norm formula of _norm_sq the ratio is 2 P(p + 2nj)^2 / (2^h den^2
@@ -462,20 +470,21 @@ def _lowers(op, n: int, p: int, q: int, lamsq: _Polynomial) -> bool:
     (_, poly), = op.polys
     two_n = 2 * n
     o, a = (q - p + n) // two_n, 2 * p + 1 - two_n
-    top, h = _at(poly, op.den, p, two_n), op.half_power
-    return top * top == lamsq * _Polynomial({(1,): two_n << h, (0,): a * (1 - o) << h}, 2)
+    top = (poly, p, two_n)
+    return _agree([top, top, ((2 * lamsq_den,), 0, 0)],
+                  [(lamsq, 0, 1), ((a * (1 - o), two_n), 0, 1), ((op.den ** 2 << op.half_power,), 0, 0)])
 
 
 @functools.lru_cache(maxsize=256)
-def _proved(system: CoupledSusySystem) -> bool:
-    """Whether the tower proof holds: the closed forms, the half-lowering relations and the
-    weighted-shift table at every level; proved once per system, in ints, never by a constructor.
+def _proved(system: CoupledSusySystem):
+    """The constants of the four towers if the tower proof holds, else None: the closed forms, the
+    half-lowering relations and the weighted-shift table at every level; proved once per system,
+    in ints, never by a constructor.
 
     With v a level, p a tower's seed, E(v) = v(delta-gamma) (+delta on PHI)
     and rho(v) = E(v)(E(v) - delta), it checks that a and b+ have one
-    shift -n each and these identities among polynomials (_Polynomial, or
-    Operators for the first two), each true at every level when its two
-    sides are equal:
+    shift -n each and these identities, the first two among Operators and
+    the others among polynomials in v:
 
     - H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n) with d(k) =
       (delta-gamma) k / (2n) and l(k) = -(delta-gamma) k (k + 1 - 2n) / (4n),
@@ -489,6 +498,10 @@ def _proved(system: CoupledSusySystem) -> bool:
       top exponent of s_m, P_b+(K-n) P_a(K) r_+(K-2n) = rho(m), r_+ R's
       +2n polynomial.
 
+    A polynomial identity is checked in ints at v = 0..D (_agree), D its
+    degree bound from the operators' polynomial lengths (2 for the x^n
+    family): a nonzero polynomial of degree <= D has at most D roots.
+
     The a and b+ ratios make P_a and P_b+ linear, P_a a multiple of k and
     delta = d(2n-1), so the b+ row makes r_+ a nonzero constant.  A nonzero
     T with [H, T] = (delta-gamma) T has its highest shift w at +2n, as
@@ -498,7 +511,7 @@ def _proved(system: CoupledSusySystem) -> bool:
     -2n polynomial a multiple of l and its -2n part R's 0 polynomial
     linear.  So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero
     below the top, and the solve (_solve_level) builds the closed form with
-    nothing below the seed, which _closed_state builds directly.  R s_(m-1)
+    nothing below the seed, which _closed_record builds directly.  R s_(m-1)
     = s_m: it is an eigenvector of H with eigenvalue E(m) by the
     commutator, has s_m's top and nothing below the seed (the -2n part is
     2(delta-gamma) r_-(k) = l(k)(r_0(k) - r_0(k-2n))), so the difference
@@ -508,6 +521,11 @@ def _proved(system: CoupledSusySystem) -> bool:
     sends both sides to s_(m+1) (a+b = R, a+a = H) and is injective, its +n
     polynomial being the nonzero constant d(k) / P_a(k).  The norms are
     the images' own, so a+ = a-dagger is never assumed.
+
+    It returns the read-only table {sector: row} that _closed_record reads:
+    the seed p, the first level, r_+ and R's den, P_a, the seed K is read
+    from, a's den and half power ((1,), 0, 1, 0 on an untilded tower), and
+    E(v) = (slope v + offset) / den as the three ints.
     """
     n, two_n = system.n, 2 * system.n
     first = system.pairs[0]
@@ -517,24 +535,28 @@ def _proved(system: CoupledSusySystem) -> bool:
     d, e = system.delta.as_integer_ratio()
     # d(k) = (delta-gamma) k / (2n) and l(k) = -(delta-gamma) k (k + 1 - 2n) / (4n), over den 4n
     closed = {(0, 1): 2 * s, (-two_n, 1): (two_n - 1) * s, (-two_n, 2): -s}
+    half = a_op.half_power + bdag.half_power + raising.half_power
     if (hamiltonian != Operator._from_ints(None, closed, 2 * two_n * t, 0)
             or dict(a_op.polys).keys() != {-n} or dict(bdag.polys).keys() != {-n}
-            or hamiltonian._commutator(raising) != raising.scale(system.spacing)):
-        return False
+            or (ratio := hamiltonian._commutator(raising)._ratio(raising)) is None  # (p/q) 2^(j/2) R
+            or ratio[0] * t != s * ratio[1] or ratio[2] or half % 2):
+        return None
     ((_, pa),), ((_, pb),) = a_op.polys, bdag.polys
     up = dict(raising.polys).get(two_n, (0,))
-    half = a_op.half_power + bdag.half_power + raising.half_power
+    se, te = s * e, t * e
+    dens = ((bdag.den * a_op.den * raising.den << half // 2,), 0, 0)
+    table = {}
     for sector, tilde in _A_IMAGE.items():
-        p, q, phi = sector.residue(n), tilde.residue(n), sector is SectorLabel.PHI
-        energy = _Polynomial({(1,): s * e, (0,): d * t * phi}, t * e)
-        lowered = _Polynomial({(1,): s * e, (0,): s * e * tilde.first_level + d * t * (phi - 1)}, t * e)
-        rho = energy * _Polynomial({(1,): s * e, (0,): d * t * (phi - 1)}, t * e)
-        tops = _at(pb, bdag.den, p - n, two_n) * _at(pa, a_op.den, p, two_n)
-        tops = tops * _at(up, raising.den, p - two_n, two_n)
-        if (not _lowers(a_op, n, p, q, energy) or not _lowers(bdag, n, q, p, lowered)
-                or half % 2 or tops != rho.scale(1 << half // 2)):
-            return False
-    return True
+        p, q, dt = sector.residue(n), tilde.residue(n), d * t * (sector is SectorLabel.PHI)
+        energy, below = (dt, se), (dt - d * t, se)  # E(v) te and (E(v) - delta) te
+        lowered = (below[0] + se * tilde.first_level, se)
+        if (not _lowers(a_op, n, p, q, energy, te) or not _lowers(bdag, n, q, p, lowered, te)
+                or not _agree([(pb, p - n, two_n), (pa, p, two_n), (up, p - two_n, two_n), ((te * te,), 0, 0)],
+                              [(energy, 0, 1), (below, 0, 1), dens])):
+            return None
+        table[sector] = (p, 0, up[0], raising.den, (1,), 0, 1, 0, se, dt, te)
+        table[tilde] = (q, tilde.first_level, up[0], raising.den, pa, p, a_op.den, a_op.half_power, se, dt, te)
+    return types.MappingProxyType(table)
 
 
 def gram_matrix(records) -> list:

@@ -423,22 +423,24 @@ class DirectSumState(Record):
     __slots__ = _fields = ("component1", "component2", "weight1", "weight2")
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        Record.__init__(self, *args, **kwargs)
+        c1, c2 = self.component1, self.component2
         (w1, den1), (w2, den2) = self.weight1.as_integer_ratio(), self.weight2.as_integer_ratio()
         if w1 < 0 or w2 < 0 or w1 * den2 + w2 * den1 != den1 * den2:
             raise ValueError("squared weights must be nonnegative and sum to 1 exactly")
-        if (w1 > 0) != (self.component1 is not None):
+        if (w1 > 0) != (c1 is not None):
             raise ValueError("component 1 must be present iff weight1 > 0")
-        if (w2 > 0) != (self.component2 is not None):
+        if (w2 > 0) != (c2 is not None):
             raise ValueError("component 2 must be present iff weight2 > 0")
-        if self.component1 is not None and _as_state(self.component1).is_zero:
+        if c1 is not None and (c1.state if isinstance(c1, EigenstateRecord) else c1).is_zero:
             raise ValueError("component 1 is the zero state")
-        if self.component2 is not None and _as_state(self.component2).is_zero:
+        if c2 is not None and (c2.state if isinstance(c2, EigenstateRecord) else c2).is_zero:
             raise ValueError("component 2 is the zero state")
 
 
 def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:
-    return DirectSumState(state1, state2, Fraction(weight1), Fraction(weight2))
+    return DirectSumState(state1, state2, weight1 if type(weight1) is Fraction else Fraction(weight1),
+                          weight2 if type(weight2) is Fraction else Fraction(weight2))
 
 
 def _xp_component(system, sector: int, given, weight):

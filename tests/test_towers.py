@@ -33,6 +33,7 @@ from coupledsusy.calculus import (
     LOWERING_WORD,
     Operator,
     RAISING_WORD,
+    _IntForm,
     apply_generator,
     apply_word,
     evaluate_gamma_vector_mp,
@@ -423,27 +424,40 @@ def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
 
 
 def test_proved_records_equal_the_checked_solve(monkeypatch):
-    # on a proved system a record is the closed form, built directly, with no raising check and no
-    # closed-form check; its state must be the solve's (PSI, PHI) or a on the solved base (the tilde
-    # towers), key order included, and the record the one built on the unproved route with both checks
-    systems = {n: make_xn_system(n) for n in range(1, 9)}
-    keys = [(n, sector, m) for n in systems for sector in SectorLabel for m in range(sector.first_level, 131)]
-    keys += [(n, sector, 300) for n in (1, 2, 3) for sector in SectorLabel]
-    for n, sector, m in keys:
-        solved = towers._solve_level(systems[n], sector.base, m)
-        want = apply_generator(systems[n], Generator.A, solved) if sector.is_tilde else solved
-        state, form = towers._closed_state(systems[n], sector, m)
-        assert_same_state(state, want)
-        assert form == _laguerre_form(want), (n, sector, m)
+    # on a proved system a record is the closed form, built in one pass from the proof's table, with
+    # no raising check and no closed-form check; its state must be the solve's (PSI, PHI) or a on the
+    # solved base (the tilde towers), key order, den and half power included, its norm the full
+    # product and its eigenvalue tower_eigenvalue's, and the record the one built on the unproved
+    # route with both checks.  The scaled systems (generators times c, gamma and delta times c^2)
+    # have tower dens other than 1
+    systems = {(n, 1): make_xn_system(n) for n in range(1, 9)}
+    for n in (1, 2, 3):
+        for c in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+            family = systems[n, 1]
+            systems[n, c] = CoupledSusySystem(n=n, gamma=family.gamma * c * c, delta=family.delta * c * c,
+                                              generators=tuple(g.scale(c) for g in family.generators))
+    keys = [(key, sector, m) for key in systems for sector in SectorLabel
+            for m in range(sector.first_level, 131 if key[1] == 1 else 41)]
+    keys += [(key, sector, 300 if key[1] == 1 else 130) for key in systems if key[0] <= 4 for sector in SectorLabel]
     towers._tower_state.cache_clear()
+    for key, sector, m in keys:
+        system = systems[key]
+        assert towers._proved(system), key
+        solved = towers._solve_level(system, sector.base, m)
+        want = apply_generator(system, Generator.A, solved) if sector.is_tilde else solved
+        record = _tower_state(system, sector, m)
+        assert_same_state(record.state, want)
+        assert record.eigenvalue == tower_eigenvalue(system, sector, m), (key, sector, m)
+        if key[0] <= 4:
+            assert record.norm_sq == inner_product(want, want), (key, sector, m)
     records = {key: _tower_state(systems[key[0]], *key[1:]) for key in keys}
-    monkeypatch.setattr(towers, "_proved", lambda system: False)
+    monkeypatch.setattr(towers, "_proved", lambda system: None)
     towers._tower_state.cache_clear()
-    for (n, sector, m), record in records.items():
-        checked = _tower_state(systems[n], sector, m)
-        assert checked == record, (n, sector, m)
+    for (key, sector, m), record in records.items():
+        checked = _tower_state(systems[key], sector, m)
+        assert checked == record, (key, sector, m)
         assert_same_state(record.state, checked.state)
-        assert record.to_json_dict() == checked.to_json_dict(), (n, sector, m)
+        assert record.to_json_dict() == checked.to_json_dict(), (key, sector, m)
     towers._tower_state.cache_clear()
 
 
@@ -555,7 +569,7 @@ def test_hand_built_systems_match_the_reference(n):
              ((a, adag, b, -bdag), False), ((a, adag, b.scale(2), bdag.scale(Fraction(1, 2))), False)]
     for generators, proved in cases:
         system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1), generators=generators)
-        assert towers._proved(system) == proved
+        assert bool(towers._proved(system)) == proved
         assert lemma_outcome(verify_lemma_half_lowering, system, 6) == lemma_outcome(reference_lemma, system, 6)
 
 
@@ -589,6 +603,58 @@ def test_each_proof_condition_fails_alone(n):
         assert not towers._proved(system), name
         got = lemma_outcome(verify_lemma_half_lowering, system, 4)
         assert got == lemma_outcome(reference_lemma, system, 4), name
+
+
+def test_the_evaluated_identities_read_their_degree_bound():
+    # the proof checks each identity at D + 1 levels, D read from the factors' lengths: a linear
+    # generator's identities have degree 2, so levels 0..2, where P(v) and P(v) + v(v-1)(v-2) agree;
+    # the cubic's length raises D to 3, and the two differ at v = 3
+    linear, cubic = (5, -3), (5, -1, -3, 1)  # 5 - 3v and 5 - 3v + v(v-1)(v-2)
+    assert [towers._poly_at(cubic, v) - towers._poly_at(linear, v) for v in range(4)] == [0, 0, 0, 6]
+    assert not towers._agree([(linear, 0, 1)], [(cubic, 0, 1)])
+    assert not towers._agree([(cubic, 0, 1)], [(linear, 0, 1)])
+    # the same in the shape of a norm ratio: a squared top against a constant times a quadratic
+    top, square = (linear, 0, 1), (25, -30, 9)
+    assert towers._agree([top, top, ((2,), 0, 0)], [(square, 0, 1), ((2,), 0, 0)])
+    shifted = (25, -28, 6, 1)  # square + v(v-1)(v-2)
+    assert not towers._agree([top, top, ((2,), 0, 0)], [(shifted, 0, 1), ((2,), 0, 0)])
+    # a factor read at origin + step v has its degree in v: P(k) = k^3 at k = 1 + 2v
+    assert towers._agree([((0, 0, 0, 1), 1, 2)], [((1, 6, 12, 8), 0, 1)])
+    assert not towers._agree([((0, 0, 0, 1), 1, 2)], [((1, 6, 12, 8), 0, 1), ((1, 1), 0, 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_the_proof_and_a_proved_level_form_only_their_own_int_forms(monkeypatch, n):
+    # the proof evaluates its per-family identities in ints, so it forms H's closed form and [H, R]
+    # and no other int form; a proved level forms its state and its norm, and the store keeps the
+    # map each build made, copying none
+    family = make_xn_system(n)
+    half = Fraction(1, 2)
+    systems = [family, CoupledSusySystem(n=n, gamma=family.gamma * half * half, delta=family.delta * half * half,
+                                         generators=tuple(g.scale(half) for g in family.generators))]
+    formed, copies = [], []
+    real_set = _IntForm._set
+
+    def counting_set(form, key_family, data, den, half_power):
+        real_set(form, key_family, data, den, half_power)
+        formed.append(type(form))
+        if form._data is not data and form._data == data:
+            copies.append(type(form))
+
+    for system in systems:
+        assert towers._proved(system)
+        with monkeypatch.context() as patch:
+            patch.setattr(_IntForm, "_set", counting_set)
+            assert towers._proved.__wrapped__(system) == towers._proved(system)
+            assert formed == [Operator, Operator] and copies == []
+            for sector in SectorLabel:
+                for m in (sector.first_level, 1, 7, 60):
+                    towers._tower_state.cache_clear()
+                    formed.clear()
+                    eigenstate(system, sector, m)
+                    assert formed == [GaussPolyState, GammaVector] and copies == [], (sector, m)
+            formed.clear()
+    towers._tower_state.cache_clear()
 
 
 def test_lemma_factor_direct_ratio_n2():
