@@ -10,7 +10,9 @@ evaluates the associated uncertainty principles.
 of a public name (PEP 562 ``__getattr__``) imports all six and binds every
 export, so a library session compiles the whole package once, before its
 first call.  The CLI imports the submodules its command calls and no
-others (see ``cli``).
+others (see ``cli``).  The unproved-system route, ``_oracle``, exports
+nothing: ``towers`` and ``uncertainty`` import it on their first input that
+the tower proof does not cover, a mutated system or a bare state.
 """
 
 import importlib
@@ -22,8 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calculus": (
         "DivergenceError", "FamilyMismatchError", "GammaVector", "GaussPolyState", "Generator",
-        "IDENTITY", "LOWERING_WORD", "Operator", "RAISING_WORD", "apply_generator", "apply_word",
-        "inner_product", "monomial_state", "proportionality_ratio", "zero_state",
+        "IDENTITY", "Operator", "apply_generator", "apply_word", "inner_product", "monomial_state",
+        "proportionality_ratio",
     ),
     "coherent": (
         "CoherentState", "HalfLoweringCheck", "bargmann_index", "bargmann_indices",
@@ -43,10 +45,8 @@ _EXPORTS = {
         "tower_eigenvalue", "verify_lemma_half_lowering",
     ),
     "uncertainty": (
-        "DirectSumState", "SectorDomainError", "UncertaintyResult", "direct_sum", "expectation",
-        "observable_A", "observable_A_tilde", "observable_L", "observable_L_tilde", "sigma",
+        "DirectSumState", "SectorDomainError", "UncertaintyResult", "direct_sum",
         "uncertainty_product_LA", "uncertainty_product_tilde", "uncertainty_product_XP",
-        "variance",
     ),
 }
 

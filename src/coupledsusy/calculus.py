@@ -139,12 +139,6 @@ class Generator(Enum):
     BDAG = "b+"
 
 
-#: Composition words are tuples of generators applied right-to-left,
-#: matching operator products: (ADAG, B) means "apply b, then a+".
-RAISING_WORD = (Generator.ADAG, Generator.B)
-LOWERING_WORD = (Generator.BDAG, Generator.A)
-
-
 def _integer(value, name: str) -> int:
     """int(value); ValueError naming the value unless that int equals it (True and 2.0 pass)."""
     try:
@@ -340,9 +334,6 @@ class GaussPolyState(_HalfPowerForm):
 
     # -- basic queries ----------------------------------------------------
 
-    def min_exponent(self):
-        return min(self.nums) if self.nums else None
-
     def residues(self) -> set:
         """Residue classes mod 2n occupied by the exponents."""
         mod = 2 * self.n
@@ -364,10 +355,6 @@ class GaussPolyState(_HalfPowerForm):
 def monomial_state(n: int, k: int, coeff=1) -> GaussPolyState:
     """The state coeff * x^k * exp(-x^(2n)/(2n))."""
     return GaussPolyState(n, {k: Fraction(coeff)})
-
-
-def zero_state(n: int) -> GaussPolyState:
-    return GaussPolyState(n, {})
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +487,7 @@ def apply_generator(system: "CoupledSusySystem", gen: Generator, state: GaussPol
     return system.generator(gen).apply(state)
 
 
+# No src/ caller: the acceptance tests apply words generator by generator with it.
 def apply_word(system: "CoupledSusySystem", word: Iterable[Generator], state: GaussPolyState) -> GaussPolyState:
     """Apply a composition word right-to-left: (ADAG, B) acts as a+ after b."""
     for gen in reversed(tuple(word)):

@@ -88,12 +88,6 @@ class HalfLoweringCheck(Record):
     __slots__ = _fields = ("sector", "operator", "target_sector", "target_k", "scalar", "best_fit_scalar",
                            "residual", "compared_levels", "tail_bound_source", "tail_bound_target")
 
-    @property
-    def total_mismatch_bound(self) -> float:
-        """Residual plus the truncated-tail mass both series may hide."""
-        tails = self.tail_bound_source + abs(self.scalar) ** 2 * self.tail_bound_target
-        return self.residual + math.sqrt(max(tails, 0.0))
-
 
 def bargmann_index(system: CoupledSusySystem, sector: SectorLabel) -> Fraction:
     """The lowest K0 eigenvalue (E - c/2)/(delta-gamma): E at the tower's first level, c its pair's shift."""

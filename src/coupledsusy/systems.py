@@ -266,6 +266,7 @@ def verify_coupled_susy(system: CoupledSusySystem, exponent_range=None) -> list:
     ]
 
 
+# No src/ caller: the paper's su(1,1) triple, named in README, for library users.
 def k_operators(system: CoupledSusySystem) -> dict:
     """The su(1,1) triple K+ = a+b/(d-g), K- = b+a/(d-g), K0 = (a+a - g/2)/(d-g).
 

@@ -14,14 +14,10 @@ level-m state is R^m applied to the ground state.  On a proved system
 pass of O(j) ints from the constants the proof read (_closed_record): the
 top coefficient of R^m on the seed, times a's on a tilde tower, the
 Laguerre ratio below it, the norm off its ends.  Elsewhere, as on a mutated
-system, an untilded level is solved directly, the closed form's oracle:
-H = a+a sends x^k to d(k) x^k + l(k) x^(k-2n), so the eigenvector follows
-top-down from the top coefficient of R^m, and R must send level m-1 onto
-it.  That solve forces H s = E s at every exponent but the one below the
-seed, which it checks, so the eigenvalue equation is proved in ints; a
-tilde state a s then has aa+ (a s) = a (a+a s) = E a s, aa+ being the
-composed a . a+, and only a s != 0 is checked.  Each level's record (state,
-exact squared norm, eigenvalue) is built once per system (_tower_state).
+system, each level is solved directly and checked, the closed form's
+oracle; that route lives in the _oracle module, which _tower_state imports
+on the first unproved system.  Each level's record (state, exact squared
+norm, eigenvalue) is built once per system (_tower_state).
 States are kept unnormalised; normalisation only happens at numeric
 export, because the norms are irrational Gamma values.
 
@@ -40,11 +36,11 @@ n^beta Gamma(j+beta+1) / j!, where
 
     p = residue,   beta = (2p + 1 - 2n) / (2n),   j = m - first level.
 
-The norm is computed from that closed form in O(m) exact steps once the
-state's own coefficients are checked against it (_laguerre_form); any other
-state gets the full product <psi, psi>.  Numeric samples come from the
-Laguerre recurrence (normalized_samples); the exact state only fixes the
-sign and passes the same check.
+On the unproved route the norm is computed from that closed form in O(m)
+exact steps once the state's own coefficients are checked against it
+(_laguerre_form); any other state gets the full product <psi, psi>.
+Numeric samples come from the Laguerre recurrence (normalized_samples); the
+exact state only fixes the sign and passes the same check.
 
 One proof per system, run on first use and never by a constructor
 (_proved), covers every level at once: H = a+a is the closed form's
@@ -65,8 +61,9 @@ E and delta alone:
 
 the table the uncertainty products read on a proved system's records.  A
 system where the proof does not hold, such as a mutated one, is checked
-level by level (_lemma_by_level): each record's a or b+ image by its full
-product, against lambda^2 times the record's norm.
+level by level in the _oracle module (_oracle._lemma_by_level): each
+record's a or b+ image by its full product, against lambda^2 times the
+record's norm.
 """
 
 from __future__ import annotations
@@ -146,9 +143,6 @@ class EigenstateRecord(Record):
         }
 
 
-_EIGEN_FAILURE = "eigenvalue equation failed for {} m={}; system generators are inconsistent"
-
-
 def tower_eigenvalue(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Fraction:
     """E = m(delta-gamma), plus delta on the PHI towers; an integral m (2.0, True) is taken as that
     int, and any other m is a ValueError."""
@@ -172,47 +166,6 @@ def _poly_at(poly, k: int) -> int:
     return value
 
 
-def _solve_level(system: CoupledSusySystem, sector: SectorLabel, m: int) -> GaussPolyState:
-    """Untilded level m of an unproved system: the eigenvector of H with eigenvalue E and top
-    exponent K; on a proved system it is the oracle of _closed_record.
-
-    K = seed + 2nm, and H must send x^k to d(k) x^k + l(k) x^(k-2n) with
-    d(K) = E and E != d(k) below K, E an int over one den (_eigenvalue_ints),
-    so the whole solve runs in ints.  The top coefficient is that of R^m seed,
-    prod_{i<m} u(seed + 2ni) for R's +2n polynomial u; below it
-    c_k = l(k+2n) c_(k+2n) / (E - d(k)), reduced at every step.  That makes
-    (H s)_k = E c_k at every exponent from the seed to K, so H s = E s is
-    proved once the one term below the seed, l(seed) c_seed, is zero.
-    """
-    two_n = 2 * system.n
-    seed = sector.residue(system.n)
-    top = seed + two_n * m
-    hamiltonian, raising = system.pairs[0].hamiltonian, system.pairs[0].raising  # the a+a pair
-    h_den, r_den = hamiltonian.den, raising.den
-    polys = dict(hamiltonian.polys)
-    diag, low, up = polys.pop(0, [0]), polys.pop(-two_n, [0]), dict(raising.polys).get(two_n, [0])
-    p, q = _eigenvalue_ints(system, sector, m)
-    p *= h_den  # E - d(k) = (p - q D(k)) / (q h_den)
-    num, den = math.prod(_poly_at(up, seed + two_n * i) for i in range(m)), r_den ** m
-    if polys or hamiltonian.half_power or not num:
-        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    levels = []
-    for k in range(top, seed - 1, -two_n):
-        gap = p - q * _poly_at(diag, k)
-        if (gap == 0) != (k == top):
-            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-        if gap:
-            num, den = num * (q * _poly_at(low, k + two_n)), den * gap
-        g = math.gcd(num, den)  # den may turn negative; lcm and // below keep the sign
-        num, den = num // g, den // g
-        levels.append((k, num, den))
-    if num and _poly_at(low, seed):  # the one term H sends below the seed
-        raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    common = math.lcm(*[d for _, _, d in levels])
-    nums = {k: c * (common // d) for k, c, d in reversed(levels)}
-    return GaussPolyState._from_ints(system.n, nums, common, m * raising.half_power)
-
-
 def _laguerre_form(state: GaussPolyState):
     """(p, a, j) if the state is a constant times x^p L_j^beta(t) exp(-t/2), beta = a/(2n); else None.
 
@@ -234,27 +187,6 @@ def _laguerre_form(state: GaussPolyState):
     return p, a, j
 
 
-def _norm_sq(state: GaussPolyState) -> GammaVector:
-    """<psi, psi>, from the Laguerre closed form where _laguerre_form holds, else the full product.
-
-    psi = K x^p L_j^beta(t) exp(-t/2) with K = c_top (-1)^j j! n^j, c_top
-    the top int over den 2^(w/2), so ||psi||^2 = K^2 n^beta Gamma(j+beta+1)
-    / j! (DLMF 18.3).  With
-    2p + 1 + 2nj = r + 2nT, r odd in 1..2n-1, n^beta Gamma(j+beta+1) =
-    G_r prod_{i<T} (r + 2ni) / (2^T n^(j+1)): one symbol, the same
-    GammaVector as the full product, from O(j) int steps.
-    """
-    form = _laguerre_form(state)
-    if form is None:
-        return inner_product(state, state)
-    p, _, j = form
-    n = state.n
-    top, r = divmod(2 * p + 1 + 2 * n * j, 2 * n)
-    c = state.nums[p + 2 * n * j]
-    num = c * c * math.factorial(j) * n ** j * math.prod(range(r, r + 2 * n * top, 2 * n))
-    return GammaVector._from_ints(n, {r: num}, n * state.den ** 2 << (top + state.half_power), 0)
-
-
 def _closed_record(n: int, row: tuple, sector: SectorLabel, m: int) -> EigenstateRecord:
     """Level m of a proved system's tower as a record, in one int pass from its row of _proved.
 
@@ -268,8 +200,9 @@ def _closed_record(n: int, row: tuple, sector: SectorLabel, m: int) -> Eigenstat
     small-int multiply and one exact division per step, as w_i = (-1)^(j-i)
     2^i binom(j, i) prod_(l>i) (a + 2nl).  w_0 is odd, so the state, over
     T_den 2^j, is reduced once T_num and that den are.  As a + 2nl = 2p + 1
-    + 2n(l-1), _norm_sq's c_top^2 prod_(i<T) (r + 2ni) is |T_num w_0|
-    2^(2j), times r when 2p + 1 >= 2n.
+    + 2n(l-1), the norm formula's c_top^2 prod_(i<T) (r + 2ni)
+    (_oracle._laguerre_norm_sq) is |T_num w_0| 2^(2j), times r when 2p + 1
+    >= 2n.
     """
     p, first, up, r_den, pa, origin, a_den, half, slope, offset, e_den = row
     two_n, j, a = 2 * n, m - first, 2 * p + 1 - 2 * n
@@ -297,22 +230,15 @@ def _tower_state(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eige
 
     Where the tower proof holds (_proved), every level of the four towers is
     its closed form, built in one pass from the constants the proof read
-    (_closed_record).  Elsewhere a tilde level is a s on the base record,
-    refused when zero, and an untilded one the solved level (_solve_level),
-    which must equal R s_(m-1) (R.apply on the level below); that route is
-    the closed form's oracle."""
+    (_closed_record).  Elsewhere the level is solved and checked by the
+    oracle (_oracle._unproved_record), imported here on the first unproved
+    system; it reads base levels back through this cache."""
     table = _proved(system)
     if table:
         return _closed_record(system.n, table[sector], sector, m)
-    if sector.is_tilde:
-        state = apply_generator(system, Generator.A, _tower_state(system, sector.base, m).state)
-        if state.is_zero:
-            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    else:
-        state = _solve_level(system, sector, m)
-        if m and system.pairs[0].raising.apply(_solve_level(system, sector, m - 1)) != state:
-            raise RuntimeError(_EIGEN_FAILURE.format(sector, m))
-    return EigenstateRecord(sector, m, state, _norm_sq(state), _tower_eigenvalue(system, sector, m))
+    from . import _oracle
+
+    return _oracle._unproved_record(system, sector, m)
 
 
 def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> EigenstateRecord:
@@ -321,10 +247,11 @@ def eigenstate(system: CoupledSusySystem, sector: SectorLabel, m: int) -> Eigens
     PSI_TILDE requires m >= 1 because a annihilates the PSI ground state.
     The record is memoised (_tower_state), so a call applies no operator.
     On a proved system (_proved) the state is the level's closed form,
-    built directly, and the proof covers the eigenvalue equation; elsewhere
-    the equation is proved where the state is built, by the solve or by
-    aa+ (a s) = a (a+a s), and a zero state is refused there.
-    norm_sq is _norm_sq: the Laguerre closed form or the full product.
+    built directly, and the proof covers the eigenvalue equation.  Any
+    other system takes the unproved route of the _oracle module, loaded on
+    its first call: there the equation is proved where the state is built,
+    by the solve or by aa+ (a s) = a (a+a s), a zero state is refused, and
+    norm_sq is the Laguerre closed form or the full product.
     An integral m (2.0, True) is taken as that int; any other m is a ValueError.
     """
     m = _integer(m, "tower level m")
@@ -376,8 +303,6 @@ def half_lowering_factor_squared(
     return tower_eigenvalue(system, sector, m) - system.delta * sector.is_tilde
 
 
-#: The lemma's cases at each level, in the order they are checked.
-_LEMMA_SECTORS = (SectorLabel.PSI, SectorLabel.PSI_TILDE, SectorLabel.PHI_TILDE, SectorLabel.PHI)
 #: a maps level m of an untilded tower onto level m of its tilde partner.
 _A_IMAGE = {SectorLabel.PSI: SectorLabel.PSI_TILDE, SectorLabel.PHI: SectorLabel.PHI_TILDE}
 
@@ -393,15 +318,18 @@ def verify_lemma_half_lowering(system: CoupledSusySystem, m_max: int) -> Verific
     of the partner levels' closed forms, and those forms' norms give
     lambda^2 exactly.  Then the report passes with every case counted and
     no tower record is built.  When the proof does not hold (a mutated or
-    hand-built system), the per-level run (_lemma_by_level) decides, with
-    its failures and exceptions.
+    hand-built system), the per-level run of the _oracle module
+    (_oracle._lemma_by_level), loaded on that first call, decides, with its
+    failures and exceptions.
     """
     m_max = _integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if _proved(system):
         return _lemma_report(system, m_max, [], 4 * m_max + 1)
-    return _lemma_by_level(system, m_max)
+    from . import _oracle
+
+    return _oracle._lemma_by_level(system, m_max)
 
 
 def _lemma_report(system: CoupledSusySystem, m_max: int, failures: list, checked: int):
@@ -417,29 +345,6 @@ def _lemma_report(system: CoupledSusySystem, m_max: int, failures: list, checked
             "PHI, m(d-g)-delta for PSI_TILDE"
         ),
     )
-
-
-def _lemma_by_level(system: CoupledSusySystem, m_max: int) -> VerificationReport:
-    """The half-lowering relations checked level by level on the tower records.
-
-    Each case applies T to the source's memoised record (_tower_state), a
-    on an untilded tower and b+ on a tilde one, and compares the image's
-    full product <T s, T s> with lambda^2 times the record's norm_sq.
-    """
-    failures = []
-    checked = 0
-    for m in range(0, m_max + 1):
-        for sector in _LEMMA_SECTORS:
-            if m == 0 and sector is not SectorLabel.PHI:
-                continue  # a psi_0 and b+ phi~_0 vanish, and psi~_0 is no state
-            source = _tower_state(system, sector, m)
-            lowering = Generator.BDAG if sector.is_tilde else Generator.A
-            image = apply_generator(system, lowering, source.state)
-            lamsq = half_lowering_factor_squared(system, sector, m)
-            checked += 1
-            if inner_product(image, image) != source.norm_sq.scale(lamsq):
-                failures.append({"sector": sector.value, "m": m})
-    return _lemma_report(system, m_max, failures, checked)
 
 
 def _agree(lhs: list, rhs: list) -> bool:
@@ -461,8 +366,8 @@ def _lowers(op, n: int, p: int, q: int, lamsq: tuple, lamsq_den: int) -> bool:
     whose squared norm is lamsq(j) / lamsq_den times the source's, lamsq linear ints (c0, c1).
 
     The image's top is P(p + 2nj) / den 2^(-h/2) times the source's, so by
-    the norm formula of _norm_sq the ratio is 2 P(p + 2nj)^2 / (2^h den^2
-    (2nj + a(1-o))), a = 2p + 1 - 2n.  As lamsq is linear, that identity
+    the norm formula (_oracle._laguerre_norm_sq) the ratio is 2 P(p +
+    2nj)^2 / (2^h den^2 (2nj + a(1-o))), a = 2p + 1 - 2n.  As lamsq is linear, that identity
     makes P(p + 2nv) a multiple of 2nv + a(1-o), so P(k) a multiple of k -
     p (o = 1) or of k + p + 1 - 2n (o = 0), which sends the closed form of
     seed p to that of seed q.
@@ -510,8 +415,8 @@ def _proved(system: CoupledSusySystem):
     admits, their difference having no +2n part.  Its -4n part makes R's
     -2n polynomial a multiple of l and its -2n part R's 0 polynomial
     linear.  So E(j) - d(p + 2ni) = (delta-gamma)(j-i), nonzero
-    below the top, and the solve (_solve_level) builds the closed form with
-    nothing below the seed, which _closed_record builds directly.  R s_(m-1)
+    below the top, and the solve (_oracle._solve_level) builds the closed
+    form with nothing below the seed, which _closed_record builds directly.  R s_(m-1)
     = s_m: it is an eigenvector of H with eigenvalue E(m) by the
     commutator, has s_m's top and nothing below the seed (the -2n part is
     2(delta-gamma) r_-(k) = l(k)(r_0(k) - r_0(k-2n))), so the difference

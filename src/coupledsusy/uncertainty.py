@@ -37,15 +37,10 @@ Each product takes one of two routes, with the same Fractions either way.
   Fraction built per returned value.  No operator is composed or applied.
 - The composition route, for bare states and unproved systems: each
   observable is an exact real Operator composed from the system's
-  generators, times 1 or i; so is every product and commutator built
-  from them.  On the package's real states every matrix element is
-  therefore one GammaVector, times the observable's phase.  On a state on
-  one Gamma symbol it is a rational multiple of the squared norm.  A bare
-  state whose norm spans two Gamma symbols runs the same formulas over
-  certified mpmath intervals (_decide).  Quantities that vanish
-  identically on real-coefficient states, like <A>, are still computed,
-  so that a wrong sign in any word would surface; this route is the
-  table's test oracle.
+  generators, times 1 or i, and every moment one exact matrix element
+  over the squared norm.  It lives in the _oracle module, which
+  _sector_product and uncertainty_product_XP import on the first state
+  the table does not serve; it is also the table's test oracle.
 
 Either way variances and the squared bound are Fractions, `pass`
 (sigma1^2 sigma2^2 >= bound^2) is exact, and floats appear only in the
@@ -55,212 +50,15 @@ bound.  No tolerance is involved.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
-from .calculus import (
-    FamilyMismatchError,
-    GammaVector,
-    GaussPolyState,
-    Record,
-    evaluate_gamma_vector_mp,
-    inner_product,
-)
-from .systems import CoupledSusySystem
+from .calculus import Record
 from .towers import EigenstateRecord, SectorLabel, _eigenvalue_ints, _proved, _tower_state
 
 
 class SectorDomainError(ValueError):
     """A sector observable was evaluated on a state outside its residue classes."""
-
-
-_HALF = Fraction(1, 2)
-
-
-class OperatorExpression(Record):
-    """The observable op, or i op when `imaginary`, with op an exact real Operator.
-
-    `sector` is 1 or 2 for within-sector observables (enforced on states),
-    or None for the direct-sum blocks which transfer between sectors.
-    """
-
-    __slots__ = _fields = ("name", "op", "imaginary", "sector")
-    _defaults = {"imaginary": False, "sector": None}
-
-    def compose(self, other: "OperatorExpression") -> "OperatorExpression":
-        """Operator product self . other (other acts first); i . i = -1."""
-        product = self.op @ other.op
-        return OperatorExpression(
-            f"{self.name}.{other.name}",
-            -product if self.imaginary and other.imaginary else product,
-            self.imaginary != other.imaginary,
-            self.sector,
-        )
-
-    def minus(self, other: "OperatorExpression") -> "OperatorExpression":
-        """self - other; ValueError when one is real and the other imaginary."""
-        if self.imaginary != other.imaginary:
-            raise ValueError(f"{self.name} - {other.name} is neither real nor imaginary")
-        return OperatorExpression(
-            f"{self.name}-{other.name}", self.op - other.op, self.imaginary, self.sector
-        )
-
-    def commutator_with(self, other: "OperatorExpression") -> "OperatorExpression":
-        """[self, other]: i op and i op' give -[op, op'], real; one imaginary factor gives i [op, op']."""
-        bracket = self.op._commutator(other.op)
-        return OperatorExpression(
-            f"[{self.name},{other.name}]", -bracket if self.imaginary and other.imaginary else bracket,
-            self.imaginary != other.imaginary, self.sector,
-        )
-
-
-def _ladder_observables(system: CoupledSusySystem, sector: int) -> tuple:
-    """(L, A) of sector 1, or (L~, A~) of sector 2: -(R + L)/2 and i(R - L)/2 over its pair's words."""
-    pair, tilde = system.pairs[sector - 1], "~" * (sector == 2)
-    return (
-        OperatorExpression(f"L{tilde}", (pair.raising + pair.lowering).scale(-_HALF), False, sector),
-        OperatorExpression(f"A{tilde}", (pair.raising - pair.lowering).scale(_HALF), True, sector),
-    )
-
-
-def observable_L(system: CoupledSusySystem) -> OperatorExpression:
-    return _ladder_observables(system, 1)[0]
-
-
-def observable_A(system: CoupledSusySystem) -> OperatorExpression:
-    return _ladder_observables(system, 1)[1]
-
-
-def observable_L_tilde(system: CoupledSusySystem) -> OperatorExpression:
-    return _ladder_observables(system, 2)[0]
-
-
-def observable_A_tilde(system: CoupledSusySystem) -> OperatorExpression:
-    return _ladder_observables(system, 2)[1]
-
-
-def x_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
-    """Off-diagonal blocks of X: "12" = (a+ + b+)/sqrt(2), "21" = (a + b)/sqrt(2)."""
-    a, ad, b, bd = system.generators
-    if which == "12":
-        op = ad + bd
-    elif which == "21":
-        op = a + b
-    else:
-        raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"X{which}", op.scale_sqrt2(-1), False, None)
-
-
-def p_block(system: CoupledSusySystem, which: str) -> OperatorExpression:
-    """Off-diagonal blocks of P: "12" = -i(a+ - b+)/sqrt(2), "21" = -i(-a + b)/sqrt(2)."""
-    a, ad, b, bd = system.generators
-    if which == "12":
-        op = bd - ad
-    elif which == "21":
-        op = a - b
-    else:
-        raise ValueError("block must be '12' or '21'")
-    return OperatorExpression(f"P{which}", op.scale_sqrt2(-1), True, None)
-
-
-# ---------------------------------------------------------------------------
-# Exact expectation machinery
-# ---------------------------------------------------------------------------
-
-
-def matrix_element(system: CoupledSusySystem, expr: OperatorExpression, f: GaussPolyState,
-                   g: GaussPolyState) -> GammaVector:
-    """<f | expr.op | g> exactly: one apply and one inner product.
-
-    The matrix element of expr is this value times i when expr.imaginary.
-    inner_product raises ValueError when the sqrt(2) half powers of f, op
-    and g add up to an odd total.
-    """
-    if f.n != system.n or g.n != system.n:
-        raise FamilyMismatchError("states and system belong to different families")
-    return inner_product(f, expr.op.apply(g))
-
-
-def _as_state(state) -> GaussPolyState:
-    if isinstance(state, EigenstateRecord):
-        return state.state
-    return state
-
-
-@functools.lru_cache(maxsize=64)
-def _sector_classes(n: int, sector: int) -> frozenset:
-    """The residue classes of sector 1 (the a+a towers) or 2 (the tilde towers)."""
-    return frozenset(s.residue(n) for s in SectorLabel if s.is_tilde == (sector == 2))
-
-
-def _guard_sector(system: CoupledSusySystem, sector: int, state: GaussPolyState):
-    """SectorDomainError unless the state lies in the residue classes of sector 1 or 2."""
-    allowed = _sector_classes(system.n, sector)
-    if not state.residues() <= allowed:
-        raise SectorDomainError(
-            f"state residues {sorted(state.residues())} lie outside the "
-            f"sector-{sector} classes {sorted(allowed)}"
-        )
-
-
-def expectation_exact(system, expr, state) -> GammaVector:
-    """Unnormalised <state | expr.op | state> as an exact GammaVector."""
-    state = _as_state(state)
-    if expr.sector is not None:
-        _guard_sector(system, expr.sector, state)
-    return matrix_element(system, expr, state, state)
-
-
-def _norm_sq(state) -> GammaVector:
-    """||state||^2: a record's exact norm_sq, else one inner product."""
-    return state.norm_sq if isinstance(state, EigenstateRecord) else inner_product(state, state)
-
-
-class _NoRatio(Exception):
-    """A GammaVector and its norm lie on different Gamma symbols: the ratio is irrational."""
-
-
-def _decide(formula):
-    """(gap >= 0, values) for formula(ratio) = (gap, *values), ratio(v, norm) = v / norm.
-
-    Fraction ratios decide exactly.  An irrational ratio sends the formula
-    to mpmath intervals, each GammaVector its value +- the error bound of
-    evaluate_gamma_vector_mp, at 64, 128, ... bits until the sign of the
-    gap is certain; still uncertain at 4096 bits, the verdict is False.  A
-    formula with nothing to decide returns gap 0.
-    """
-    def rational(v, norm):
-        q = v.rational_ratio(norm)
-        if q is None:
-            raise _NoRatio
-        return q
-
-    try:
-        gap, *values = formula(rational)
-        return gap >= 0, values
-    except _NoRatio:
-        from mpmath import iv
-
-    def interval(v):
-        value, bound = evaluate_gamma_vector_mp(v, iv.prec)
-        return iv.mpf(value) + iv.mpf([-bound, bound])
-
-    saved = iv.prec
-    try:
-        for iv.prec in (64, 128, 256, 512, 1024, 2048, 4096):  # iv rounds outward at iv.prec
-            gap, *values = formula(lambda v, norm: interval(v) / interval(norm))
-            verdict = gap >= 0  # None while the interval holds 0
-            if verdict is not None:
-                return verdict, values
-    finally:
-        iv.prec = saved
-    return False, values
-
-
-def _variance(mean: GammaVector, second: GammaVector, norm, ratio):
-    """<O^2> - |<O>|^2 from <f|O|f> and <f|O^2|f>; O^2 is real for O real or imaginary."""
-    return ratio(second, norm) - ratio(mean, norm) ** 2
 
 
 def _float(x) -> float:
@@ -279,29 +77,6 @@ def _signed_root(scale_sq, mean) -> float:
         (s, t), (p, q) = scale_sq.as_integer_ratio(), mean.as_integer_ratio()
         return math.copysign(math.sqrt(s * p * p / (t * q * q)), -1 if p < 0 else 1)
     return math.copysign(_root(scale_sq * mean ** 2), _float(mean))
-
-
-def _phased(value, imaginary: bool) -> complex:
-    """A real value's float times i when imaginary."""
-    return complex(0.0, _float(value)) if imaginary else complex(_float(value), 0.0)
-
-
-def expectation(system, expr, state) -> complex:
-    """Normalised expectation <expr> on the given state or record."""
-    element, norm = expectation_exact(system, expr, state), _norm_sq(state)
-    _, (value,) = _decide(lambda ratio: (0, ratio(element, norm)))
-    return _phased(value, expr.imaginary)
-
-
-def variance(system, expr, state) -> float:
-    mean, second = (expectation_exact(system, e, state) for e in (expr, expr.compose(expr)))
-    norm = _norm_sq(state)
-    _, (var,) = _decide(lambda ratio: (0, _variance(mean, second, norm, ratio)))
-    return max(_float(var), 0.0)  # an interval's midpoint may dip below 0
-
-
-def sigma(system, expr, state) -> float:
-    return math.sqrt(variance(system, expr, state))
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +138,21 @@ def _table_sector(system, record) -> tuple:
     return lo * hi >= 0, [var, var, Fraction((lo - hi) ** 2, 16 * den ** 4), Fraction(e1, den)]
 
 
-def _composed_sector(system, state, sector: int) -> tuple:
-    """(passed, (var_L, var_A, bound^2, <N>)) from the composed observables, six expectations
-    over one norm."""
-    row = system.pairs[sector - 1]
-    obs_l, obs_a = _ladder_observables(system, sector)
-    number_op = OperatorExpression(row.names[0], row.hamiltonian, False, sector)
-    exprs = (obs_l, obs_l.compose(obs_l), obs_a, obs_a.compose(obs_a), obs_l.commutator_with(obs_a), number_op)
-    mean_l, second_l, mean_a, second_a, comm, number = (expectation_exact(system, e, state) for e in exprs)
-    norm = _norm_sq(state)
-
-    def formula(ratio):
-        var_l = _variance(mean_l, second_l, norm, ratio)
-        var_a = _variance(mean_a, second_a, norm, ratio)
-        bound_sq = ratio(comm, norm) ** 2 / 4
-        return var_l * var_a - bound_sq, var_l, var_a, bound_sq, ratio(number, norm)
-
-    return _decide(formula)
-
-
 def _sector_product(system, state, sector: int) -> UncertaintyResult:
     """sigma_L sigma_A of one sector against its Robertson bound.
 
     The closed form is (d-g)|2<N> - c|/4 with N the sector's H and c its
     shift: a+a and gamma in the first sector, aa+ and delta in the second.
     A proved system's own record reads the shift table (_table_sector);
-    any other state takes the composed observables (_composed_sector).
+    any other state takes the composed observables of the _oracle module
+    (_oracle._composed_sector), loaded on the first such state.
     """
     if _own(system, state, sector):
         passed, (var_l, var_a, bound_sq, number) = _table_sector(system, state)
     else:
-        passed, (var_l, var_a, bound_sq, number) = _composed_sector(system, state, sector)
+        from . import _oracle
+
+        passed, (var_l, var_a, bound_sq, number) = _oracle._composed_sector(system, state, sector)
     number = _float(number)
     closed_form = float(system.spacing) / 4 * abs(2 * number - float(system.pairs[sector - 1].shift))
     tilde = "~" * (sector == 2)
@@ -443,48 +202,8 @@ def direct_sum(state1, weight1, state2, weight2) -> DirectSumState:
                           weight2 if type(weight2) is Fraction else Fraction(weight2))
 
 
-def _xp_component(system, sector: int, given, weight):
-    """(the state at half power 0, its squared norm / weight), or (None, None) if absent.
-
-    A first-sector and a tilde state differ in their sqrt(2) half power, so
-    the X,P cross terms pair them only once both are rescaled to half power 0.
-    """
-    if given is None:
-        return None, None
-    state = _as_state(given)
-    _guard_sector(system, sector, state)
-    half = state.half_power
-    return state.scale_sqrt2(half), _norm_sq(given).scale(2 ** half / Fraction(weight))
-
-
-def _block_moments(system, upper, lower, components, norms):
-    """moments(ratio) = (variance, <Op^2>, (s^2, mean)) of the block operator Op.
-
-    With norms[i] = ||c_i||^2 / w_i, <Op> = cross / sqrt(norms[0] norms[1]) is
-    s mean, mean = cross / norms[0], times Op's phase; s^2 = norms[0] / norms[1]
-    is taken only for a nonzero cross term (for the CLI's mixed state it is
-    irrational).
-    """
-    c1, c2 = components
-    cross = None
-    if c1 is not None and c2 is not None:
-        cross = matrix_element(system, upper, c1, c2) + matrix_element(system, lower, c2, c1)
-    diagonal = [(matrix_element(system, left.compose(right), c, c), norm)
-                for c, left, right, norm in ((c1, upper, lower, norms[0]), (c2, lower, upper, norms[1]))
-                if c is not None]
-
-    def moments(ratio):
-        second = sum(ratio(e, norm) for e, norm in diagonal)
-        if cross is None or cross.is_zero:
-            return second, second, (0, 0)
-        scale_sq, mean = ratio(norms[0], norms[1]), ratio(cross, norms[0])
-        return second - scale_sq * mean ** 2, second, (scale_sq, mean)
-
-    return moments
-
-
 def _table_xp(system, dstate: DirectSumState) -> tuple:
-    """(passed, values) of X,P from the shift table, values as _composed_xp gives them.
+    """(passed, values) of X,P from the shift table, values as _oracle._composed_xp gives them.
 
     Each block word is a weighted shift on the records (towers._proved): a s_i
     = s~_i, b s_i = s~_(i+1)/E_(i+1), a+ s~_j = E_j s_j and b+ s~_j = rho_j
@@ -530,28 +249,6 @@ def _table_xp(system, dstate: DirectSumState) -> tuple:
     return passed, [*values, Fraction(comm * comm, 4 * (w * den) ** 2), *means, second, second]
 
 
-def _composed_xp(system, dstate: DirectSumState) -> tuple:
-    """(passed, values) of X,P from the composed blocks, one matrix element per block and component."""
-    components, norms = zip(_xp_component(system, 1, dstate.component1, dstate.weight1),
-                            _xp_component(system, 2, dstate.component2, dstate.weight2))
-    x12, x21 = x_block(system, "12"), x_block(system, "21")
-    p12, p21 = p_block(system, "12"), p_block(system, "21")
-    x_moments = _block_moments(system, x12, x21, components, norms)
-    p_moments = _block_moments(system, p12, p21, components, norms)
-    # Robertson bound from the block commutators, evaluated per component.
-    comm11 = x12.compose(p21).minus(p12.compose(x21))
-    comm22 = x21.compose(p12).minus(p21.compose(x12))
-    comms = [(matrix_element(system, comm, c, c), norm)
-             for comm, c, norm in zip((comm11, comm22), components, norms) if c is not None]
-
-    def formula(ratio):
-        (var_x, second_x, mean_x), (var_p, second_p, mean_p) = x_moments(ratio), p_moments(ratio)
-        bound_sq = sum(ratio(e, norm) for e, norm in comms) ** 2 / 4
-        return var_x * var_p - bound_sq, var_x, var_p, bound_sq, mean_x, mean_p, second_x, second_p
-
-    return _decide(formula)
-
-
 def _table_serves_xp(system, dstate: DirectSumState) -> bool:
     """Whether each component is the proved system's own record of its sector (_own), and two
     components differ by an odd sqrt(2) power, so their cross terms are rational."""
@@ -568,9 +265,15 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
     combination (|gamma| w1 + delta w2)/2; the global minimum over states is
     min(|gamma|, delta)/2.  Components that are a proved system's own records
     read the shift table (_table_xp); any other state takes the composed
-    blocks (_composed_xp).
+    blocks of the _oracle module (_oracle._composed_xp), loaded on the
+    first such state.
     """
-    route = _table_xp if _table_serves_xp(system, dstate) else _composed_xp
+    if _table_serves_xp(system, dstate):
+        route = _table_xp
+    else:
+        from . import _oracle
+
+        route = _oracle._composed_xp
     passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = route(system, dstate)
     (scale_x, mean_x), (scale_p, mean_p) = means
     # |gamma| w1 + delta w2 and min(|gamma|, delta) in ints; an int quotient rounds as float(Fraction) does

@@ -216,7 +216,8 @@ def test_half_lowering_zero_displacement():
 def test_half_lowering_total_mismatch_scales_with_tol(tol):
     check = verify_half_lowering(make_xn_system(2), PSI, 0.5, tol=tol)
     assert check.residual < 1e-10
-    assert check.total_mismatch_bound < 3 * math.sqrt(tol)
+    tails = check.tail_bound_source + abs(check.scalar) ** 2 * check.tail_bound_target
+    assert check.residual + math.sqrt(max(tails, 0.0)) < 3 * math.sqrt(tol)
 
 
 def test_half_lowering_rejects_other_sectors():

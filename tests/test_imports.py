@@ -223,3 +223,39 @@ def test_concurrent_first_imports_from_a_lazy_submodule_all_succeed(name):
     # each thread's import is the module's first attribute read: one runs it, the others wait
     code = four_threads("import coupledsusy.cli", f"from coupledsusy.{name} import {LAZY_SUBMODULES[name]}")
     assert name in ran_after(code)
+
+
+#: (2a, a+/2, b, b+) passes verify, but not the tower proof (the a images have four times the norm
+#: the lemma needs), so every call on it takes the unproved route, which loads _oracle on first use.
+_UNPROVED = (
+    "from fractions import Fraction\n"
+    "from coupledsusy.systems import CoupledSusySystem, make_xn_system\n"
+    "from coupledsusy.towers import SectorLabel, eigenstate, verify_lemma_half_lowering\n"
+    "from coupledsusy.uncertainty import uncertainty_product_LA\n"
+    "a, adag, b, bdag = make_xn_system(2).generators\n"
+    "system = CoupledSusySystem(2, Fraction(-1), Fraction(3), (a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))\n"
+    "assert 'coupledsusy._oracle' not in sys.modules\n"
+)
+
+
+@pytest.mark.parametrize("call, want", [
+    ("eigenstate(system, SectorLabel.PSI_TILDE, 2)",
+     {"sector": "psi~", "m": 2, "n": 2, "eigenvalue": "8/1", "state": "2; 1; 2:-40/1, 6:16/1",
+      "norm_sq": "2; 1:160/1"}),
+    ("uncertainty_product_LA(system, eigenstate(system, SectorLabel.PSI, 1))",
+     {"observable_pair": "L,A", "sigma1": 3.3166247903554, "sigma2": 3.3166247903554, "product": 11.0,
+      "bound": 9.0, "equality_gap": 2.0, "pass": True, "details": {"mean_number": 4.0, "bound_closed_form": 9.0}}),
+    ("verify_lemma_half_lowering(system, 3)",
+     {"identity": "half-lowering norm relations", "n": 2, "range": [0, 3], "pass": False,
+      "first_failure": {"sector": "phi", "m": 0}, "note": "lambda^2 values: m(d-g) for PSI and PHI_TILDE, "
+      "m(d-g)+delta for PHI, m(d-g)-delta for PSI_TILDE"}),
+], ids=["eigenstate", "uncertainty_product_LA", "verify_lemma_half_lowering"])
+def test_an_unproved_system_loads_the_oracle_on_its_first_call(call, want):
+    code = _UNPROVED + f"assert {call}.to_json_dict() == {want!r}\n"
+    assert ran_after(code) == {"calculus", "systems", "towers", "uncertainty", "_oracle"}
+
+
+def test_concurrent_first_unproved_calls_all_succeed():
+    statement = ("assert uncertainty_product_LA(system, eigenstate(system, SectorLabel.PSI, 3)).passed; "
+                 "assert not verify_lemma_half_lowering(system, 2).passed")
+    assert "_oracle" in ran_after(four_threads(_UNPROVED, statement))

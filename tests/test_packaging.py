@@ -22,19 +22,17 @@ def test_distribution_name_and_version_match_package():
 PUBLIC_API = [
     "CoherentState", "CoupledSusySystem", "DirectSumState", "DivergenceError",
     "EigenstateRecord", "FD_DOCUMENTED_TOLERANCE", "FamilyMismatchError", "GalerkinProblem",
-    "GammaVector", "GaussPolyState", "Generator", "HalfLoweringCheck", "IDENTITY",
-    "LOWERING_WORD", "Operator", "RAISING_WORD", "SectorDomainError", "SectorLabel",
-    "SpectrumReport", "UncertaintyResult", "VerificationReport", "all_reports_pass",
-    "apply_generator", "apply_word", "bargmann_index", "bargmann_indices", "build_galerkin",
-    "calculus", "coherent", "coherent_state", "default_window", "direct_sum", "eigenstate",
-    "expectation", "fd_spectrum", "full_lowering_misfit", "galerkin_spectrum", "gram_matrix",
-    "ground_states", "half_lowering_factor_squared", "inner_product", "k_operators",
-    "make_xn_system", "merged_spectrum", "monomial_state", "mutation_slots",
-    "normalized_samples", "observable_A", "observable_A_tilde", "observable_L",
-    "observable_L_tilde", "proportionality_ratio", "sigma", "solve_generalized", "spectral",
-    "systems", "tower_eigenvalue", "towers", "uncertainty", "uncertainty_product_LA",
-    "uncertainty_product_XP", "uncertainty_product_tilde", "variance", "verify_coupled_susy",
-    "verify_half_lowering", "verify_lemma_half_lowering", "verify_su11", "zero_state",
+    "GammaVector", "GaussPolyState", "Generator", "HalfLoweringCheck", "IDENTITY", "Operator",
+    "SectorDomainError", "SectorLabel", "SpectrumReport", "UncertaintyResult",
+    "VerificationReport", "all_reports_pass", "apply_generator", "apply_word", "bargmann_index",
+    "bargmann_indices", "build_galerkin", "calculus", "coherent", "coherent_state",
+    "default_window", "direct_sum", "eigenstate", "fd_spectrum", "full_lowering_misfit",
+    "galerkin_spectrum", "gram_matrix", "ground_states", "half_lowering_factor_squared",
+    "inner_product", "k_operators", "make_xn_system", "merged_spectrum", "monomial_state",
+    "mutation_slots", "normalized_samples", "proportionality_ratio", "solve_generalized",
+    "spectral", "systems", "tower_eigenvalue", "towers", "uncertainty", "uncertainty_product_LA",
+    "uncertainty_product_XP", "uncertainty_product_tilde", "verify_coupled_susy",
+    "verify_half_lowering", "verify_lemma_half_lowering", "verify_su11",
 ]
 
 
@@ -59,8 +57,8 @@ CLASS_SURFACES = {
     ],
     "GaussPolyState": [
         "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__neg__", "__repr__", "__setattr__",
-        "__sub__", "den", "half_power", "is_zero", "min_exponent", "n", "nums", "parse", "residues",
-        "scale", "scale_sqrt2", "serialize", "terms",
+        "__sub__", "den", "half_power", "is_zero", "n", "nums", "parse", "residues", "scale",
+        "scale_sqrt2", "serialize", "terms",
     ],
     "Operator": [
         "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__matmul__", "__neg__", "__repr__",

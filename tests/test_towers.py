@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from coupledsusy import coherent, towers, uncertainty
+from coupledsusy import _oracle, coherent, towers, uncertainty
+from coupledsusy._oracle import _laguerre_norm_sq
 from coupledsusy.calculus import (
     DivergenceError,
     FamilyMismatchError,
@@ -30,9 +31,7 @@ from coupledsusy.calculus import (
     GaussPolyState,
     Generator,
     IDENTITY,
-    LOWERING_WORD,
     Operator,
-    RAISING_WORD,
     _IntForm,
     apply_generator,
     apply_word,
@@ -48,7 +47,6 @@ from coupledsusy.towers import (
     EigenstateRecord,
     SectorLabel,
     _laguerre_form,
-    _norm_sq,
     _tower_state,
     eigenstate,
     gram_matrix,
@@ -188,18 +186,19 @@ def test_residue_class_confinement_and_positivity(n):
         for m in range(1 if sector is PSI_T else 0, 7):
             state = eigenstate(sysn, sector, m).state
             assert state.residues() == {sector.residue(n)}
-            assert state.min_exponent() >= 0
+            assert min(state.nums) >= 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lowering_word_steps_down(n):
     sysn = make_xn_system(n)
     psi0, phi0 = ground_states(sysn)
-    assert apply_word(sysn, LOWERING_WORD, psi0.state).is_zero
-    assert apply_word(sysn, LOWERING_WORD, phi0.state).is_zero
+    lowering = (Generator.BDAG, Generator.A)  # b+a
+    assert apply_word(sysn, lowering, psi0.state).is_zero
+    assert apply_word(sysn, lowering, phi0.state).is_zero
     for sector in (PSI, PHI):
         for m in range(1, 5):
-            lowered = apply_word(sysn, LOWERING_WORD, eigenstate(sysn, sector, m).state)
+            lowered = apply_word(sysn, lowering, eigenstate(sysn, sector, m).state)
             ratio = proportionality_ratio(lowered, eigenstate(sysn, sector, m - 1).state)
             assert ratio is not None and ratio[0] != 0
 
@@ -419,7 +418,7 @@ def test_a_passing_proof_implies_the_per_level_run_passes(monkeypatch, n):
     monkeypatch.setattr(towers, "_proved", lambda system: False)
     towers._tower_state.cache_clear()
     for system in proved:
-        assert lemma_outcome(towers._lemma_by_level, system, 6) == (True, None, 25), system.mutation
+        assert lemma_outcome(_oracle._lemma_by_level, system, 6) == (True, None, 25), system.mutation
     towers._tower_state.cache_clear()
 
 
@@ -443,7 +442,7 @@ def test_proved_records_equal_the_checked_solve(monkeypatch):
     for key, sector, m in keys:
         system = systems[key]
         assert towers._proved(system), key
-        solved = towers._solve_level(system, sector.base, m)
+        solved = _oracle._solve_level(system, sector.base, m)
         want = apply_generator(system, Generator.A, solved) if sector.is_tilde else solved
         record = _tower_state(system, sector, m)
         assert_same_state(record.state, want)
@@ -520,8 +519,10 @@ def test_proved_records_solve_and_apply_nothing(monkeypatch, n):
         assert math.gcd(den, *data.values()) == 1 and half in (0, 1)
         return from_ints(family, data, den, half)
 
-    for name in ("_solve_level", "apply_generator", "_laguerre_form"):
-        monkeypatch.setattr(towers, name, refuse)
+    for module in (towers, _oracle):
+        for name in ("apply_generator", "_laguerre_form"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(_oracle, "_solve_level", refuse)
     monkeypatch.setattr(Operator, "apply", refuse)
     from_ints = GaussPolyState._from_ints
     monkeypatch.setattr(GaussPolyState, "_from_ints", classmethod(reduced))
@@ -542,8 +543,8 @@ def test_unproved_systems_keep_the_solve_route(monkeypatch):
                                   generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
     mutated = make_xn_system(2, mutate="a-coeff")
     solved = []
-    real_solve = towers._solve_level
-    monkeypatch.setattr(towers, "_solve_level", lambda *key: solved.append(key[1:]) or real_solve(*key))
+    real_solve = _oracle._solve_level
+    monkeypatch.setattr(_oracle, "_solve_level", lambda *key: solved.append(key[1:]) or real_solve(*key))
     assert not towers._proved(doubled_a) and not towers._proved(mutated)
     for sector, cached in ((PSI, 1), (PSI_T, 2)):
         solved.clear()
@@ -928,7 +929,7 @@ def test_equal_systems_share_the_tower_cache(monkeypatch):
     first = eigenstate(make_xn_system(3), PSI, 4)
     hits = _tower_state.cache_info().hits
     calls = []
-    real_apply, real_norm = Operator.apply, towers._norm_sq
+    real_apply, real_norm = Operator.apply, _laguerre_norm_sq
 
     def counting_apply(op, state):
         calls.append("apply")
@@ -939,7 +940,7 @@ def test_equal_systems_share_the_tower_cache(monkeypatch):
         return real_norm(state)
 
     monkeypatch.setattr(Operator, "apply", counting_apply)
-    monkeypatch.setattr(towers, "_norm_sq", counting_norm)
+    monkeypatch.setattr(_oracle, "_laguerre_norm_sq", counting_norm)
     # a hit returns the checked record itself: no operator applied, no norm built
     assert eigenstate(make_xn_system(3), PSI, 4) is first
     assert _tower_state.cache_info().hits == hits + 1
@@ -979,7 +980,7 @@ def ladder_state(system, sector, m):
         return apply_generator(system, Generator.A, ladder_state(system, sector.base, m))
     state = monomial_state(system.n, 0 if sector is PSI else 2 * system.n - 1)
     for _ in range(m):
-        state = apply_word(system, RAISING_WORD, state)
+        state = apply_word(system, (Generator.ADAG, Generator.B), state)
     return state
 
 
@@ -1007,7 +1008,7 @@ def test_solved_levels_match_ladder(n, sector):
     state = monomial_state(n, 0 if sector is PSI else 2 * n - 1)
     for m in range(61):
         assert_same_state(_tower_state(system, sector, m).state, state)
-        state = apply_word(system, RAISING_WORD, state)
+        state = apply_word(system, (Generator.ADAG, Generator.B), state)
 
 
 def test_deep_level_has_no_recursion_limit():
@@ -1165,7 +1166,7 @@ def test_laguerre_shaped_states_take_the_closed_form(n):
             for half_power, scale in ((0, 1), (1, Fraction(-7, 3))):
                 state = laguerre_shaped(n, p, j, half_power, scale)
                 assert _laguerre_form(state) == (p, 2 * p + 1 - 2 * n, j)
-                assert _norm_sq(state) == inner_product(state, state), (p, j, half_power)
+                assert _laguerre_norm_sq(state) == inner_product(state, state), (p, j, half_power)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1181,11 +1182,11 @@ def test_laguerre_near_misses_take_the_full_product(n):
             )
             for miss in misses:
                 assert _laguerre_form(miss) is None
-                assert _norm_sq(miss) == inner_product(miss, miss), (p, j)
+                assert _laguerre_norm_sq(miss) == inner_product(miss, miss), (p, j)
             # a negative exponent, on the shape or off it
             for negative in (state + GaussPolyState(n, {-2 * n: 1}, j % 2), laguerre_shaped(n, -1 - p, j)):
                 with pytest.raises(DivergenceError):
-                    _norm_sq(negative)
+                    _laguerre_norm_sq(negative)
 
 
 def test_asymmetric_hamiltonian_takes_the_full_product():
@@ -1230,7 +1231,7 @@ def test_negative_exponents_diverge_like_the_full_product():
     assert apply_word(system, (Generator.A, Generator.ADAG), psi) == psi
     assert not top_pairing(psi).is_zero
     with pytest.raises(DivergenceError):
-        _norm_sq(psi)
+        _laguerre_norm_sq(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1269,7 @@ def test_sector_constants_match_the_literal_tables(n):
     for sector, allowed in classes.items():
         for r in range(2 * n):
             if r in allowed:
-                uncertainty._guard_sector(system, sector, monomial_state(n, r))
+                _oracle._guard_sector(system, sector, monomial_state(n, r))
             else:
                 with pytest.raises(uncertainty.SectorDomainError):
-                    uncertainty._guard_sector(system, sector, monomial_state(n, r))
+                    _oracle._guard_sector(system, sector, monomial_state(n, r))

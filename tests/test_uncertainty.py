@@ -17,27 +17,26 @@ from coupledsusy.calculus import (
     monomial_state,
 )
 from coupledsusy.systems import CoupledSusySystem, make_xn_system, mutation_slots
-from coupledsusy import towers, uncertainty
-from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
-from coupledsusy.uncertainty import (
-    DirectSumState,
+from coupledsusy import _oracle, towers, uncertainty
+from coupledsusy._oracle import (
     OperatorExpression,
-    UncertaintyResult,
-    SectorDomainError,
-    direct_sum,
+    _ladder_observables,
     expectation,
     expectation_exact,
     matrix_element,
-    observable_A,
-    observable_A_tilde,
-    observable_L,
-    observable_L_tilde,
     p_block,
+    variance,
+    x_block,
+)
+from coupledsusy.towers import EigenstateRecord, SectorLabel, eigenstate, ground_states
+from coupledsusy.uncertainty import (
+    DirectSumState,
+    UncertaintyResult,
+    SectorDomainError,
+    direct_sum,
     uncertainty_product_LA,
     uncertainty_product_tilde,
     uncertainty_product_XP,
-    variance,
-    x_block,
 )
 
 PSI, PHI = SectorLabel.PSI, SectorLabel.PHI
@@ -81,7 +80,7 @@ def quad_expectation(expr, state, dps=25):
 def test_mean_L_and_A_vanish_on_psi0(n):
     sysn = make_xn_system(n)
     psi0, _ = ground_states(sysn)
-    for expr in (observable_L(sysn), observable_A(sysn)):
+    for expr in _ladder_observables(sysn, 1):
         exact = expectation_exact(sysn, expr, psi0)
         assert exact.is_zero
     # the A computation must actually traverse nonzero word images
@@ -92,7 +91,7 @@ def test_mean_L_and_A_vanish_on_psi0(n):
 def test_second_moment_L_on_psi0_n2():
     sys2 = make_xn_system(2)
     psi0, _ = ground_states(sys2)
-    L = observable_L(sys2)
+    L = _ladder_observables(sys2, 1)[0]
     value = expectation(sys2, L.compose(L), psi0)
     assert value.imag == pytest.approx(0.0, abs=1e-14)
     assert value.real == pytest.approx(1.0, rel=1e-12)  # (d-g)|g|/4 = 4/4
@@ -101,7 +100,7 @@ def test_second_moment_L_on_psi0_n2():
 def test_second_moments_match_between_L_and_A_on_psi0():
     sys2 = make_xn_system(2)
     psi0, _ = ground_states(sys2)
-    L, A = observable_L(sys2), observable_A(sys2)
+    L, A = _ladder_observables(sys2, 1)
     vL = expectation(sys2, L.compose(L), psi0).real
     vA = expectation(sys2, A.compose(A), psi0).real
     assert vL == pytest.approx(vA, rel=1e-13)
@@ -110,7 +109,7 @@ def test_second_moments_match_between_L_and_A_on_psi0():
 def test_expectations_match_quadrature_oracle():
     sys2 = make_xn_system(2)
     psi1 = eigenstate(sys2, PSI, 1)
-    L = observable_L(sys2)
+    L = _ladder_observables(sys2, 1)[0]
     got = expectation(sys2, L.compose(L), psi1)
     want = quad_expectation(L.compose(L), psi1.state)
     assert got.real == pytest.approx(want.real, rel=1e-10)
@@ -121,7 +120,7 @@ def test_commutator_LA_is_scaled_number_operator():
     # [L, A] x^k == i (gamma - delta)(a+a - gamma/2) x^k exactly
     for n in (1, 2, 3):
         sysn = make_xn_system(n)
-        L, A = observable_L(sysn), observable_A(sysn)
+        L, A = _ladder_observables(sysn, 1)
         comm = L.commutator_with(A)
         for k in (0, 2 * n - 1, 2 * n, 4 * n):
             mono = monomial_state(n, k)
@@ -139,7 +138,7 @@ def test_commutator_matches_the_difference_of_the_two_compositions():
     # i op and i op' give the real -[op, op']; one imaginary factor gives i [op, op']
     for n in (1, 2):
         sysn = make_xn_system(n, mutate="b-coeff") if n == 2 else make_xn_system(n)
-        exprs = [observable_L(sysn), observable_A(sysn), observable_A_tilde(sysn),
+        exprs = [*_ladder_observables(sysn, 1), _ladder_observables(sysn, 2)[1],
                  x_block(sysn, "12"), p_block(sysn, "21")]
         for x in exprs:
             for y in exprs:
@@ -202,16 +201,9 @@ def test_sector_guard_rejects_tilde_states():
         uncertainty_product_LA(sys2, tilde)
 
 
-def test_sigma_is_the_root_of_the_variance():
-    sys2 = make_xn_system(2)
-    rec = eigenstate(sys2, PSI, 1)
-    for expr in (observable_L(sys2), observable_A(sys2)):
-        assert uncertainty.sigma(sys2, expr, rec) == math.sqrt(variance(sys2, expr, rec)) > 0
-
-
 def test_matrix_element_refuses_other_families():
     sys2 = make_xn_system(2)
-    obs = observable_L(sys2)
+    obs = _ladder_observables(sys2, 1)[0]
     for f, g in ((monomial_state(1, 0), monomial_state(2, 0)), (monomial_state(2, 0), monomial_state(3, 0))):
         with pytest.raises(FamilyMismatchError):
             matrix_element(sys2, obs, f, g)
@@ -220,7 +212,7 @@ def test_matrix_element_refuses_other_families():
 def test_variance_nonnegative_and_imag_parts_cancel():
     sys3 = make_xn_system(3)
     rec = eigenstate(sys3, PHI, 2)
-    for expr in (observable_L(sys3), observable_A(sys3)):
+    for expr in _ladder_observables(sys3, 1):
         assert variance(sys3, expr, rec) >= 0
         exact = expectation_exact(sys3, expr, rec)
         assert not expr.imaginary or exact.is_zero
@@ -390,27 +382,27 @@ def test_direct_sum_state_record_semantics():
 
 def test_operator_expression_and_matrix_element_records():
     sys2 = make_xn_system(2)
-    obs = observable_L(sys2)
-    assert obs == observable_L(sys2) and hash(obs) == hash(observable_L(sys2))
+    obs, again = _ladder_observables(sys2, 1)[0], _ladder_observables(sys2, 1)[0]
+    assert obs == again and hash(obs) == hash(again)
     assert obs == OperatorExpression(obs.name, obs.op, obs.imaginary, obs.sector)
     assert obs == OperatorExpression(name="L", op=obs.op, sector=1)
     assert obs != OperatorExpression("L", obs.op)
     assert obs != OperatorExpression("L", obs.op, True, 1)
-    assert obs != observable_L_tilde(sys2)
+    assert obs != _ladder_observables(sys2, 2)[0]
     with pytest.raises(AttributeError):
         obs.name = "L2"
     assert repr(obs) == f"OperatorExpression(name='L', op={obs.op!r}, imaginary=False, sector=1)"
     psi0, _ = ground_states(sys2)
     element = matrix_element(sys2, obs.compose(obs), psi0.state, psi0.state)
     assert isinstance(element, GammaVector) and not element.is_zero
-    assert element == matrix_element(sys2, obs.compose(observable_L(sys2)), psi0.state, psi0.state)
+    assert element == matrix_element(sys2, obs.compose(again), psi0.state, psi0.state)
     assert element == inner_product(psi0.state, obs.op.apply(obs.op.apply(psi0.state)))
 
 
 def test_compose_multiplies_phases():
     # (iK)(iK) = -K K is real; i K M and K i M are imaginary
     sys2 = make_xn_system(2)
-    obs_l, obs_a = observable_L(sys2), observable_A(sys2)
+    obs_l, obs_a = _ladder_observables(sys2, 1)
     square = obs_a.compose(obs_a)
     assert obs_a.imaginary and not square.imaginary
     assert square.op == -(obs_a.op @ obs_a.op)
@@ -424,7 +416,7 @@ def test_compose_multiplies_phases():
 def test_minus_rejects_mixed_phases():
     # L - A would be neither real nor imaginary: no single Operator holds it
     sys2 = make_xn_system(2)
-    obs_l, obs_a = observable_L(sys2), observable_A(sys2)
+    obs_l, obs_a = _ladder_observables(sys2, 1)
     with pytest.raises(ValueError, match="neither real nor imaginary"):
         obs_l.minus(obs_a)
     with pytest.raises(ValueError, match="neither real nor imaginary"):
@@ -529,7 +521,7 @@ def test_record_and_bare_state_give_identical_floats(n, sector):
         assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict(), m
     rec = eigenstate(system, sector, 4)
     if not sector.is_tilde:
-        obs = observable_L(system)
+        obs = _ladder_observables(system, 1)[0]
         assert expectation(system, obs, rec) == expectation(system, obs, rec.state)
         assert variance(system, obs, rec) == variance(system, obs, rec.state)
     # direct sums keep records, so X,P takes their norm_sq as well
@@ -570,7 +562,7 @@ def test_records_of_a_proved_system_compose_and_apply_nothing(monkeypatch):
 
     for name in ("apply", "__matmul__", "_commutator"):
         monkeypatch.setattr(Operator, name, refuse)
-    monkeypatch.setattr(uncertainty, "inner_product", refuse)
+    monkeypatch.setattr(_oracle, "inner_product", refuse)
     for system in systems:
         for (n, sector, m), rec in records.items():
             if n == system.n:
@@ -641,7 +633,7 @@ def test_the_table_over_a_denominator_matches_the_composition(n, c):
         product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
         for m in range(sector.first_level, 9):
             rec = eigenstate(system, sector, m)
-            composed = uncertainty._composed_sector(system, rec, 1 + sector.is_tilde)
+            composed = _oracle._composed_sector(system, rec, 1 + sector.is_tilde)
             assert uncertainty._table_sector(system, rec) == composed
             assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
     for first, second in [(PSI, PSI_T), (PSI, PHI_T), (PHI, PSI_T), (PHI, PHI_T)]:
@@ -651,7 +643,7 @@ def test_the_table_over_a_denominator_matches_the_composition(n, c):
                     one = eigenstate(system, first, i) if w1 else None
                     two = eigenstate(system, second, j) if w1 < 1 else None
                     state = direct_sum(one, w1, two, 1 - w1)
-                    assert uncertainty._table_xp(system, state) == uncertainty._composed_xp(system, state)
+                    assert uncertainty._table_xp(system, state) == _oracle._composed_xp(system, state)
                     bare = direct_sum(one and one.state, w1, two and two.state, 1 - w1)
                     assert (uncertainty_product_XP(system, state).to_json_dict()
                             == uncertainty_product_XP(system, bare).to_json_dict())
@@ -720,14 +712,14 @@ def test_the_table_assumes_no_adjoint(n):
     for sector in SectorLabel:
         for m in range(sector.first_level, 7):
             rec = eigenstate(system, sector, m)
-            composed = uncertainty._composed_sector(system, rec, 1 + sector.is_tilde)
+            composed = _oracle._composed_sector(system, rec, 1 + sector.is_tilde)
             assert uncertainty._table_sector(system, rec) == composed
     for i in range(5):
         for first, second in [(PSI, PSI_T), (PHI, PHI_T), (PSI, PHI_T)]:
             for j in range(second.first_level, 5):
                 state = direct_sum(eigenstate(system, first, i), Fraction(1, 3), eigenstate(system, second, j),
                                    Fraction(2, 3))
-                assert uncertainty._table_xp(system, state) == uncertainty._composed_xp(system, state)
+                assert uncertainty._table_xp(system, state) == _oracle._composed_xp(system, state)
     if n == 2:  # the bare psi_0 + psi_1 still misses its bound: a+ is not the adjoint of 2a
         bare = eigenstate(system, PSI, 0).state + eigenstate(system, PSI, 1).state
         result = uncertainty_product_LA(system, bare)
@@ -744,7 +736,7 @@ def test_the_table_needs_the_b_dagger_row(n):
                                generators=(a, adag, b.scale(2), bdag))
     assert not towers._proved(system)
     rec = eigenstate(system, PHI, 2)
-    assert uncertainty._table_sector(system, rec) != uncertainty._composed_sector(system, rec, 1)
+    assert uncertainty._table_sector(system, rec) != _oracle._composed_sector(system, rec, 1)
     composed = uncertainty_product_LA(system, rec.state).to_json_dict()
     assert uncertainty_product_LA(system, rec).to_json_dict() == composed
 
@@ -756,13 +748,13 @@ def test_xp_norms_come_from_records(monkeypatch, as_records):
     if not as_records:
         psi, phi_t = psi.state, phi_t.state
     norm_products = []
-    real = uncertainty.inner_product
+    real = _oracle.inner_product
 
     def counting(f, g):
         norm_products.append(f is g)
         return real(f, g)
 
-    monkeypatch.setattr(uncertainty, "inner_product", counting)
+    monkeypatch.setattr(_oracle, "inner_product", counting)
     uncertainty_product_XP(system, direct_sum(psi, Fraction(1, 2), phi_t, Fraction(1, 2)))
     assert sum(norm_products) == (0 if as_records else 2)
 
@@ -814,8 +806,7 @@ def test_exact_ratios_match_evaluated_quotients(n, sector, m):
     # the quotient of the two GammaVectors evaluated in floats
     system = make_xn_system(n)
     rec = eigenstate(system, sector, m)
-    obs_l = observable_L_tilde(system) if sector.is_tilde else observable_L(system)
-    obs_a = observable_A_tilde(system) if sector.is_tilde else observable_A(system)
+    obs_l, obs_a = _ladder_observables(system, 1 + sector.is_tilde)
     outer, inner = ("21", "12") if sector.is_tilde else ("12", "21")
     exprs = [obs_l, obs_a, obs_l.compose(obs_l), obs_a.compose(obs_a), obs_l.commutator_with(obs_a)]
     exprs += [block(system, outer).compose(block(system, inner)) for block in (x_block, p_block)]
@@ -837,18 +828,18 @@ def test_uncertain_sign_never_passes(monkeypatch):
     # takes seconds), which keeps each interval wide at every step.
     v, w = GammaVector(2, {1: 1, 3: 1}), GammaVector(2, {1: 2, 3: 1})
     assert v.rational_ratio(w) is None
-    bits, real = [], uncertainty.evaluate_gamma_vector_mp
+    bits, real = [], _oracle.evaluate_gamma_vector_mp
 
     def at_64_bits(vector, prec_bits):
         bits.append(prec_bits)
         return real(vector, 64)
 
-    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", at_64_bits)
-    passed, (gap,) = uncertainty._decide(lambda ratio: (ratio(v, w) - ratio(v, w),) * 2)
+    monkeypatch.setattr(_oracle, "evaluate_gamma_vector_mp", at_64_bits)
+    passed, (gap,) = _oracle._decide(lambda ratio: (ratio(v, w) - ratio(v, w),) * 2)
     assert passed is False and gap.a < 0 < gap.b
     assert sorted(set(bits)) == [64, 128, 256, 512, 1024, 2048, 4096]
     # the same formula over Fractions is exactly 0 and passes
-    assert uncertainty._decide(lambda ratio: (ratio(w, w) - 1,) * 2) == (True, [Fraction(0)])
+    assert _oracle._decide(lambda ratio: (ratio(w, w) - 1,) * 2) == (True, [Fraction(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +859,7 @@ def exact_gap(system, state):
     def var(obs):
         return ratio(obs.compose(obs)) - ratio(obs) ** 2
 
-    obs_l, obs_a = observable_L(system), observable_A(system)
+    obs_l, obs_a = _ladder_observables(system, 1)
     return var(obs_l) * var(obs_a) - ratio(obs_l.commutator_with(obs_a)) ** 2 / 4
 
 
@@ -918,7 +909,7 @@ def test_records_evaluate_no_gamma_value(monkeypatch):
     def refuse(*_):
         raise AssertionError("a Gamma value was evaluated")
 
-    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", refuse)
+    monkeypatch.setattr(_oracle, "evaluate_gamma_vector_mp", refuse)
     for n in (1, 2, 3):
         system = make_xn_system(n)
         psi0, phi_t0 = eigenstate(system, PSI, 0), eigenstate(system, PHI_T, 0)
@@ -934,13 +925,13 @@ def test_two_symbol_state_takes_certified_route(monkeypatch, n, want):
     system = make_xn_system(n)
     bare = eigenstate(system, PSI, 1).state + eigenstate(system, PHI, 0).state
     bits = []
-    real = uncertainty.evaluate_gamma_vector_mp
+    real = _oracle.evaluate_gamma_vector_mp
 
     def counting(v, prec_bits):
         bits.append(prec_bits)
         return real(v, prec_bits)
 
-    monkeypatch.setattr(uncertainty, "evaluate_gamma_vector_mp", counting)
+    monkeypatch.setattr(_oracle, "evaluate_gamma_vector_mp", counting)
     result = uncertainty_product_LA(system, bare)
     assert bits and set(bits) == {64}
     assert result.passed and result.product > result.bound
@@ -982,12 +973,6 @@ def test_pair_table_observables_match_hand_written_words(n):
         for slot in mutation_slots(base)
         for delta in (Fraction(1), Fraction(-1), HALF)
     ]
-    builders = [
-        (observable_L, ref_observable_L),
-        (observable_A, ref_observable_A),
-        (observable_L_tilde, ref_observable_L_tilde),
-        (observable_A_tilde, ref_observable_A_tilde),
-    ]
+    refs = (ref_observable_L, ref_observable_A, ref_observable_L_tilde, ref_observable_A_tilde)
     for system in systems:
-        for build, ref in builders:
-            assert build(system) == ref(system)
+        assert [*_ladder_observables(system, 1), *_ladder_observables(system, 2)] == [ref(system) for ref in refs]
