@@ -1,15 +1,15 @@
 """Batch command-line interface.
 
-Subcommands: verify | spectrum | eigenfunctions | coherent | uncertainty.
-Every run reads flags, then an optional flat key=value config file, then
-defaults (flags win).  Reports are JSON or CSV, written atomically; exit
-codes are 0 for success, 1 for verification failure, 2 for invalid
-configuration.
+Subcommands: verify | spectrum | eigenfunctions | coherent | uncertainty,
+their flags one table (_TABLE) that the parser, -h/--help and the config
+keys read.  Every run reads flags, then an optional flat key=value config
+file, then defaults (flags win).  Reports are JSON or CSV, written
+atomically; exit codes are 0 for success, 1 for verification failure, 2
+for invalid configuration, a malformed argv included, with one error line.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import math
 import sys
@@ -70,11 +70,110 @@ class ConfigError(Exception):
 
 #: Flag name -> SectorLabel value.
 _SECTORS = {"psi": "psi", "phi": "phi", "psitilde": "psi~", "phitilde": "phi~"}
-#: The choices of --format and --pair; a config file value is held to them too.
-_FORMATS = ("json", "csv")
-_PAIRS = ("la", "tilde", "xp", "all")
 #: The values of the switch fd, taken case-insensitively: the first three turn it on.
 _SWITCH = ("1", "true", "yes", "0", "false", "no")
+
+_COMMON = (
+    ("n", int, None, "family index (default 2)"),
+    ("tol", float, None, "coherent tolerance (default 1e-12)"),
+    ("out", str, None, "output file (default stdout)"),
+    ("format", str, ("json", "csv"), "report format (default json)"),
+    ("config", str, None, "flat key=value config file"),
+)
+_SECTOR = ("sector", str, tuple(_SECTORS), "tower (default psi)")
+
+#: Each command's help line and flags (dest, type, choices, help): flag --d
+#: (each _ of dest d written -) and config key d, whose values are cast by
+#: the type and held to the choices.  Type None is a switch: the flag stores
+#: "yes", a config value is a choice in any case.  Help None hides a flag.
+_TABLE = {
+    "verify": ("check the defining and su(1,1) identities", _COMMON + (
+        ("window_lo", int, None, "lowest exponent checked (default -2n-10)"),
+        ("window_hi", int, None, "highest exponent checked (default 4n+30)"),
+        ("mutate", str, None, None))),
+    "spectrum": ("ladder eigenvalues plus Galerkin (and optional FD)", _COMMON + (
+        ("count", int, None, "number of eigenvalues (default 6)"),
+        ("galerkin_size", int, None, "basis size per sector"),
+        ("fd", None, _SWITCH, "also run the finite-difference check"),
+        ("fd_half_width", float, None, "FD box half width"),
+        ("fd_grid", int, None, "FD grid points"))),
+    "eigenfunctions": ("sample normalised eigenfunctions on a grid", _COMMON + (
+        _SECTOR,
+        ("m", int, None, "tower level (default 0)"),
+        ("grid", str, None, "lo:hi:count (default -4:4:401)"))),
+    "coherent": ("build a coherent state and verify half-lowering", _COMMON + (
+        _SECTOR,
+        ("z", str, None, "displacement parameter, |z| < 1 (default 0.5)"))),
+    "uncertainty": ("uncertainty products and Robertson bounds", _COMMON + (
+        ("state", str, None, "ground | <sector>:<m> | mixed (equal psi0 / phi~0 mixture)"),
+        ("pair", str, ("la", "tilde", "xp", "all"), "observable pairs (default: the state's own)"))),
+}
+#: Config key -> (type, choices): any command's flags, so one file can serve several commands.
+_CONFIG_KEYS = {dest: (cast, choices) for _, flags in _TABLE.values() for dest, cast, choices, _ in flags}
+_HELP = ("-h", "--help")
+
+
+def _parse(argv):
+    """(command, {dest: value}) of an argv, read off _TABLE; (command or None, None) asks for help.
+
+    A flag takes --flag value or --flag=value, the value may start with -,
+    and the last repeat of a flag wins.  Every malformed argv is a ConfigError.
+    """
+    if not argv or argv[0] not in _TABLE:
+        if argv and argv[0] in _HELP:
+            return None, None
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise ConfigError(f"{what} (choose from {', '.join(_TABLE)})")
+    command, *rest = argv
+    flags = {"--" + row[0].replace("_", "-"): row for row in _TABLE[command][1]}
+    values, tokens = {}, iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise ConfigError(f"{command} has no flag {name}" if token.startswith("-")
+                              else f"unexpected argument {token!r}")
+        dest, cast, choices, _ = flags[name]
+        if cast is None:
+            if eq:
+                raise ConfigError(f"{name} is a switch and takes no value")
+            values[dest] = "yes"
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.partition("=")[0] in flags:
+                raise ConfigError(f"{name} needs a value")
+        values[dest] = _cast(name, value, cast, choices)
+    return command, values
+
+
+def _cast(name, text, cast, choices):
+    """The value of a flag or config key `name` from its text, held to its choices."""
+    try:
+        value = cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: invalid {cast.__name__} value {text!r}") from exc
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{name}: invalid choice {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _help(command) -> str:
+    """The --help text of one command, its shown flags a row each, or with None of the program."""
+    if command is None:
+        head = "<command> [flags]\n\nExact and numerical workbench for x^n coupled SUSY systems."
+        rows = [(name, line) for name, (line, _) in _TABLE.items()]
+        tail = "\ncoupledsusy <command> --help lists the flags of a command.\n"
+    else:
+        about, flags = _TABLE[command]
+        head, rows, tail = f"{command} [flags]\n\n{about}", [], ""
+        for dest, cast, choices, text in flags:
+            if text is not None:
+                value = "" if cast is None else " {" + ",".join(choices) + "}" if choices else " " + dest.upper()
+                rows.append(("--" + dest.replace("_", "-") + value, text))
+    width = max(len(left) for left, _ in rows) + 2
+    return "".join([f"usage: coupledsusy {head}\n\n", *[f"  {left:<{width}}{text}\n" for left, text in rows], tail])
 
 
 def _load_config_file(path, keys):
@@ -98,21 +197,15 @@ def _load_config_file(path, keys):
     return values
 
 
-def _merge(args, config, key, cast, default, choices=None):
-    """flags > config file > defaults; a config value is held to the flag's choices"""
+def _merge(args, config, key, default):
+    """flags > config file > defaults; a config value is cast and held to its flag's choices (_TABLE)"""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in config:
-        try:
-            value = cast(config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-        if choices is not None and value not in choices:
-            raise ConfigError(f"config key {key}: invalid choice {value!r} "
-                              f"(choose from {', '.join(map(repr, choices))})")
-        return value
-    return default
+    if key not in config:
+        return default
+    cast, choices = _CONFIG_KEYS[key]
+    return _cast(f"config key {key}", config[key], cast or str.lower, choices)
 
 
 def _parse_complex(text) -> complex:
@@ -153,61 +246,9 @@ def _grid_points(lo, hi, count):
     return xs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coupledsusy",
-        description="Exact and numerical workbench for x^n coupled SUSY systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, default=None, help="family index (default 2)")
-        p.add_argument("--tol", type=float, default=None, help="coherent tolerance (default 1e-12)")
-        p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=_FORMATS, default=None)
-        p.add_argument("--config", type=str, default=None, help="flat key=value config file")
-
-    p_verify = sub.add_parser("verify", help="check the defining and su(1,1) identities")
-    common(p_verify)
-    p_verify.add_argument("--window-lo", type=int, default=None)
-    p_verify.add_argument("--window-hi", type=int, default=None)
-    p_verify.add_argument("--mutate", type=str, default=None, help=argparse.SUPPRESS)
-
-    p_spec = sub.add_parser("spectrum", help="ladder eigenvalues plus Galerkin (and optional FD)")
-    common(p_spec)
-    p_spec.add_argument("--count", type=int, default=None, help="number of eigenvalues")
-    p_spec.add_argument("--galerkin-size", type=int, default=None, help="basis size per sector")
-    p_spec.add_argument("--fd", action="store_const", const="yes", help="also run the finite-difference check")
-    p_spec.add_argument("--fd-half-width", type=float, default=None)
-    p_spec.add_argument("--fd-grid", type=int, default=None)
-
-    p_eig = sub.add_parser("eigenfunctions", help="sample normalised eigenfunctions on a grid")
-    common(p_eig)
-    p_eig.add_argument("--sector", choices=sorted(_SECTORS), default=None)
-    p_eig.add_argument("--m", type=int, default=None, help="tower level")
-    p_eig.add_argument("--grid", type=str, default=None, help="lo:hi:count")
-
-    p_coh = sub.add_parser("coherent", help="build a coherent state and verify half-lowering")
-    common(p_coh)
-    p_coh.add_argument("--sector", choices=sorted(_SECTORS), default=None)
-    p_coh.add_argument("--z", type=str, default=None, help="displacement parameter, |z| < 1")
-
-    p_unc = sub.add_parser("uncertainty", help="uncertainty products and Robertson bounds")
-    common(p_unc)
-    p_unc.add_argument(
-        "--state",
-        type=str,
-        default=None,
-        help="ground | <sector>:<m> | mixed (equal psi0 / phi~0 mixture)",
-    )
-    p_unc.add_argument("--pair", choices=_PAIRS, default=None)
-
-    return parser
-
-
 def _emit(args, config, payload, csv_header=None, csv_rows=None):
-    out_format = _merge(args, config, "format", str, "json", _FORMATS)
-    out_path = _merge(args, config, "out", str, None)
+    out_format = _merge(args, config, "format", "json")
+    out_path = _merge(args, config, "out", None)
     if out_format == "csv":
         if csv_header is None:
             raise ConfigError("this command has no CSV representation")
@@ -224,7 +265,7 @@ def _emit(args, config, payload, csv_header=None, csv_rows=None):
 
 
 def _common_values(args, config):
-    n = _merge(args, config, "n", int, 2)
+    n = _merge(args, config, "n", 2)
     if n < 1:
         raise ConfigError("family index n must be >= 1")
     return n
@@ -232,13 +273,13 @@ def _common_values(args, config):
 
 def cmd_verify(args, config) -> int:
     n = _common_values(args, config)
-    mutate = _merge(args, config, "mutate", str, None)
+    mutate = _merge(args, config, "mutate", None)
     try:
         system = make_xn_system(n, mutate=mutate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lo, hi = default_window(n)  # a bound not given keeps its default
-    lo, hi = _merge(args, config, "window_lo", int, lo), _merge(args, config, "window_hi", int, hi)
+    lo, hi = _merge(args, config, "window_lo", lo), _merge(args, config, "window_hi", hi)
     window = range(lo, hi + 1)
     if not window:
         raise ConfigError("verification window is empty")
@@ -258,17 +299,17 @@ def cmd_verify(args, config) -> int:
 
 def cmd_spectrum(args, config) -> int:
     n = _common_values(args, config)
-    count = _merge(args, config, "count", int, 6)
+    count = _merge(args, config, "count", 6)
     if count < 1:
         raise ConfigError("count must be >= 1")
-    size = _merge(args, config, "galerkin_size", int, max(4, (count + 1) // 2 + 2))
+    size = _merge(args, config, "galerkin_size", max(4, (count + 1) // 2 + 2))
     if size < 1:
         raise ConfigError("galerkin-size must be >= 1")
     fd = None
-    if _merge(args, config, "fd", str.lower, "no", _SWITCH) in _SWITCH[:3]:
+    if _merge(args, config, "fd", "no") in _SWITCH[:3]:
         default_width, default_grid = spectral.FD_REFERENCE_GRID[min(n, 3)]
-        half_width = _merge(args, config, "fd_half_width", float, default_width)
-        grid = _merge(args, config, "fd_grid", int, default_grid)
+        half_width = _merge(args, config, "fd_half_width", default_width)
+        grid = _merge(args, config, "fd_grid", default_grid)
         try:  # before the Galerkin solve, so a bad FD input costs nothing
             fd = spectral.fd_spectrum(n, half_width, grid, count=count)
         except ValueError as exc:
@@ -295,9 +336,9 @@ def cmd_spectrum(args, config) -> int:
 
 def cmd_eigenfunctions(args, config) -> int:
     n = _common_values(args, config)
-    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi", _SECTORS)])
-    m = _merge(args, config, "m", int, 0)
-    lo, hi, count = _parse_grid(_merge(args, config, "grid", str, "-4:4:401"))
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", "psi")])
+    m = _merge(args, config, "m", 0)
+    lo, hi, count = _parse_grid(_merge(args, config, "grid", "-4:4:401"))
     system = make_xn_system(n)
     try:
         record = towers.eigenstate(system, sector, m)
@@ -306,7 +347,7 @@ def cmd_eigenfunctions(args, config) -> int:
     xs = _grid_points(lo, hi, count)
     values = towers.normalized_samples(record, xs)
     payload = None
-    if _merge(args, config, "format", str, "json", _FORMATS) != "csv":
+    if _merge(args, config, "format", "json") != "csv":
         try:
             exact = record.to_json_dict()
         except ValueError as exc:  # an int past Python's int-to-text digit limit
@@ -324,11 +365,11 @@ def cmd_eigenfunctions(args, config) -> int:
 
 def cmd_coherent(args, config) -> int:
     n = _common_values(args, config)
-    tol = _merge(args, config, "tol", float, 1e-12)
+    tol = _merge(args, config, "tol", 1e-12)
     if not tol > 0:
         raise ConfigError("tolerance must be positive")
-    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", str, "psi", _SECTORS)])
-    z = _parse_complex(_merge(args, config, "z", str, "0.5"))
+    sector = towers.SectorLabel(_SECTORS[_merge(args, config, "sector", "psi")])
+    z = _parse_complex(_merge(args, config, "z", "0.5"))
     system = make_xn_system(n)
     # RuntimeError: the truncation of the state, or of the state its
     # half-lowering lands on, did not converge because |z| is too close to 1.
@@ -378,9 +419,9 @@ def _resolve_state(system, text):
 def cmd_uncertainty(args, config) -> int:
     n = _common_values(args, config)
     system = make_xn_system(n)
-    descriptor = _merge(args, config, "state", str, "ground")
+    descriptor = _merge(args, config, "state", "ground")
     kind, state = _resolve_state(system, descriptor)
-    pair = _merge(args, config, "pair", str, None, _PAIRS)
+    pair = _merge(args, config, "pair", None)
     if pair is None:
         pair = "xp" if kind == "xp" else "auto"
     results = []
@@ -426,40 +467,14 @@ _COMMANDS = {
 }
 
 
-def _join_value_flags(argv):
-    """Glue values onto flags whose arguments may start with '-' (--z -0.3)."""
-    joined = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--grid", "--z") and i + 1 < len(argv):
-            joined.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_join_value_flags(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            # any command's keys, so one file can serve several commands
-            keys = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}
-            config = _load_config_file(args.config, keys - {"command"})
-        except ConfigError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-    try:
-        return _COMMANDS[args.command](args, config)
+        command, values = _parse(list(sys.argv[1:] if argv is None else argv))
+        if values is None:
+            sys.stdout.write(_help(command))
+            return 0
+        config = _load_config_file(values["config"], _CONFIG_KEYS) if values.get("config") else {}
+        return _COMMANDS[command](types.SimpleNamespace(command=command, **values), config)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

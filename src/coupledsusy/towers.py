@@ -473,13 +473,44 @@ def gram_matrix(records) -> list:
 
 
 def _gram(states: list, diagonal: list) -> list:
-    """Rows of <a, b> over the states, diagonal[i] at (i, i): one triangle off it, mirrored."""
+    """Rows of <a, b> over the states, diagonal[i] at (i, i): one triangle off it, mirrored.
+
+    A pair whose keys (_gram_key) decide it is the exact zero, with no
+    product: two Laguerre forms of one p and one half power but different j,
+    by Laguerre orthogonality (DLMF 18.3; p >= 0 makes beta > -1), and an
+    all-even state against an all-odd one with no negative exponent sum,
+    since every term pair integrates an odd power.  inner_product gives
+    that same zero; every other pair takes it.
+    """
+    keys = [_gram_key(s) for s in states]
+    zero = GammaVector(states[0].n, {}) if states else None
     rows = [[None] * len(states) for _ in states]
     for i, a in enumerate(states):
         rows[i][i] = diagonal[i]
         for j in range(i + 1, len(states)):
-            rows[i][j] = rows[j][i] = inner_product(a, states[j])
+            rows[i][j] = rows[j][i] = zero if _vanishes(keys[i], keys[j]) else inner_product(a, states[j])
     return rows
+
+
+def _gram_key(state: GaussPolyState):
+    """(lowest exponent, the parity of every exponent or None, half power, j of _laguerre_form or None);
+    None for the zero state."""
+    if state.is_zero:
+        return None
+    parities, form = {k & 1 for k in state.nums}, _laguerre_form(state)
+    return (min(state.nums), parities.pop() if len(parities) == 1 else None, state.half_power,
+            None if form is None else form[2])
+
+
+def _vanishes(u, v) -> bool:
+    """Whether the product of two states is 0 by their _gram_keys alone (a Laguerre form's p is its
+    lowest exponent)."""
+    if u is None or v is None:
+        return False
+    (low, parity, half, j), (low2, parity2, half2, j2) = u, v
+    if None not in (j, j2) and (low, half) == (low2, half2) and j != j2:
+        return True
+    return None not in (parity, parity2) and parity != parity2 and low + low2 >= 0
 
 
 def _laguerre_parameters(record: EigenstateRecord):

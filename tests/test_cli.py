@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
-import argparse
 import hashlib
 import json
 import math
@@ -18,6 +17,8 @@ from coupledsusy import cli, reports, towers
 from coupledsusy.cli import main
 from coupledsusy.reports import format_float
 from coupledsusy.systems import make_xn_system
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv, capsys):
@@ -403,10 +404,8 @@ CONFIG_KEYS = [
 
 
 def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {a.dest for p in commands.choices.values() for a in p._actions} - {"help"}
-    assert sorted(dests) == CONFIG_KEYS
+    dests = {dest for _, flags in cli._TABLE.values() for dest, _, _, _ in flags}
+    assert sorted(dests) == CONFIG_KEYS and list(cli._TABLE) == list(cli._COMMANDS)
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{key} = x\n" for key in CONFIG_KEYS) + "fd-grid = y\n")
     seen = {}
@@ -419,6 +418,70 @@ def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, name, record)
         assert main([name, "--config", str(config)]) == 0
     assert seen == dict.fromkeys(cli._COMMANDS, {**dict.fromkeys(CONFIG_KEYS, "x"), "fd_grid": "y"})
+
+
+#: One argv of every malformed class, as text, and the start of its one error line.
+MALFORMED = [
+    ("", "missing command (choose from verify, spectrum, eigenfunctions, coherent, uncertainty)"),
+    ("verfy --n 2", "unknown command 'verfy' (choose from "),
+    ("--n 2 verify", "unknown command '--n' (choose from "),
+    ("verify --bogus 1", "verify has no flag --bogus"),
+    ("verify --win 3", "verify has no flag --win"),  # no abbreviations
+    ("verify -n 2", "verify has no flag -n"),
+    ("verify --count 3", "verify has no flag --count"),  # a flag of spectrum
+    ("verify --n 2 3", "unexpected argument '3'"),
+    ("verify --n", "--n needs a value"),
+    ("verify --out --n 2", "--out needs a value"),
+    ("verify --n x", "--n: invalid int value 'x'"),
+    ("verify --n=2.5", "--n: invalid int value '2.5'"),
+    ("coherent --tol tiny", "--tol: invalid float value 'tiny'"),
+    ("spectrum --fd-half-width=", "--fd-half-width: invalid float value ''"),
+    ("verify --format xml", "--format: invalid choice 'xml' (choose from 'json', 'csv')"),
+    ("coherent --sector=chi", "--sector: invalid choice 'chi' (choose from "),
+    ("uncertainty --pair lx", "--pair: invalid choice 'lx' (choose from "),
+    ("spectrum --fd=1", "--fd is a switch and takes no value"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED, ids=[argv or "no-command" for argv, _ in MALFORMED])
+def test_every_malformed_argv_is_one_error_line(argv, message, capsys):
+    # parsed before any command runs: exit 2, nothing on stdout, one line on stderr
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    ("coherent --z -0.3+0.2j", "z", "-0.3+0.2j"),
+    ("coherent --z=-0.3+0.2j", "z", "-0.3+0.2j"),
+    ("eigenfunctions --grid -4:4:401", "grid", "-4:4:401"),
+    ("eigenfunctions --grid=-4:4:401", "grid", "-4:4:401"),
+    ("verify --window-lo -5", "window_lo", -5),
+    ("spectrum --fd-half-width -3", "fd_half_width", -3.0),
+    ("verify --n 2 --n=3", "n", 3),  # the last repeat wins
+    ("spectrum --fd --fd", "fd", "yes"),
+])
+def test_values_may_start_with_a_dash(argv, dest, value):
+    argv = argv.split()
+    assert cli._parse(argv) == (argv[0], {dest: value})
+
+
+def test_help_lists_every_command_and_every_shown_flag():
+    top = subprocess.run([sys.executable, "-m", "coupledsusy.cli", "--help"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    assert top.stderr == "" and top.stdout.startswith("usage: coupledsusy <command>")
+    assert all(f"  {name} " in top.stdout for name in cli._TABLE)
+    for name, (_, flags) in cli._TABLE.items():
+        for argv in ([name, "-h"], [name, "--n", "2", "--help"]):
+            done = subprocess.run([sys.executable, "-m", "coupledsusy.cli", *argv], capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+            assert done.stderr == "" and done.stdout.startswith(f"usage: coupledsusy {name} ")
+            shown = {dest for dest, _, _, text in flags if text is not None}
+            assert shown == {dest for dest, *_ in flags} - {"mutate"}
+            for dest in shown:
+                assert f"  --{dest.replace('_', '-')}" in done.stdout, (name, dest)
+            assert "--mutate" not in done.stdout
 
 
 @pytest.mark.parametrize(
@@ -703,7 +766,7 @@ print(" ".join(float(v).hex() for v in values))
 def test_eigenfunction_bytes_do_not_depend_on_numpy_dispatch(disabled):
     command, _ = next(pin for pin in README_GOLDEN if pin[0].startswith("eigenfunctions"))
     assert command.split()[:5] == ["eigenfunctions", "--n", "2", "--m", "3"] and "-4:4:401" in command
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled

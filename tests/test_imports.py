@@ -5,8 +5,10 @@ the submodules it calls, since a cold CLI process otherwise spends most
 of its time compiling the package's source.  mpmath loads only on the
 routes that compute with it, numpy and scipy on no CLI route.  The
 package itself loads neither dataclasses nor inspect, which cost a cold
-CLI process tens of milliseconds.  Each check runs in a fresh
-interpreter, since the test process itself has long since imported them.
+CLI process tens of milliseconds, and the CLI, which reads its flags off
+one table, loads none of argparse, gettext and locale.  Each check runs
+in a fresh interpreter, since the test process itself has long since
+imported them.
 """
 
 import os
@@ -19,13 +21,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _REPORT = """
 import sys
-_WATCHED = ("numpy", "scipy", "scipy.linalg", "mpmath", "dataclasses", "inspect")
+_WATCHED = ("numpy", "scipy", "scipy.linalg", "mpmath", "dataclasses", "inspect", "argparse", "gettext", "locale")
 print(" ".join(m for m in _WATCHED if m in sys.modules))
 """
 
 
 def loaded_after(code):
-    """Which of numpy, scipy, scipy.linalg, mpmath, dataclasses and inspect a fresh interpreter holds."""
+    """Which of the watched modules (_REPORT) a fresh interpreter holds after running `code`."""
     result = subprocess.run(
         [sys.executable, "-c", code + _REPORT],
         env=dict(os.environ, PYTHONPATH=SRC),

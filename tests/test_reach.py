@@ -38,6 +38,7 @@ RUNS = [
 ALLOWED = {
     "__init__.__dir__": "dir(coupledsusy), the lazy exports",
     "cli._load_config_file": "--config",
+    "cli._help": "-h and --help",
     "calculus.GaussPolyState.parse": "the text round trip",
     "calculus.GammaVector.parse": "the text round trip",
     "calculus.GammaVector.serialize": "the text round trip, and EigenstateRecord.to_json_dict",

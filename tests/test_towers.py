@@ -384,9 +384,7 @@ def test_proved_lemma_matches_the_full_product_reference(n):
 def test_the_proof_assumes_no_adjoint(n):
     # 2a and a+/2 leave a+a and aa+ as they are, so the system passes verify, but ||2a phi_0||^2 is
     # four times lambda^2 ||phi_0||^2: the proof reads the images' own norms and does not hold
-    a, adag, b, bdag = make_xn_system(n).generators
-    system = CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
-                               generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
+    system = _unproved(n)
     assert all_reports_pass(verify_coupled_susy(system) + verify_su11(system))
     assert not towers._proved(system)
     got = lemma_outcome(verify_lemma_half_lowering, system, 6)
@@ -685,10 +683,8 @@ def test_gram_8x8_exactly_diagonal_n2():
                 assert gram[i][j].is_zero
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 8])
-def test_gram_takes_the_diagonal_from_the_records(monkeypatch, k):
-    # k(k-1)/2 products off the diagonal, none on it: <r, r> is r.norm_sq
-    records = [eigenstate(make_xn_system(2), sector, m) for m in range(4) for sector in (PSI, PHI)][:k]
+def counted_products(monkeypatch):
+    """The (f, g) pairs towers.inner_product is called on from now on, in call order."""
     pairs = []
     real_product = towers.inner_product
 
@@ -697,9 +693,88 @@ def test_gram_takes_the_diagonal_from_the_records(monkeypatch, k):
         return real_product(f, g)
 
     monkeypatch.setattr(towers, "inner_product", counting_product)
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_gram_takes_the_diagonal_from_the_records(monkeypatch, k):
+    # <r, r> is r.norm_sq, and off the diagonal PSI and PHI records are one tower's levels
+    # (Laguerre orthogonality) or of opposite parity: no product at all.  Monomials x^(2nt) are
+    # Laguerre forms of distinct p, so there every one of the k(k-1)/2 pairs takes its product.
+    records = [eigenstate(make_xn_system(2), sector, m) for m in range(4) for sector in (PSI, PHI)][:k]
+    pairs = counted_products(monkeypatch)
     gram = gram_matrix(records)
-    assert len(pairs) == k * (k - 1) // 2 and all(f is not g for f, g in pairs)
+    assert pairs == []
     assert [gram[i][i] for i in range(k)] == [r.norm_sq for r in records]
+    assert all(gram[i][j] == GammaVector(2, {}) for i in range(k) for j in range(k) if i != j)
+    monomials = [monomial_state(2, 4 * t) for t in range(k)]
+    gram = towers._gram(monomials, list(range(k)))
+    assert len(pairs) == k * (k - 1) // 2 and all(f is not g for f, g in pairs)
+    assert [gram[i][i] for i in range(k)] == list(range(k))
+
+
+def _scaled(n: int, c: Fraction) -> CoupledSusySystem:
+    """The family's generators times c, gamma and delta times c^2: proved, over a den that is not 1."""
+    family = make_xn_system(n)
+    return CoupledSusySystem(n=n, gamma=family.gamma * c * c, delta=family.delta * c * c,
+                             generators=tuple(g.scale(c) for g in family.generators))
+
+
+def _unproved(n: int) -> CoupledSusySystem:
+    """(2a, a+/2, b, b+): it passes verify but not the tower proof (test_the_proof_assumes_no_adjoint)."""
+    a, adag, b, bdag = make_xn_system(n).generators
+    return CoupledSusySystem(n=n, gamma=Fraction(-1), delta=Fraction(2 * n - 1),
+                             generators=(a.scale(2), adag.scale(Fraction(1, 2)), b, bdag))
+
+
+def assert_gram_is_the_products(states, pairs, skipped):
+    """_gram over the states equals inner_product off the diagonal, and `skipped` of its pairs took
+    no product: `pairs` is the list of counted_products, emptied first."""
+    pairs.clear()
+    gram = towers._gram(states, [None] * len(states))
+    for i, j in itertools.permutations(range(len(states)), 2):
+        assert gram[i][j] == inner_product(states[i], states[j]), (i, j)
+    assert len(states) * (len(states) - 1) // 2 - len(pairs) == skipped
+
+
+def _records_by_half_power(system, top):
+    """The untilded and the tilde records of the system to level `top`: one half power in each list."""
+    return [[eigenstate(system, sector, m) for sector in SectorLabel if sector.is_tilde == tilde
+             for m in range(sector.first_level, top + 1)] for tilde in (False, True)]
+
+
+@pytest.mark.parametrize("system", [
+    *[pytest.param(make_xn_system(n), id=f"n{n}") for n in (1, 2, 3, 4)],
+    *[pytest.param(_scaled(n, c), id=f"n{n}-scaled-{c}") for n in (1, 2, 3)
+      for c in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))],
+    pytest.param(_unproved(2), id="unproved"),
+])
+def test_gram_zeros_are_the_products_on_records(system, monkeypatch):
+    # every pair of one half power is one tower's levels or of opposite parity: all skip the product
+    pairs = counted_products(monkeypatch)
+    for records in _records_by_half_power(system, 5):
+        k = len(records)
+        assert_gram_is_the_products([r.state for r in records], pairs, k * (k - 1) // 2)
+        assert gram_matrix(records) == towers._gram([r.state for r in records], [r.norm_sq for r in records])
+
+
+def test_gram_zeros_are_the_products_on_hand_built_states(monkeypatch):
+    n, pairs = 2, counted_products(monkeypatch)
+    even, odd = GaussPolyState(n, {0: 1, 2: 3}), GaussPolyState(n, {1: 1, 5: Fraction(2, 7)})
+    mixed, zero = GaussPolyState(n, {0: 1, 1: 1}), GaussPolyState(n, {})
+    psi2, phi1 = eigenstate(make_xn_system(n), PSI, 2).state, eigenstate(make_xn_system(n), PHI, 1).state
+    scaled = psi2.scale(Fraction(-5, 3))
+    # even/odd, even/phi1, odd/psi2, odd/scaled, phi1/psi2 and phi1/scaled skip; the rest take the product
+    assert_gram_is_the_products([even, odd, mixed, zero, psi2, phi1, scaled], pairs, 6)
+    psi0 = monomial_state(n, 0)  # Laguerre forms of p = 0, j = 0 and 2: orthogonal
+    assert_gram_is_the_products([psi0, psi2, scaled.scale_sqrt2(2)], pairs, 2)
+    # one p, odd combined half power: no zero without the product, which raises as inner_product does
+    with pytest.raises(ValueError, match="odd combined sqrt"):
+        towers._gram([psi0.scale_sqrt2(1), psi2], [None, None])
+    # opposite parities with a negative exponent sum: the product names the divergent term
+    with pytest.raises(DivergenceError):
+        towers._gram([GaussPolyState(n, {-2: 1, 0: 1}), odd], [None, None])
+    assert_gram_is_the_products([GaussPolyState(n, {-2: 1, 0: 1}), GaussPolyState(n, {3: 1})], pairs, 1)
 
 
 def test_gram_n1_hermite_norms():
