@@ -402,7 +402,7 @@ def _resolve_state(system, text):
     if text in ("ground", "psi:0"):
         return ("la", towers.eigenstate(system, towers.SectorLabel.PSI, 0))
     if text == "mixed":
-        psi0, _ = towers.ground_states(system)
+        psi0 = towers.eigenstate(system, towers.SectorLabel.PSI, 0)
         phi_t0 = towers.eigenstate(system, towers.SectorLabel.PHI_TILDE, 0)
         return ("xp", uncertainty.direct_sum(psi0, Fraction(1, 2), phi_t0, Fraction(1, 2)))
     name, _, level = text.partition(":")

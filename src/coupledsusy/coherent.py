@@ -121,8 +121,6 @@ def coherent_state(
     zsq = abs(z) ** 2
     prefactor = (1.0 - zsq) ** float(k)
     coeffs = [complex(prefactor)]
-    if z == 0:
-        return CoherentState(sector, k, z, m_start, (complex(prefactor),), 0.0)
 
     def tail_bound_after(index_m):
         sup = 1.0 if two_k <= 1.0 else (index_m + two_k) / (index_m + 1.0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 
 
@@ -51,11 +50,17 @@ def dumps(payload) -> str:
 
 
 def atomic_write_text(path: str, text: str):
+    """Write text to a temporary sibling renamed over path; a new file gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    tmp = os.path.join(directory, f".tmp-report-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        try:
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)  # an existing report keeps its mode
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -27,9 +27,8 @@ combination (|gamma| ||psi1||^2 + delta ||psi2||^2) / 2.
 Each product takes one of two routes, with the same Fractions either way.
 
 - The table route: every component is an EigenstateRecord of its sector,
-  the system's own (towers._tower_state returns it), the system is proved
-  (towers._proved), and an X,P cross term is rational (the two states'
-  sqrt(2) powers differ by an odd number).  There each generator is a weighted shift on
+  the system's own (towers._tower_state returns it), and the system is
+  proved (towers._proved).  There each generator is a weighted shift on
   the towers with a weight from E and delta alone, the levels are
   orthogonal, and the moments are closed forms in E_m, delta and, for the
   X,P cross terms, the two records' norm_sq ratio (_table_sector,
@@ -42,10 +41,10 @@ Each product takes one of two routes, with the same Fractions either way.
   _sector_product and uncertainty_product_XP import on the first state
   the table does not serve; it is also the table's test oracle.
 
-Either way variances and the squared bound are Fractions, `pass`
-(sigma1^2 sigma2^2 >= bound^2) is exact, and floats appear only in the
-result (_result), where an exactly saturated bound gives product ==
-bound.  No tolerance is involved.
+Either way variances, the squared bound and each X,P mean's signed
+square <O> |<O>| are Fractions, `pass` (sigma1^2 sigma2^2 >= bound^2) is
+exact, and floats appear only in the result (_result), where an exactly
+saturated bound gives product == bound.  No tolerance is involved.
 """
 
 from __future__ import annotations
@@ -71,12 +70,10 @@ def _root(x) -> float:
     return math.sqrt(max(_float(x), 0.0))
 
 
-def _signed_root(scale_sq, mean) -> float:
-    """s mean rounded once: the root of the exact s^2 mean^2 (in ints when rational), with mean's sign."""
-    if isinstance(mean, (int, Fraction)):
-        (s, t), (p, q) = scale_sq.as_integer_ratio(), mean.as_integer_ratio()
-        return math.copysign(math.sqrt(s * p * p / (t * q * q)), -1 if p < 0 else 1)
-    return math.copysign(_root(scale_sq * mean ** 2), _float(mean))
+def _signed_root(v) -> float:
+    """<O> from its signed square v = <O> |<O>|, rounded once: the root of |v|, with v's sign."""
+    v = _float(v)
+    return math.copysign(math.sqrt(abs(v)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +207,15 @@ def _table_xp(system, dstate: DirectSumState) -> tuple:
     s_(j-1).  So with weights w1, w2, <X^2> = <P^2> = w1 (E_i + E_(i+1) -
     delta)/2 + w2 (2E_j - delta)/2, and the commutator blocks act as gamma =
     delta - (E_(i+1) - E_i) and -delta.  Only s~_i and s~_(i+1) of s_i's
-    family give a cross term c, from the records' norm_sq ratio r = p/q; with
-    h the states' sqrt(2) power difference, odd here (_table_serves_xp), s^2
-    = 2^-h w2 / (w1 r) and mean = 2^((h-1)/2) w1 c.  E and delta are ints over
-    the towers' one den D (towers._eigenvalue_ints), w1 and w2 over one den W.
+    family give a cross term c, from the records' norm_sq ratio r = p/q, and
+    each mean is carried as its signed square <O> |<O>| = w1 w2 c |c| / (2r),
+    rational whatever the two states' sqrt(2) powers.  E and delta are ints
+    over the towers' one den D (towers._eigenvalue_ints), w1 and w2 over one
+    den W.
     """
     one, two = dstate.component1, dstate.component2
     (w1, w), (d, e) = dstate.weight1.as_integer_ratio(), system.delta.as_integer_ratio()
     w2, second, comm, p, q, cd, cx, cp = w - w1, 0, 0, 1, 1, 1, 0, 0
-    means = [(0, 0), (0, 0)]
     den = _eigenvalue_ints(system, SectorLabel.PSI, 0)[1]
     delta = d * (den // e)
     if one is not None:  # <X^2> over 2 W D, the commutator over W D
@@ -236,25 +233,14 @@ def _table_xp(system, dstate: DirectSumState) -> tuple:
             else:  # t = E_j and u = 1, over cd = D q
                 t, u, cd = e_j * q, den * p, den * q
             cx, cp = t + u, (t - u) * (1 if two.m > one.m else -1)
-            h = two.state.half_power - one.state.half_power
-            k, scale_sq = (h - 1) // 2, Fraction(w2 * q << max(-h, 0), w1 * p << max(h, 0))
-            means = [(scale_sq, Fraction(w1 * c << max(k, 0), w * cd << max(-k, 0))) if c else (0, 0)
-                     for c in (cx, cp)]
-    # var = <X^2> - s^2 mean^2 = <X^2> - w1 w2 c^2 / (2r) over 2 W D f for X and P: one int verdict
+    # var = <X^2> - <X>^2 = <X^2> - w1 w2 c^2 / (2r) over 2 W D f for X and P: one int verdict
     f, cross = p * w * cd * cd, w1 * w2 * q * den
     var_x, var_p = second * f - cross * cx * cx, second * f - cross * cp * cp
     passed = var_x * var_p >= (comm * f) ** 2
     var_den, second = 2 * w * den * f, Fraction(second, 2 * w * den)
     values = Fraction(var_x, var_den) if cx else second, Fraction(var_p, var_den) if cp else second
-    return passed, [*values, Fraction(comm * comm, 4 * (w * den) ** 2), *means, second, second]
-
-
-def _table_serves_xp(system, dstate: DirectSumState) -> bool:
-    """Whether each component is the proved system's own record of its sector (_own), and two
-    components differ by an odd sqrt(2) power, so their cross terms are rational."""
-    one, two = dstate.component1, dstate.component2
-    return ((one is None or _own(system, one, 1)) and (two is None or _own(system, two, 2))
-            and (one is None or two is None or (two.state.half_power - one.state.half_power) % 2 == 1))
+    squares = [Fraction(cross * c * abs(c), var_den) if c else 0 for c in (cx, cp)]
+    return passed, [*values, Fraction(comm * comm, 4 * (w * den) ** 2), *squares, second, second]
 
 
 def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
@@ -268,20 +254,20 @@ def uncertainty_product_XP(system, dstate: DirectSumState) -> UncertaintyResult:
     blocks of the _oracle module (_oracle._composed_xp), loaded on the
     first such state.
     """
-    if _table_serves_xp(system, dstate):
+    one, two = dstate.component1, dstate.component2
+    if (one is None or _own(system, one, 1)) and (two is None or _own(system, two, 2)):
         route = _table_xp
     else:
         from . import _oracle
 
         route = _oracle._composed_xp
-    passed, (var_x, var_p, bound_sq, *means, second_x, second_p) = route(system, dstate)
-    (scale_x, mean_x), (scale_p, mean_p) = means
+    passed, (var_x, var_p, bound_sq, square_x, square_p, second_x, second_p) = route(system, dstate)
     # |gamma| w1 + delta w2 and min(|gamma|, delta) in ints; an int quotient rounds as float(Fraction) does
     (g, h), (d, e) = system.gamma.as_integer_ratio(), system.delta.as_integer_ratio()
     w1, w = dstate.weight1.as_integer_ratio()
     return _result("X,P", passed, var_x, var_p, bound_sq, {
-        "mean_x": (_signed_root(scale_x, mean_x), 0.0),
-        "mean_p": (0.0, _signed_root(scale_p, mean_p)),
+        "mean_x": (_signed_root(square_x), 0.0),
+        "mean_p": (0.0, _signed_root(square_p)),
         "second_x": _float(second_x),
         "second_p": _float(second_p),
         "bound_convex_combination": 0.5 * ((d * h * (w - w1) - g * e * w1) / (h * e * w)),

@@ -597,6 +597,34 @@ def test_atomic_output_no_partial_file(tmp_path, capsys):
     assert leftovers == []
 
 
+_UNDER_UMASK = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from coupledsusy.cli import main
+sys.exit(main(["verify", "--n", "1", "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("umask, existing, mode", [
+    ("022", None, 0o644),
+    ("077", None, 0o600),
+    ("022", 0o640, 0o640),  # an existing report keeps its own mode
+    ("077", 0o664, 0o664),
+])
+def test_out_file_mode_follows_the_umask(tmp_path, umask, existing, mode):
+    # a new report gets 0o666 less the umask, as open() gives it; each run is a fresh process,
+    # so the umask set here reaches no other test
+    target = tmp_path / "report.json"
+    if existing is not None:
+        target.write_text("old\n")
+        target.chmod(existing)
+    subprocess.run([sys.executable, "-c", _UNDER_UMASK, umask, str(target)], env=dict(os.environ, PYTHONPATH=SRC),
+                   check=True, capture_output=True, timeout=120)
+    assert target.stat().st_mode & 0o7777 == mode
+    assert json.loads(target.read_text())["pass"] is True
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "existing-dir"])
 def test_unwritable_out_is_config_error(target, tmp_path, capsys):
     (tmp_path / "existing-dir").mkdir()

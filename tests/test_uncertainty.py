@@ -679,10 +679,12 @@ def test_records_not_the_systems_own_take_the_composition_route(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_odd_sqrt2_cross_terms_take_the_composition_route(n):
+def test_sqrt2_scaled_family_reads_twice_the_familys_moments(n):
     # sqrt(2) times every generator, gamma and delta doubled: proved, with first-sector and tilde
-    # states of one sqrt(2) parity, so a cross term of one family is irrational and raises by
-    # either route, while the sector products and cross terms of two families read the table
+    # states of one sqrt(2) parity, so s and mean of a cross term are irrational apart, but its
+    # signed square is rational.  Both routes agree on every pair, records and bare states give
+    # one report, and each variance, second moment and signed mean square is twice the family's,
+    # the squared bound four times
     family = make_xn_system(n)
     system = CoupledSusySystem(n=n, gamma=2 * family.gamma, delta=2 * family.delta,
                                generators=tuple(g.scale_sqrt2(1) for g in family.generators))
@@ -691,12 +693,22 @@ def test_odd_sqrt2_cross_terms_take_the_composition_route(n):
         rec = eigenstate(system, sector, 2)
         product = uncertainty_product_tilde if sector.is_tilde else uncertainty_product_LA
         assert product(system, rec).to_json_dict() == product(system, rec.state).to_json_dict()
-    psi, psi_t, phi_t = (eigenstate(system, sector, 1) for sector in (PSI, PSI_T, PHI_T))
-    for one, two in [(psi, psi_t), (psi.state, psi_t.state)]:
-        with pytest.raises(ValueError, match="odd combined sqrt"):
-            uncertainty_product_XP(system, direct_sum(one, HALF, two, HALF))
-    assert (uncertainty_product_XP(system, direct_sum(psi, HALF, phi_t, HALF)).to_json_dict()
-            == uncertainty_product_XP(system, direct_sum(psi.state, HALF, phi_t.state, HALF)).to_json_dict())
+    for first, second in [(PSI, PSI_T), (PSI, PHI_T), (PHI, PSI_T), (PHI, PHI_T)]:
+        for i in range(7):
+            for j in range(second.first_level, 7):
+                for w1 in (Fraction(0), Fraction(1, 3), HALF, Fraction(1)):
+                    records = [(eigenstate(s, first, i) if w1 else None, eigenstate(s, second, j) if w1 < 1 else None)
+                               for s in (system, family)]
+                    (one, two), (f_one, f_two) = records
+                    state = direct_sum(one, w1, two, 1 - w1)
+                    passed, values = uncertainty._table_xp(system, state)
+                    assert (passed, values) == _oracle._composed_xp(system, state)
+                    f_passed, f_values = uncertainty._table_xp(family, direct_sum(f_one, w1, f_two, 1 - w1))
+                    assert passed == f_passed
+                    assert values == [4 * v if k == 2 else 2 * v for k, v in enumerate(f_values)]
+                    bare = direct_sum(one and one.state, w1, two and two.state, 1 - w1)
+                    assert (uncertainty_product_XP(system, state).to_json_dict()
+                            == uncertainty_product_XP(system, bare).to_json_dict())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
